@@ -78,17 +78,17 @@ def parse_vector(items: Sequence) -> Vector:
 # exact Gaussian elimination
 
 
-def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """Solve rows·x = rhs exactly.  Returns one solution or None if inconsistent.
+def _rref(a: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
+    """Reduce the first ncols columns of a to reduced row echelon form, in place.
 
-    Free variables are set to 0.
+    Returns the (row, column) of every pivot, in column order.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    m = len(a)
     pivots: list[tuple[int, int]] = []
     r = 0
-    for c in range(n):
+    for c in range(ncols):
+        if r == m:
+            break
         pr = next((i for i in range(r, m) if a[i][c] != 0), None)
         if pr is None:
             continue
@@ -101,11 +101,20 @@ def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append((r, c))
         r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
+    return pivots
+
+
+def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
+    """Solve rows·x = rhs exactly.  Returns one solution or None if inconsistent.
+
+    Free variables are set to 0.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    pivots = _rref(a, n)
+    if any(a[i][n] != 0 for i in range(len(pivots), m)):
+        return None
     x = [Fraction(0)] * n
     for pr, pc in pivots:
         x[pc] = a[pr][n]
@@ -118,30 +127,13 @@ def nullspace(rows: Sequence[Vector]) -> list[Vector]:
         raise InputError("nullspace needs at least one row to fix the dimension")
     n = len(rows[0])
     a = [list(row) for row in rows]
-    m = len(a)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
+    pivots = _rref(a, n)
+    pivot_cols = {pc for _, pc in pivots}
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivot_cols):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
+        for pr, pc in pivots:
             v[pc] = -a[pr][fc]
         basis.append(tuple(v))
     return basis

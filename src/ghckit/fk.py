@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, InternalError, UnsupportedTypeError
 from .exact import ConeWitness, Vector, cones_intersect_trivially, dot, in_span, nullspace, vadd, vneg, vzero
-from .rootsys import RootSystem, _simple_roots
+from .rootsys import RootSystem, _simple_roots, cartan_of
 from .shadow import RootSubalgebra, is_closed
 
 
@@ -40,10 +40,6 @@ def levi_decompose(l: RootSubalgebra) -> LeviDecomposition:
 class SingularWeightData:
     module_weights: frozenset[Vector]
     singular_weights: frozenset[Vector]
-
-    @property
-    def cone_generators(self) -> frozenset[Vector]:
-        return self.singular_weights
 
 
 def _k_simple_roots(rs: RootSystem, k_roots: frozenset[Vector]) -> list[Vector]:
@@ -101,7 +97,7 @@ def theorem8_finite_type(rs: RootSystem, l: RootSubalgebra) -> FiniteTypeVerdict
     sg = singular_weights(rs, ld.k_roots, g_mod_l)
     sn = singular_weights(rs, ld.k_roots, ld.n_roots)
     trivial, witness = cones_intersect_trivially(
-        sorted(sg.cone_generators), sorted(sn.cone_generators)
+        sorted(sg.singular_weights), sorted(sn.singular_weights)
     )
     return FiniteTypeVerdict(
         finite_type=trivial, witness=witness, singular_g_mod_l=sg, singular_n=sn
@@ -127,13 +123,6 @@ def theorem6_solvable_finite_type(rs: RootSystem, l: RootSubalgebra) -> bool:
 
 # ---------------------------------------------------------------------------
 # subsystem type recognition
-
-
-def _cartan_of(series: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    simple, _ = _simple_roots(series, rank)
-    return tuple(
-        tuple(int(2 * dot(a, b) / dot(b, b)) for b in simple) for a in simple
-    )
 
 
 def _candidates(rank: int) -> list[tuple[str, int]]:
@@ -209,11 +198,9 @@ def recognize_type(rs: RootSystem, subset: frozenset[Vector]) -> list[tuple[str,
         comps.append(comp)
     out = []
     for comp in comps:
-        cm = tuple(
-            tuple(int(2 * dot(a, b) / dot(b, b)) for b in comp) for a in comp
-        )
+        cm = cartan_of(comp)
         hit = next(
-            (c for c in _candidates(len(comp)) if _matrices_match(cm, _cartan_of(*c))),
+            (c for c in _candidates(len(comp)) if _matrices_match(cm, cartan_of(_simple_roots(*c)[0]))),
             None,
         )
         if hit is None:
@@ -224,10 +211,6 @@ def recognize_type(rs: RootSystem, subset: frozenset[Vector]) -> list[tuple[str,
 
 # ---------------------------------------------------------------------------
 # primality
-
-
-def _span_basis_coords(rs: RootSystem) -> list[Vector]:
-    return list(rs.simple_roots)
 
 
 def is_primal(
@@ -247,7 +230,7 @@ def is_primal(
             raise InputError("toral part must contain the coroots of k_roots")
 
     # Cartan subspace of g = span of the simple roots (sum-zero for type A)
-    hspan = _span_basis_coords(rs)
+    hspan = rs.simple_roots
     # torus centralizing k_roots, computed in simple-root coordinates
     if k_roots:
         rows = [tuple(dot(b, ai) for ai in hspan) for b in sorted(k_roots)]

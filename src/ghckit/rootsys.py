@@ -4,6 +4,11 @@ Classical series are realized in the usual coordinate ambients (A_n inside
 an (n+1)-dimensional space with sum-zero roots, C_n with simple roots
 e1-e2, ..., e_{n-1}-e_n, 2e_n); exceptional types use the standard
 coordinate simple roots and everything is generated by reflection closure.
+
+The reflection closure runs on integer simple-root coordinates, and
+``RootSystem.sum_table`` adds roots by their index in the canonical order
+(see ``build``) for closed-subset code.  Public surfaces (root vectors,
+weights, JSON) stay Fraction epsilon-vectors.
 """
 
 from __future__ import annotations
@@ -12,14 +17,15 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
+from typing import Sequence
 
 from .errors import InputError, InternalError
 from .exact import (
     Vector,
+    _rref,
     dot,
     format_vector,
-    solve_linear,
     vadd,
     vneg,
     vscale,
@@ -109,6 +115,12 @@ def _validate(series: str, rank: int) -> None:
         raise InputError(f"rank {rank} exceeds the configured bound {cap}")
 
 
+def cartan_of(simple: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
+    """Cartan matrix of a list of simple roots: entry (i, j) is <a_i, a_j^vee>."""
+    gram = [[dot(a, b) for b in simple] for a in simple]
+    return tuple(tuple(int(2 * g / gram[j][j]) for j, g in enumerate(row)) for row in gram)
+
+
 @dataclass(frozen=True)
 class RootSystem:
     series: str
@@ -120,12 +132,10 @@ class RootSystem:
     cartan_matrix: tuple[tuple[int, ...], ...]
     fundamental_weights: tuple[Vector, ...]
     _index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
-    _simple_coords: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
+    # integer simple-root coordinates of all_roots[i], by root index
+    _coords: tuple = field(repr=False, hash=False, compare=False, default=())
 
     # -- pairings ---------------------------------------------------------
-
-    def form(self, a: Vector, b: Vector) -> Fraction:
-        return dot(a, b)
 
     def pairing(self, lam: Vector, alpha: Vector) -> Fraction:
         """<lam, alpha^vee> = 2(lam,alpha)/(alpha,alpha)."""
@@ -153,18 +163,23 @@ class RootSystem:
             out.append(self.all_roots[int(i)])
         return out
 
-    def simple_coordinates(self, alpha: Vector) -> tuple[Fraction, ...]:
+    def simple_coordinates(self, alpha: Vector) -> tuple[int, ...]:
         """Coefficients of alpha over the simple roots."""
-        try:
-            return self._simple_coords[alpha]
-        except KeyError:
-            raise InputError(f"{alpha} is not a root of {self.series}{self.rank}") from None
+        return self._coords[self.root_index(alpha)]
 
     def height(self, alpha: Vector) -> int:
-        s = sum(self.simple_coordinates(alpha))
-        if s.denominator != 1:
-            raise InternalError(f"non-integral height for {alpha}")
-        return int(s)
+        return sum(self.simple_coordinates(alpha))
+
+    @cached_property
+    def sum_table(self) -> tuple[tuple[int, ...], ...]:
+        """sum_table[i][j] is the index of all_roots[i] + all_roots[j], or -1
+        when that sum is not a root.  Built on first use: only closed-subset
+        code needs it, and it has one entry per pair of roots."""
+        # coordinates c as one integer sum_j c_j * 64**j: codes add as the vectors
+        # do, and stay distinct since no coordinate of a root exceeds 6 in size
+        codes = [sum(x << 6 * j for j, x in enumerate(c)) for c in self._coords]
+        index = {code: i for i, code in enumerate(codes)}
+        return tuple(tuple(index.get(a + b, -1) for b in codes) for a in codes)
 
     def rho(self) -> Vector:
         half = reduce(vadd, self.positive_roots, vzero(self.ambient_dim))
@@ -195,33 +210,36 @@ def build(series: str, rank: int) -> RootSystem:
 @lru_cache(maxsize=None)
 def _construct(series: str, rank: int) -> RootSystem:
     simple, dim = _simple_roots(series, rank)
-    norms = [dot(a, a) for a in simple]
-    # reflection closure, tracking simple-root coordinates as we go:
-    # s_a(b) = b - <b, a^vee> a only changes the coordinate on a
-    coords: dict[Vector, tuple[Fraction, ...]] = {
-        a: tuple(_F(1) if j == i else _F(0) for j in range(rank))
-        for i, a in enumerate(simple)
-    }
-    frontier = list(simple)
+    cartan = cartan_of(simple)
+    # reflection closure on integer simple-root coordinates c:
+    # s_i(b) = b - <b, a_i^vee> a_i, with <b, a_i^vee> = sum_j c_j cartan[j][i]
+    units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    seen = set(units)
+    frontier = units
     while frontier:
         nxt = []
-        for beta in frontier:
-            cb = coords[beta]
-            for i, alpha in enumerate(simple):
-                p = 2 * dot(beta, alpha) / norms[i]
-                if p == 0:
-                    continue
-                refl = vsub(beta, vscale(p, alpha))
-                if refl not in coords:
-                    coords[refl] = tuple(
-                        c - p if j == i else c for j, c in enumerate(cb)
-                    )
-                    nxt.append(refl)
+        for c in frontier:
+            for i in range(rank):
+                p = sum(cj * row[i] for cj, row in zip(c, cartan))
+                if p:
+                    refl = c[:i] + (c[i] - p,) + c[i + 1:]
+                    if refl not in seen:
+                        seen.add(refl)
+                        nxt.append(refl)
         frontier = nxt
 
-    positive = [r for r in coords if all(c >= 0 for c in coords[r])]
-    positive.sort(key=lambda r: (sum(coords[r]), r))
-    all_roots = tuple(positive) + tuple(vneg(r) for r in positive)
+    # epsilon-coordinates, doubled so that they are integers; sorting on them
+    # orders roots as their Fraction coordinates do
+    doubled = [tuple(int(2 * x) for x in a) for a in simple]
+    positive = sorted(
+        (sum(c), tuple(sum(cj * a[k] for cj, a in zip(c, doubled)) for k in range(dim)), c)
+        for c in seen
+        if min(c) >= 0
+    )
+    positive_roots = tuple(tuple(_F(x, 2) for x in eps2) for _, eps2, _ in positive)
+    all_roots = positive_roots + tuple(vneg(r) for r in positive_roots)
+    coords = tuple(c for _, _, c in positive)
+    coords += tuple(tuple(-x for x in c) for c in coords)
 
     expected = _COUNTS[series]
     count = expected(rank) if callable(expected) else expected[rank]
@@ -230,34 +248,26 @@ def _construct(series: str, rank: int) -> RootSystem:
             f"{series}{rank}: generated {len(all_roots)} roots, expected {count}"
         )
 
-    cartan = tuple(
-        tuple(int(2 * dot(a, b) / dot(b, b)) for b in simple) for a in simple
+    # fundamental weights: <w_i, a_j^vee> = delta_ij within the simple span, so
+    # w_i = sum_j x_ij a_j with x the inverse Cartan matrix; [C | 1] reduces to [1 | x]
+    aug = [[_F(c) for c in row] + [_F(int(j == i)) for j in range(rank)] for i, row in enumerate(cartan)]
+    _rref(aug, rank)
+    fw = tuple(
+        reduce(vadd, (vscale(x, a) for x, a in zip(row[rank:], simple)), vzero(dim)) for row in aug
     )
-    # fundamental weights: <w_i, a_j^vee> = delta_ij, within the simple span
-    fw = []
-    crows = [[_F(cartan[i][j]) for i in range(rank)] for j in range(rank)]
-    for i in range(rank):
-        rhs = [_F(1) if j == i else _F(0) for j in range(rank)]
-        c = solve_linear(crows, rhs)
-        assert c is not None
-        w = vzero(dim)
-        for cj, aj in zip(c, simple):
-            w = vadd(w, vscale(cj, aj))
-        fw.append(w)
 
-    rs = RootSystem(
+    return RootSystem(
         series=series,
         rank=rank,
         ambient_dim=dim,
         simple_roots=tuple(simple),
-        positive_roots=tuple(positive),
+        positive_roots=positive_roots,
         all_roots=all_roots,
         cartan_matrix=cartan,
-        fundamental_weights=tuple(fw),
+        fundamental_weights=fw,
         _index={r: i for i, r in enumerate(all_roots)},
-        _simple_coords=coords | {vneg(r): tuple(-c for c in coords[r]) for r in coords},
+        _coords=coords,
     )
-    return rs
 
 
 # ---------------------------------------------------------------------------

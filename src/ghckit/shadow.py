@@ -5,12 +5,16 @@ always implicitly included).  Its complement generates a monoid Gamma, and
 each root is classified by two cone-membership queries against Gamma's
 generators.  Cone membership over Q+ is used directly: the R+-span in the
 defining conditions is decided exactly by rational LP.
+
+``is_closed`` and ``closed_subsets`` work on integer bitmasks over the
+canonical root order and add roots through the sum table; what they take and
+return stays frozensets of Fraction epsilon-vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .exact import Vector, cone_member, vadd, vneg, vzero
@@ -18,10 +22,18 @@ from .rootsys import RootSystem
 
 
 def is_closed(rs: RootSystem, roots: frozenset[Vector]) -> bool:
-    for a in roots:
-        for b in roots:
-            s = vadd(a, b)
-            if rs.is_root(s) and s not in roots:
+    """True iff every sum of two of the roots that is a root is among them.
+    Raises InputError for a vector that is not a root of rs."""
+    members = [rs.root_index(a) for a in roots]
+    mask = 0
+    for i in members:
+        mask |= 1 << i
+    table = rs.sum_table
+    for i in members:
+        row = table[i]
+        for j in members:
+            k = row[j]
+            if k >= 0 and not mask >> k & 1:
                 return False
     return True
 
@@ -38,8 +50,7 @@ class RootSubalgebra:
         return cls(rs, frozenset(rs.roots_from_indices(indices)))
 
     def __post_init__(self):
-        for a in self.roots:
-            self.rs.root_index(a)
+        # is_closed looks up every vector with root_index, which rejects non-roots
         if not is_closed(self.rs, self.roots):
             raise InputError("root subset is not closed under addition")
 
@@ -134,36 +145,36 @@ def closed_subsets(rs: RootSystem) -> Iterator[frozenset[Vector]]:
 
     Depth-first over the canonical root ordering: each root is either
     excluded outright or included together with everything its closure
-    forces; branches that would need an excluded root are pruned.
+    forces; branches that would need an excluded root are pruned.  Subsets
+    are bitmasks over root indices until they are yielded.
     """
-    roots = list(rs.all_roots)
+    roots = rs.all_roots
     n = len(roots)
+    # partners[a]: every (b, a + b) with a + b a root
+    partners = [[(b, k) for b, k in enumerate(row) if k >= 0] for row in rs.sum_table]
 
-    def closure(current: frozenset[Vector], added: Vector) -> Optional[frozenset[Vector]]:
-        out = set(current)
+    def closure(mask: int, added: int) -> int:
+        mask |= 1 << added
         queue = [added]
-        out.add(added)
         while queue:
-            a = queue.pop()
-            for b in list(out):
-                s = vadd(a, b)
-                if rs.is_root(s) and s not in out:
-                    out.add(s)
-                    queue.append(s)
-        return frozenset(out)
+            for b, k in partners[queue.pop()]:
+                if mask >> b & 1 and not mask >> k & 1:
+                    mask |= 1 << k
+                    queue.append(k)
+        return mask
 
-    def rec(i: int, chosen: frozenset[Vector], excluded: frozenset[Vector]):
-        while i < n and roots[i] in chosen:
+    # (next root to decide, chosen, excluded); the exclude branch is pushed
+    # last so that it is explored first
+    stack = [(0, 0, 0)]
+    while stack:
+        i, chosen, excluded = stack.pop()
+        while i < n and chosen >> i & 1:
             i += 1
         if i == n:
-            yield chosen
-            return
-        r = roots[i]
-        # exclude r
-        yield from rec(i + 1, chosen, excluded | {r})
-        # include r, forcing its closure
-        c = closure(chosen, r)
-        if not (c & excluded):
-            yield from rec(i + 1, c, excluded)
-
-    yield from rec(0, frozenset(), frozenset())
+            # copied from a set, a frozenset gets a table sized to its contents
+            yield frozenset({r for j, r in enumerate(roots) if chosen >> j & 1})
+            continue
+        c = closure(chosen, i)
+        if not c & excluded:
+            stack.append((i + 1, c, excluded))
+        stack.append((i + 1, chosen, excluded | 1 << i))

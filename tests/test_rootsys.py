@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from conftest import V, neg
 from ghckit import rootsys
 from ghckit.errors import InputError
+from ghckit.exact import vadd
 
 F = Fraction
 
@@ -21,6 +24,35 @@ def test_root_counts(key, count):
     rs = rootsys.build(*key)
     assert len(rs.all_roots) == count
     assert len(rs.positive_roots) == count // 2
+
+
+# the 34 types of acceptance criterion 1: A1-A8, B, C and D of rank 2-8, E6-E8, F4, G2
+ALL_TYPES = sorted(
+    [("A", n) for n in range(1, 9)]
+    + [(s, n) for s in "BCD" for n in range(2, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def test_json_digest_all_types():
+    # pins roots, their canonical order, simple roots and Cartan matrices;
+    # the digest was taken from the Fraction-arithmetic construction
+    docs = [rootsys.build(*key).to_json() for key in ALL_TYPES]
+    assert len(docs) == 34
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == "412f102203ccc672f8d9592552bfee5c57f73c4e07acd30664339ae8febc0a1a"
+
+
+@pytest.mark.parametrize("key", [("G", 2), ("F", 4), ("E", 8)])
+def test_sum_table_matches_vector_sums(key):
+    rs = rootsys.build(*key)
+    n = len(rs.all_roots)
+    # E8: the rows of the simple roots and of the eight highest roots
+    rows = range(n) if n < 100 else [*range(8), *range(n // 2 - 8, n // 2)]
+    for i in rows:
+        for j, b in enumerate(rs.all_roots):
+            s = vadd(rs.all_roots[i], b)
+            assert rs.sum_table[i][j] == (rs.root_index(s) if rs.is_root(s) else -1)
 
 
 def test_invalid_types():

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import V, neg
-from ghckit import shadow
+from ghckit import rootsys, shadow
+from ghckit.exact import vadd
 from ghckit.errors import InputError
 from ghckit.shadow import RootSubalgebra, closed_subsets, fernando_fk, parabolic_pm, support_shape
 
@@ -121,6 +124,29 @@ class TestClosedSubsetEnumeration:
         assert len(list(closed_subsets(a2))) == 29
         assert len(list(closed_subsets(a3))) == 355
         assert len(list(closed_subsets(c2))) == 55
+        assert len(list(closed_subsets(rootsys.build("B", 3)))) == 1785
+        assert len(list(closed_subsets(rootsys.build("C", 3)))) == 1803
+        assert len(list(closed_subsets(rootsys.build("A", 4)))) == 6942
+
+    def test_g2_matches_brute_force(self):
+        # every one of the 2^12 subsets of G2, closed or not, checked by
+        # vector addition alone
+        g2 = rootsys.build("G", 2)
+        roots = g2.all_roots
+        sums = {(a, b): vadd(a, b) for a in roots for b in roots}
+
+        def closed(sub):
+            return all(sums[a, b] in sub or not g2.is_root(sums[a, b]) for a in sub for b in sub)
+
+        subsets = [
+            frozenset(itertools.compress(roots, bits))
+            for bits in itertools.product((0, 1), repeat=len(roots))
+        ]
+        want = {s for s in subsets if closed(s)}
+        got = list(closed_subsets(g2))
+        assert len(got) == len(set(got)) == 168
+        assert set(got) == want
+        assert all(shadow.is_closed(g2, s) == (s in want) for s in subsets)
 
     def test_all_closed_and_unique(self, a2):
         seen = list(closed_subsets(a2))
