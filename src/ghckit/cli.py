@@ -38,6 +38,15 @@ def _parse_weight(text: str):
     return parse_vector(text.split(","))
 
 
+def _weight_param(value, name: str):
+    """A weight given as a comma-separated string or a JSON list."""
+    if isinstance(value, str):
+        return _parse_weight(value)
+    if isinstance(value, list):
+        return parse_vector(value)
+    raise InputError(f"{name} must be a comma-separated string or a list, got {value!r}")
+
+
 def _parse_vectors(text: str):
     return [_parse_weight(part) for part in text.split(";") if part.strip()]
 
@@ -121,7 +130,7 @@ def _cmd_mathieu(params: dict) -> dict:
     x = params.get("x")
     if x is None:
         raise InputError("missing weight x")
-    xs = _parse_weight(x) if isinstance(x, str) else parse_vector(x)
+    xs = _weight_param(x, "x")
     doc: dict = {"bounded": mathieu.sp_bounded(xs)}
     if doc["bounded"]:
         desc = mathieu.CoherentFamilyDescriptor.from_weight(xs)
@@ -130,11 +139,11 @@ def _cmd_mathieu(params: dict) -> dict:
         doc["class_rep"] = [format_rational(c) for c in xs]
     eta = params.get("eta")
     if eta is not None:
-        es = _parse_weight(eta) if isinstance(eta, str) else parse_vector(eta)
+        es = _weight_param(eta, "eta")
         doc["fiber_irreducible"] = mathieu.sp_fiber_irreducible(es)
     other = params.get("equiv")
     if other is not None:
-        ys = _parse_weight(other) if isinstance(other, str) else parse_vector(other)
+        ys = _weight_param(other, "equiv")
         doc["equivalent"] = mathieu.sp_equivalent(xs, ys)
     return doc
 
@@ -144,12 +153,15 @@ def _cmd_ktype_series(params: dict) -> dict:
     lam_raw = params.get("lambda")
     if lam_raw is None:
         raise InputError("missing lambda")
-    lam = _parse_weight(lam_raw) if isinstance(lam_raw, str) else parse_vector(lam_raw)
+    lam = _weight_param(lam_raw, "lambda")
     if len(lam) != rs.ambient_dim:
         raise InputError("lambda dimension does not match the ambient space")
     if rootsys.is_integral(rs, lam):
         raise InputError("lambda must be non-integral")
-    max_m = int(params.get("max_m", 10))
+    try:
+        max_m = int(params.get("max_m", 10))
+    except (TypeError, ValueError) as e:
+        raise InputError(f"max_m must be an integer: {e}") from e
     pd = principal.PrincipalData.build(rs)
     series = principal.ktype_series(pd, lam, max_m)
     doc = series.to_json()

@@ -1,14 +1,20 @@
 """Exact rational arithmetic, linear algebra and rational-cone geometry.
 
-Everything here works over ``fractions.Fraction``; no floating point is used
-anywhere.  Vectors are plain tuples of Fractions, which keeps them hashable
-and immutable, so all operations are pure and safe for concurrent use.
+The interface is ``fractions.Fraction``; no floating point is used anywhere.
+Vectors are plain tuples of Fractions, which keeps them hashable and
+immutable, so all operations are pure and safe for concurrent use.
+Elimination in ``solve_linear`` and ``nullspace`` runs over Fractions.  The
+LP behind the cone queries does not: ``lp_feasible`` scales its tableau by
+the lcm of the input denominators, keeps it as an integer matrix whose rows
+share one denominator up to that scale, pivots it fraction-free with Bland's
+rule, and turns back to Fractions only for the solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -153,14 +159,32 @@ def in_span(v: Vector, gens: Sequence[Vector]) -> bool:
 # LP feasibility: two-phase simplex, Bland's anti-cycling rule
 
 
+def _rational(c):
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
+
+
 def lp_feasible(
     equalities: Sequence[tuple[Sequence[Fraction], Fraction]], nonneg_vars: int
 ) -> Optional[list[Fraction]]:
     """Decide feasibility of {x >= 0, coeffs·x = rhs for each equality}.
 
-    Returns an exact rational solution, or None when infeasible.  Pivoting
-    uses Bland's rule, so the run always terminates and the answer is
-    deterministic.
+    Coefficients are rationals (int, Fraction, or anything Fraction accepts),
+    and the result is an exact rational solution as a list of Fractions, or
+    None when infeasible.
+
+    Inside, the phase-1 tableau (n structural columns, m artificial columns,
+    rhs; rows negated where rhs < 0) is scaled, artificial columns included,
+    by the lcm L of the input denominators and pivoted fraction-free
+    (Edmonds 1967; Bareiss 1968): a pivot p at (r, s) keeps row r and sets
+    a_ij <- (p·a_ij - a_is·a_rj) // d for every other row, then d <- p, where
+    d is the previous pivot (initially 1).  The division is exact, since
+    every entry is a minor of the scaled input matrix.  Row i then stands
+    for the rational row a_i / a_i[basis[i]], with a positive denominator
+    (d, or d·L while the row still has its own artificial basic), so signs
+    and ratios read straight off the integers.  Pivoting uses Bland's rule,
+    with the ratio test done by cross-multiplication and ties broken by the
+    smaller basis index, so the run always terminates and takes the same
+    pivots as the same simplex run over Fractions.
     """
     n = nonneg_vars
     for coeffs, _ in equalities:
@@ -169,57 +193,72 @@ def lp_feasible(
     m = len(equalities)
     if m == 0:
         return [Fraction(0)] * n
-    # tableau rows: n structural columns, m artificial columns, rhs; b >= 0
-    tab: list[list[Fraction]] = []
-    for i, (coeffs, rhs) in enumerate(equalities):
-        row = [Fraction(c) for c in coeffs] + [Fraction(0)] * m + [Fraction(rhs)]
-        if row[-1] < 0:
-            row = [-x for x in row]
-        row[n + i] = Fraction(1)
-        tab.append(row)
+    rows = [[*map(_rational, coeffs), _rational(rhs)] for coeffs, rhs in equalities]
+    scale = lcm(*(c.denominator for row in rows for c in row))
+    # tableau rows: n structural columns, m artificial columns, rhs; rhs >= 0
+    tab: list[list[int]] = []
+    for i, row in enumerate(rows):
+        ints = [c.numerator * (scale // c.denominator) for c in row]
+        if ints[-1] < 0:
+            ints = [-x for x in ints]
+        art = [0] * m
+        art[i] = scale
+        tab.append(ints[:n] + art + ints[n:])
     basis = [n + i for i in range(m)]
-    # phase-1 objective: minimize the sum of artificials.  Reduced-cost row
-    # for the artificial basis is the negated column sum on structural columns.
-    obj = [Fraction(0)] * (n + m + 1)
-    for j in range(n + m + 1):
-        obj[j] = -sum(tab[i][j] for i in range(m))
+    # phase-1 objective: minimize the sum of artificials.  Its reduced-cost
+    # row (over the same denominator as an untouched row) is the negated
+    # column sum on structural columns and the rhs, and 0 on artificials.
+    obj = [-sum(col) for col in zip(*tab)]
     for i in range(m):
-        obj[n + i] += Fraction(1)
+        obj[n + i] = 0
 
+    d = 1
     while True:
         enter = next((j for j in range(n + m) if obj[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            a = tab[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # ratio tab[i][-1] / a against the best so far, cross-multiplied
+                here = tab[i][-1] * tab[leave][enter]
+                best = tab[leave][-1] * a
+                if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             # phase-1 objective is bounded below by 0, so this cannot happen
             raise InputError("unbounded phase-1 LP; inconsistent input")
-        pv = tab[leave][enter]
-        tab[leave] = [x / pv for x in tab[leave]]
+        prow = tab[leave]
+        p = prow[enter]
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tab[leave])]
+            if i != leave:
+                tab[i] = _pivot_row(tab[i], prow, p, d, enter)
+        obj = _pivot_row(obj, prow, p, d, enter)
+        d = p
         basis[leave] = enter
 
-    # -obj[-1] is the attained phase-1 objective value
-    if -obj[-1] != 0:
+    # the attained phase-1 objective value is -obj[-1] over a positive denominator
+    if obj[-1] != 0:
         return None
     x = [Fraction(0)] * n
     for i, bj in enumerate(basis):
         if bj < n:
-            x[bj] = tab[i][-1]
+            x[bj] = Fraction(tab[i][-1], tab[i][bj])
     return x
+
+
+def _pivot_row(row: list[int], prow: list[int], p: int, d: int, enter: int) -> list[int]:
+    """One fraction-free elimination step of row against pivot row prow."""
+    f = row[enter]
+    if f:
+        return [(p * x - f * y) // d for x, y in zip(row, prow)]
+    if p == d:
+        return row
+    return [p * x // d for x in row]
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +336,18 @@ def cones_intersect_trivially(
     _check_dim(gens_a, dim)
     _check_dim(gens_b, dim)
     na, nb = len(gens_a), len(gens_b)
+    # sum of a-coefficients times gens_a minus b-coefficients times gens_b is 0
+    balance = [(tuple(g[j] for g in gens_a) + tuple(-g[j] for g in gens_b), 0) for j in range(dim)]
     for k in range(dim):
-        for sign in (Fraction(1), Fraction(-1)):
-            eqs: list[tuple[tuple[Fraction, ...], Fraction]] = []
-            for j in range(dim):
-                row = tuple(g[j] for g in gens_a) + tuple(-g[j] for g in gens_b)
-                eqs.append((row, Fraction(0)))
-            norm = tuple(g[k] for g in gens_a) + (Fraction(0),) * nb
-            eqs.append((norm, sign))
-            sol = lp_feasible(eqs, na + nb)
+        norm = tuple(g[k] for g in gens_a) + (0,) * nb
+        for sign in (1, -1):
+            sol = lp_feasible(balance + [(norm, sign)], na + nb)
             if sol is not None:
                 ca = tuple(sol[:na])
                 cb = tuple(sol[na:])
                 point = vzero(dim)
                 for c, g in zip(ca, gens_a):
-                    point = vadd(point, vscale(c, g))
+                    if c:  # a basic solution has at most dim + 1 nonzero coefficients
+                        point = vadd(point, vscale(c, g))
                 return False, ConeWitness(ca, cb, point)
     return True, None

@@ -225,6 +225,8 @@ def is_primal(
     if not is_closed(rs, k_roots):
         raise InputError("k_roots must be closed")
     toral = [tuple(v) for v in toral_part]
+    if any(len(v) != rs.ambient_dim for v in toral):
+        raise InputError(f"toral vectors must have dimension {rs.ambient_dim}")
     for a in k_roots:
         if not in_span(rs.coroot(a), toral):
             raise InputError("toral part must contain the coroots of k_roots")

@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
+
 from .errors import InputError, InternalError
 from .exact import Vector, dot, format_rational, nullspace, solve_linear, vadd, vscale, vzero
 from .rootsys import RootSystem, height_distribution, is_integral
@@ -79,26 +81,37 @@ class PrincipalData:
         return dot(lam, self.h_element)
 
 
+def _partition_table(multiset: dict, top: int) -> list[int]:
+    """Coefficients of q^0 .. q^top in prod (1 - q^part)^(-mult)."""
+    for part in multiset:
+        if part <= 0:
+            raise InputError(f"parts must be positive, got {part}")
+    dp = [0] * (top + 1)
+    dp[0] = 1
+    for part, mult in sorted(multiset.items()):
+        for _ in range(mult):
+            for i in range(part, top + 1):
+                dp[i] += dp[i - part]
+    return dp
+
+
+def _table_entry(table: list[int], target) -> int:
+    """table[target], or 0 for a negative or non-integral target."""
+    t = Fraction(target)
+    if t < 0 or t.denominator != 1:
+        return 0
+    return table[int(t)]
+
+
 def partition_P(multiset: dict, target) -> int:
     """Coefficient of q^target in prod (1 - q^part)^(-mult).
 
     Negative, non-integral or otherwise unreachable targets give 0: no
     monomial of the symmetric algebra has such an h-weight.
     """
-    for part in multiset:
-        if part <= 0:
-            raise InputError(f"parts must be positive, got {part}")
     t = Fraction(target)
-    if t < 0 or t.denominator != 1:
-        return 0
-    t = int(t)
-    dp = [0] * (t + 1)
-    dp[0] = 1
-    for part, mult in sorted(multiset.items()):
-        for _ in range(mult):
-            for i in range(part, t + 1):
-                dp[i] += dp[i - part]
-    return dp[t]
+    top = int(t) if t >= 0 and t.denominator == 1 else 0
+    return _table_entry(_partition_table(multiset, top), t)
 
 
 def a1_multiplicity(pd: PrincipalData, m: int, lam: Vector) -> int:
@@ -170,10 +183,21 @@ class KTypeSeries:
 
 
 def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
+    """a1_multiplicity for m = 0 .. max_m, read from one partition table up
+    to the largest target, max_m - lambda(h) + 2."""
     if max_m < 0:
         raise InputError("max_m must be nonnegative")
-    entries = {m: a1_multiplicity(pd, m, lam) for m in range(max_m + 1)}
-    return KTypeSeries(lambda_h=pd.lambda_h(lam), entries=entries, truncation=max_m)
+    if is_integral(pd.rs, lam):
+        raise InputError("lambda must be non-integral")
+    lh = pd.lambda_h(lam)
+    table = _partition_table(pd.nbar_kperp_multiset, max(0, floor(max_m - lh + 2)))
+    entries = {}
+    for m in range(max_m + 1):
+        val = _table_entry(table, m - lh + 2) - _table_entry(table, -m - lh)
+        if val < 0:
+            raise InternalError(f"negative multiplicity {val} for m={m}")
+        entries[m] = val
+    return KTypeSeries(lambda_h=lh, entries=entries, truncation=max_m)
 
 
 def find_nonintegral_weight(pd: PrincipalData, target) -> Vector:

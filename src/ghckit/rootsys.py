@@ -158,9 +158,13 @@ class RootSystem:
     def roots_from_indices(self, indices) -> list[Vector]:
         out = []
         for i in indices:
-            if not 0 <= int(i) < len(self.all_roots):
+            try:
+                k = int(i)
+            except (TypeError, ValueError) as e:
+                raise InputError(f"root index {i!r} is not an integer") from e
+            if not 0 <= k < len(self.all_roots):
                 raise InputError(f"root index {i} out of range")
-            out.append(self.all_roots[int(i)])
+            out.append(self.all_roots[k])
         return out
 
     def simple_coordinates(self, alpha: Vector) -> tuple[int, ...]:

@@ -1,8 +1,16 @@
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from ghckit import rootsys
+
+# HYPOTHESIS_PROFILE=ci: a fixed example sequence, and ten times the default
+# number of examples for tests that do not set their own (the differential
+# LP test among them)
+settings.register_profile("ci", derandomize=True, max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def V(*coords):

@@ -82,6 +82,28 @@ class TestRun:
         assert doc["primal"] is True
 
 
+class TestMalformedParameters:
+    """Malformed request parameters exit 2 with an error object, not a traceback."""
+
+    def probe(self, command, **params):
+        doc, code = run({"command": command, "parameters": {"series": "A", "rank": 2, **params}})
+        assert code == EXIT_INPUT
+        assert doc["code"] == EXIT_INPUT
+        return doc["error"]
+
+    def test_max_m_not_an_integer(self):
+        assert "max_m" in self.probe("ktype-series", max_m="abc", **{"lambda": "4/3,0,-4/3"})
+
+    def test_subalgebra_index_not_an_integer(self):
+        assert "'x'" in self.probe("shadow", subalgebra=["x"])
+
+    def test_lambda_a_bare_number(self):
+        assert "lambda" in self.probe("ktype-series", **{"lambda": 5})
+
+    def test_toral_vector_of_wrong_dimension(self):
+        assert "dimension 3" in self.probe("primal-test", toral=[["1", "0"]])
+
+
 class TestExitCodes:
     def test_success(self):
         assert invoke(["exponents", "--series", "G", "--rank", "2"]).returncode == 0

@@ -1,8 +1,11 @@
+import hashlib
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ghckit import cli
 from ghckit.errors import InputError
 from ghckit.exact import (
     cone_member,
@@ -128,3 +131,127 @@ class TestSerialization:
             parse_rational("pi")
         with pytest.raises(InputError):
             parse_rational("1/0")
+
+
+# ---------------------------------------------------------------------------
+# reference: the Fraction two-phase simplex that lp_feasible replaced, kept
+# verbatim so the integer tableau can be checked against it pivot for pivot
+
+
+def reference_lp_feasible(
+    equalities: Sequence[tuple[Sequence[Fraction], Fraction]], nonneg_vars: int
+) -> Optional[list[Fraction]]:
+    """Decide feasibility of {x >= 0, coeffs·x = rhs for each equality}.
+
+    Returns an exact rational solution, or None when infeasible.  Pivoting
+    uses Bland's rule, so the run always terminates and the answer is
+    deterministic.
+    """
+    n = nonneg_vars
+    for coeffs, _ in equalities:
+        if len(coeffs) != n:
+            raise InputError(f"equality has {len(coeffs)} coefficients, expected {n}")
+    m = len(equalities)
+    if m == 0:
+        return [Fraction(0)] * n
+    # tableau rows: n structural columns, m artificial columns, rhs; b >= 0
+    tab: list[list[Fraction]] = []
+    for i, (coeffs, rhs) in enumerate(equalities):
+        row = [Fraction(c) for c in coeffs] + [Fraction(0)] * m + [Fraction(rhs)]
+        if row[-1] < 0:
+            row = [-x for x in row]
+        row[n + i] = Fraction(1)
+        tab.append(row)
+    basis = [n + i for i in range(m)]
+    # phase-1 objective: minimize the sum of artificials.  Reduced-cost row
+    # for the artificial basis is the negated column sum on structural columns.
+    obj = [Fraction(0)] * (n + m + 1)
+    for j in range(n + m + 1):
+        obj[j] = -sum(tab[i][j] for i in range(m))
+    for i in range(m):
+        obj[n + i] += Fraction(1)
+
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            # phase-1 objective is bounded below by 0, so this cannot happen
+            raise InputError("unbounded phase-1 LP; inconsistent input")
+        pv = tab[leave][enter]
+        tab[leave] = [x / pv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [x - f * y for x, y in zip(obj, tab[leave])]
+        basis[leave] = enter
+
+    # -obj[-1] is the attained phase-1 objective value
+    if -obj[-1] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i, bj in enumerate(basis):
+        if bj < n:
+            x[bj] = tab[i][-1]
+    return x
+
+
+# entries p/q with |p| <= 3 and q in {1, 2, 3}: small enough that zero
+# columns, repeated rows, degenerate vertices and infeasible systems all
+# come up often
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def lp_systems(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    row = st.tuples(st.lists(small_rationals, min_size=n, max_size=n).map(tuple), small_rationals)
+    return draw(st.lists(row, min_size=m, max_size=m)), n
+
+
+class TestLpAgainstReference:
+    @given(lp_systems())
+    def test_same_answer_as_fraction_simplex(self, system):
+        eqs, n = system
+        assert lp_feasible(eqs, n) == reference_lp_feasible(eqs, n)
+
+    @pytest.mark.parametrize(
+        "eqs,n",
+        [
+            # degenerate: the rhs is 0, so every ratio ties at 0
+            ([((F(1), F(-1), F(0)), F(0)), ((F(0), F(1), F(-1)), F(0)), ((F(1), F(1), F(1)), F(0))], 3),
+            # a redundant row leaves an artificial basic at 0
+            ([((F(1, 2), F(1, 3)), F(1)), ((F(1), F(2, 3)), F(2))], 2),
+            # mixed denominators and a negative rhs
+            ([((F(2, 3), F(-1, 2), F(1)), F(-1, 3)), ((F(1, 3), F(1), F(-3, 2)), F(1, 2))], 3),
+            # infeasible over x >= 0
+            ([((F(1, 2), F(1, 3)), F(-1))], 2),
+        ],
+    )
+    def test_fixed_cases(self, eqs, n):
+        assert lp_feasible(eqs, n) == reference_lp_feasible(eqs, n)
+
+    def test_accepts_ints_and_strings(self):
+        sol = lp_feasible([((1, "1/2"), "3/2"), ((1, -1), 0)], 2)
+        assert sol == reference_lp_feasible([((F(1), F(1, 2)), F(3, 2)), ((F(1), F(-1)), F(0))], 2)
+        assert sol == [F(1), F(1)]
+
+
+def test_census_a3_stdout_digest(capsys):
+    # SHA-256 of `ghckit census --series A --rank 3` stdout, pinned before the
+    # integer simplex replaced the Fraction one
+    assert cli.main(["census", "--series", "A", "--rank", "3"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "c57d41e0857dd4fc454a637063ccc8a361304356523e641d6f7f1ce78b73d042"

@@ -202,3 +202,19 @@ def test_ktype_series_json(a2):
     assert doc["lambda_h"] == "4"
     assert doc["series"]["2"] == 1
     assert set(doc["series"]) == {str(m) for m in range(7)}
+
+
+@pytest.mark.parametrize("key", RANK23)
+def test_ktype_series_matches_a1_multiplicity(key):
+    # the series reads every entry from one partition table; each must equal
+    # the per-m count, also for a fractional lambda(h) and a bottom above max_m
+    pd = _pd(*key)
+    for target in (2, 5, F(7, 2), 14):
+        lam = principal.find_nonintegral_weight(pd, target)
+        series = principal.ktype_series(pd, lam, 10)
+        assert series.entries == {m: a1_multiplicity(pd, m, lam) for m in range(11)}
+
+
+def test_ktype_series_integral_lambda_rejected(a2):
+    with pytest.raises(InputError):
+        principal.ktype_series(PrincipalData.build(a2), (F(1), F(0), F(-1)), 3)
