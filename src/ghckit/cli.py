@@ -3,6 +3,12 @@
 Exit contract: 0 success, 2 input error (including malformed requests),
 3 unsupported type.  All output is JSON with sorted keys, so identical
 requests produce byte-identical documents.
+
+``COMMANDS`` declares every command once: its handler and its parameters.
+A parameter's flag is derived from its request key (``max_m`` is
+``--max-m``), and one parser reads both its JSON value and its flag string,
+so a flag invocation is the request it spells.  A request key that the
+command does not declare is an input error.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Iterator, Optional, TextIO
+from typing import Callable, Iterator, NamedTuple, Optional, TextIO
 
 from . import fk, mathieu, principal, rootsys, shadow
 from .errors import InputError, RegularIntegralCase, UnsupportedTypeError
@@ -22,155 +28,130 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 
 CENSUS_MAX_RANK = 4
-
-
-def _parse_indices(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    try:
-        return [int(t) for t in text.split(",")]
-    except ValueError as e:
-        raise InputError(f"bad index list {text!r}") from e
-
-
-def _parse_weight(text: str):
-    return parse_vector(text.split(","))
-
-
-def _weight_param(value, name: str):
-    """A weight given as a comma-separated string or a JSON list."""
-    if isinstance(value, str):
-        return _parse_weight(value)
-    if isinstance(value, list):
-        return parse_vector(value)
-    raise InputError(f"{name} must be a comma-separated string or a list, got {value!r}")
-
-
-def _parse_vectors(text: str):
-    return [_parse_weight(part) for part in text.split(";") if part.strip()]
-
-
-def _build(params: dict) -> rootsys.RootSystem:
-    try:
-        series = str(params["series"])
-        rank = int(params["rank"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"missing or malformed series/rank: {e}") from e
-    return rootsys.build(series, rank)
+# bound on a k-type series' max_m and |lambda(h)|: the slowest series within
+# it, E8 with lambda(h) = MAX_M, takes about 2 s
+MAX_M = 10_000
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each takes a parameters dict and returns a JSON document
+# parameter parsers: each reads a JSON value or a flag string
 
 
-def _cmd_root_system(params: dict) -> dict:
-    return _build(params).to_json()
+def _integer(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"expected an integer, got {value!r}")
 
 
-def _cmd_exponents(params: dict) -> dict:
-    rs = _build(params)
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"expected a string, got {value!r}")
+    return value
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise InputError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _split(value, sep: str) -> list:
+    """A JSON list as it is, or the parts of a flag string ("" has none)."""
+    if isinstance(value, str):
+        return value.split(sep) if value.strip() else []
+    if not isinstance(value, list):
+        raise InputError(f"expected a {sep!r}-separated string or a list, got {value!r}")
+    return value
+
+
+def _indices(value) -> list[int]:
+    """Root indices: "0,3" or [0, 3]."""
+    return [_integer(i) for i in _split(value, ",")]
+
+
+def _weight(value):
+    """A weight: "3/2,1/2" or ["3/2", "1/2"]."""
+    return parse_vector(_split(value, ","))
+
+
+def _weights(value):
+    """A list of weights: "1,-1,0;0,1,-1" or a list of weights; blank parts are skipped."""
+    return [_weight(w) for w in _split(value, ";") if not isinstance(w, str) or w.strip()]
+
+
+# ---------------------------------------------------------------------------
+# command handlers: each takes its parsed parameters in declared order, with
+# series and rank built into one RootSystem, and returns a JSON document
+
+
+def _cmd_exponents(rs: rootsys.RootSystem) -> dict:
     return {"series": rs.series, "rank": rs.rank, "exponents": principal.exponents(rs)}
 
 
-def _subalgebra(rs, params: dict) -> shadow.RootSubalgebra:
-    idx = params.get("subalgebra", [])
-    if isinstance(idx, str):
-        idx = _parse_indices(idx)
-    return shadow.RootSubalgebra.from_indices(rs, idx)
-
-
-def _cmd_shadow(params: dict) -> dict:
-    rs = _build(params)
-    sub = _subalgebra(rs, params)
-    sd = shadow.shadow(rs, sub)
+def _cmd_shadow(rs: rootsys.RootSystem, subalgebra: list[int]) -> dict:
+    sd = shadow.shadow(rs, shadow.RootSubalgebra.from_indices(rs, subalgebra))
     doc = sd.to_json()
     doc["p_M"] = sorted(rs.root_index(a) for a in shadow.parabolic_pm(sd))
     doc["fernando_fk"] = sorted(rs.root_index(a) for a in shadow.fernando_fk(sd))
     return doc
 
 
-def _cmd_fk_test(params: dict) -> dict:
-    rs = _build(params)
-    sub = _subalgebra(rs, params)
-    verdict = fk.theorem8_finite_type(rs, sub)
+def _cmd_fk_test(rs: rootsys.RootSystem, subalgebra: list[int]) -> dict:
+    verdict = fk.theorem8_finite_type(rs, shadow.RootSubalgebra.from_indices(rs, subalgebra))
     doc = verdict.to_json()
-    doc["singular_weights_g_mod_l"] = sorted(
-        rs.root_index(a) for a in verdict.singular_g_mod_l.singular_weights
-    )
-    doc["singular_weights_n"] = sorted(
-        rs.root_index(a) for a in verdict.singular_n.singular_weights
-    )
+    doc["singular_weights_g_mod_l"] = sorted(map(rs.root_index, verdict.singular_g_mod_l.singular_weights))
+    doc["singular_weights_n"] = sorted(map(rs.root_index, verdict.singular_n.singular_weights))
     return doc
 
 
-def _cmd_solvable_test(params: dict) -> dict:
-    rs = _build(params)
-    sub = _subalgebra(rs, params)
+def _cmd_solvable_test(rs: rootsys.RootSystem, subalgebra: list[int]) -> dict:
+    sub = shadow.RootSubalgebra.from_indices(rs, subalgebra)
     return {"finite_type": fk.theorem6_solvable_finite_type(rs, sub)}
 
 
-def _cmd_primal_test(params: dict) -> dict:
-    rs = _build(params)
-    idx = params.get("k_roots", [])
-    if isinstance(idx, str):
-        idx = _parse_indices(idx)
-    k_roots = frozenset(rs.roots_from_indices(idx))
-    toral = params.get("toral")
+def _cmd_primal_test(rs: rootsys.RootSystem, k_roots: list[int], toral) -> dict:
     if toral is None:
-        toral_vectors = list(rs.simple_roots)  # the full Cartan of g
-    elif isinstance(toral, str):
-        toral_vectors = _parse_vectors(toral)
-    else:
-        toral_vectors = [parse_vector(v) for v in toral]
-    return {"primal": fk.is_primal(rs, k_roots, toral_vectors)}
+        toral = rs.simple_roots  # the full Cartan of g
+    return {"primal": fk.is_primal(rs, frozenset(rs.roots_from_indices(k_roots)), toral)}
 
 
-def _cmd_mathieu(params: dict) -> dict:
-    x = params.get("x")
-    if x is None:
-        raise InputError("missing weight x")
-    xs = _weight_param(x, "x")
-    doc: dict = {"bounded": mathieu.sp_bounded(xs)}
+def _cmd_mathieu(x, eta, equiv) -> dict:
+    doc: dict = {"bounded": mathieu.sp_bounded(x)}
     if doc["bounded"]:
-        desc = mathieu.CoherentFamilyDescriptor.from_weight(xs)
-        doc.update(desc.to_json())
+        doc.update(mathieu.CoherentFamilyDescriptor.from_weight(x).to_json())
     else:
-        doc["class_rep"] = [format_rational(c) for c in xs]
-    eta = params.get("eta")
+        doc["class_rep"] = [format_rational(c) for c in x]
     if eta is not None:
-        es = _weight_param(eta, "eta")
-        doc["fiber_irreducible"] = mathieu.sp_fiber_irreducible(es)
-    other = params.get("equiv")
-    if other is not None:
-        ys = _weight_param(other, "equiv")
-        doc["equivalent"] = mathieu.sp_equivalent(xs, ys)
+        doc["fiber_irreducible"] = mathieu.sp_fiber_irreducible(eta)
+    if equiv is not None:
+        doc["equivalent"] = mathieu.sp_equivalent(x, equiv)
     return doc
 
 
-def _cmd_ktype_series(params: dict) -> dict:
-    rs = _build(params)
-    lam_raw = params.get("lambda")
-    if lam_raw is None:
-        raise InputError("missing lambda")
-    lam = _weight_param(lam_raw, "lambda")
+def _cmd_ktype_series(rs: rootsys.RootSystem, lam, max_m: int) -> dict:
     if len(lam) != rs.ambient_dim:
         raise InputError("lambda dimension does not match the ambient space")
     if rootsys.is_integral(rs, lam):
         raise InputError("lambda must be non-integral")
-    try:
-        max_m = int(params.get("max_m", 10))
-    except (TypeError, ValueError) as e:
-        raise InputError(f"max_m must be an integer: {e}") from e
     pd = principal.PrincipalData.build(rs)
-    series = principal.ktype_series(pd, lam, max_m)
-    doc = series.to_json()
+    # the partition table has max_m - lambda(h) + 2 entries, and minimal_ktype
+    # steps m up to lambda(h) - 2
     lh = pd.lambda_h(lam)
-    if lh - 2 >= 0 and (lh - 2).denominator == 1:
-        doc["minimal_ktype"] = principal.minimal_ktype(pd, lam)
-    else:
-        doc["minimal_ktype"] = None
+    if abs(lh) > MAX_M:
+        raise InputError(f"lambda(h) = {format_rational(lh)} is outside the bound +-{MAX_M}")
+    doc = principal.ktype_series(pd, lam, max_m).to_json()
+    # the series bottoms out at lambda(h) - 2 when that is a nonnegative integer
+    doc["minimal_ktype"] = principal.minimal_ktype(pd, lam) if lh >= 2 and lh.denominator == 1 else None
     return doc
+
+
+def _cmd_census(rs: rootsys.RootSystem, dedup: bool) -> dict:
+    return {"rows": list(census_rows(rs, dedup))}
 
 
 def census_rows(rs: rootsys.RootSystem, dedup: bool = False) -> Iterator[dict]:
@@ -212,16 +193,59 @@ def census_rows(rs: rootsys.RootSystem, dedup: bool = False) -> Iterator[dict]:
         }
 
 
-HANDLERS = {
-    "root-system": _cmd_root_system,
-    "exponents": _cmd_exponents,
-    "shadow": _cmd_shadow,
-    "fk-test": _cmd_fk_test,
-    "solvable-test": _cmd_solvable_test,
-    "primal-test": _cmd_primal_test,
-    "mathieu": _cmd_mathieu,
-    "ktype-series": _cmd_ktype_series,
+# ---------------------------------------------------------------------------
+# the command table
+
+
+class Param(NamedTuple):
+    """A command parameter: its request key, the parser of its value, its
+    default (REQUIRED: none) and, for an integer, the largest value allowed."""
+
+    key: str
+    parse: Callable
+    default: object = None
+    bound: Optional[int] = None
+
+
+REQUIRED = object()
+SYSTEM = (Param("series", _string, REQUIRED), Param("rank", _integer, REQUIRED))
+SUBALGEBRA = Param("subalgebra", _indices, ())
+
+COMMANDS: dict[str, tuple[Callable[..., dict], tuple[Param, ...]]] = {
+    "root-system": (rootsys.RootSystem.to_json, SYSTEM),
+    "exponents": (_cmd_exponents, SYSTEM),
+    "shadow": (_cmd_shadow, SYSTEM + (SUBALGEBRA,)),
+    "fk-test": (_cmd_fk_test, SYSTEM + (SUBALGEBRA,)),
+    "solvable-test": (_cmd_solvable_test, SYSTEM + (SUBALGEBRA,)),
+    "primal-test": (_cmd_primal_test, SYSTEM + (Param("k_roots", _indices, ()), Param("toral", _weights))),
+    "mathieu": (
+        _cmd_mathieu,
+        (Param("x", _weight, REQUIRED), Param("eta", _weight), Param("equiv", _weight)),
+    ),
+    "ktype-series": (
+        _cmd_ktype_series,
+        SYSTEM + (Param("lambda", _weight, REQUIRED), Param("max_m", _integer, 10, MAX_M)),
+    ),
+    "census": (_cmd_census, SYSTEM + (Param("dedup", _boolean, False),)),
 }
+
+
+def _value(param: Param, params: dict):
+    if param.key not in params:
+        if param.default is REQUIRED:
+            raise InputError(f"missing parameter {param.key}")
+        return param.default
+    try:
+        value = param.parse(params[param.key])
+    except InputError as e:
+        raise InputError(f"{param.key}: {e}") from None
+    if param.bound is not None and value > param.bound:
+        raise InputError(f"{param.key} {value} exceeds the bound {param.bound}")
+    return value
+
+
+def _error(message: str, code: int) -> tuple[dict, int]:
+    return {"error": message, "code": code}, code
 
 
 def run(request: dict) -> tuple[dict, int]:
@@ -237,18 +261,21 @@ def run(request: dict) -> tuple[dict, int]:
         params = request.get("parameters", {})
         if not isinstance(params, dict):
             raise InputError("parameters must be a JSON object")
-        if command == "census":
-            rs = _build(params)
-            rows = list(census_rows(rs, bool(params.get("dedup", False))))
-            return {"rows": rows}, EXIT_OK
-        handler = HANDLERS.get(command)
-        if handler is None:
+        if not isinstance(command, str) or command not in COMMANDS:
             raise InputError(f"unknown command {command!r}")
-        return handler(params), EXIT_OK
+        handler, declared = COMMANDS[command]
+        keys = {p.key for p in declared}
+        unknown = next((k for k in params if k not in keys), None)
+        if unknown is not None:
+            raise InputError(f"{command} has no parameter {unknown!r}")
+        values = [_value(p, params) for p in declared]
+        if declared[:2] == SYSTEM:
+            values[:2] = [rootsys.build(*values[:2])]
+        return handler(*values), EXIT_OK
     except UnsupportedTypeError as e:
-        return {"error": str(e), "code": EXIT_UNSUPPORTED}, EXIT_UNSUPPORTED
+        return _error(str(e), EXIT_UNSUPPORTED)
     except (InputError, RegularIntegralCase) as e:
-        return {"error": str(e), "code": EXIT_INPUT}, EXIT_INPUT
+        return _error(str(e), EXIT_INPUT)
 
 
 def _emit(doc: dict, out: TextIO) -> None:
@@ -260,70 +287,40 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="ghckit")
     parser.add_argument("--output", default=None, help="output file (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, *flags):
+    for name, (_, declared) in COMMANDS.items():
         p = sub.add_parser(name)
-        for f in flags:
-            if f == "series":
-                p.add_argument("--series", required=True)
-            elif f == "rank":
-                p.add_argument("--rank", required=True, type=int)
-            elif f == "subalgebra":
-                p.add_argument("--subalgebra", default="")
-            elif f == "lambda":
-                p.add_argument("--lambda", dest="lam", required=True)
-            elif f == "max-m":
-                p.add_argument("--max-m", dest="max_m", type=int, default=10)
-        return p
-
-    add("root-system", "series", "rank")
-    add("exponents", "series", "rank")
-    add("shadow", "series", "rank", "subalgebra")
-    add("fk-test", "series", "rank", "subalgebra")
-    add("solvable-test", "series", "rank", "subalgebra")
-    p = add("primal-test", "series", "rank")
-    p.add_argument("--k-roots", dest="k_roots", default="")
-    p.add_argument("--toral", default=None)
-    p = add("mathieu")
-    p.add_argument("--x", required=True)
-    p.add_argument("--eta", default=None)
-    p.add_argument("--equiv", default=None)
-    add("ktype-series", "series", "rank", "lambda", "max-m")
-    p = add("census", "series", "rank")
-    p.add_argument("--dedup", action="store_true")
+        for param in declared:
+            # a flag left out is left out of the request, which then takes the default
+            kind = {"action": "store_const", "const": True} if param.parse is _boolean else {}
+            p.add_argument("--" + param.key.replace("_", "-"), dest=param.key, default=argparse.SUPPRESS,
+                           required=param.default is REQUIRED, **kind)
     p = sub.add_parser("request", help="read a JSON command request from a file or stdin")
     p.add_argument("file", nargs="?", default="-")
 
-    args = parser.parse_args(argv)
-
-    if args.command == "request":
-        try:
-            raw = sys.stdin.read() if args.file == "-" else open(args.file).read()
-            request = json.loads(raw)
-        except (OSError, json.JSONDecodeError) as e:
-            _emit({"error": f"malformed request: {e}", "code": EXIT_INPUT}, sys.stderr)
-            return EXIT_INPUT
+    args = vars(parser.parse_args(argv))
+    output, command = args.pop("output"), args.pop("command")
+    if command != "request":
+        doc, code = run({"command": command, "parameters": args})
     else:
-        params = {}
-        for key in ("series", "rank", "subalgebra", "k_roots", "toral", "x", "eta", "equiv", "max_m"):
-            if hasattr(args, key) and getattr(args, key) is not None:
-                params[key] = getattr(args, key)
-        if hasattr(args, "lam"):
-            params["lambda"] = args.lam
-        if getattr(args, "dedup", False):
-            params["dedup"] = True
-        request = {"command": args.command, "parameters": params}
-
-    doc, code = run(request)
-    out = sys.stdout if args.output in (None, "-") else open(args.output, "w")
-    try:
-        if code == EXIT_OK:
-            _emit(doc, out)
+        try:
+            if args["file"] == "-":
+                raw = sys.stdin.read()
+            else:
+                with open(args["file"], encoding="utf-8") as f:
+                    raw = f.read()
+            request = json.loads(raw)
+        except (OSError, ValueError, RecursionError) as e:  # ValueError: bad UTF-8 or JSON
+            doc, code = _error(f"malformed request: {e}", EXIT_INPUT)
         else:
-            _emit(doc, sys.stderr)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            doc, code = run(request)
+    if code == EXIT_OK and output not in (None, "-"):
+        try:
+            with open(output, "w") as out:
+                _emit(doc, out)
+            return code
+        except OSError as e:
+            doc, code = _error(f"cannot write output: {e}", EXIT_INPUT)
+    _emit(doc, sys.stdout if code == EXIT_OK else sys.stderr)
     return code
 
 

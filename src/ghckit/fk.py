@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, InternalError, UnsupportedTypeError
 from .exact import ConeWitness, Vector, cones_intersect_trivially, dot, in_span, nullspace, vadd, vneg, vzero
-from .rootsys import RootSystem, _simple_roots, cartan_of
+from .rootsys import LOW_RANK_ALIASES, RootSystem, _simple_roots, cartan_of
 from .shadow import RootSubalgebra, is_closed
 
 
@@ -126,14 +126,10 @@ def theorem6_solvable_finite_type(rs: RootSystem, l: RootSubalgebra) -> bool:
 
 
 def _candidates(rank: int) -> list[tuple[str, int]]:
-    # canonical names only: low-rank coincidences are reported as
-    # A1 (= B1 = C1), C2 (= B2), A3 (= D3)
-    cands = [("A", rank)]
-    if rank >= 2:
-        cands.append(("C", rank))
+    # canonical names only: the low-rank coincidences are reported under the
+    # names that LOW_RANK_ALIASES maps them to
+    cands = [("A", rank), ("B", rank), ("C", rank)]
     if rank >= 3:
-        cands.append(("B", rank))
-    if rank >= 4:
         cands.append(("D", rank))
     if rank == 2:
         cands.append(("G", 2))
@@ -141,7 +137,7 @@ def _candidates(rank: int) -> list[tuple[str, int]]:
         cands.append(("F", 4))
     if rank in (6, 7, 8):
         cands.append(("E", rank))
-    return cands
+    return [c for c in cands if c not in LOW_RANK_ALIASES]
 
 
 def _matrices_match(a, b) -> bool:

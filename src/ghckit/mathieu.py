@@ -20,20 +20,11 @@ from .exact import Vector, format_rational, parse_rational, vec
 _HALF = Fraction(1, 2)
 
 
-def _normalize_component(series: str, rank: int) -> tuple[str, int]:
-    if (series, rank) == ("B", 2):
-        return ("C", 2)
-    if (series, rank) in (("B", 1), ("C", 1)):
-        return ("A", 1)
-    if (series, rank) == ("D", 3):
-        return ("A", 3)
-    return (series, rank)
-
-
 def cuspidal_exists(components: Sequence[tuple[str, int]]) -> bool:
     """True iff every simple component is of type A or C (after normalizing
     low-rank coincidences such as B2 = C2)."""
-    return all(_normalize_component(s, r)[0] in ("A", "C") for s, r in components)
+    aliases = rootsys.LOW_RANK_ALIASES
+    return all(aliases.get((s, r), (s, r))[0] in ("A", "C") for s, r in components)
 
 
 def sp_bounded(x: Sequence) -> bool:

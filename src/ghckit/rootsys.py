@@ -46,6 +46,10 @@ _COUNTS = {
     "G": {2: 12},
 }
 
+# low-rank coincidences, each mapped to the one name the library reports:
+# A1 = B1 = C1, C2 = B2, A3 = D3
+LOW_RANK_ALIASES = {("B", 1): ("A", 1), ("C", 1): ("A", 1), ("B", 2): ("C", 2), ("D", 3): ("A", 3)}
+
 _F = Fraction
 _H = Fraction(1, 2)
 

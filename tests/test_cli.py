@@ -4,9 +4,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ghckit import cli, rootsys, shadow
-from ghckit.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, run
+from ghckit.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, MAX_M, run
 
 
 def invoke(argv, stdin=None):
@@ -103,6 +105,51 @@ class TestMalformedParameters:
     def test_toral_vector_of_wrong_dimension(self):
         assert "dimension 3" in self.probe("primal-test", toral=[["1", "0"]])
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # values that no parser takes
+            '{"command": "shadow", "parameters": {"series": "A", "rank": 2, "subalgebra": 5}}',
+            '{"command": "primal-test", "parameters": {"series": "A", "rank": 2, "k_roots": 5}}',
+            '{"command": "primal-test", "parameters": {"series": "A", "rank": 2, "toral": [5]}}',
+            '{"command": "primal-test", "parameters": {"series": "A", "rank": 2, "toral": 5}}',
+            '{"command": [], "parameters": {"series": "A", "rank": 2}}',
+            '{"command": "exponents", "parameters": {"series": "A", "rank": 1e400}}',
+            '{"command": "ktype-series",'
+            ' "parameters": {"series": "A", "rank": 2, "lambda": "4/3,0,-4/3", "max_m": 1e30}}',
+            # values that pass for the declared type but are not of it, and a misspelled key
+            '{"command": "census", "parameters": {"series": "A", "rank": 2, "dedup": "false"}}',
+            '{"command": "exponents", "parameters": {"series": "A", "rank": true}}',
+            '{"command": "exponents", "parameters": {"series": "A", "rank": 2.7}}',
+            '{"command": "ktype-series",'
+            ' "parameters": {"series": "A", "rank": 2, "lambda": "4/3,0,-4/3", "max_m": true}}',
+            '{"command": "shadow", "parameters": {"series": "A", "rank": 2, "subalgbra": [0]}}',
+        ],
+    )
+    def test_breach(self, text):
+        doc, code = run(json.loads(text))
+        assert code == EXIT_INPUT
+        assert doc["code"] == EXIT_INPUT and doc["error"]
+
+    def ktype(self, **params):
+        return run({"command": "ktype-series", "parameters": {"series": "A", "rank": 2, **params}})
+
+    def test_max_m_above_bound(self):
+        doc, code = self.ktype(max_m=MAX_M + 1, **{"lambda": "4/3,0,-4/3"})
+        assert code == EXIT_INPUT
+        assert str(MAX_M) in doc["error"]
+
+    def test_max_m_at_bound(self):
+        doc, code = self.ktype(max_m=MAX_M, **{"lambda": "4/3,0,-4/3"})
+        assert code == EXIT_OK
+        assert doc["truncation"] == MAX_M and len(doc["series"]) == MAX_M + 1
+
+    def test_lambda_h_above_bound(self):
+        # lambda(h) = 4 * MAX_M: minimal_ktype would step m that far
+        doc, code = self.ktype(**{"lambda": [str(MAX_M), "1/3", str(-MAX_M)]})
+        assert code == EXIT_INPUT
+        assert str(MAX_M) in doc["error"]
+
 
 class TestExitCodes:
     def test_success(self):
@@ -124,6 +171,29 @@ class TestExitCodes:
         assert json.loads(proc.stderr)["code"] == 2
 
 
+# the README examples, each beside the request it spells in JSON forms
+README_EXAMPLES = [
+    ("root-system --series C --rank 3", {"series": "C", "rank": 3}),
+    ("exponents --series E --rank 8", {"series": "E", "rank": 8}),
+    ("shadow --series A --rank 2 --subalgebra 0,2", {"series": "A", "rank": 2, "subalgebra": [0, 2]}),
+    ("fk-test --series A --rank 3 --subalgebra 0", {"series": "A", "rank": 3, "subalgebra": [0]}),
+    (
+        "solvable-test --series A --rank 2 --subalgebra 0,1,2",
+        {"series": "A", "rank": 2, "subalgebra": [0, 1, 2]},
+    ),
+    ("primal-test --series A --rank 2 --k-roots 0,3", {"series": "A", "rank": 2, "k_roots": [0, 3]}),
+    (
+        "mathieu --x 3/2,1/2 --eta 0,0 --equiv 3/2,-1/2",
+        {"x": ["3/2", "1/2"], "eta": [0, 0], "equiv": ["3/2", "-1/2"]},
+    ),
+    (
+        "ktype-series --series A --rank 2 --lambda 4/3,0,-4/3 --max-m 10",
+        {"series": "A", "rank": 2, "lambda": ["4/3", 0, "-4/3"], "max_m": 10},
+    ),
+    ("census --series A --rank 2 --dedup", {"series": "A", "rank": 2, "dedup": True}),
+]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -142,13 +212,14 @@ class TestDeterminism:
         assert a.stdout == b.stdout
         assert a.stdout.endswith("\n")
 
-    def test_request_equals_flags(self):
-        flags = invoke(["exponents", "--series", "F", "--rank", "4"])
-        req = json.dumps(
-            {"command": "exponents", "parameters": {"series": "F", "rank": 4}}
-        )
-        piped = invoke(["request"], stdin=req)
-        assert flags.stdout == piped.stdout
+    @pytest.mark.parametrize("argv, params", README_EXAMPLES, ids=[a.split()[0] for a, _ in README_EXAMPLES])
+    def test_request_equals_flags(self, argv, params, capsys, tmp_path):
+        assert cli.main(argv.split()) == EXIT_OK
+        by_flags = capsys.readouterr().out
+        path = tmp_path / "request.json"
+        path.write_text(json.dumps({"command": argv.split()[0], "parameters": params}))
+        assert cli.main(["request", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == by_flags
 
 
 class TestCensus:
@@ -191,3 +262,65 @@ class TestOutputFile(object):
         assert code == 0
         doc = json.loads(target.read_text())
         assert doc["exponents"] == [1, 2, 3]
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.json"
+        code = cli.main(["--output", str(target), "exponents", "--series", "A", "--rank", "3"])
+        assert code == EXIT_INPUT
+        assert json.loads(capsys.readouterr().err)["code"] == EXIT_INPUT
+
+
+class TestRequestFile:
+    def request_file(self, tmp_path, capsys, content: bytes):
+        path = tmp_path / "request.json"
+        path.write_bytes(content)
+        code = cli.main(["request", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert json.loads(err)["code"] == EXIT_INPUT
+
+    def test_not_utf8(self, tmp_path, capsys):
+        self.request_file(tmp_path, capsys, b'{"command": "exponents", "parameters": {"series": "\xff"}}')
+
+    def test_nested_too_deep(self, tmp_path, capsys):
+        self.request_file(tmp_path, capsys, b"[" * 100_000 + b"]" * 100_000)
+
+
+# any JSON value, the way json.loads hands it to run; object keys are often
+# ones that run reads
+PARAMETER_KEYS = sorted({p.key for _, params in cli.COMMANDS.values() for p in params})
+KEYS = st.sampled_from(["command", "parameters", *PARAMETER_KEYS])
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+JSON = st.recursive(
+    SCALARS | st.sampled_from(sorted(cli.COMMANDS)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS | st.text(), inner, max_size=4),
+    max_leaves=10,
+)
+# values that get past the parsers: index lists, weights and weight lists in both forms
+PLAUSIBLE = st.one_of(
+    st.lists(st.integers(-2, 14), max_size=4),
+    st.text(alphabet="0123456789-/,; ", max_size=12),
+    st.lists(st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "3/2", "4/3"]), max_size=4),
+    st.lists(st.lists(st.sampled_from([0, 1, -1, "1/2"]), max_size=4), max_size=3),
+)
+# systems of rank at most 2, so that a census request takes milliseconds
+SYSTEMS = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2)]
+
+
+class TestAnyRequest:
+    """The exit contract: run answers 0, 2 or 3 for any request and raises nothing."""
+
+    @given(JSON | st.fixed_dictionaries({}, optional={"command": JSON, "parameters": JSON}))
+    def test_any_json_value(self, doc):
+        assert run(doc)[1] in (EXIT_OK, EXIT_INPUT, EXIT_UNSUPPORTED)
+
+    @given(st.data())
+    def test_real_command_any_parameters(self, data):
+        command = data.draw(st.sampled_from(sorted(cli.COMMANDS)))
+        params = {}
+        for param in cli.COMMANDS[command][1]:
+            if param.key == "series":
+                params["series"], params["rank"] = data.draw(st.sampled_from(SYSTEMS))
+            elif param.key != "rank" and data.draw(st.booleans()):
+                params[param.key] = data.draw(JSON | PLAUSIBLE)
+        assert run({"command": command, "parameters": params})[1] in (EXIT_OK, EXIT_INPUT, EXIT_UNSUPPORTED)
