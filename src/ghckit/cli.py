@@ -29,7 +29,7 @@ EXIT_UNSUPPORTED = 3
 
 CENSUS_MAX_RANK = 4
 # bound on a k-type series' max_m and |lambda(h)|: the slowest series within
-# it, E8 with lambda(h) = MAX_M, takes about 2 s
+# it, E8 with max_m = MAX_M and lambda(h) = -MAX_M, takes about 0.2 s
 MAX_M = 10_000
 
 
@@ -139,8 +139,7 @@ def _cmd_ktype_series(rs: rootsys.RootSystem, lam, max_m: int) -> dict:
     if rootsys.is_integral(rs, lam):
         raise InputError("lambda must be non-integral")
     pd = principal.PrincipalData.build(rs)
-    # the partition table has max_m - lambda(h) + 2 entries, and minimal_ktype
-    # steps m up to lambda(h) - 2
+    # the partition table has max_m - lambda(h) + 2 entries
     lh = pd.lambda_h(lam)
     if abs(lh) > MAX_M:
         raise InputError(f"lambda(h) = {format_rational(lh)} is outside the bound +-{MAX_M}")

@@ -12,6 +12,7 @@ rule, and turns back to Fractions only for the solution.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -66,6 +67,9 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
+    # no exponent notation: Fraction would expand "1e999999999" into a billion-digit integer
+    if re.search(r"[\d.][eE]", s):
+        raise InputError(f"not a rational: {s!r} (exponent notation is not accepted)")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as e:

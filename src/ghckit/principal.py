@@ -10,32 +10,31 @@ two restricted partition counts.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import lcm
 
 from .errors import InputError, InternalError
-from .exact import Vector, dot, format_rational, nullspace, solve_linear, vadd, vscale, vzero
+from .exact import Vector, dot, format_rational, vadd, vscale, vsub
 from .rootsys import RootSystem, height_distribution, is_integral
 
 
 def principal_h(rs: RootSystem) -> Vector:
     """The h-element of a principal sl(2): the unique vector in the root
     span pairing to 2 with every simple root (identified with a Cartan
-    element through the invariant form)."""
-    rank = rs.rank
-    rows = [[dot(a, b) for b in rs.simple_roots] for a in rs.simple_roots]
-    sol = solve_linear(rows, [Fraction(2)] * rank)
-    if sol is None:
-        raise InternalError("simple roots are linearly dependent")
-    h = vzero(rs.ambient_dim)
-    for c, a in zip(sol, rs.simple_roots):
-        h = vadd(h, vscale(c, a))
-    for a in rs.all_roots:
-        if dot(a, h) != 2 * rs.height(a):
+    element through the invariant form).  That is 2 rho^vee, the sum of
+    2a/(a,a) over the positive roots a, computed on doubled roots."""
+    doubled = rs.doubled_roots
+    norms = [sum(x * x for x in a) for a in doubled[: len(rs.positive_roots)]]  # 4(a,a)
+    scale = lcm(*norms)
+    # scale * h = sum of (4 scale / norm) * doubled root, in integers
+    weights = [4 * scale // n for n in norms]
+    total = [sum(w * a[k] for w, a in zip(weights, doubled)) for k in range(rs.ambient_dim)]
+    # (a, h) = (2a . total) / (2 scale) must be twice the height of a
+    for a, c in zip(doubled, rs._coords):
+        if sum(x * y for x, y in zip(a, total)) != 4 * scale * sum(c):
             raise InternalError("h does not pair with roots by twice the height")
-    return h
+    return tuple(Fraction(x, scale) for x in total)
 
 
 def exponents(rs: RootSystem) -> list[int]:
@@ -59,7 +58,7 @@ class PrincipalData:
         if rs.rank < 2:
             raise InputError("principal sl(2) machinery needs rank >= 2")
         h = principal_h(rs)
-        nbar = dict(sorted(Counter(2 * rs.height(a) for a in rs.positive_roots).items()))
+        nbar = {2 * height: count for height, count in height_distribution(rs).items()}
         if nbar.get(2, 0) < 1:
             raise InternalError("no eigenvalue-2 line to carve the sl(2) raising vector from")
         kperp = dict(nbar)
@@ -95,12 +94,9 @@ def _partition_table(multiset: dict, top: int) -> list[int]:
     return dp
 
 
-def _table_entry(table: list[int], target) -> int:
-    """table[target], or 0 for a negative or non-integral target."""
-    t = Fraction(target)
-    if t < 0 or t.denominator != 1:
-        return 0
-    return table[int(t)]
+def _table_entry(table: list[int], target: int) -> int:
+    """table[target], or 0 for a negative target."""
+    return table[target] if target >= 0 else 0
 
 
 def partition_P(multiset: dict, target) -> int:
@@ -110,8 +106,8 @@ def partition_P(multiset: dict, target) -> int:
     monomial of the symmetric algebra has such an h-weight.
     """
     t = Fraction(target)
-    top = int(t) if t >= 0 and t.denominator == 1 else 0
-    return _table_entry(_partition_table(multiset, top), t)
+    n = int(t) if t.denominator == 1 else -1
+    return _table_entry(_partition_table(multiset, max(0, n)), n)
 
 
 def a1_multiplicity(pd: PrincipalData, m: int, lam: Vector) -> int:
@@ -137,10 +133,11 @@ def minimal_ktype(pd: PrincipalData, lam: Vector) -> int:
     n = lh - 2
     if n < 0 or n.denominator != 1:
         raise InputError("lambda(h) - 2 must be a nonnegative integer")
-    m = 0
-    while a1_multiplicity(pd, m, lam) == 0:
-        m += 1
-    return m
+    if is_integral(pd.rs, lam):
+        raise InputError("lambda must be non-integral")
+    # the multiplicity at m is P(m - n) - P(-m - lambda(h)), and both targets
+    # are negative for m < n; at m = n it is P(0) = 1
+    return int(n)
 
 
 def euler_rhs(pd: PrincipalData, m: int, lam: Vector) -> int:
@@ -190,13 +187,16 @@ def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
     if is_integral(pd.rs, lam):
         raise InputError("lambda must be non-integral")
     lh = pd.lambda_h(lam)
-    table = _partition_table(pd.nbar_kperp_multiset, max(0, floor(max_m - lh + 2)))
-    entries = {}
-    for m in range(max_m + 1):
-        val = _table_entry(table, m - lh + 2) - _table_entry(table, -m - lh)
-        if val < 0:
-            raise InternalError(f"negative multiplicity {val} for m={m}")
-        entries[m] = val
+    # a non-integral lambda(h) makes every target non-integral
+    entries = dict.fromkeys(range(max_m + 1), 0)
+    if lh.denominator == 1:
+        n = int(lh)
+        table = _partition_table(pd.nbar_kperp_multiset, max(0, max_m - n + 2))
+        for m in range(max_m + 1):
+            val = _table_entry(table, m - n + 2) - _table_entry(table, -m - n)
+            if val < 0:
+                raise InternalError(f"negative multiplicity {val} for m={m}")
+            entries[m] = val
     return KTypeSeries(lambda_h=lh, entries=entries, truncation=max_m)
 
 
@@ -213,17 +213,11 @@ def find_nonintegral_weight(pd: PrincipalData, target) -> Vector:
     base = vscale(t / dot(h, h), h)
     if not is_integral(rs, base):
         return base
-    # directions inside the simple-root span, orthogonal to h
-    coeff_rows = [tuple(dot(h, a) for a in rs.simple_roots)]
-    sol_basis = []
-    for c in nullspace(coeff_rows):
-        v = vzero(rs.ambient_dim)
-        for ci, ai in zip(c, rs.simple_roots):
-            v = vadd(v, vscale(ci, ai))
-        sol_basis.append(v)
-    for w in sol_basis:
+    # directions inside the simple-root span, orthogonal to h: h pairs to 2
+    # with every simple root, so a_j - a_0 for j >= 1
+    for a in rs.simple_roots[1:]:
         for den in (3, 5, 7, 11, 13):
-            lam = vadd(base, vscale(Fraction(1, den), w))
+            lam = vadd(base, vscale(Fraction(1, den), vsub(a, rs.simple_roots[0])))
             if not is_integral(rs, lam):
                 return lam
     raise InternalError("could not find a non-integral weight with the requested h-value")

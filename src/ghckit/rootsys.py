@@ -7,8 +7,9 @@ coordinate simple roots and everything is generated by reflection closure.
 
 The reflection closure runs on integer simple-root coordinates, and
 ``RootSystem.sum_table`` adds roots by their index in the canonical order
-(see ``build``) for closed-subset code.  Public surfaces (root vectors,
-weights, JSON) stay Fraction epsilon-vectors.
+(see ``build``) for closed-subset code.  Weights and pairings go through the
+integer tables ``doubled_roots`` and ``coroot_coords``, also built on first
+use.  Public surfaces (root vectors, weights, JSON) stay Fraction epsilon-vectors.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from math import lcm
 from typing import Sequence
 
 from .errors import InputError, InternalError
@@ -52,6 +54,15 @@ LOW_RANK_ALIASES = {("B", 1): ("A", 1), ("C", 1): ("A", 1), ("B", 2): ("C", 2), 
 
 _F = Fraction
 _H = Fraction(1, 2)
+
+
+def _doubled(v: Vector) -> tuple[int, ...]:
+    """2v as integers, for v with coordinates in Z/2."""
+    return tuple(x.numerator * 2 // x.denominator for x in v)
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b, strict=True))
 
 
 def _e(i: int, dim: int) -> Vector:
@@ -138,6 +149,7 @@ class RootSystem:
     _index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
     # integer simple-root coordinates of all_roots[i], by root index
     _coords: tuple = field(repr=False, hash=False, compare=False, default=())
+    _simple_doubled: tuple = field(repr=False, hash=False, compare=False, default=())  # 2 * simple_roots[i]
 
     # -- pairings ---------------------------------------------------------
 
@@ -189,9 +201,27 @@ class RootSystem:
         index = {code: i for i, code in enumerate(codes)}
         return tuple(tuple(index.get(a + b, -1) for b in codes) for a in codes)
 
+    @cached_property
+    def doubled_roots(self) -> tuple[tuple[int, ...], ...]:
+        """doubled_roots[i] is 2 * all_roots[i] as integers.  Built on first use."""
+        positive = tuple(map(_doubled, self.positive_roots))
+        return positive + tuple(tuple(-x for x in a) for a in positive)
+
+    @cached_property
+    def coroot_coords(self) -> tuple[tuple[int, ...], ...]:
+        """The coroot of positive_roots[i] over the simple coroots: c_j |a_j|^2 / |a|^2
+        for a = sum_j c_j a_j.  Built on first use."""
+        simple = [_dot(a, a) for a in self._simple_doubled]
+        positive = zip(self._coords, self.doubled_roots[: len(self.positive_roots)])
+        return tuple(tuple(cj * nj // _dot(a, a) for cj, nj in zip(c, simple)) for c, a in positive)
+
+    @cached_property
+    def _rho(self) -> Vector:
+        # the doubled positive roots sum to 4 rho
+        return tuple(_F(sum(x), 4) for x in zip(*self.doubled_roots[: len(self.positive_roots)]))
+
     def rho(self) -> Vector:
-        half = reduce(vadd, self.positive_roots, vzero(self.ambient_dim))
-        return vscale(_H, half)
+        return self._rho
 
     def to_json(self) -> dict:
         return {
@@ -238,7 +268,7 @@ def _construct(series: str, rank: int) -> RootSystem:
 
     # epsilon-coordinates, doubled so that they are integers; sorting on them
     # orders roots as their Fraction coordinates do
-    doubled = [tuple(int(2 * x) for x in a) for a in simple]
+    doubled = [_doubled(a) for a in simple]
     positive = sorted(
         (sum(c), tuple(sum(cj * a[k] for cj, a in zip(c, doubled)) for k in range(dim)), c)
         for c in seen
@@ -275,6 +305,7 @@ def _construct(series: str, rank: int) -> RootSystem:
         fundamental_weights=fw,
         _index={r: i for i, r in enumerate(all_roots)},
         _coords=coords,
+        _simple_doubled=tuple(doubled),
     )
 
 
@@ -282,22 +313,29 @@ def _construct(series: str, rank: int) -> RootSystem:
 # weight predicates
 
 
+def _simple_pairings(rs: RootSystem, lam: Vector) -> list[Fraction]:
+    """<lam, a^vee> = 4(lam, 2a)/|2a|^2 for each simple root a, with lam over one denominator."""
+    den = lcm(*(x.denominator for x in lam))
+    scaled = [x.numerator * (den // x.denominator) for x in lam]
+    return [_F(4 * _dot(scaled, a), den * _dot(a, a)) for a in rs._simple_doubled]
+
+
 def is_integral(rs: RootSystem, lam: Vector) -> bool:
-    return all(rs.pairing(lam, a).denominator == 1 for a in rs.simple_roots)
+    return all(p.denominator == 1 for p in _simple_pairings(rs, lam))
 
 
 def is_dominant(rs: RootSystem, lam: Vector) -> bool:
-    return all(rs.pairing(lam, a) >= 0 for a in rs.simple_roots)
+    return all(p >= 0 for p in _simple_pairings(rs, lam))
 
 
 def is_regular_integral(rs: RootSystem, lam: Vector) -> bool:
     """True iff <lam+rho, alpha^vee> is a nonzero integer for every positive root."""
-    shifted = vadd(lam, rs.rho())
-    for a in rs.positive_roots:
-        p = rs.pairing(shifted, a)
-        if p == 0 or p.denominator != 1:
-            return False
-    return True
+    # <rho, a^vee> = 1 on the simple roots, and integral pairings there are integral everywhere
+    pairings = _simple_pairings(rs, lam)
+    if any(p.denominator != 1 for p in pairings):
+        return False
+    shifted = [int(p) + 1 for p in pairings]
+    return all(_dot(d, shifted) for d in rs.coroot_coords)
 
 
 def weyl_dim(rs: RootSystem, lam: Vector) -> int:
@@ -308,18 +346,21 @@ def weyl_dim(rs: RootSystem, lam: Vector) -> int:
     """
     if len(lam) != rs.ambient_dim:
         raise InputError("weight dimension does not match the ambient space")
-    for a in rs.simple_roots:
-        p = rs.pairing(lam, a)
+    pairings = _simple_pairings(rs, lam)
+    for p, a in zip(pairings, rs.simple_roots):
         if p < 0 or p.denominator != 1:
             raise InputError(f"weight is not dominant integral: pairing {p} on {a}")
-    rho = rs.rho()
-    num = _F(1)
-    for a in rs.positive_roots:
-        num *= dot(vadd(lam, rho), a) / dot(rho, a)
-    if num.denominator != 1 or num <= 0:
-        raise InternalError(f"Weyl product gave a non-positive-integer value {num}")
-    return int(num)
+    # prod <lam+rho, a^vee> / prod <rho, a^vee>; a^vee = sum_i d_i a_i^vee pairs as sum_i d_i p_i
+    shifted = [int(p) + 1 for p in pairings]
+    num = den = 1
+    for d in rs.coroot_coords:
+        num *= _dot(d, shifted)
+        den *= sum(d)
+    dim, rem = divmod(num, den)
+    if rem or dim <= 0:
+        raise InternalError(f"Weyl product gave a non-positive-integer value {_F(num, den)}")
+    return dim
 
 
 def height_distribution(rs: RootSystem) -> dict[int, int]:
-    return dict(sorted(Counter(rs.height(a) for a in rs.positive_roots).items()))
+    return dict(sorted(Counter(map(sum, rs._coords[: len(rs.positive_roots)])).items()))

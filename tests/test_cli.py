@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -145,7 +146,7 @@ class TestMalformedParameters:
         assert doc["truncation"] == MAX_M and len(doc["series"]) == MAX_M + 1
 
     def test_lambda_h_above_bound(self):
-        # lambda(h) = 4 * MAX_M: minimal_ktype would step m that far
+        # lambda(h) = 4 * MAX_M
         doc, code = self.ktype(**{"lambda": [str(MAX_M), "1/3", str(-MAX_M)]})
         assert code == EXIT_INPUT
         assert str(MAX_M) in doc["error"]
@@ -169,6 +170,17 @@ class TestExitCodes:
         proc = invoke(["request"], stdin="{not json")
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["code"] == 2
+
+    @pytest.mark.parametrize("entry", ['"1e999999999"', '"2.5E-999999999"', "1e300"])
+    def test_exponent_notation_exits_2(self, entry):
+        # Fraction would expand the exponent into a billion-digit integer
+        doc = '{"command": "mathieu", "parameters": {"x": [%s, "1/2"]}}' % entry
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghckit", "request"], input=doc, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)
+        assert err["code"] == 2 and "exponent notation" in err["error"]
 
 
 # the README examples, each beside the request it spells in JSON forms
@@ -324,3 +336,46 @@ class TestAnyRequest:
             elif param.key != "rank" and data.draw(st.booleans()):
                 params[param.key] = data.draw(JSON | PLAUSIBLE)
         assert run({"command": command, "parameters": params})[1] in (EXIT_OK, EXIT_INPUT, EXIT_UNSUPPORTED)
+
+
+# SHA-256 of stdout for ktype-series (lambda(h) a small integer, so the
+# minimal k-type is reported) and mathieu, pinned before the weight math
+# moved onto the integer root tables
+OUTPUT_PINS = [
+    (
+        ["ktype-series", "--series", "E", "--rank", "8", "--lambda=0,7/1240,7/620,21/1240,7/310,7/248,21/620,161/1240",
+         "--max-m", "60"],
+        "d7e6fc3ea0592f65a187ab857c680b35ea19239bb248e180c4149ec733d5f16e",
+    ),
+    (
+        ["ktype-series", "--series", "F", "--rank", "4", "--lambda=10/39,5/52,5/78,5/156", "--max-m", "60"],
+        "103dc3ae64d4b303e10bd187390bff15e1a1b5c5323d0a5e7879d6b7169f39c1",
+    ),
+    (
+        ["ktype-series", "--series", "G", "--rank", "2", "--lambda=-1/7,-4/7,5/7", "--max-m", "60"],
+        "126a5abea48c928b439dc042a37f3cb02841e012b4aafcd1045492605e65d5ff",
+    ),
+    (
+        ["ktype-series", "--series", "C", "--rank", "8",
+         "--lambda=27/136,117/680,99/680,81/680,63/680,9/136,27/680,9/680", "--max-m", "60"],
+        "4662d25b7dee8e9723460144535eed44eb32fbce64637ff3a75d216c6b2e02cb",
+    ),
+    (
+        ["ktype-series", "--series", "D", "--rank", "8", "--lambda=3/20,9/70,3/28,3/35,9/140,3/70,3/140,0",
+         "--max-m", "60"],
+        "41d7d08234855cd64563d998cdc7c7a6b1245f395a32e140d7f916a46e031bbc",
+    ),
+    (["mathieu", "--x", "3/2,1/2"], "28c931d55ac54d990bae8ede2c3087deecdd7b1a004b641fcc3de8fcf9a1851f"),
+    (["mathieu", "--x=3/2,-1/2"], "01ec6cbed6274ca72b2a2da7b3cdba82cd3a3d3c84262bd01d82865f133650e7"),
+    (["mathieu", "--x", "5/2,1/2"], "5863e4fcaba80394a4440d28657f8af23cc01c73c3fcd857861b9d2f06f0e0c0"),
+    (
+        ["mathieu", "--x=31/2,27/2,23/2,19/2,15/2,11/2,7/2,-3/2"],
+        "db3a72a1fd3933fa34fa5a8321fc87a2813195b7c020f44a9db576cc5407fde6",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", OUTPUT_PINS, ids=[" ".join(a[:5]) for a, _ in OUTPUT_PINS])
+def test_stdout_digest(argv, digest, capsys):
+    assert cli.main(argv) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

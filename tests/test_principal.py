@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ghckit import principal, rootsys
-from ghckit.errors import InputError
+from ghckit.errors import InputError, InternalError
+from ghckit.exact import dot, nullspace, solve_linear, vadd, vscale, vzero
 from ghckit.principal import PrincipalData, a1_multiplicity, euler_rhs, exponents, partition_P
 
 F = Fraction
@@ -39,6 +41,67 @@ def test_exponents_table(key):
 def test_dimension_bookkeeping(key):
     rs = rootsys.build(*key)
     assert sum(2 * e + 1 for e in exponents(rs)) == len(rs.all_roots) + rs.rank
+
+
+RANK2_TYPES = sorted(
+    [("A", n) for n in range(2, 9)]
+    + [(s, n) for s in "BCD" for n in range(2, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def reference_principal_h(rs):
+    # the solve-based construction that the closed form 2 rho^vee replaced
+    rank = rs.rank
+    rows = [[dot(a, b) for b in rs.simple_roots] for a in rs.simple_roots]
+    sol = solve_linear(rows, [Fraction(2)] * rank)
+    if sol is None:
+        raise InternalError("simple roots are linearly dependent")
+    h = vzero(rs.ambient_dim)
+    for c, a in zip(sol, rs.simple_roots):
+        h = vadd(h, vscale(c, a))
+    for a in rs.all_roots:
+        if dot(a, h) != 2 * rs.height(a):
+            raise InternalError("h does not pair with roots by twice the height")
+    return h
+
+
+@pytest.mark.parametrize("key", RANK2_TYPES)
+def test_principal_h_matches_reference(key):
+    rs = rootsys.build(*key)
+    assert principal.principal_h(rs) == reference_principal_h(rs)
+
+
+def reference_find_nonintegral_weight(pd, target):
+    # the nullspace-based search that the a_j - a_0 directions replaced
+    rs, h, t = pd.rs, pd.h_element, Fraction(target)
+    base = vscale(t / dot(h, h), h)
+    if not rootsys.is_integral(rs, base):
+        return base
+    for c in nullspace([tuple(dot(h, a) for a in rs.simple_roots)]):
+        w = vzero(rs.ambient_dim)
+        for ci, ai in zip(c, rs.simple_roots):
+            w = vadd(w, vscale(ci, ai))
+        for den in (3, 5, 7, 11, 13):
+            lam = vadd(base, vscale(Fraction(1, den), w))
+            if not rootsys.is_integral(rs, lam):
+                return lam
+    raise InternalError("could not find a non-integral weight with the requested h-value")
+
+
+@pytest.mark.parametrize("key", RANK2_TYPES)
+def test_find_nonintegral_weight_matches_reference(key):
+    pd = _pd(*key)
+    hh = dot(pd.h_element, pd.h_element)
+    # h is integral in most types, so the targets (h, h) and its multiples take the perturbation path
+    for target in (2, 5, F(7, 2), hh, 2 * hh, -hh):
+        assert principal.find_nonintegral_weight(pd, target) == reference_find_nonintegral_weight(pd, target)
+
+
+@pytest.mark.parametrize("key", RANK2_TYPES)
+def test_nbar_counts_twice_the_heights(key):
+    pd = _pd(*key)
+    assert pd.nbar_multiset == dict(sorted(Counter(2 * pd.rs.height(a) for a in pd.rs.positive_roots).items()))
 
 
 class TestPrincipalH:
@@ -188,6 +251,19 @@ class TestMinimalKtype:
         lam = principal.find_nonintegral_weight(pd, F(7, 2))
         with pytest.raises(InputError):
             principal.minimal_ktype(pd, lam)
+
+    @pytest.mark.parametrize("key", RANK23 + [("F", 4), ("E", 8)])
+    def test_first_nonzero_entry_of_the_series(self, key):
+        pd = _pd(*key)
+        for target in (2, 3, 9):
+            lam = principal.find_nonintegral_weight(pd, target)
+            entries = principal.ktype_series(pd, lam, 12).entries
+            assert principal.minimal_ktype(pd, lam) == min(m for m, v in entries.items() if v)
+
+    def test_integral_lambda_rejected(self, a2):
+        pd = PrincipalData.build(a2)
+        with pytest.raises(InputError, match="non-integral"):
+            principal.minimal_ktype(pd, (F(2), F(0), F(-2)))
 
 
 def test_vanishing_degree(a2):

@@ -1,13 +1,17 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import V, neg
 from ghckit import rootsys
-from ghckit.errors import InputError
-from ghckit.exact import vadd
+from ghckit.errors import InputError, InternalError
+from ghckit.exact import dot, vadd, vscale, vzero
 
 F = Fraction
 
@@ -170,3 +174,89 @@ def test_json_surface(c2):
     assert doc["series"] == "C" and doc["rank"] == 2
     assert ["1", "-1"] in doc["roots"]
     assert len(doc["roots"]) == 8
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the integer weight kernel against the Fraction code it
+# replaced, kept here unchanged as the reference (rho summed afresh each call)
+
+
+def reference_rho(rs):
+    half = reduce(vadd, rs.positive_roots, vzero(rs.ambient_dim))
+    return vscale(F(1, 2), half)
+
+
+def reference_is_regular_integral(rs, lam):
+    shifted = vadd(lam, reference_rho(rs))
+    for a in rs.positive_roots:
+        p = rs.pairing(shifted, a)
+        if p == 0 or p.denominator != 1:
+            return False
+    return True
+
+
+def reference_weyl_dim(rs, lam):
+    if len(lam) != rs.ambient_dim:
+        raise InputError("weight dimension does not match the ambient space")
+    for a in rs.simple_roots:
+        p = rs.pairing(lam, a)
+        if p < 0 or p.denominator != 1:
+            raise InputError(f"weight is not dominant integral: pairing {p} on {a}")
+    rho = reference_rho(rs)
+    num = F(1)
+    for a in rs.positive_roots:
+        num *= dot(vadd(lam, rho), a) / dot(rho, a)
+    if num.denominator != 1 or num <= 0:
+        raise InternalError(f"Weyl product gave a non-positive-integer value {num}")
+    return int(num)
+
+
+def _combination(rs, coeffs):
+    lam = vzero(rs.ambient_dim)
+    for c, w in zip(coeffs, rs.fundamental_weights):
+        lam = vadd(lam, vscale(c, w))
+    return lam
+
+
+def _error_text(fn, *args):
+    with pytest.raises(InputError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_weyl_dim_matches_reference(key, data):
+    rs = rootsys.build(*key)
+    coeffs = data.draw(st.lists(st.integers(0, 4), min_size=rs.rank, max_size=rs.rank))
+    lam = _combination(rs, coeffs)
+    assert rootsys.weyl_dim(rs, lam) == reference_weyl_dim(rs, lam)
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_weight_tables_match_reference(key):
+    rs = rootsys.build(*key)
+    assert rs.rho() == reference_rho(rs)
+    assert rs.doubled_roots == tuple(tuple(int(2 * x) for x in a) for a in rs.all_roots)
+    for a, d in zip(rs.positive_roots, rs.coroot_coords):
+        coroot = reduce(vadd, (vscale(c, rs.coroot(s)) for c, s in zip(d, rs.simple_roots)))
+        assert coroot == rs.coroot(a)
+    heights = Counter(rs.height(a) for a in rs.positive_roots)
+    assert list(rootsys.height_distribution(rs).items()) == sorted(heights.items())
+    # the weight predicates agree with the Fraction pairings, and with the
+    # reference on weights around -rho
+    w = rs.fundamental_weights
+    for lam in (w[0], vscale(F(1, 2), w[-1]), vscale(-1, reference_rho(rs)), vadd(w[0], vscale(-2, w[-1]))):
+        pairings = [rs.pairing(lam, a) for a in rs.simple_roots]
+        assert rootsys.is_integral(rs, lam) == all(p.denominator == 1 for p in pairings)
+        assert rootsys.is_dominant(rs, lam) == all(p >= 0 for p in pairings)
+        assert rootsys.is_regular_integral(rs, lam) == reference_is_regular_integral(rs, lam)
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_weyl_dim_rejects_like_reference(key):
+    rs = rootsys.build(*key)
+    w = rs.fundamental_weights
+    for lam in (vscale(-1, w[0]), vadd(w[0], vscale(-2, w[-1])), vscale(F(1, 3), w[-1]), w[0][:-1]):
+        assert _error_text(rootsys.weyl_dim, rs, lam) == _error_text(reference_weyl_dim, rs, lam)
