@@ -117,7 +117,7 @@ def _cmd_solvable_test(rs: rootsys.RootSystem, subalgebra: list[int]) -> dict:
 def _cmd_primal_test(rs: rootsys.RootSystem, k_roots: list[int], toral) -> dict:
     if toral is None:
         toral = rs.simple_roots  # the full Cartan of g
-    return {"primal": fk.is_primal(rs, frozenset(rs.roots_from_indices(k_roots)), toral)}
+    return {"primal": fk.is_primal(rs, rs.roots_of(rs.index_mask(k_roots)), toral)}
 
 
 def _cmd_mathieu(x, eta, equiv) -> dict:
@@ -160,33 +160,22 @@ def census_rows(rs: rootsys.RootSystem, dedup: bool = False) -> Iterator[dict]:
     if rs.rank > CENSUS_MAX_RANK:
         raise InputError(f"census rank bound is {CENSUS_MAX_RANK}")
 
-    perms = list(itertools.permutations(range(rs.ambient_dim))) if dedup else []
-
-    def orbit_rep(indices: tuple[int, ...]) -> tuple[int, ...]:
-        best = indices
-        roots = [rs.all_roots[i] for i in indices]
-        for p in perms:
-            mapped = tuple(sorted(rs.root_index(tuple(r[p[j]] for j in range(len(p)))) for r in roots))
-            if mapped < best:
-                best = mapped
-        return best
-
-    subsets = sorted(
-        (tuple(sorted(rs.root_index(a) for a in s)) for s in shadow.closed_subsets(rs)),
-        key=lambda t: (len(t), t),
-    )
+    # each coordinate permutation (a Weyl group element) as a map of root indices
+    perms = [
+        [rs.root_index(tuple(r[j] for j in p)) for r in rs.all_roots]
+        for p in itertools.permutations(range(rs.ambient_dim))
+    ] if dedup else []
+    subsets = sorted((tuple(rootsys.bits(m)) for m in shadow.closed_masks(rs)), key=lambda t: (len(t), t))
     for idx in subsets:
-        if dedup and orbit_rep(idx) != idx:
+        # a row per orbit: the subset whose sorted indices come first
+        if any(tuple(sorted(p[i] for i in idx)) < idx for p in perms):
             continue
         sub = shadow.RootSubalgebra.from_indices(rs, idx)
-        ld = fk.levi_decompose(sub)
+        k = fk.reductive_mask(sub)
         verdict = fk.theorem8_finite_type(rs, sub)
         yield {
             "subalgebra": list(idx),
-            "levi": {
-                "k_roots": sorted(rs.root_index(a) for a in ld.k_roots),
-                "n_roots": sorted(rs.root_index(a) for a in ld.n_roots),
-            },
+            "levi": {"k_roots": rootsys.bits(k), "n_roots": rootsys.bits(sub.mask & ~k)},
             "finite_type": verdict.finite_type,
             "witness": verdict.witness.to_json() if verdict.witness else None,
         }

@@ -7,9 +7,11 @@ characterization through parabolic nilradicals, which the test suite plays
 against the cone test exhaustively on small systems.
 
 The Borel fixed for singular-vector weights is the standard positive system
-of the realization.  The verdict is checked to be stable under this choice
-on small instances by the tests, but a single choice is pinned for
-determinism.
+of the realization; the others are its Weyl conjugates, so the verdict is
+stable under this choice iff it is constant on Weyl orbits, which
+``tests/test_symmetry.py`` checks on A3 and A4.  Root subsets are bitmasks,
+as in ``shadow``: the reductive part of l is ``l & negated(l)``, and the
+simple roots of k and the singular weights are sum-table lookups.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalError, UnsupportedTypeError
-from .exact import ConeWitness, Vector, cones_intersect_trivially, dot, in_span, nullspace, vadd, vneg, vzero
-from .rootsys import LOW_RANK_ALIASES, RootSystem, _simple_roots, cartan_of
-from .shadow import RootSubalgebra, is_closed
+from .exact import ConeWitness, Vector, cones_intersect_trivially, dot, in_span, nullspace
+from .rootsys import LOW_RANK_ALIASES, RootSystem, _simple_roots, bits, cartan_of
+from .shadow import RootSubalgebra, closed_mask
 
 
 @dataclass(frozen=True)
@@ -29,49 +31,63 @@ class LeviDecomposition:
     n_roots: frozenset[Vector]
 
 
+def reductive_mask(l: RootSubalgebra) -> int:
+    """The mask of the reductive part of l: the roots of l whose negatives are in l."""
+    return l.mask & l.rs.negated(l.mask)
+
+
 def levi_decompose(l: RootSubalgebra) -> LeviDecomposition:
     """Split a closed root subset into its reductive part (the symmetric
     roots) and the nilradical part (the rest)."""
-    k = frozenset(a for a in l.roots if vneg(a) in l.roots)
-    return LeviDecomposition(k_roots=k, n_roots=l.roots - k)
+    k = reductive_mask(l)
+    return LeviDecomposition(k_roots=l.rs.roots_of(k), n_roots=l.rs.roots_of(l.mask & ~k))
+
+
+def _symmetric_closed(rs: RootSystem, roots: frozenset[Vector], name: str) -> int:
+    """The mask of a root subset given from outside, which must be symmetric and closed."""
+    mask = rs.mask_of(roots)
+    if rs.negated(mask) != mask:
+        raise InputError(f"{name} must be symmetric")
+    if not closed_mask(rs, mask):
+        raise InputError(f"{name} must be closed")
+    return mask
 
 
 @dataclass(frozen=True)
 class SingularWeightData:
-    module_weights: frozenset[Vector]
     singular_weights: frozenset[Vector]
 
 
-def _k_simple_roots(rs: RootSystem, k_roots: frozenset[Vector]) -> list[Vector]:
-    pos = set(rs.positive_roots)
-    kpos = [a for a in k_roots if a in pos]
-    kset = set(kpos)
-    out = []
-    for a in kpos:
-        if not any(rs.is_root(vadd(a, vneg(b))) and vadd(a, vneg(b)) in kset for b in kpos if b != a):
-            # a = b + c with b, c in k+ iff a - b lands in k+ for some b
-            out.append(a)
-    return sorted(out)
+def _k_simple(rs: RootSystem, k: int) -> list[int]:
+    """Indices of the simple roots of k+, for the mask k of a symmetric closed
+    subset: the roots of k+ that are not the sum of two roots of k+."""
+    kpos = bits(k & rs.positive_mask)
+    sums = {rs.sum_table[b][c] for b in kpos for c in kpos}
+    return [a for a in kpos if a not in sums]
+
+
+def _singular(rs: RootSystem, k: int, module: int) -> int:
+    """The mask of the roots of a module (a mask) that no simple root of k maps into the module."""
+    simple_k = _k_simple(rs, k)
+    out = 0
+    for w in bits(module):
+        row = rs.sum_table[w]
+        if not any(row[b] >= 0 and module >> row[b] & 1 for b in simple_k):
+            out |= 1 << w
+    return out
 
 
 def singular_weights(
     rs: RootSystem, k_roots: frozenset[Vector], module_weights: frozenset[Vector]
 ) -> SingularWeightData:
-    """Weights of the singular vectors in a multiplicity-free h-weight module.
+    """Weights of the singular vectors in a multiplicity-free h-weight module of roots.
 
     A weight is singular when no simple raising operator of k maps it to
     another weight of the module; simple roots suffice since they generate
     the nilpotent part of k intersected with the Borel.
     """
-    if any(vneg(a) not in k_roots for a in k_roots):
-        raise InputError("k_roots must be symmetric")
-    if not is_closed(rs, k_roots):
-        raise InputError("k_roots must be closed")
-    simple_k = _k_simple_roots(rs, k_roots)
-    singular = frozenset(
-        w for w in module_weights if all(vadd(w, b) not in module_weights for b in simple_k)
-    )
-    return SingularWeightData(module_weights=frozenset(module_weights), singular_weights=singular)
+    k = _symmetric_closed(rs, k_roots, "k_roots")
+    return SingularWeightData(rs.roots_of(_singular(rs, k, rs.mask_of(module_weights))))
 
 
 @dataclass(frozen=True)
@@ -92,33 +108,26 @@ def theorem8_finite_type(rs: RootSystem, l: RootSubalgebra) -> FiniteTypeVerdict
     """Cone criterion for finite type, defined for the special-linear family."""
     if rs.series != "A":
         raise UnsupportedTypeError("the cone finite-type test is only available for type A")
-    ld = levi_decompose(l)
-    g_mod_l = frozenset(rs.all_roots) - l.roots
-    sg = singular_weights(rs, ld.k_roots, g_mod_l)
-    sn = singular_weights(rs, ld.k_roots, ld.n_roots)
-    trivial, witness = cones_intersect_trivially(
-        sorted(sg.singular_weights), sorted(sn.singular_weights)
-    )
-    return FiniteTypeVerdict(
-        finite_type=trivial, witness=witness, singular_g_mod_l=sg, singular_n=sn
-    )
+    # k = l & -l is symmetric, and closed as l and -l are, as _singular needs
+    k = reductive_mask(l)
+    g_mod_l = rs.full_mask & ~l.mask
+    sg = rs.roots_of(_singular(rs, k, g_mod_l))
+    sn = rs.roots_of(_singular(rs, k, l.mask & ~k))
+    trivial, witness = cones_intersect_trivially(sorted(sg), sorted(sn))
+    return FiniteTypeVerdict(trivial, witness, SingularWeightData(sg), SingularWeightData(sn))
 
 
 def theorem6_solvable_finite_type(rs: RootSystem, l: RootSubalgebra) -> bool:
     """Finite-type test for solvable root subalgebras (reductive part = Cartan):
     the nilpotent roots must form the nilradical of a parabolic whose
     components are all of type A or C."""
-    ld = levi_decompose(l)
-    if ld.k_roots:
+    n = l.mask
+    if reductive_mask(l):
         raise InputError("subalgebra is not solvable: its reductive part has roots")
-    n = ld.n_roots
-    m = frozenset(rs.all_roots) - n - frozenset(vneg(a) for a in n)
-    if not is_closed(rs, m):
+    m = rs.full_mask & ~(n | rs.negated(n))
+    if not closed_mask(rs, m) or not closed_mask(rs, m | n):
         return False
-    if not is_closed(rs, m | n):
-        return False
-    components = recognize_type(rs, m)
-    return all(series in ("A", "C") for series, _ in components)
+    return all(series in ("A", "C") for series, _ in _components(rs, m))
 
 
 # ---------------------------------------------------------------------------
@@ -173,25 +182,19 @@ def _matrices_match(a, b) -> bool:
 def recognize_type(rs: RootSystem, subset: frozenset[Vector]) -> list[tuple[str, int]]:
     """Identify the simple components of a symmetric closed root subset,
     sorted lexicographically.  Rank-2 BC systems normalize to C2."""
-    if any(vneg(a) not in subset for a in subset):
-        raise InputError("subset must be symmetric")
-    if not is_closed(rs, subset):
-        raise InputError("subset must be closed")
-    simple = _k_simple_roots(rs, subset)
-    # split the simple system into connected components by non-orthogonality
+    return _components(rs, _symmetric_closed(rs, subset, "subset"))
+
+
+def _components(rs: RootSystem, mask: int) -> list[tuple[str, int]]:
+    # split the simple system into connected components by non-orthogonality:
+    # each simple root joins every component it is not orthogonal to
     comps: list[list[Vector]] = []
-    remaining = list(simple)
-    while remaining:
-        comp = [remaining.pop(0)]
-        grew = True
-        while grew:
-            grew = False
-            for r in list(remaining):
-                if any(dot(r, c) != 0 for c in comp):
-                    comp.append(r)
-                    remaining.remove(r)
-                    grew = True
-        comps.append(comp)
+    for r in (rs.all_roots[i] for i in _k_simple(rs, mask)):
+        joined = [r]
+        for comp in [c for c in comps if any(dot(r, x) != 0 for x in c)]:
+            comps.remove(comp)
+            joined += comp
+        comps.append(joined)
     out = []
     for comp in comps:
         cm = cartan_of(comp)
@@ -216,10 +219,7 @@ def is_primal(
 ) -> bool:
     """Test whether the reductive subalgebra spanned by k_roots root spaces
     and the given toral subspace has centralizer equal to its center."""
-    if any(vneg(a) not in k_roots for a in k_roots):
-        raise InputError("k_roots must be symmetric")
-    if not is_closed(rs, k_roots):
-        raise InputError("k_roots must be closed")
+    k = _symmetric_closed(rs, k_roots, "k_roots")
     toral = [tuple(v) for v in toral_part]
     if any(len(v) != rs.ambient_dim for v in toral):
         raise InputError(f"toral vectors must have dimension {rs.ambient_dim}")
@@ -230,29 +230,23 @@ def is_primal(
     # Cartan subspace of g = span of the simple roots (sum-zero for type A)
     hspan = rs.simple_roots
     # torus centralizing k_roots, computed in simple-root coordinates
+    torus = hspan
     if k_roots:
         rows = [tuple(dot(b, ai) for ai in hspan) for b in sorted(k_roots)]
-        coeff_basis = nullspace(rows)
-    else:
-        coeff_basis = [
-            tuple(1 if j == i else 0 for j in range(len(hspan))) for i in range(len(hspan))
+        torus = [
+            tuple(sum(c * a[j] for c, a in zip(cs, hspan)) for j in range(rs.ambient_dim))
+            for cs in nullspace(rows)
         ]
-    centralizing_torus = []
-    for c in coeff_basis:
-        v = vzero(rs.ambient_dim)
-        for ci, ai in zip(c, hspan):
-            v = vadd(v, tuple(ci * x for x in ai))
-        centralizing_torus.append(v)
-
     # C(k) = Z(k) needs the centralizing torus inside the toral part ...
-    for v in centralizing_torus:
-        if not in_span(v, toral):
-            return False
+    if not all(in_span(v, toral) for v in torus):
+        return False
     # ... and no root space commuting with all of k
-    for g in rs.all_roots:
-        if any(dot(g, t) != 0 for t in toral):
+    negated_k = rs.negated(k)
+    for g, row in enumerate(rs.sum_table):
+        if any(dot(rs.all_roots[g], t) != 0 for t in toral):
             continue
-        if all(vadd(g, b) != vzero(rs.ambient_dim) and not rs.is_root(vadd(g, b)) for b in k_roots):
+        # -g is not in k, and g + b is not a root for any b in k
+        if not negated_k >> g & 1 and all(row[b] < 0 for b in bits(k)):
             return False
     return True
 

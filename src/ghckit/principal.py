@@ -146,18 +146,20 @@ def euler_rhs(pd: PrincipalData, m: int, lam: Vector) -> int:
     Alternating sum over the exterior powers of k/t (t-weights {0}, {2,-2},
     {0}) tensored with the (m+1)-dimensional type (t-weights m, m-2, ..,
     -m), counted against the full nilradical partition function shifted by
-    lambda(h).
+    lambda(h).  All terms are read from one partition table up to the
+    largest target, m + 2 - lambda(h).
     """
     if m < 0:
         raise InputError("m must be a nonnegative integer")
     lh = pd.lambda_h(lam)
-    full = pd.nbar_multiset
-    total = 0
-    for w in range(-m, m + 1, 2):
-        total += 2 * partition_P(full, w - lh)
-        total -= partition_P(full, w + 2 - lh)
-        total -= partition_P(full, w - 2 - lh)
-    return total
+    if lh.denominator != 1:
+        return 0  # every target w - lambda(h) is non-integral
+    n = int(lh)
+    table = _partition_table(pd.nbar_multiset, max(0, m + 2 - n))
+    return sum(
+        2 * _table_entry(table, w - n) - _table_entry(table, w + 2 - n) - _table_entry(table, w - 2 - n)
+        for w in range(-m, m + 1, 2)
+    )
 
 
 def vanishing_degree(pd: PrincipalData) -> int:

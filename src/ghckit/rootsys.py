@@ -7,9 +7,12 @@ coordinate simple roots and everything is generated by reflection closure.
 
 The reflection closure runs on integer simple-root coordinates, and
 ``RootSystem.sum_table`` adds roots by their index in the canonical order
-(see ``build``) for closed-subset code.  Weights and pairings go through the
-integer tables ``doubled_roots`` and ``coroot_coords``, also built on first
-use.  Public surfaces (root vectors, weights, JSON) stay Fraction epsilon-vectors.
+(see ``build``) for closed-subset code, where a root subset is a bitmask
+with bit i for ``all_roots[i]`` (``mask_of``, ``roots_of``, ``full_mask``);
+only ``positive_mask`` and ``negated`` know that the positive roots come
+first.  Weights and pairings go through the integer tables ``doubled_roots``
+and ``coroot_coords``, also built on first use.  Public surfaces (root vectors,
+weights, JSON) stay Fraction epsilon-vectors.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError
 from .exact import (
@@ -36,6 +39,9 @@ from .exact import (
 )
 
 DEFAULT_MAX_RANK = 8
+# GHC_MAX_RANK may raise the cap this far: C32 and D32, the slowest rank-32 builds, take
+# about 0.9 s (Python 3.11, one core of a 2-core x86-64 VM), and D48 already takes 3 s
+MAX_RANK_CEILING = 32
 
 # classical root counts, used as a construction-time sanity check
 _COUNTS = {
@@ -61,6 +67,11 @@ def _doubled(v: Vector) -> tuple[int, ...]:
     return tuple(x.numerator * 2 // x.denominator for x in v)
 
 
+def bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b, strict=True))
 
@@ -73,9 +84,12 @@ def max_rank() -> int:
     env = os.environ.get("GHC_MAX_RANK")
     if env is not None:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as e:
             raise InputError(f"GHC_MAX_RANK must be an integer, got {env!r}") from e
+        if cap > MAX_RANK_CEILING:
+            raise InputError(f"GHC_MAX_RANK {cap} exceeds the ceiling {MAX_RANK_CEILING}")
+        return cap
     return DEFAULT_MAX_RANK
 
 
@@ -171,8 +185,13 @@ class RootSystem:
     def is_root(self, alpha: Vector) -> bool:
         return alpha in self._index
 
-    def roots_from_indices(self, indices) -> list[Vector]:
-        out = []
+    def mask_of(self, roots: Iterable[Vector]) -> int:
+        """The mask of a set of roots; raises InputError for a vector that is not a root."""
+        return self.index_mask(map(self.root_index, roots))
+
+    def index_mask(self, indices: Iterable) -> int:
+        """The mask of root indices given from outside; raises InputError for a bad index."""
+        mask = 0
         for i in indices:
             try:
                 k = int(i)
@@ -180,8 +199,26 @@ class RootSystem:
                 raise InputError(f"root index {i!r} is not an integer") from e
             if not 0 <= k < len(self.all_roots):
                 raise InputError(f"root index {i} out of range")
-            out.append(self.all_roots[k])
-        return out
+            mask |= 1 << k
+        return mask
+
+    def roots_of(self, mask: int) -> frozenset[Vector]:
+        # copied from a set, a frozenset gets a table sized to its contents
+        return frozenset({self.all_roots[i] for i in bits(mask)})
+
+    @cached_property
+    def full_mask(self) -> int:
+        return (1 << len(self.all_roots)) - 1
+
+    @cached_property
+    def positive_mask(self) -> int:
+        """The positive roots come first in all_roots: the low half of the bits."""
+        return (1 << len(self.positive_roots)) - 1
+
+    def negated(self, mask: int) -> int:
+        """The mask of the negated roots: all_roots[i + |positive|] is -all_roots[i]."""
+        half = len(self.positive_roots)
+        return mask >> half | (mask & self.positive_mask) << half
 
     def simple_coordinates(self, alpha: Vector) -> tuple[int, ...]:
         """Coefficients of alpha over the simple roots."""

@@ -6,28 +6,25 @@ each root is classified by two cone-membership queries against Gamma's
 generators.  Cone membership over Q+ is used directly: the R+-span in the
 defining conditions is decided exactly by rational LP.
 
-``is_closed`` and ``closed_subsets`` work on integer bitmasks over the
-canonical root order and add roots through the sum table; what they take and
-return stays frozensets of Fraction epsilon-vectors.
+Root subsets are bitmasks over the canonical root order, and closure goes
+through the sum table; frozensets of Fraction epsilon-vectors are built only
+for results: ``RootSubalgebra.roots``, the decomposition, ``closed_subsets``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .exact import Vector, cone_member, vadd, vneg, vzero
-from .rootsys import RootSystem
+from .exact import Vector, cone_member, vadd, vzero
+from .rootsys import RootSystem, bits
 
 
-def is_closed(rs: RootSystem, roots: frozenset[Vector]) -> bool:
-    """True iff every sum of two of the roots that is a root is among them.
-    Raises InputError for a vector that is not a root of rs."""
-    members = [rs.root_index(a) for a in roots]
-    mask = 0
-    for i in members:
-        mask |= 1 << i
+def closed_mask(rs: RootSystem, mask: int) -> bool:
+    """True iff every sum of two roots of the mask that is a root is in the mask."""
+    members = bits(mask)
     table = rs.sum_table
     for i in members:
         row = table[i]
@@ -38,24 +35,34 @@ def is_closed(rs: RootSystem, roots: frozenset[Vector]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+def is_closed(rs: RootSystem, roots: Iterable[Vector]) -> bool:
+    """``closed_mask`` for a set of roots; a vector that is not a root is an input error."""
+    return closed_mask(rs, rs.mask_of(roots))
+
+
+@dataclass(frozen=True, init=False)
 class RootSubalgebra:
-    """A closed subset of roots, together with the ambient root system."""
+    """A closed subset of roots, held as a bitmask over ``rs.all_roots``;
+    ``roots`` is its frozenset of vectors, built on first use."""
 
     rs: RootSystem
-    roots: frozenset[Vector]
+    mask: int
+
+    def __init__(self, rs: RootSystem, roots: Iterable[Vector] | int):
+        """roots: the subset's roots (a non-root is an input error), or its mask."""
+        mask = roots if isinstance(roots, int) else rs.mask_of(roots)
+        if not closed_mask(rs, mask):
+            raise InputError("root subset is not closed under addition")
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_indices(cls, rs: RootSystem, indices: Iterable[int]) -> "RootSubalgebra":
-        return cls(rs, frozenset(rs.roots_from_indices(indices)))
+        return cls(rs, rs.index_mask(indices))
 
-    def __post_init__(self):
-        # is_closed looks up every vector with root_index, which rejects non-roots
-        if not is_closed(self.rs, self.roots):
-            raise InputError("root subset is not closed under addition")
-
-    def indices(self) -> list[int]:
-        return sorted(self.rs.root_index(a) for a in self.roots)
+    @cached_property
+    def roots(self) -> frozenset[Vector]:
+        return self.rs.roots_of(self.mask)
 
 
 @dataclass(frozen=True)
@@ -80,33 +87,21 @@ class ShadowDecomposition:
 
 def shadow(rs: RootSystem, fk: RootSubalgebra) -> ShadowDecomposition:
     """Four-way classification of every root against the cone over Gamma."""
-    gamma = sorted(set(rs.all_roots) - fk.roots)
-    parts: dict[str, set[Vector]] = {"I": set(), "F": set(), "plus": set(), "minus": set()}
-    in_cone: dict[Vector, bool] = {}
-
-    def member(a: Vector) -> bool:
-        if a not in in_cone:
-            # roots that are themselves generators are members for free
-            in_cone[a] = (a not in fk.roots) or cone_member(a, gamma) is not None
-        return in_cone[a]
-
-    for a in rs.all_roots:
-        pos, neg = member(a), member(vneg(a))
-        if pos and neg:
-            parts["I"].add(a)
-        elif not pos and not neg:
-            parts["F"].add(a)
-        elif neg:
-            parts["plus"].add(a)
-        else:
-            parts["minus"].add(a)
+    gamma_mask = rs.full_mask & ~fk.mask
+    gamma = [rs.all_roots[i] for i in bits(gamma_mask)]
+    # the roots in the cone; roots that are themselves generators are members for free
+    inside = gamma_mask
+    for i in bits(fk.mask):
+        if cone_member(rs.all_roots[i], gamma) is not None:
+            inside |= 1 << i
+    neg = rs.negated(inside)  # the roots whose negatives are in the cone
     return ShadowDecomposition(
-        rs=rs,
-        I=frozenset(parts["I"]),
-        F=frozenset(parts["F"]),
-        plus=frozenset(parts["plus"]),
-        minus=frozenset(parts["minus"]),
-        gamma_generators=frozenset(gamma),
+        rs,
+        I=rs.roots_of(inside & neg),
+        F=rs.roots_of(rs.full_mask & ~(inside | neg)),
+        plus=rs.roots_of(neg & ~inside),
+        minus=rs.roots_of(inside & ~neg),
+        gamma_generators=rs.roots_of(gamma_mask),
     )
 
 
@@ -140,16 +135,14 @@ def support_shape(
     return frozenset(vadd(b, s) for b in base_points for s in shifts)
 
 
-def closed_subsets(rs: RootSystem) -> Iterator[frozenset[Vector]]:
-    """Enumerate every closed subset of the root set, in a deterministic order.
+def closed_masks(rs: RootSystem) -> Iterator[int]:
+    """The mask of every closed subset of the root set, in a deterministic order.
 
     Depth-first over the canonical root ordering: each root is either
     excluded outright or included together with everything its closure
-    forces; branches that would need an excluded root are pruned.  Subsets
-    are bitmasks over root indices until they are yielded.
+    forces; branches that would need an excluded root are pruned.
     """
-    roots = rs.all_roots
-    n = len(roots)
+    n = len(rs.all_roots)
     # partners[a]: every (b, a + b) with a + b a root
     partners = [[(b, k) for b, k in enumerate(row) if k >= 0] for row in rs.sum_table]
 
@@ -171,10 +164,14 @@ def closed_subsets(rs: RootSystem) -> Iterator[frozenset[Vector]]:
         while i < n and chosen >> i & 1:
             i += 1
         if i == n:
-            # copied from a set, a frozenset gets a table sized to its contents
-            yield frozenset({r for j, r in enumerate(roots) if chosen >> j & 1})
+            yield chosen
             continue
         c = closure(chosen, i)
         if not c & excluded:
             stack.append((i + 1, c, excluded))
         stack.append((i + 1, chosen, excluded | 1 << i))
+
+
+def closed_subsets(rs: RootSystem) -> Iterator[frozenset[Vector]]:
+    """Every closed subset of the root set as a frozenset, in the order of ``closed_masks``."""
+    return map(rs.roots_of, closed_masks(rs))

@@ -72,6 +72,14 @@ def test_rank_cap(monkeypatch):
     assert len(rootsys.build("A", 9).all_roots) == 90
 
 
+def test_rank_cap_ceiling(monkeypatch):
+    monkeypatch.setenv("GHC_MAX_RANK", str(rootsys.MAX_RANK_CEILING))
+    assert len(rootsys.build("A", 9).all_roots) == 90
+    monkeypatch.setenv("GHC_MAX_RANK", str(rootsys.MAX_RANK_CEILING + 1))
+    with pytest.raises(InputError, match="ceiling"):
+        rootsys.build("A", 2)
+
+
 def test_c2_positive_roots(c2):
     assert set(c2.positive_roots) == {V(1, -1), V(0, 2), V(1, 1), V(2, 0)}
 
