@@ -1,8 +1,9 @@
 """Command-line front end with JSON output and deterministic exit codes.
 
 Exit contract: 0 success, 2 input error (including malformed requests),
-3 unsupported type.  All output is JSON with sorted keys, so identical
-requests produce byte-identical documents.
+3 unsupported type, and 141 (128 + SIGPIPE, with nothing on stderr) when
+the reader closes stdout before the output is written.  All output is JSON
+with sorted keys, so identical requests produce byte-identical documents.
 
 ``COMMANDS`` declares every command once: its handler and its parameters.
 A parameter's flag is derived from its request key (``max_m`` is
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from typing import Callable, Iterator, NamedTuple, Optional, TextIO
 
@@ -26,6 +28,7 @@ from .exact import format_rational, parse_vector
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout was closed before the output was written
 
 CENSUS_MAX_RANK = 4
 # bound on a k-type series' max_m and |lambda(h)|: the slowest series within
@@ -308,7 +311,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             return code
         except OSError as e:
             doc, code = _error(f"cannot write output: {e}", EXIT_INPUT)
-    _emit(doc, sys.stdout if code == EXIT_OK else sys.stderr)
+    try:
+        _emit(doc, sys.stdout if code == EXIT_OK else sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`ghckit ... | head`): point stdout at devnull, so
+        # that the interpreter's final flush has nowhere to fail, and exit as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -4,10 +4,13 @@ The interface is ``fractions.Fraction``; no floating point is used anywhere.
 Vectors are plain tuples of Fractions, which keeps them hashable and
 immutable, so all operations are pure and safe for concurrent use.
 Elimination in ``solve_linear`` and ``nullspace`` runs over Fractions.  The
-LP behind the cone queries does not: ``lp_feasible`` scales its tableau by
-the lcm of the input denominators, keeps it as an integer matrix whose rows
-share one denominator up to that scale, pivots it fraction-free with Bland's
-rule, and turns back to Fractions only for the solution.
+LP behind the cone queries does not: ``lp_feasible`` reads integer input as
+it is and scales any other input by the lcm of its denominators, keeps the
+tableau as an integer matrix whose rows share one denominator up to that
+scale, pivots it fraction-free with Bland's rule, and turns back to
+Fractions only for the solution.  The cone queries pass their generators
+through unchanged, so integer generators (as ``fk`` and ``shadow`` give
+them) reach the simplex with no Fraction built on the way.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -149,22 +153,22 @@ def nullspace(rows: Sequence[Vector]) -> list[Vector]:
     return basis
 
 
-def in_span(v: Vector, gens: Sequence[Vector]) -> bool:
-    """True iff v is a linear (not necessarily nonnegative) combination of gens."""
-    if is_zero(v):
-        return True
-    if not gens:
-        return False
-    rows = [[g[i] for g in gens] for i in range(len(v))]
-    return solve_linear(rows, list(v)) is not None
-
-
 # ---------------------------------------------------------------------------
 # LP feasibility: two-phase simplex, Bland's anti-cycling rule
 
 
-def _rational(c):
-    return c if isinstance(c, (int, Fraction)) else Fraction(c)
+def _integer_rows(equalities: Sequence[tuple[Sequence, object]]) -> tuple[list[list[int]], int]:
+    """The rows [coeffs..., rhs] as integers, and the factor L they were scaled by.
+
+    All-int input is read as it is (L = 1); any other rationals are scaled by
+    the lcm L of their denominators.
+    """
+    rows = [[*coeffs, rhs] for coeffs, rhs in equalities]
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows, 1
+    rows = [[c if isinstance(c, (int, Fraction)) else Fraction(c) for c in row] for row in rows]
+    scale = lcm(*(c.denominator for row in rows for c in row))
+    return [[c.numerator * (scale // c.denominator) for c in row] for row in rows], scale
 
 
 def lp_feasible(
@@ -174,11 +178,13 @@ def lp_feasible(
 
     Coefficients are rationals (int, Fraction, or anything Fraction accepts),
     and the result is an exact rational solution as a list of Fractions, or
-    None when infeasible.
+    None when infeasible.  All-int input is read directly; any other input is
+    scaled to integer rows first (``_integer_rows``), and both go through the
+    same tableau.
 
     Inside, the phase-1 tableau (n structural columns, m artificial columns,
-    rhs; rows negated where rhs < 0) is scaled, artificial columns included,
-    by the lcm L of the input denominators and pivoted fraction-free
+    rhs; rows negated where rhs < 0) is the integer rows with L on the
+    artificial diagonal, pivoted fraction-free
     (Edmonds 1967; Bareiss 1968): a pivot p at (r, s) keeps row r and sets
     a_ij <- (p·a_ij - a_is·a_rj) // d for every other row, then d <- p, where
     d is the previous pivot (initially 1).  The division is exact, since
@@ -197,12 +203,10 @@ def lp_feasible(
     m = len(equalities)
     if m == 0:
         return [Fraction(0)] * n
-    rows = [[*map(_rational, coeffs), _rational(rhs)] for coeffs, rhs in equalities]
-    scale = lcm(*(c.denominator for row in rows for c in row))
+    rows, scale = _integer_rows(equalities)
     # tableau rows: n structural columns, m artificial columns, rhs; rhs >= 0
     tab: list[list[int]] = []
-    for i, row in enumerate(rows):
-        ints = [c.numerator * (scale // c.denominator) for c in row]
+    for i, ints in enumerate(rows):
         if ints[-1] < 0:
             ints = [-x for x in ints]
         art = [0] * m

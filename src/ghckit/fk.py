@@ -17,10 +17,11 @@ simple roots of k and the singular weights are sum-table lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import Callable, Optional, Sequence
 
 from .errors import InputError, InternalError, UnsupportedTypeError
-from .exact import ConeWitness, Vector, cones_intersect_trivially, dot, in_span, nullspace
+from .exact import ConeWitness, Vector, _rref, cones_intersect_trivially, dot, nullspace
 from .rootsys import LOW_RANK_ALIASES, RootSystem, _simple_roots, bits, cartan_of
 from .shadow import RootSubalgebra, closed_mask
 
@@ -110,11 +111,19 @@ def theorem8_finite_type(rs: RootSystem, l: RootSubalgebra) -> FiniteTypeVerdict
         raise UnsupportedTypeError("the cone finite-type test is only available for type A")
     # k = l & -l is symmetric, and closed as l and -l are, as _singular needs
     k = reductive_mask(l)
-    g_mod_l = rs.full_mask & ~l.mask
-    sg = rs.roots_of(_singular(rs, k, g_mod_l))
-    sn = rs.roots_of(_singular(rs, k, l.mask & ~k))
-    trivial, witness = cones_intersect_trivially(sorted(sg), sorted(sn))
-    return FiniteTypeVerdict(trivial, witness, SingularWeightData(sg), SingularWeightData(sn))
+    sg = _singular(rs, k, rs.full_mask & ~l.mask)
+    sn = _singular(rs, k, l.mask & ~k)
+    trivial, witness = cones_intersect_trivially(_integer_roots(rs, sg), _integer_roots(rs, sn))
+    return FiniteTypeVerdict(
+        trivial, witness, SingularWeightData(rs.roots_of(sg)), SingularWeightData(rs.roots_of(sn))
+    )
+
+
+def _integer_roots(rs: RootSystem, mask: int) -> list[tuple[int, ...]]:
+    """The roots of a mask in sorted order, as integer tuples equal to their
+    epsilon-vectors: type A roots are integral, so halving ``doubled_roots`` is exact."""
+    doubled = rs.doubled_roots
+    return [tuple(x // 2 for x in doubled[i]) for i in rs.vector_order if mask >> i & 1]
 
 
 def theorem6_solvable_finite_type(rs: RootSystem, l: RootSubalgebra) -> bool:
@@ -212,6 +221,23 @@ def _components(rs: RootSystem, mask: int) -> list[tuple[str, int]]:
 # primality
 
 
+def _span_test(vectors: Sequence[Vector], dim: int) -> Callable[[Vector], bool]:
+    """A membership test for the linear span of vectors, from one reduction:
+    v lies in the span iff clearing v at every pivot column leaves 0."""
+    basis = [[Fraction(x) for x in v] for v in vectors]
+    pivots = _rref(basis, dim)
+
+    def contains(v: Vector) -> bool:
+        rest = list(v)
+        for r, c in pivots:
+            f = rest[c]
+            if f:
+                rest = [x - f * y for x, y in zip(rest, basis[r])]
+        return not any(rest)
+
+    return contains
+
+
 def is_primal(
     rs: RootSystem,
     k_roots: frozenset[Vector],
@@ -223,9 +249,9 @@ def is_primal(
     toral = [tuple(v) for v in toral_part]
     if any(len(v) != rs.ambient_dim for v in toral):
         raise InputError(f"toral vectors must have dimension {rs.ambient_dim}")
-    for a in k_roots:
-        if not in_span(rs.coroot(a), toral):
-            raise InputError("toral part must contain the coroots of k_roots")
+    in_toral = _span_test(toral, rs.ambient_dim)
+    if not all(in_toral(rs.coroot(a)) for a in k_roots):
+        raise InputError("toral part must contain the coroots of k_roots")
 
     # Cartan subspace of g = span of the simple roots (sum-zero for type A)
     hspan = rs.simple_roots
@@ -238,7 +264,7 @@ def is_primal(
             for cs in nullspace(rows)
         ]
     # C(k) = Z(k) needs the centralizing torus inside the toral part ...
-    if not all(in_span(v, toral) for v in torus):
+    if not all(map(in_toral, torus)):
         return False
     # ... and no root space commuting with all of k
     negated_k = rs.negated(k)

@@ -11,7 +11,8 @@ The reflection closure runs on integer simple-root coordinates, and
 with bit i for ``all_roots[i]`` (``mask_of``, ``roots_of``, ``full_mask``);
 only ``positive_mask`` and ``negated`` know that the positive roots come
 first.  Weights and pairings go through the integer tables ``doubled_roots``
-and ``coroot_coords``, also built on first use.  Public surfaces (root vectors,
+and ``coroot_coords``, also built on first use, and ``vector_order`` lists
+the root indices as the root vectors sort.  Public surfaces (root vectors,
 weights, JSON) stay Fraction epsilon-vectors.
 """
 
@@ -243,6 +244,12 @@ class RootSystem:
         """doubled_roots[i] is 2 * all_roots[i] as integers.  Built on first use."""
         positive = tuple(map(_doubled, self.positive_roots))
         return positive + tuple(tuple(-x for x in a) for a in positive)
+
+    @cached_property
+    def vector_order(self) -> tuple[int, ...]:
+        """The root indices in the order in which the root vectors sort.  Sorting
+        the rows of ``doubled_roots`` gives it with no Fraction compare."""
+        return tuple(sorted(range(len(self.all_roots)), key=self.doubled_roots.__getitem__))
 
     @cached_property
     def coroot_coords(self) -> tuple[tuple[int, ...], ...]:

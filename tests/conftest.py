@@ -13,6 +13,14 @@ settings.register_profile("ci", derandomize=True, max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
+# the 34 types of acceptance criterion 1: A1-A8, B, C and D of rank 2-8, E6-E8, F4, G2
+ALL_TYPES = sorted(
+    [("A", n) for n in range(1, 9)]
+    + [(s, n) for s in "BCD" for n in range(2, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
 def V(*coords):
     return tuple(Fraction(c) for c in coords)
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -171,6 +172,28 @@ class TestExitCodes:
         proc = invoke(["request"], stdin="{not json")
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["code"] == 2
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_pipe(self, unbuffered):
+        # the read end is closed before the child starts, so its first write meets a broken
+        # pipe: in write() when unbuffered, else in the flush of the buffered document
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ghckit", "census", "--series", "A", "--rank", "2"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+        assert proc.stderr == b""
 
     @pytest.mark.parametrize("entry", ['"1e999999999"', '"2.5E-999999999"', "1e300"])
     def test_exponent_notation_exits_2(self, entry):

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 import pytest
@@ -8,12 +9,17 @@ from hypothesis import given, strategies as st
 from ghckit import cli
 from ghckit.errors import InputError
 from ghckit.exact import (
+    ConeWitness,
+    Vector,
     cone_member,
     cones_intersect_trivially,
     format_rational,
     lp_feasible,
     parse_rational,
+    vadd,
     vec,
+    vscale,
+    vzero,
 )
 
 F = Fraction
@@ -255,3 +261,76 @@ def test_census_a3_stdout_digest(capsys):
     assert cli.main(["census", "--series", "A", "--rank", "3"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "c57d41e0857dd4fc454a637063ccc8a361304356523e641d6f7f1ce78b73d042"
+
+
+# ---------------------------------------------------------------------------
+# reference: cones_intersect_trivially as it was before integer generators
+# were read directly, kept verbatim except that it runs the Fraction simplex
+# above, so a whole Fraction pipeline checks the integer one
+
+
+def reference_cones_intersect_trivially(
+    gens_a: Sequence[Vector], gens_b: Sequence[Vector]
+) -> tuple[bool, Optional[ConeWitness]]:
+    if not gens_a or not gens_b:
+        return True, None
+    dim = len(gens_a[0])
+    na, nb = len(gens_a), len(gens_b)
+    # sum of a-coefficients times gens_a minus b-coefficients times gens_b is 0
+    balance = [(tuple(g[j] for g in gens_a) + tuple(-g[j] for g in gens_b), 0) for j in range(dim)]
+    for k in range(dim):
+        norm = tuple(g[k] for g in gens_a) + (0,) * nb
+        for sign in (1, -1):
+            sol = reference_lp_feasible(balance + [(norm, sign)], na + nb)
+            if sol is not None:
+                ca = tuple(sol[:na])
+                cb = tuple(sol[na:])
+                point = vzero(dim)
+                for c, g in zip(ca, gens_a):
+                    if c:  # a basic solution has at most dim + 1 nonzero coefficients
+                        point = vadd(point, vscale(c, g))
+                return False, ConeWitness(ca, cb, point)
+    return True, None
+
+
+def outcome(result):
+    """A verdict with its witness as JSON, and the Fraction types it must carry."""
+    trivial, witness = result
+    if witness is None:
+        return trivial, None
+    fields = (*witness.coefficients_a, *witness.coefficients_b, *witness.point)
+    assert all(type(x) is Fraction for x in fields)
+    return trivial, witness.to_json()
+
+
+@st.composite
+def integer_cone_pairs(draw):
+    dim = draw(st.integers(1, 4))
+    gens = st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=4)
+    return draw(gens), draw(gens)
+
+
+class TestIntegerGenerators:
+    @given(integer_cone_pairs())
+    def test_same_verdict_and_witness_as_fractions(self, pair):
+        ints_a, ints_b = pair
+        fracs_a, fracs_b = [list(map(vec, gens)) for gens in pair]
+        got = outcome(cones_intersect_trivially(ints_a, ints_b))
+        assert got == outcome(cones_intersect_trivially(fracs_a, fracs_b))
+        assert got == outcome(reference_cones_intersect_trivially(fracs_a, fracs_b))
+
+    def test_integer_witness_verifies_on_fractions(self):
+        a, b = [(1, 0), (0, 1)], [(1, 1)]
+        trivial, w = cones_intersect_trivially(a, b)
+        assert not trivial
+        assert w.verify([vec(g) for g in a], [vec(g) for g in b])
+        assert w.point == vec([1, 1])
+
+    @given(lp_systems())
+    def test_lp_on_integer_multiples(self, system):
+        # scaling every equality by the lcm of the denominators leaves the LP, and so
+        # the pivots and the solution, as they are; the scaled rows are all ints
+        eqs, n = system
+        scale = lcm(*(c.denominator for coeffs, rhs in eqs for c in (*coeffs, rhs)))
+        ints = [(tuple(int(c * scale) for c in coeffs), int(rhs * scale)) for coeffs, rhs in eqs]
+        assert lp_feasible(ints, n) == reference_lp_feasible(ints, n) == reference_lp_feasible(eqs, n)

@@ -1,8 +1,10 @@
 import pytest
 
-from conftest import V, neg
-from ghckit import fk, shadow
+from conftest import ALL_TYPES, V, neg
+from ghckit import fk, rootsys, shadow
 from ghckit.errors import InputError, UnsupportedTypeError
+from ghckit.exact import dot, is_zero, nullspace, solve_linear
+from ghckit.rootsys import bits
 from ghckit.shadow import RootSubalgebra, closed_subsets
 
 A1 = V(1, -1, 0)
@@ -135,6 +137,15 @@ class TestTheorem6:
                         == fk.theorem8_finite_type(rs, sub).finite_type
                     )
 
+    def test_agrees_with_theorem8_on_every_solvable_subset_of_a4(self):
+        a4 = rootsys.build("A", 4)
+        solvable = [m for m in shadow.closed_masks(a4) if not fk.reductive_mask(RootSubalgebra(a4, m))]
+        assert len(solvable) == 4231
+        for m in solvable:
+            sub = RootSubalgebra(a4, m)
+            theorem8 = fk.theorem8_finite_type(a4, sub).finite_type
+            assert fk.theorem6_solvable_finite_type(a4, sub) == theorem8, m
+
 
 class TestRecognizeType:
     def test_empty(self, a2):
@@ -161,7 +172,69 @@ class TestRecognizeType:
         assert fk.recognize_type(a3, sub) == [("A", 1), ("A", 1)]
 
 
+def reference_in_span(v, gens):
+    """True iff v is a linear (not necessarily nonnegative) combination of gens."""
+    if is_zero(v):
+        return True
+    if not gens:
+        return False
+    rows = [[g[i] for g in gens] for i in range(len(v))]
+    return solve_linear(rows, list(v)) is not None
+
+
+def reference_is_primal(rs, k_roots, toral_part):
+    """is_primal as it was before the toral basis was reduced once: one
+    ``solve_linear`` per coroot and per torus vector."""
+    k = rs.mask_of(k_roots)
+    toral = [tuple(v) for v in toral_part]
+    for a in k_roots:
+        if not reference_in_span(rs.coroot(a), toral):
+            raise InputError("toral part must contain the coroots of k_roots")
+    hspan = rs.simple_roots
+    torus = hspan
+    if k_roots:
+        rows = [tuple(dot(b, ai) for ai in hspan) for b in sorted(k_roots)]
+        torus = [
+            tuple(sum(c * a[j] for c, a in zip(cs, hspan)) for j in range(rs.ambient_dim))
+            for cs in nullspace(rows)
+        ]
+    if not all(reference_in_span(v, toral) for v in torus):
+        return False
+    negated_k = rs.negated(k)
+    for g, row in enumerate(rs.sum_table):
+        if any(dot(rs.all_roots[g], t) != 0 for t in toral):
+            continue
+        if not negated_k >> g & 1 and all(row[b] < 0 for b in bits(k)):
+            return False
+    return True
+
+
+def primal_outcome(fn, rs, k_roots, toral):
+    try:
+        return fn(rs, k_roots, toral)
+    except InputError as e:
+        return str(e)
+
+
 class TestIsPrimal:
+    @pytest.mark.parametrize("key", ALL_TYPES)
+    def test_matches_reference(self, key):
+        rs = rootsys.build(*key)
+        a = rs.simple_roots[-1]
+        simple = list(rs.simple_roots)
+        cases = [
+            (frozenset(rs.all_roots), simple),
+            (frozenset(rs.all_roots), simple[1:]),
+            (frozenset([a, neg(a)]), simple),
+            (frozenset([a, neg(a)]), [rs.coroot(a)]),
+            (frozenset([a, neg(a)]), [rs.coroot(rs.simple_roots[0])]),
+            (frozenset(), []),
+        ]
+        for k_roots, toral in cases:
+            want = primal_outcome(reference_is_primal, rs, k_roots, toral)
+            assert primal_outcome(fk.is_primal, rs, k_roots, toral) == want
+
+
     def test_full_cartan_always_primal(self, a2, a3, c2):
         for rs in (a2, a3, c2):
             toral = list(rs.simple_roots)

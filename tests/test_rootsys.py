@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import V, neg
+from conftest import ALL_TYPES, V, neg
 from ghckit import rootsys
 from ghckit.errors import InputError, InternalError
 from ghckit.exact import dot, vadd, vscale, vzero
@@ -28,14 +28,6 @@ def test_root_counts(key, count):
     rs = rootsys.build(*key)
     assert len(rs.all_roots) == count
     assert len(rs.positive_roots) == count // 2
-
-
-# the 34 types of acceptance criterion 1: A1-A8, B, C and D of rank 2-8, E6-E8, F4, G2
-ALL_TYPES = sorted(
-    [("A", n) for n in range(1, 9)]
-    + [(s, n) for s in "BCD" for n in range(2, 9)]
-    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-)
 
 
 def test_json_digest_all_types():
@@ -268,3 +260,9 @@ def test_weyl_dim_rejects_like_reference(key):
     w = rs.fundamental_weights
     for lam in (vscale(-1, w[0]), vadd(w[0], vscale(-2, w[-1])), vscale(F(1, 3), w[-1]), w[0][:-1]):
         assert _error_text(rootsys.weyl_dim, rs, lam) == _error_text(reference_weyl_dim, rs, lam)
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_vector_order_sorts_like_the_vectors(key):
+    rs = rootsys.build(*key)
+    assert rs.vector_order == tuple(sorted(range(len(rs.all_roots)), key=rs.all_roots.__getitem__))

@@ -1,12 +1,16 @@
 import itertools
+import random
+import time
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import V, neg
 from ghckit import rootsys, shadow
-from ghckit.exact import vadd
+from ghckit.exact import cone_member, vadd, vzero
 from ghckit.errors import InputError
+from ghckit.rootsys import bits
 from ghckit.shadow import RootSubalgebra, closed_subsets, fernando_fk, parabolic_pm, support_shape
 
 
@@ -87,6 +91,18 @@ class TestShadowInvariantsExhaustive:
                 assert fernando_fk(shadow.shadow(rs, sub)) == roots
 
 
+def reference_support_shape(sd, base_points, truncation_radius):
+    """support_shape as it was before it grew only new points and had a bound."""
+    gamma = sorted(sd.gamma_generators)
+    dim = sd.rs.ambient_dim
+    shifts = {vzero(dim)}
+    frontier = {vzero(dim)}
+    for _ in range(truncation_radius):
+        frontier = {vadd(s, g) for s in frontier for g in gamma}
+        shifts |= frontier
+    return frozenset(vadd(b, s) for b in base_points for s in shifts)
+
+
 class TestSupportShape:
     def test_empty_gamma(self, a1):
         sd = shadow.shadow(a1, make(a1, a1.all_roots))
@@ -109,6 +125,29 @@ class TestSupportShape:
         sd = shadow.shadow(a1, make(a1, [alpha]))
         nu = V(1, 0)
         assert support_shape(sd, (nu,), 1) == {nu, tuple(n - a for n, a in zip(nu, alpha))}
+
+    @pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2)])
+    def test_matches_reference(self, key):
+        rs = rootsys.build(*key)
+        for roots in ([], rs.positive_roots[:1], rs.positive_roots):
+            sd = shadow.shadow(rs, make(rs, roots))
+            base = (tuple(F(0) for _ in range(rs.ambient_dim)), tuple(F(k, 3) for k in range(rs.ambient_dim)))
+            for radius in range(5):
+                assert support_shape(sd, base, radius) == reference_support_shape(sd, base, radius)
+
+    def test_oversized_radius_fails_fast(self):
+        a4 = rootsys.build("A", 4)
+        sd = shadow.shadow(a4, make(a4, []))
+        # radius 12 is past the bound (radius 9 passes it), yet small enough that an
+        # unbounded version would finish in a few seconds and fail here, not run out of memory
+        start = time.perf_counter()
+        with pytest.raises(InputError):
+            support_shape(sd, (tuple(F(0) for _ in range(5)),), 12)
+        assert time.perf_counter() - start < 10
+        # the bound counts base points times shifts
+        base = [tuple(F(k) for _ in range(5)) for k in range(shadow.MAX_SUPPORT_POINTS)]
+        with pytest.raises(InputError):
+            support_shape(sd, base, 1)
 
     @given(radius=st.integers(min_value=0, max_value=3))
     @settings(deadline=None, max_examples=10)
@@ -160,3 +199,37 @@ class TestClosedSubsetEnumeration:
         doc = sd.to_json()
         back = {k: frozenset(a2.all_roots[i] for i in doc[k]) for k in ("I", "F", "plus", "minus")}
         assert back == {"I": sd.I, "F": sd.F, "plus": sd.plus, "minus": sd.minus}
+
+
+def mask_closure(rs, mask):
+    """The closed subset that a mask generates, through the sum table."""
+    while True:
+        grown = mask
+        for i in bits(mask):
+            for j in bits(mask):
+                if rs.sum_table[i][j] >= 0:
+                    grown |= 1 << rs.sum_table[i][j]
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+# the types of the shadow benchmark workload
+@pytest.mark.parametrize("key", [("G", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("A", 4)])
+def test_doubled_rows_decide_membership_like_fraction_rows(key):
+    rs = rootsys.build(*key)
+    rng = random.Random(7)
+    # the Borel subalgebra leaves a pointed cone, where membership is not settled by a lineality space
+    masks = [rs.positive_mask]
+    masks += [mask_closure(rs, rs.index_mask(rng.sample(range(len(rs.all_roots)), k))) for k in range(1, 7)]
+    for mask in masks:
+        gamma = bits(rs.full_mask & ~mask)
+        inside = set()
+        for i, root in enumerate(rs.all_roots):
+            by_fractions = cone_member(root, [rs.all_roots[j] for j in gamma])
+            by_doubled = cone_member(rs.doubled_roots[i], [rs.doubled_roots[j] for j in gamma])
+            assert (by_fractions is None) == (by_doubled is None), (key, bits(mask), i)
+            if by_fractions is not None:
+                inside.add(root)
+        sd = shadow.shadow(rs, RootSubalgebra(rs, mask))
+        assert sd.I | sd.minus == inside
