@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, InternalError, UnsupportedTypeError
@@ -56,7 +57,15 @@ def _symmetric_closed(rs: RootSystem, roots: frozenset[Vector], name: str) -> in
 
 @dataclass(frozen=True)
 class SingularWeightData:
-    singular_weights: frozenset[Vector]
+    """The singular weights of a module as a mask over ``rs.all_roots``;
+    ``singular_weights`` is their frozenset of vectors, built on first use."""
+
+    rs: RootSystem
+    mask: int
+
+    @cached_property
+    def singular_weights(self) -> frozenset[Vector]:
+        return self.rs.roots_of(self.mask)
 
 
 def _k_simple(rs: RootSystem, k: int) -> list[int]:
@@ -88,7 +97,7 @@ def singular_weights(
     the nilpotent part of k intersected with the Borel.
     """
     k = _symmetric_closed(rs, k_roots, "k_roots")
-    return SingularWeightData(rs.roots_of(_singular(rs, k, rs.mask_of(module_weights))))
+    return SingularWeightData(rs, _singular(rs, k, rs.mask_of(module_weights)))
 
 
 @dataclass(frozen=True)
@@ -114,9 +123,7 @@ def theorem8_finite_type(rs: RootSystem, l: RootSubalgebra) -> FiniteTypeVerdict
     sg = _singular(rs, k, rs.full_mask & ~l.mask)
     sn = _singular(rs, k, l.mask & ~k)
     trivial, witness = cones_intersect_trivially(_integer_roots(rs, sg), _integer_roots(rs, sn))
-    return FiniteTypeVerdict(
-        trivial, witness, SingularWeightData(rs.roots_of(sg)), SingularWeightData(rs.roots_of(sn))
-    )
+    return FiniteTypeVerdict(trivial, witness, SingularWeightData(rs, sg), SingularWeightData(rs, sn))
 
 
 def _integer_roots(rs: RootSystem, mask: int) -> list[tuple[int, ...]]:

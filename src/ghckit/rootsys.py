@@ -7,10 +7,11 @@ coordinate simple roots and everything is generated by reflection closure.
 
 The reflection closure runs on integer simple-root coordinates, and
 ``RootSystem.sum_table`` adds roots by their index in the canonical order
-(see ``build``) for closed-subset code, where a root subset is a bitmask
-with bit i for ``all_roots[i]`` (``mask_of``, ``roots_of``, ``full_mask``);
-only ``positive_mask`` and ``negated`` know that the positive roots come
-first.  Weights and pairings go through the integer tables ``doubled_roots``
+(see ``build``; ``sum_partners`` keeps the sums that are roots) for
+closed-subset code, where a root subset is a bitmask with bit i for
+``all_roots[i]`` (``mask_of``, ``roots_of``, ``full_mask``); only
+``positive_mask`` and ``negated`` know that the positive roots come first.
+Weights and pairings go through the integer tables ``doubled_roots``
 and ``coroot_coords``, also built on first use, and ``vector_order`` lists
 the root indices as the root vectors sort.  Public surfaces (root vectors,
 weights, JSON) stay Fraction epsilon-vectors.
@@ -204,8 +205,13 @@ class RootSystem:
         return mask
 
     def roots_of(self, mask: int) -> frozenset[Vector]:
-        # copied from a set, a frozenset gets a table sized to its contents
-        return frozenset({self.all_roots[i] for i in bits(mask)})
+        # a set merge reuses the hash stored with each entry, so no Fraction is hashed
+        singles = self._singletons
+        return frozenset().union(*[singles[i] for i in bits(mask)])
+
+    @cached_property
+    def _singletons(self) -> tuple[frozenset[Vector], ...]:
+        return tuple(frozenset((a,)) for a in self.all_roots)
 
     @cached_property
     def full_mask(self) -> int:
@@ -238,6 +244,12 @@ class RootSystem:
         codes = [sum(x << 6 * j for j, x in enumerate(c)) for c in self._coords]
         index = {code: i for i, code in enumerate(codes)}
         return tuple(tuple(index.get(a + b, -1) for b in codes) for a in codes)
+
+    @cached_property
+    def sum_partners(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """sum_partners[i] lists every (j, k) with all_roots[i] + all_roots[j] = all_roots[k]:
+        the entries of ``sum_table`` row i that are roots.  Built on first use."""
+        return tuple(tuple((j, k) for j, k in enumerate(row) if k >= 0) for row in self.sum_table)
 
     @cached_property
     def doubled_roots(self) -> tuple[tuple[int, ...], ...]:

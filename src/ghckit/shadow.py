@@ -2,9 +2,10 @@
 
 A root subalgebra is a closed subset of roots (the Cartan subalgebra is
 always implicitly included).  Its complement generates a monoid Gamma, and
-each root is classified by two cone-membership queries against Gamma's
-generators.  Cone membership over Q+ is used directly: the R+-span in the
-defining conditions is decided exactly by rational LP.
+each root is classified by whether it and its negative lie in the cone over
+Gamma's generators.  The cone is closed under addition, so the generators
+and the closure of the members under root sums are members without an LP;
+the R+-span is decided exactly by rational LP only for the roots left.
 
 Root subsets are bitmasks over the canonical root order, and closure goes
 through the sum table; frozensets of Fraction epsilon-vectors are built only
@@ -40,6 +41,18 @@ def closed_mask(rs: RootSystem, mask: int) -> bool:
             if k >= 0 and not mask >> k & 1:
                 return False
     return True
+
+
+def _close(rs: RootSystem, mask: int, queue: list[int]) -> int:
+    """The closure of mask under sums that are roots, where every sum of two roots
+    of mask outside the queue is already in mask; the queue is consumed."""
+    partners = rs.sum_partners
+    while queue:
+        for j, k in partners[queue.pop()]:
+            if mask >> j & 1 and not mask >> k & 1:
+                mask |= 1 << k
+                queue.append(k)
+    return mask
 
 
 def is_closed(rs: RootSystem, roots: Iterable[Vector]) -> bool:
@@ -98,11 +111,12 @@ def shadow(rs: RootSystem, fk: RootSubalgebra) -> ShadowDecomposition:
     # membership is the same for v over gamma and 2v over 2 gamma, and the doubled roots are integers
     doubled = rs.doubled_roots
     gamma = [doubled[i] for i in bits(gamma_mask)]
-    # the roots in the cone; roots that are themselves generators are members for free
-    inside = gamma_mask
+    # the roots in the cone: the cone is closed under addition, so the generators and every
+    # root that is a sum of two members are members without an LP
+    inside = _close(rs, gamma_mask, bits(gamma_mask))
     for i in bits(fk.mask):
-        if cone_member(doubled[i], gamma) is not None:
-            inside |= 1 << i
+        if not inside >> i & 1 and cone_member(doubled[i], gamma) is not None:
+            inside = _close(rs, inside | 1 << i, [i])
     neg = rs.negated(inside)  # the roots whose negatives are in the cone
     return ShadowDecomposition(
         rs,
@@ -161,19 +175,6 @@ def closed_masks(rs: RootSystem) -> Iterator[int]:
     forces; branches that would need an excluded root are pruned.
     """
     n = len(rs.all_roots)
-    # partners[a]: every (b, a + b) with a + b a root
-    partners = [[(b, k) for b, k in enumerate(row) if k >= 0] for row in rs.sum_table]
-
-    def closure(mask: int, added: int) -> int:
-        mask |= 1 << added
-        queue = [added]
-        while queue:
-            for b, k in partners[queue.pop()]:
-                if mask >> b & 1 and not mask >> k & 1:
-                    mask |= 1 << k
-                    queue.append(k)
-        return mask
-
     # (next root to decide, chosen, excluded); the exclude branch is pushed
     # last so that it is explored first
     stack = [(0, 0, 0)]
@@ -184,7 +185,7 @@ def closed_masks(rs: RootSystem) -> Iterator[int]:
         if i == n:
             yield chosen
             continue
-        c = closure(chosen, i)
+        c = _close(rs, chosen | 1 << i, [i])
         if not c & excluded:
             stack.append((i + 1, c, excluded))
         stack.append((i + 1, chosen, excluded | 1 << i))

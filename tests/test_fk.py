@@ -105,6 +105,16 @@ class TestTheorem8:
         with pytest.raises(UnsupportedTypeError):
             fk.theorem8_finite_type(c2, make(c2, []))
 
+    def test_singular_weights_match_the_function(self, a3):
+        # the verdict holds masks and builds its vector sets on first read
+        for roots in closed_subsets(a3):
+            ld = fk.levi_decompose(RootSubalgebra(a3, roots))
+            v = fk.theorem8_finite_type(a3, RootSubalgebra(a3, roots))
+            g_mod_l = frozenset(a3.all_roots) - roots
+            assert v.singular_g_mod_l.singular_weights == fk.singular_weights(a3, ld.k_roots, g_mod_l).singular_weights
+            assert v.singular_n.singular_weights == fk.singular_weights(a3, ld.k_roots, ld.n_roots).singular_weights
+            assert v.singular_n.singular_weights is v.singular_n.singular_weights
+
     def test_reductive_always_finite_type(self, a2, a3):
         for rs in (a2, a3):
             for roots in closed_subsets(rs):

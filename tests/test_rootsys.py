@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -266,3 +267,25 @@ def test_weyl_dim_rejects_like_reference(key):
 def test_vector_order_sorts_like_the_vectors(key):
     rs = rootsys.build(*key)
     assert rs.vector_order == tuple(sorted(range(len(rs.all_roots)), key=rs.all_roots.__getitem__))
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_roots_of_builds_the_vector_set(key):
+    rs = rootsys.build(*key)
+    n = len(rs.all_roots)
+    rng = random.Random(n)
+    masks = [0, rs.full_mask, rs.positive_mask, rs.negated(rs.positive_mask)]
+    masks += [rng.getrandbits(n) for _ in range(10)] + [1 << rng.randrange(n) for _ in range(3)]
+    for mask in masks:
+        got = rs.roots_of(mask)
+        assert type(got) is frozenset
+        assert got == frozenset(rs.all_roots[i] for i in rootsys.bits(mask))
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_sum_partners_are_the_root_entries_of_the_sum_table(key):
+    rs = rootsys.build(*key)
+    assert len(rs.sum_partners) == len(rs.sum_table)
+    for i, (partners, row) in enumerate(zip(rs.sum_partners, rs.sum_table)):
+        assert list(partners) == [(j, k) for j, k in enumerate(row) if k >= 0], i
+        assert all(rs.sum_table[j][i] == k for j, k in partners)

@@ -1,4 +1,8 @@
+import dataclasses
+import functools
+import hashlib
 import itertools
+import json
 import random
 import time
 from fractions import Fraction as F
@@ -61,34 +65,89 @@ class TestShadow:
         assert shadow.shadow(a2, sub) == shadow.shadow(a2, sub)
 
 
-def _partition_invariants(rs, sd):
-    parts = [sd.I, sd.F, sd.plus, sd.minus]
-    assert frozenset().union(*parts) == frozenset(rs.all_roots)
-    assert sum(len(p) for p in parts) == len(rs.all_roots)
-    assert sd.I == {neg(a) for a in sd.I}
-    assert sd.F == {neg(a) for a in sd.F}
-    assert sd.minus == {neg(a) for a in sd.plus}
+PARTS = ("I", "F", "plus", "minus")
+
+
+def _part_masks(rs, sd):
+    """The masks of I, F, plus and minus, read from the JSON indices so that no vector is hashed."""
+    doc = sd.to_json()
+    return [rs.index_mask(doc[k]) for k in PARTS]
+
+
+def _check_invariants(rs, mask, sd):
+    """The four parts partition the roots, I and F are symmetric and minus = -plus, and
+    p_M = I + F + plus is a parabolic; a parabolic-type subset is its own Fernando-Kac subalgebra."""
+    I, F_, plus, minus = _part_masks(rs, sd)
+    assert I | F_ | plus | minus == rs.full_mask
+    assert sum(map(len, (sd.I, sd.F, sd.plus, sd.minus))) == len(rs.all_roots)
+    assert rs.negated(I) == I and rs.negated(F_) == F_ and rs.negated(plus) == minus
+    pm = I | F_ | plus
+    assert parabolic_pm(sd) == rs.roots_of(pm)
+    assert shadow.closed_mask(rs, pm) and pm | rs.negated(pm) == rs.full_mask
+    if _is_parabolic_type(rs, mask):
+        assert fernando_fk(sd) == rs.roots_of(mask)
+
+
+def _is_parabolic_type(rs, mask):
+    return mask | rs.negated(mask) == rs.full_mask
+
+
+@functools.cache
+def decompositions(key):
+    """(mask, shadow decomposition) for every closed subset of a type, in closed_masks order."""
+    rs = rootsys.build(*key)
+    return [(m, shadow.shadow(rs, RootSubalgebra(rs, m))) for m in shadow.closed_masks(rs)]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _free_decompositions():
+    # the cache holds thousands of decompositions; free them once this module is done
+    yield
+    decompositions.cache_clear()
+
+
+# every closed subset of these is decomposed; the non-simply-laced ones are those of the shadow bench
+EXHAUSTIVE = [("A", 2), ("C", 2), ("G", 2), ("B", 3), ("C", 3)]
+
+
+def _type_id(key):
+    return f"{key[0].lower()}{key[1]}"
 
 
 class TestShadowInvariantsExhaustive:
-    @pytest.mark.parametrize("fixture", ["a2", "c2"])
-    def test_partition_symmetry_and_parabolicity(self, fixture, request):
-        rs = request.getfixturevalue(fixture)
-        for roots in closed_subsets(rs):
-            sd = shadow.shadow(rs, RootSubalgebra(rs, roots))
-            _partition_invariants(rs, sd)
-            pm = parabolic_pm(sd)
-            assert shadow.is_closed(rs, pm)
-            assert pm | {neg(a) for a in pm} == frozenset(rs.all_roots)
+    @pytest.mark.parametrize("key", EXHAUSTIVE, ids=_type_id)
+    def test_partition_symmetry_and_parabolicity(self, key):
+        rs = rootsys.build(*key)
+        for mask, sd in decompositions(key):
+            _check_invariants(rs, mask, sd)
 
-    @pytest.mark.parametrize("fixture", ["a2", "c2"])
-    def test_parabolic_round_trip(self, fixture, request):
-        rs = request.getfixturevalue(fixture)
-        full = frozenset(rs.all_roots)
-        for roots in closed_subsets(rs):
-            if roots | {neg(a) for a in roots} == full:
-                sub = RootSubalgebra(rs, roots)
-                assert fernando_fk(shadow.shadow(rs, sub)) == roots
+    @pytest.mark.parametrize("key", EXHAUSTIVE, ids=_type_id)
+    def test_parabolic_round_trip(self, key):
+        rs = rootsys.build(*key)
+        parabolic = [(m, sd) for m, sd in decompositions(key) if _is_parabolic_type(rs, m)]
+        assert parabolic
+        for mask, sd in parabolic:
+            assert fernando_fk(sd) == rs.roots_of(mask) == frozenset(rs.all_roots[i] for i in bits(mask))
+
+    def test_d4_sample(self):
+        # 18,291 closed subsets: a fixed sample of them, and one of the parabolic ones,
+        # which a sample of all of them would seldom hit
+        d4 = rootsys.build("D", 4)
+        masks = list(shadow.closed_masks(d4))
+        assert len(masks) == 18291
+        rng = random.Random(4)
+        parabolic = [m for m in masks if _is_parabolic_type(d4, m)]
+        for mask in rng.sample(masks, 150) + rng.sample(parabolic, 40):
+            _check_invariants(d4, mask, shadow.shadow(d4, RootSubalgebra(d4, mask)))
+
+
+def test_shadow_json_pinned():
+    # SHA-256 of the canonical JSON list of every to_json() over the closed subsets of
+    # G2, B3 and C3 in closed_masks order, taken when every membership was decided by an LP
+    docs = [sd.to_json() for key in [("G", 2), ("B", 3), ("C", 3)] for _, sd in decompositions(key)]
+    assert len(docs) == 168 + 1785 + 1803
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "02b36ede24e936fa88f0c99ac2a9aac4a14fcce1b70a35cb4d0d5d3b0cffe27c"
 
 
 def reference_support_shape(sd, base_points, truncation_radius):
@@ -233,3 +292,49 @@ def test_doubled_rows_decide_membership_like_fraction_rows(key):
                 inside.add(root)
         sd = shadow.shadow(rs, RootSubalgebra(rs, mask))
         assert sd.I | sd.minus == inside
+
+
+def reference_inside(rs, mask):
+    """The mask of the roots in the cone over the complement of mask, by one
+    cone_member LP per root of mask: shadow's membership without its additive closure."""
+    gamma_mask = rs.full_mask & ~mask
+    gamma = [rs.doubled_roots[i] for i in bits(gamma_mask)]
+    inside = gamma_mask
+    for i in bits(mask):
+        if cone_member(rs.doubled_roots[i], gamma) is not None:
+            inside |= 1 << i
+    return inside
+
+
+def _assert_matches_lp_reference(rs, mask, sd):
+    inside = reference_inside(rs, mask)
+    neg_inside = rs.negated(inside)
+    want = [inside & neg_inside, rs.full_mask & ~(inside | neg_inside), neg_inside & ~inside, inside & ~neg_inside]
+    assert _part_masks(rs, sd) == want, (rs.series, rs.rank, bits(mask))
+
+
+class TestClosureAgreesWithLP:
+    @pytest.mark.parametrize("key", [("G", 2), ("B", 3), ("C", 3)], ids=_type_id)
+    def test_every_closed_subset(self, key):
+        rs = rootsys.build(*key)
+        for mask, sd in decompositions(key):
+            _assert_matches_lp_reference(rs, mask, sd)
+
+    @pytest.mark.parametrize("key", [("G", 2), ("C", 3)], ids=_type_id)
+    def test_lp_path_alone(self, key):
+        # no tested subset leaves a cone member outside the additive closure, so
+        # with an empty closure table every member comes from an LP
+        rs = dataclasses.replace(rootsys.build(*key))
+        rs.__dict__["sum_partners"] = ((),) * len(rs.all_roots)
+        for mask, _ in decompositions(key)[::7]:
+            _assert_matches_lp_reference(rs, mask, shadow.shadow(rs, RootSubalgebra(rs, mask)))
+
+    @pytest.mark.parametrize("key", [("D", 4), ("F", 4), ("A", 4)], ids=_type_id)
+    def test_seeded_closures(self, key):
+        rs = rootsys.build(*key)
+        rng = random.Random(11)
+        n = len(rs.all_roots)
+        masks = [rs.positive_mask, 0, rs.full_mask]
+        masks += [mask_closure(rs, rs.index_mask(rng.sample(range(n), rng.randint(1, 6)))) for _ in range(40)]
+        for mask in masks:
+            _assert_matches_lp_reference(rs, mask, shadow.shadow(rs, RootSubalgebra(rs, mask)))
