@@ -32,7 +32,8 @@ Vector = tuple[Fraction, ...]
 
 
 def vec(coords: Iterable) -> Vector:
-    return tuple(Fraction(c) for c in coords)
+    # a Fraction entry is kept as it is, so vec on a Vector converts nothing
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def vzero(dim: int) -> Vector:

@@ -257,15 +257,17 @@ def is_primal(
     if any(len(v) != rs.ambient_dim for v in toral):
         raise InputError(f"toral vectors must have dimension {rs.ambient_dim}")
     in_toral = _span_test(toral, rs.ambient_dim)
-    if not all(in_toral(rs.coroot(a)) for a in k_roots):
+    # the simple roots of k span its roots, and their coroots span its coroots
+    simple_k = [rs.all_roots[i] for i in _k_simple(rs, k)]
+    if not all(in_toral(rs.coroot(a)) for a in simple_k):
         raise InputError("toral part must contain the coroots of k_roots")
 
     # Cartan subspace of g = span of the simple roots (sum-zero for type A)
     hspan = rs.simple_roots
     # torus centralizing k_roots, computed in simple-root coordinates
     torus = hspan
-    if k_roots:
-        rows = [tuple(dot(b, ai) for ai in hspan) for b in sorted(k_roots)]
+    if simple_k:
+        rows = [tuple(dot(b, ai) for ai in hspan) for b in simple_k]
         torus = [
             tuple(sum(c * a[j] for c, a in zip(cs, hspan)) for j in range(rs.ambient_dim))
             for cs in nullspace(rows)

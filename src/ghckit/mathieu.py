@@ -10,14 +10,11 @@ realization bug, not bad input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import rootsys
 from .errors import InputError, InternalError, RegularIntegralCase
 from .exact import Vector, format_rational, parse_rational, vec
-
-_HALF = Fraction(1, 2)
 
 
 def cuspidal_exists(components: Sequence[tuple[str, int]]) -> bool:
@@ -31,10 +28,11 @@ def sp_bounded(x: Sequence) -> bool:
     """Bounded-multiplicity test for an infinite dimensional sp(2n) highest
     weight module: all entries in Z + 1/2, strictly decreasing down to the
     absolute value of the last."""
-    xs = [Fraction(c) for c in x]
+    xs = vec(x)
     if not xs:
         raise InputError("weight must have at least one entry")
-    if any((c - _HALF).denominator != 1 for c in xs):
+    # in lowest terms, Z + 1/2 is exactly the denominator 2
+    if any(c.denominator != 2 for c in xs):
         return False
     for a, b in zip(xs, xs[1:-1]):
         if not a > b:
@@ -47,7 +45,7 @@ def sp_bounded(x: Sequence) -> bool:
 def sp_equivalent(x: Sequence, y: Sequence) -> bool:
     """Two bounded weights head the same coherent family iff they agree
     except possibly for the sign of the last entry."""
-    xs, ys = [Fraction(c) for c in x], [Fraction(c) for c in y]
+    xs, ys = vec(x), vec(y)
     if not (sp_bounded(xs) and sp_bounded(ys)):
         raise InputError("both weights must satisfy the bounded-multiplicity test")
     return xs[:-1] == ys[:-1] and (xs[-1] == ys[-1] or xs[-1] == -ys[-1])
@@ -56,19 +54,19 @@ def sp_equivalent(x: Sequence, y: Sequence) -> bool:
 def sp_fiber_irreducible(eta: Sequence) -> bool:
     """Fiber irreducibility over the weight-lattice torus: reducible exactly
     when some coordinate falls in Z + 1/2."""
-    return all((Fraction(c) - _HALF).denominator != 1 for c in eta)
+    return all(c.denominator != 2 for c in vec(eta))
 
 
 def sp_degree(x: Sequence) -> int:
     """Degree of the coherent family headed by x, via the companion D_n."""
-    xs = [Fraction(c) for c in x]
+    xs = vec(x)
     if not sp_bounded(xs):
         raise InputError("weight fails the bounded-multiplicity test")
     n = len(xs)
     if n < 2:
         raise InputError("need rank >= 2 for the companion system")
     dn = rootsys.build("D", n)
-    shifted = vec(c + 1 for c in xs)
+    shifted = tuple(c + 1 for c in xs)
     dim = rootsys.weyl_dim(dn, shifted)
     d, rem = divmod(dim, 2 ** (n - 1))
     if rem:
@@ -86,21 +84,21 @@ def sl_degree(x: Sequence, full_weight: Optional[Sequence] = None) -> int:
     infinitesimal character, the degree is an alternating sum with no
     closed form at this granularity and RegularIntegralCase is raised.
     """
-    xs = [Fraction(c) for c in x]
+    xs = vec(x)
     n = len(xs)
     if n < 1:
         raise InputError("weight must have at least one entry")
     if full_weight is not None:
-        amb = [Fraction(c) for c in full_weight]
+        amb = vec(full_weight)
         an = rootsys.build("A", len(amb) - 1)
-        if rootsys.is_regular_integral(an, vec(amb)):
+        if rootsys.is_regular_integral(an, amb):
             raise RegularIntegralCase(
                 "regular integral infinitesimal character: degree is an alternating sum"
             )
     if n == 1:
         return 1
     an1 = rootsys.build("A", n - 1)
-    return rootsys.weyl_dim(an1, vec(xs))
+    return rootsys.weyl_dim(an1, xs)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,20 @@ distribution: the exponents are its dual partition, and the h-spectrum of
 the big nilradical is the multiset {2*height}.  Multiplicities of the
 sl(2)-types in the first derived-functor module come from a difference of
 two restricted partition counts.
+
+``PrincipalData.build`` runs once per RootSystem object and keeps the shared
+result on it, with read-only multisets; k-type series read one partition
+table per PrincipalData, grown by ``kperp_table``.  ``partition_P``,
+``a1_multiplicity`` and ``euler_rhs`` build their own tables on purpose: they
+are the independent counts that the series is checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 
 from .errors import InputError, InternalError
 from .exact import Vector, dot, format_rational, vadd, vscale, vsub
@@ -49,12 +56,18 @@ def exponents(rs: RootSystem) -> list[int]:
 class PrincipalData:
     rs: RootSystem
     h_element: Vector
+    h_norm: Fraction  # (h, h)
     exponents: tuple[int, ...]
-    nbar_multiset: dict
-    nbar_kperp_multiset: dict
+    nbar_multiset: MappingProxyType
+    nbar_kperp_multiset: MappingProxyType
+    _kperp_table: list = field(default_factory=list, repr=False, compare=False)
 
     @classmethod
     def build(cls, rs: RootSystem) -> "PrincipalData":
+        # built and checked once per RootSystem object and stored on it, as its
+        # cached tables are: an equal but distinct one gets its own, none is hashed
+        if "_principal" in vars(rs):
+            return vars(rs)["_principal"]
         if rs.rank < 2:
             raise InputError("principal sl(2) machinery needs rank >= 2")
         h = principal_h(rs)
@@ -68,16 +81,27 @@ class PrincipalData:
         exps = tuple(exponents(rs))
         if sum(2 * e + 1 for e in exps) != len(rs.all_roots) + rs.rank:
             raise InternalError("exponents do not add up to dim g")
-        return cls(
+        return vars(rs).setdefault("_principal", cls(
             rs=rs,
             h_element=h,
+            h_norm=dot(h, h),
             exponents=exps,
-            nbar_multiset=nbar,
-            nbar_kperp_multiset=kperp,
-        )
+            nbar_multiset=MappingProxyType(nbar),
+            nbar_kperp_multiset=MappingProxyType(kperp),
+        ))
 
     def lambda_h(self, lam: Vector) -> Fraction:
         return dot(lam, self.h_element)
+
+    def kperp_table(self, top: int) -> list[int]:
+        """The partition table of nbar_kperp_multiset through at least q^top; the
+        DP cannot grow in place, so a larger top rebuilds it at max(top, 2 * len).
+        A table is replaced, never changed, so a caller's stays whole under threads."""
+        table = self._kperp_table
+        if len(table) <= top:
+            table = _partition_table(self.nbar_kperp_multiset, max(top, 2 * len(table)))
+            object.__setattr__(self, "_kperp_table", table)
+        return table
 
 
 def _partition_table(multiset: dict, top: int) -> list[int]:
@@ -182,8 +206,8 @@ class KTypeSeries:
 
 
 def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
-    """a1_multiplicity for m = 0 .. max_m, read from one partition table up
-    to the largest target, max_m - lambda(h) + 2."""
+    """a1_multiplicity for m = 0 .. max_m, read from pd's k-perp partition
+    table, which reaches the largest target, max_m - lambda(h) + 2."""
     if max_m < 0:
         raise InputError("max_m must be nonnegative")
     if is_integral(pd.rs, lam):
@@ -193,7 +217,7 @@ def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
     entries = dict.fromkeys(range(max_m + 1), 0)
     if lh.denominator == 1:
         n = int(lh)
-        table = _partition_table(pd.nbar_kperp_multiset, max(0, max_m - n + 2))
+        table = pd.kperp_table(max(0, max_m - n + 2))
         for m in range(max_m + 1):
             val = _table_entry(table, m - n + 2) - _table_entry(table, -m - n)
             if val < 0:
@@ -210,9 +234,8 @@ def find_nonintegral_weight(pd: PrincipalData, target) -> Vector:
     to h by small odd-denominator steps.
     """
     rs = pd.rs
-    h = pd.h_element
     t = Fraction(target)
-    base = vscale(t / dot(h, h), h)
+    base = vscale(t / pd.h_norm, pd.h_element)
     if not is_integral(rs, base):
         return base
     # directions inside the simple-root span, orthogonal to h: h pairs to 2

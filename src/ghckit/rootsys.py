@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError
@@ -410,7 +411,7 @@ def weyl_dim(rs: RootSystem, lam: Vector) -> int:
     shifted = [int(p) + 1 for p in pairings]
     num = den = 1
     for d in rs.coroot_coords:
-        num *= _dot(d, shifted)
+        num *= sum(map(mul, d, shifted))
         den *= sum(d)
     dim, rem = divmod(num, den)
     if rem or dim <= 0:

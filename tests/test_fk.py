@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import ALL_TYPES, V, neg
@@ -244,6 +246,38 @@ class TestIsPrimal:
             want = primal_outcome(reference_is_primal, rs, k_roots, toral)
             assert primal_outcome(fk.is_primal, rs, k_roots, toral) == want
 
+    # sampled symmetric closed subsets per type: G2 has few, and E8's are slow in the reference
+    SAMPLES = {("A", 5): 20, ("B", 3): 20, ("C", 4): 20, ("D", 4): 20, ("E", 8): 6, ("F", 4): 20, ("G", 2): 8}
+
+    @pytest.mark.parametrize("key", sorted(SAMPLES))
+    def test_simple_root_torus_matches_all_roots(self, key, monkeypatch):
+        # is_primal builds the centralizing torus from the rows of the simple
+        # roots of k; the rows of all the roots of k, as the reference takes
+        # them, span the same space, so the reduced form and the basis agree
+        rs = rootsys.build(*key)
+        rng = random.Random(9)
+        masks = {rs.full_mask}
+        while len(masks) < self.SAMPLES[key]:
+            start = rs.index_mask(rng.sample(range(len(rs.all_roots)), rng.randint(1, 3)))
+            start |= rs.negated(start)
+            masks.add(shadow._close(rs, start, bits(start)))
+        bases = []
+        monkeypatch.setattr(fk, "nullspace", lambda rows: bases.append(nullspace(rows)) or bases[-1])
+        for mask in sorted(masks):
+            k_roots = rs.roots_of(mask)
+            bases.clear()
+            coroots = [rs.coroot(rs.all_roots[i]) for i in fk._k_simple(rs, mask)]
+            fk.is_primal(rs, k_roots, list(rs.simple_roots))
+            torus = nullspace([tuple(dot(b, a) for a in rs.simple_roots) for b in sorted(k_roots)])
+            assert bases == [torus]
+            # the verdict and the error text, with the torus check failing and passing
+            ambient = [
+                tuple(sum(c * a[j] for c, a in zip(cs, rs.simple_roots)) for j in range(rs.ambient_dim))
+                for cs in torus
+            ]
+            for toral in (list(rs.simple_roots), list(rs.simple_roots)[1:], coroots, coroots + ambient):
+                want = primal_outcome(reference_is_primal, rs, k_roots, toral)
+                assert primal_outcome(fk.is_primal, rs, k_roots, toral) == want
 
     def test_full_cartan_always_primal(self, a2, a3, c2):
         for rs in (a2, a3, c2):

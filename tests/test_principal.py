@@ -1,3 +1,7 @@
+import dataclasses
+import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -6,7 +10,15 @@ import pytest
 from ghckit import principal, rootsys
 from ghckit.errors import InputError, InternalError
 from ghckit.exact import dot, nullspace, solve_linear, vadd, vscale, vzero
-from ghckit.principal import PrincipalData, a1_multiplicity, euler_rhs, exponents, partition_P
+from ghckit.principal import (
+    PrincipalData,
+    _partition_table,
+    _table_entry,
+    a1_multiplicity,
+    euler_rhs,
+    exponents,
+    partition_P,
+)
 
 F = Fraction
 
@@ -294,3 +306,95 @@ def test_ktype_series_matches_a1_multiplicity(key):
 def test_ktype_series_integral_lambda_rejected(a2):
     with pytest.raises(InputError):
         principal.ktype_series(PrincipalData.build(a2), (F(1), F(0), F(-1)), 3)
+
+
+class TestBuildCache:
+    def test_same_object_twice(self):
+        rs = rootsys.build("F", 4)
+        assert PrincipalData.build(rs) is PrincipalData.build(rs)
+
+    def test_build_stays_a_classmethod(self):
+        # the benchmark's tracer wraps it in the class __dict__
+        assert isinstance(PrincipalData.__dict__["build"], classmethod)
+
+    def test_equal_copy_gets_its_own(self):
+        rs = rootsys.build("B", 3)
+        copy = dataclasses.replace(rs)
+        pd = PrincipalData.build(copy)
+        assert copy == rs and copy is not rs
+        assert pd is not PrincipalData.build(rs) and pd.rs is copy
+        assert PrincipalData.build(copy) is pd
+        assert pd == PrincipalData.build(rs)
+
+    def test_multisets_read_only(self):
+        pd = _pd("A", 3)
+        for ms in (pd.nbar_multiset, pd.nbar_kperp_multiset):
+            with pytest.raises(TypeError):
+                ms[2] = 5
+            with pytest.raises(TypeError):
+                del ms[2]
+        assert pd.nbar_multiset == {2: 3, 4: 2, 6: 1}
+
+
+def fresh_series(pd, n, max_m):
+    """The k-type series entries at lambda(h) = n, from a partition table built for them alone."""
+    table = _partition_table(pd.nbar_kperp_multiset, max(0, max_m - n + 2))
+    return {m: _table_entry(table, m - n + 2) - _table_entry(table, -m - n) for m in range(max_m + 1)}
+
+
+# tops of the k-perp table (max_m - lambda(h) + 2) in call order: they rise, fall
+# and rise to 100, where twice the length (142) exceeds the top, so that 120 is
+# then read from the part built beyond what was asked
+GROWING_TOPS = [10, 30, 5, 25, 70, 100, 120, 0, 64]
+
+
+@pytest.mark.parametrize("key", RANK2_TYPES)
+def test_growing_table_matches_fresh_tables(key):
+    # a copy of the cached RootSystem starts with no table of its own
+    pd = PrincipalData.build(dataclasses.replace(rootsys.build(*key)))
+    rng = random.Random(5)
+    for top in GROWING_TOPS:
+        n = rng.randint(-3, 12)
+        max_m = max(0, top + n - 2)
+        lam = principal.find_nonintegral_weight(pd, n)
+        series = principal.ktype_series(pd, lam, max_m)
+        assert series.entries == fresh_series(pd, n, max_m)
+        for m in rng.sample(range(max_m + 1), min(3, max_m + 1)):
+            assert series.entries[m] == a1_multiplicity(pd, m, lam)
+    assert len(pd.kperp_table(0)) == 143
+
+
+def test_shared_table_under_threads():
+    # threads walk the same fresh PrincipalData objects in step, asking for tops
+    # that rise and fall; a table shortened or changed under a reader breaks a series
+    base = rootsys.build("F", 4)
+    pds = [PrincipalData.build(dataclasses.replace(base)) for _ in range(40)]
+    # a table is replaced, never changed, so one a reader holds stays as it was
+    held = pds[0].kperp_table(10)
+    assert pds[0].kperp_table(100) is not held and held == _partition_table(pds[0].nbar_kperp_multiset, 10)
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for pd in pds:
+                for _ in range(3):
+                    n, max_m = rng.randint(-3, 12), rng.randint(0, 300)
+                    lam = principal.find_nonintegral_weight(pd, n)
+                    if principal.ktype_series(pd, lam, max_m).entries != fresh_series(pd, n, max_m):
+                        errors.append(f"seed {seed}: wrong series at max_m={max_m}, lambda(h)={n}")
+        except Exception as e:  # an IndexError from a table cut short under the reader
+            errors.append(f"seed {seed}: {e!r}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
