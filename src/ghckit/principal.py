@@ -16,7 +16,7 @@ are the independent counts that the series is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
@@ -60,7 +60,6 @@ class PrincipalData:
     exponents: tuple[int, ...]
     nbar_multiset: MappingProxyType
     nbar_kperp_multiset: MappingProxyType
-    _kperp_table: list = field(default_factory=list, repr=False, compare=False)
 
     @classmethod
     def build(cls, rs: RootSystem) -> "PrincipalData":
@@ -94,13 +93,12 @@ class PrincipalData:
         return dot(lam, self.h_element)
 
     def kperp_table(self, top: int) -> list[int]:
-        """The partition table of nbar_kperp_multiset through at least q^top; the
-        DP cannot grow in place, so a larger top rebuilds it at max(top, 2 * len).
+        """The partition table of nbar_kperp_multiset through at least q^top, kept
+        on the object; the DP cannot grow in place, so a larger top rebuilds it.
         A table is replaced, never changed, so a caller's stays whole under threads."""
-        table = self._kperp_table
+        table = vars(self).get("_kperp_table", [])
         if len(table) <= top:
-            table = _partition_table(self.nbar_kperp_multiset, max(top, 2 * len(table)))
-            object.__setattr__(self, "_kperp_table", table)
+            table = vars(self)["_kperp_table"] = _partition_table(self.nbar_kperp_multiset, top)
         return table
 
 

@@ -246,8 +246,9 @@ class TestIsPrimal:
             want = primal_outcome(reference_is_primal, rs, k_roots, toral)
             assert primal_outcome(fk.is_primal, rs, k_roots, toral) == want
 
-    # sampled symmetric closed subsets per type: G2 has few, and E8's are slow in the reference
-    SAMPLES = {("A", 5): 20, ("B", 3): 20, ("C", 4): 20, ("D", 4): 20, ("E", 8): 6, ("F", 4): 20, ("G", 2): 8}
+    # sampled symmetric closed subsets per type, with the full system: G2 has few,
+    # and E8's are slow in the reference
+    SAMPLES = {("A", 5): 10, ("B", 3): 10, ("C", 4): 10, ("D", 4): 10, ("E", 8): 3, ("F", 4): 10, ("G", 2): 8}
 
     @pytest.mark.parametrize("key", sorted(SAMPLES))
     def test_simple_root_torus_matches_all_roots(self, key, monkeypatch):
@@ -270,6 +271,8 @@ class TestIsPrimal:
             fk.is_primal(rs, k_roots, list(rs.simple_roots))
             torus = nullspace([tuple(dot(b, a) for a in rs.simple_roots) for b in sorted(k_roots)])
             assert bases == [torus]
+            if mask == rs.full_mask:
+                continue  # the verdicts on the full system are in test_matches_reference
             # the verdict and the error text, with the torus check failing and passing
             ambient = [
                 tuple(sum(c * a[j] for c, a in zip(cs, rs.simple_roots)) for j in range(rs.ambient_dim))
