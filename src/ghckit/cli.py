@@ -124,6 +124,8 @@ def _cmd_primal_test(rs: rootsys.RootSystem, k_roots: list[int], toral) -> dict:
 
 
 def _cmd_mathieu(x, eta, equiv) -> dict:
+    if eta is not None and len(eta) != len(x):
+        raise InputError("eta dimension does not match x")
     doc: dict = {"bounded": mathieu.sp_bounded(x)}
     if doc["bounded"]:
         doc.update(mathieu.CoherentFamilyDescriptor.from_weight(x).to_json())

@@ -12,6 +12,10 @@ stable under this choice iff it is constant on Weyl orbits, which
 ``tests/test_symmetry.py`` checks on A3 and A4.  Root subsets are bitmasks,
 as in ``shadow``: the reductive part of l is ``l & negated(l)``, and the
 simple roots of k and the singular weights are sum-table lookups.
+
+Type recognition splits k into components on the integer ``doubled_roots``
+and reads each one's type off its rank, number of roots and number of long
+roots, checked against ``rootsys.root_count``.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, InternalError, UnsupportedTypeError
 from .exact import ConeWitness, Vector, _rref, cones_intersect_trivially, dot, nullspace
-from .rootsys import LOW_RANK_ALIASES, RootSystem, _simple_roots, bits, cartan_of
+from .rootsys import LOW_RANK_ALIASES, RootSystem, _dot, bits, root_count
 from .shadow import RootSubalgebra, closed_mask
 
 
@@ -150,51 +155,6 @@ def theorem6_solvable_finite_type(rs: RootSystem, l: RootSubalgebra) -> bool:
 # subsystem type recognition
 
 
-def _candidates(rank: int) -> list[tuple[str, int]]:
-    # canonical names only: the low-rank coincidences are reported under the
-    # names that LOW_RANK_ALIASES maps them to
-    cands = [("A", rank), ("B", rank), ("C", rank)]
-    if rank >= 3:
-        cands.append(("D", rank))
-    if rank == 2:
-        cands.append(("G", 2))
-    if rank == 4:
-        cands.append(("F", 4))
-    if rank in (6, 7, 8):
-        cands.append(("E", rank))
-    return [c for c in cands if c not in LOW_RANK_ALIASES]
-
-
-def _matrices_match(a, b) -> bool:
-    n = len(a)
-    if len(b) != n:
-        return False
-
-    def rec(perm: list[int], used: set[int]) -> bool:
-        i = len(perm)
-        if i == n:
-            return True
-        for j in range(n):
-            if j in used:
-                continue
-            if a[i][i] != b[j][j]:
-                continue
-            ok = all(
-                a[i][k2] == b[j][perm[k2]] and a[k2][i] == b[perm[k2]][j]
-                for k2 in range(i)
-            )
-            if ok:
-                perm.append(j)
-                used.add(j)
-                if rec(perm, used):
-                    return True
-                perm.pop()
-                used.remove(j)
-        return False
-
-    return rec([], set())
-
-
 def recognize_type(rs: RootSystem, subset: frozenset[Vector]) -> list[tuple[str, int]]:
     """Identify the simple components of a symmetric closed root subset,
     sorted lexicographically.  Rank-2 BC systems normalize to C2."""
@@ -202,26 +162,41 @@ def recognize_type(rs: RootSystem, subset: frozenset[Vector]) -> list[tuple[str,
 
 
 def _components(rs: RootSystem, mask: int) -> list[tuple[str, int]]:
-    # split the simple system into connected components by non-orthogonality:
+    d = rs.doubled_roots
+    # split the simple roots into connected components by non-orthogonality:
     # each simple root joins every component it is not orthogonal to
-    comps: list[list[Vector]] = []
-    for r in (rs.all_roots[i] for i in _k_simple(rs, mask)):
-        joined = [r]
-        for comp in [c for c in comps if any(dot(r, x) != 0 for x in c)]:
+    comps: list[list[int]] = []
+    for a in _k_simple(rs, mask):
+        joined = [a]
+        for comp in [c for c in comps if any(_dot(d[a], d[b]) for b in c)]:
             comps.remove(comp)
             joined += comp
         comps.append(joined)
-    out = []
-    for comp in comps:
-        cm = cartan_of(comp)
-        hit = next(
-            (c for c in _candidates(len(comp)) if _matrices_match(cm, cartan_of(_simple_roots(*c)[0]))),
-            None,
-        )
-        if hit is None:
-            raise InternalError(f"unrecognized Cartan matrix {cm}")
-        out.append(hit)
-    return sorted(out)
+    # a root of k is in the span of one component, whose simple roots are a basis of that span, so
+    # being nonzero it pairs nonzero with one of them; every other component is orthogonal to it
+    norms: list[list[int]] = [[] for _ in comps]
+    for i in bits(mask):
+        j = next(j for j, comp in enumerate(comps) if any(_dot(d[i], d[b]) for b in comp))
+        norms[j].append(_dot(d[i], d[i]))
+    return sorted(_simple_type(len(c), len(n), n.count(max(n))) for c, n in zip(comps, norms))
+
+
+def _simple_type(rank: int, roots: int, long_roots: int) -> tuple[str, int]:
+    """The simple type with this rank, number of roots and number of long roots
+    (roots of maximal length), under the name ``LOW_RANK_ALIASES`` reports."""
+    if long_roots == roots:
+        # one root length: A, D and E differ in size
+        series = next((s for s in "ADE" if root_count(s, rank) == roots), None)
+    elif roots in (12, 48) and 2 * long_roots == roots:
+        # the two-length exceptional systems, half of their roots long
+        series = "G" if roots == 12 else "F"
+    else:
+        # B_n has 2n(n-1) long roots and C_n has 2n; at n = 2 both have 4, and B2 is reported as C2
+        series = {2 * rank * (rank - 1): "B", 2 * rank: "C"}.get(long_roots)
+    name = LOW_RANK_ALIASES.get((series, rank), (series, rank))
+    if series is None or root_count(*name) != roots:
+        raise InternalError(f"no simple type of rank {rank} has {roots} roots, {long_roots} of them long")
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +250,13 @@ def is_primal(
     # C(k) = Z(k) needs the centralizing torus inside the toral part ...
     if not all(map(in_toral, torus)):
         return False
-    # ... and no root space commuting with all of k
+    # ... and no root space commuting with all of k.  The toral vectors times their common
+    # denominator are integer rows, each pairing with a root nonzero iff the vector does.
+    den = lcm(*(x.denominator for t in toral for x in t))
+    toral_rows = [tuple(x.numerator * (den // x.denominator) for x in t) for t in toral]
     negated_k = rs.negated(k)
     for g, row in enumerate(rs.sum_table):
-        if any(dot(rs.all_roots[g], t) != 0 for t in toral):
+        if any(_dot(rs.doubled_roots[g], t) for t in toral_rows):
             continue
         # -g is not in k, and g + b is not a root for any b in k
         if not negated_k >> g & 1 and all(row[b] < 0 for b in bits(k)):

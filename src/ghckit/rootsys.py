@@ -4,6 +4,7 @@ Classical series are realized in the usual coordinate ambients (A_n inside
 an (n+1)-dimensional space with sum-zero roots, C_n with simple roots
 e1-e2, ..., e_{n-1}-e_n, 2e_n); exceptional types use the standard
 coordinate simple roots and everything is generated by reflection closure.
+``root_count`` reads the one table of simple types and their root counts.
 
 The reflection closure runs on integer simple-root coordinates, and
 ``RootSystem.sum_table`` adds roots by their index in the canonical order
@@ -46,15 +47,16 @@ DEFAULT_MAX_RANK = 8
 # about 0.9 s (Python 3.11, one core of a 2-core x86-64 VM), and D48 already takes 3 s
 MAX_RANK_CEILING = 32
 
-# classical root counts, used as a construction-time sanity check
-_COUNTS = {
-    "A": lambda n: n * (n + 1),
-    "B": lambda n: 2 * n * n,
-    "C": lambda n: 2 * n * n,
-    "D": lambda n: 2 * n * (n - 1),
-    "E": {6: 72, 7: 126, 8: 240},
-    "F": {4: 48},
-    "G": {2: 12},
+# the simple types and their numbers of roots: a classical series counts its roots by
+# a formula from its least rank on, an exceptional one lists its ranks; root_count reads it
+_ROOT_COUNTS = {
+    "A": lambda n: n * (n + 1) if n >= 1 else None,
+    "B": lambda n: 2 * n * n if n >= 1 else None,
+    "C": lambda n: 2 * n * n if n >= 1 else None,
+    "D": lambda n: 2 * n * (n - 1) if n >= 2 else None,
+    "E": {6: 72, 7: 126, 8: 240}.get,
+    "F": {4: 48}.get,
+    "G": {2: 12}.get,
 }
 
 # low-rank coincidences, each mapped to the one name the library reports:
@@ -101,18 +103,12 @@ def _simple_roots(series: str, rank: int) -> tuple[list[Vector], int]:
     if series == "A":
         dim = n + 1
         return [vsub(_e(i, dim), _e(i + 1, dim)) for i in range(n)], dim
-    if series == "B":
+    if series in ("B", "C", "D"):
+        # e1-e2, ..., e_{n-1}-e_n, then e_n (B), 2e_n (C) or e_{n-1}+e_n (D)
         sr = [vsub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)]
-        sr.append(_e(n - 1, n))
-        return sr, n
-    if series == "C":
-        sr = [vsub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)]
-        sr.append(vscale(2, _e(n - 1, n)))
-        return sr, n
-    if series == "D":
-        sr = [vsub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)]
-        sr.append(vadd(_e(n - 2, n), _e(n - 1, n)))
-        return sr, n
+        if series == "D":
+            return sr + [vadd(_e(n - 2, n), _e(n - 1, n))], n
+        return sr + [vscale(1 if series == "B" else 2, _e(n - 1, n))], n
     if series == "G":
         return [(_F(1), _F(-1), _F(0)), (_F(-2), _F(1), _F(1))], 3
     if series == "F":
@@ -130,27 +126,11 @@ def _simple_roots(series: str, rank: int) -> tuple[list[Vector], int]:
     raise InputError(f"unknown series {series!r}")
 
 
-def _validate(series: str, rank: int) -> None:
-    ok = (
-        (series == "A" and rank >= 1)
-        or (series == "B" and rank >= 1)
-        or (series == "C" and rank >= 1)
-        or (series == "D" and rank >= 2)
-        or (series == "E" and rank in (6, 7, 8))
-        or (series == "F" and rank == 4)
-        or (series == "G" and rank == 2)
-    )
-    if not ok:
-        raise InputError(f"invalid simple type ({series},{rank})")
-    cap = max_rank()
-    if rank > cap:
-        raise InputError(f"rank {rank} exceeds the configured bound {cap}")
-
-
-def cartan_of(simple: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix of a list of simple roots: entry (i, j) is <a_i, a_j^vee>."""
-    gram = [[dot(a, b) for b in simple] for a in simple]
-    return tuple(tuple(int(2 * g / gram[j][j]) for j, g in enumerate(row)) for row in gram)
+def root_count(series: str, rank: int) -> int | None:
+    """The number of roots of the simple type (series, rank), or None when there is no such type."""
+    # a series that is not a string names no type, and one such as a list cannot be hashed
+    count = _ROOT_COUNTS.get(series) if isinstance(series, str) else None
+    return count(rank) if count else None
 
 
 @dataclass(frozen=True)
@@ -298,14 +278,21 @@ def build(series: str, rank: int) -> RootSystem:
     then the negatives in the matching order; this ordering backs the root
     indices used on all JSON surfaces.
     """
-    _validate(series, rank)
+    if root_count(series, rank) is None:
+        raise InputError(f"invalid simple type ({series},{rank})")
+    cap = max_rank()
+    if rank > cap:
+        raise InputError(f"rank {rank} exceeds the configured bound {cap}")
     return _construct(series, rank)
 
 
 @lru_cache(maxsize=None)
 def _construct(series: str, rank: int) -> RootSystem:
     simple, dim = _simple_roots(series, rank)
-    cartan = cartan_of(simple)
+    # epsilon-coordinates, doubled so that they are integers; the Cartan entry
+    # <a_i, a_j^vee> = 2(a_i, a_j)/(a_j, a_j) is the same ratio on doubled roots
+    doubled = [_doubled(a) for a in simple]
+    cartan = tuple(tuple(2 * _dot(a, b) // _dot(b, b) for b in doubled) for a in doubled)
     # reflection closure on integer simple-root coordinates c:
     # s_i(b) = b - <b, a_i^vee> a_i, with <b, a_i^vee> = sum_j c_j cartan[j][i]
     units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
@@ -323,9 +310,7 @@ def _construct(series: str, rank: int) -> RootSystem:
                         nxt.append(refl)
         frontier = nxt
 
-    # epsilon-coordinates, doubled so that they are integers; sorting on them
-    # orders roots as their Fraction coordinates do
-    doubled = [_doubled(a) for a in simple]
+    # sorting on doubled epsilon-coordinates orders roots as their Fraction coordinates do
     positive = sorted(
         (sum(c), tuple(sum(cj * a[k] for cj, a in zip(c, doubled)) for k in range(dim)), c)
         for c in seen
@@ -336,8 +321,7 @@ def _construct(series: str, rank: int) -> RootSystem:
     coords = tuple(c for _, _, c in positive)
     coords += tuple(tuple(-x for x in c) for c in coords)
 
-    expected = _COUNTS[series]
-    count = expected(rank) if callable(expected) else expected[rank]
+    count = root_count(series, rank)
     if len(all_roots) != count:
         raise InternalError(
             f"{series}{rank}: generated {len(all_roots)} roots, expected {count}"

@@ -149,6 +149,8 @@ def support_shape(
     if truncation_radius < 0:
         raise InputError("truncation radius must be nonnegative")
     rs = sd.rs
+    if any(len(b) != rs.ambient_dim for b in base_points):
+        raise InputError(f"base points must have dimension {rs.ambient_dim}")
     # the shifts are doubled, so that they are integer tuples: roots lie in Z/2
     gamma = [rs.doubled_roots[rs.root_index(g)] for g in sd.gamma_generators]
     zero = (0,) * rs.ambient_dim

@@ -64,6 +64,12 @@ class TestRun:
         assert doc["fiber_irreducible"] is True
         assert doc["equivalent"] is True
 
+    @pytest.mark.parametrize("eta", ["0", ""])
+    def test_mathieu_eta_of_the_wrong_length(self, eta):
+        proc = invoke(["mathieu", "--x", "3/2,1/2", "--eta", eta])
+        assert proc.returncode == EXIT_INPUT and not proc.stdout
+        assert json.loads(proc.stderr) == {"code": EXIT_INPUT, "error": "eta dimension does not match x"}
+
     def test_mathieu_unbounded(self):
         doc, code = run({"command": "mathieu", "parameters": {"x": "1,0"}})
         assert code == EXIT_OK

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import ALL_TYPES, V, neg
 from ghckit import fk, rootsys, shadow
-from ghckit.errors import InputError, UnsupportedTypeError
+from ghckit.errors import InputError, InternalError, UnsupportedTypeError
 from ghckit.exact import dot, is_zero, nullspace, solve_linear
 from ghckit.rootsys import bits
 from ghckit.shadow import RootSubalgebra, closed_subsets
@@ -12,6 +12,9 @@ from ghckit.shadow import RootSubalgebra, closed_subsets
 A1 = V(1, -1, 0)
 A2_ = V(0, 1, -1)
 A12 = V(1, 0, -1)
+
+# the types whose symmetric closed subsets are all enumerated
+SMALL_TYPES = [("G", 2), ("B", 3), ("C", 3), ("A", 4), ("D", 4)]
 
 
 def make(rs, roots):
@@ -182,6 +185,153 @@ class TestRecognizeType:
         e = [V(1, -1, 0, 0), V(0, 0, 1, -1)]
         sub = frozenset(e) | frozenset(neg(a) for a in e)
         assert fk.recognize_type(a3, sub) == [("A", 1), ("A", 1)]
+
+
+def reference_cartan(simple):
+    """The Cartan matrix of a list of simple roots, in Fraction arithmetic."""
+    gram = [[dot(a, b) for b in simple] for a in simple]
+    return tuple(tuple(int(2 * g / gram[j][j]) for j, g in enumerate(row)) for row in gram)
+
+
+def reference_candidates(rank):
+    """Every simple type of this rank under its canonical name (see LOW_RANK_ALIASES)."""
+    cands = [("A", rank), ("B", rank), ("C", rank)]
+    if rank >= 3:
+        cands.append(("D", rank))
+    if rank == 2:
+        cands.append(("G", 2))
+    if rank == 4:
+        cands.append(("F", 4))
+    if rank in (6, 7, 8):
+        cands.append(("E", rank))
+    return [c for c in cands if c not in rootsys.LOW_RANK_ALIASES]
+
+
+def reference_matrices_match(a, b):
+    """True iff the Cartan matrices a and b agree up to a permutation of the simple roots."""
+    n = len(a)
+    if len(b) != n:
+        return False
+
+    def rec(perm, used):
+        i = len(perm)
+        if i == n:
+            return True
+        for j in range(n):
+            if j in used or a[i][i] != b[j][j]:
+                continue
+            if all(a[i][k] == b[j][perm[k]] and a[k][i] == b[perm[k]][j] for k in range(i)):
+                perm.append(j)
+                used.add(j)
+                if rec(perm, used):
+                    return True
+                perm.pop()
+                used.remove(j)
+        return False
+
+    return rec([], set())
+
+
+def reference_components(rs, mask):
+    """Component types as they were found before the root-count lookup: a Cartan-matrix
+    isomorphism test against every simple type of the component's rank."""
+    comps = []
+    for r in (rs.all_roots[i] for i in fk._k_simple(rs, mask)):
+        joined = [r]
+        for comp in [c for c in comps if any(dot(r, x) != 0 for x in c)]:
+            comps.remove(comp)
+            joined += comp
+        comps.append(joined)
+    out = []
+    for comp in comps:
+        cm = reference_cartan(comp)
+        out.append(next(
+            c for c in reference_candidates(len(comp))
+            if reference_matrices_match(cm, reference_cartan(rootsys._simple_roots(*c)[0]))
+        ))
+    return sorted(out)
+
+
+def symmetric_closed_masks(rs):
+    """Every symmetric closed subset: each is reached from a smaller one by closing it with one more pair +-a."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        grown = []
+        for m in frontier:
+            for i in bits(rs.positive_mask & ~m):
+                pair = [i, i + len(rs.positive_roots)]
+                c = shadow._close(rs, m | 1 << pair[0] | 1 << pair[1], pair)
+                if c not in seen:
+                    seen.add(c)
+                    grown.append(c)
+        frontier = grown
+    return sorted(seen)
+
+
+def levi_masks(rs, drop_sizes=None):
+    """The Levi subsystem of each set of simple roots, or of those that leave out drop_sizes of them."""
+    out = []
+    for chosen in range(1 << rs.rank):
+        if drop_sizes is None or rs.rank - bin(chosen).count("1") in drop_sizes:
+            out.append(rs.index_mask(
+                i for i, a in enumerate(rs.all_roots) if all(chosen >> j & 1 for j, c in enumerate(rs.simple_coordinates(a)) if c)
+            ))
+    return out
+
+
+def seeded_symmetric_closures(rs, count, seed):
+    rng = random.Random(seed)
+    masks = []
+    for _ in range(count):
+        start = rs.index_mask(rng.sample(range(len(rs.all_roots)), rng.randint(1, 4)))
+        start |= rs.negated(start)
+        masks.append(shadow._close(rs, start, bits(start)))
+    return masks
+
+
+def type_id(key):
+    return f"{key[0]}{key[1]}"
+
+
+def assert_components_match(rs, masks):
+    for mask in masks:
+        assert fk._components(rs, mask) == reference_components(rs, mask), (rs.series, rs.rank, mask)
+
+
+class TestRecognizeTypeAgainstReference:
+    """The root-count lookup against the Cartan-matrix matcher it replaced."""
+
+    def test_full_systems(self):
+        for key in ALL_TYPES:
+            rs = rootsys.build(*key)
+            assert fk.recognize_type(rs, frozenset(rs.all_roots)) == reference_components(rs, rs.full_mask)
+
+    def test_every_symmetric_closed_subset(self):
+        masks = {key: symmetric_closed_masks(rootsys.build(*key)) for key in SMALL_TYPES}
+        assert sum(map(len, masks.values())) == 201
+        for key, ms in masks.items():
+            assert_components_match(rootsys.build(*key), ms)
+
+    @pytest.mark.parametrize("key", [key for key in ALL_TYPES if key[1] <= 6], ids=type_id)
+    def test_every_levi(self, key):
+        rs = rootsys.build(*key)
+        assert_components_match(rs, levi_masks(rs))
+
+    @pytest.mark.parametrize("key", [("F", 4), ("E", 6), ("E", 7), ("E", 8), ("B", 8), ("C", 8), ("D", 8)], ids=type_id)
+    def test_seeded_closures(self, key):
+        rs = rootsys.build(*key)
+        assert_components_match(rs, seeded_symmetric_closures(rs, 40, seed=10))
+
+    def test_rank_10_full_systems_and_maximal_levis(self, monkeypatch):
+        monkeypatch.setenv("GHC_MAX_RANK", "10")
+        for series in "BCD":
+            rs = rootsys.build(series, 10)
+            assert_components_match(rs, [rs.full_mask] + levi_masks(rs, drop_sizes={1}))
+
+    @pytest.mark.parametrize("triple", [(3, 18, 7), (4, 10, 10), (2, 12, 5), (4, 48, 12), (1, 4, 2)])
+    def test_impossible_triple(self, triple):
+        with pytest.raises(InternalError):
+            fk._simple_type(*triple)
 
 
 def reference_in_span(v, gens):

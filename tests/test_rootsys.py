@@ -52,6 +52,37 @@ def test_sum_table_matches_vector_sums(key):
             assert rs.sum_table[i][j] == (rs.root_index(s) if rs.is_root(s) else -1)
 
 
+def reference_validate(series, rank):
+    """build's accept-or-reject answer as it was before the one table of simple types."""
+    ok = (
+        (series == "A" and rank >= 1)
+        or (series == "B" and rank >= 1)
+        or (series == "C" and rank >= 1)
+        or (series == "D" and rank >= 2)
+        or (series == "E" and rank in (6, 7, 8))
+        or (series == "F" and rank == 4)
+        or (series == "G" and rank == 2)
+    )
+    if not ok:
+        return f"invalid simple type ({series},{rank})"
+    if rank > rootsys.max_rank():
+        return f"rank {rank} exceeds the configured bound {rootsys.max_rank()}"
+    return None
+
+
+def test_build_accepts_what_the_reference_accepts():
+    for series in [*"ABCDEFG", "", "AB", "a", None, ["A"]]:
+        for rank in range(10):
+            want = reference_validate(series, rank)
+            try:
+                rs = rootsys.build(series, rank)
+            except InputError as e:
+                assert str(e) == want, (series, rank)
+            else:
+                assert want is None, (series, rank)
+                assert len(rs.all_roots) == rootsys.root_count(series, rank)
+
+
 def test_invalid_types():
     for series, rank in [("A", 0), ("D", 1), ("E", 5), ("F", 3), ("G", 3), ("H", 2)]:
         with pytest.raises(InputError):

@@ -194,6 +194,12 @@ class TestSupportShape:
             for radius in range(5):
                 assert support_shape(sd, base, radius) == reference_support_shape(sd, base, radius)
 
+    def test_base_point_of_the_wrong_dimension(self):
+        a2 = rootsys.build("A", 2)
+        sd = shadow.shadow(a2, make(a2, []))
+        with pytest.raises(InputError, match="dimension 3"):
+            support_shape(sd, (V(0, 0, 0), V(0, 0)), 1)
+
     def test_oversized_radius_fails_fast(self):
         a4 = rootsys.build("A", 4)
         sd = shadow.shadow(a4, make(a4, []))
