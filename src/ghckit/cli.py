@@ -99,16 +99,16 @@ def _cmd_exponents(rs: rootsys.RootSystem) -> dict:
 def _cmd_shadow(rs: rootsys.RootSystem, subalgebra: list[int]) -> dict:
     sd = shadow.shadow(rs, shadow.RootSubalgebra.from_indices(rs, subalgebra))
     doc = sd.to_json()
-    doc["p_M"] = sorted(rs.root_index(a) for a in shadow.parabolic_pm(sd))
-    doc["fernando_fk"] = sorted(rs.root_index(a) for a in shadow.fernando_fk(sd))
+    doc["p_M"] = rootsys.bits(sd.pm_mask)
+    doc["fernando_fk"] = rootsys.bits(sd.fernando_fk_mask)
     return doc
 
 
 def _cmd_fk_test(rs: rootsys.RootSystem, subalgebra: list[int]) -> dict:
     verdict = fk.theorem8_finite_type(rs, shadow.RootSubalgebra.from_indices(rs, subalgebra))
     doc = verdict.to_json()
-    doc["singular_weights_g_mod_l"] = sorted(map(rs.root_index, verdict.singular_g_mod_l.singular_weights))
-    doc["singular_weights_n"] = sorted(map(rs.root_index, verdict.singular_n.singular_weights))
+    doc["singular_weights_g_mod_l"] = rootsys.bits(verdict.singular_g_mod_l.mask)
+    doc["singular_weights_n"] = rootsys.bits(verdict.singular_n.mask)
     return doc
 
 
@@ -124,8 +124,9 @@ def _cmd_primal_test(rs: rootsys.RootSystem, k_roots: list[int], toral) -> dict:
 
 
 def _cmd_mathieu(x, eta, equiv) -> dict:
-    if eta is not None and len(eta) != len(x):
-        raise InputError("eta dimension does not match x")
+    for name, other in (("eta", eta), ("equiv", equiv)):
+        if other is not None and len(other) != len(x):
+            raise InputError(f"{name} dimension does not match x")
     doc: dict = {"bounded": mathieu.sp_bounded(x)}
     if doc["bounded"]:
         doc.update(mathieu.CoherentFamilyDescriptor.from_weight(x).to_json())

@@ -48,10 +48,6 @@ def vsub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vneg(a: Vector) -> Vector:
-    return tuple(-x for x in a)
-
-
 def vscale(c, a: Vector) -> Vector:
     c = Fraction(c)
     return tuple(c * x for x in a)
@@ -354,9 +350,8 @@ def cones_intersect_trivially(
             if sol is not None:
                 ca = tuple(sol[:na])
                 cb = tuple(sol[na:])
-                point = vzero(dim)
-                for c, g in zip(ca, gens_a):
-                    if c:  # a basic solution has at most dim + 1 nonzero coefficients
-                        point = vadd(point, vscale(c, g))
+                # a basic solution has at most dim + 1 nonzero coefficients
+                terms = [(c, g) for c, g in zip(ca, gens_a) if c]
+                point = tuple(sum(c * g[j] for c, g in terms) for j in range(dim))
                 return False, ConeWitness(ca, cb, point)
     return True, None

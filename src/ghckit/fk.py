@@ -27,7 +27,7 @@ from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, InternalError, UnsupportedTypeError
-from .exact import ConeWitness, Vector, _rref, cones_intersect_trivially, dot, nullspace
+from .exact import ConeWitness, Vector, _rref, cones_intersect_trivially
 from .rootsys import LOW_RANK_ALIASES, RootSystem, _dot, bits, root_count
 from .shadow import RootSubalgebra, closed_mask
 
@@ -236,19 +236,11 @@ def is_primal(
     simple_k = [rs.all_roots[i] for i in _k_simple(rs, k)]
     if not all(in_toral(rs.coroot(a)) for a in simple_k):
         raise InputError("toral part must contain the coroots of k_roots")
-
-    # Cartan subspace of g = span of the simple roots (sum-zero for type A)
-    hspan = rs.simple_roots
-    # torus centralizing k_roots, computed in simple-root coordinates
-    torus = hspan
-    if simple_k:
-        rows = [tuple(dot(b, ai) for ai in hspan) for b in simple_k]
-        torus = [
-            tuple(sum(c * a[j] for c, a in zip(cs, hspan)) for j in range(rs.ambient_dim))
-            for cs in nullspace(rows)
-        ]
-    # C(k) = Z(k) needs the centralizing torus inside the toral part ...
-    if not all(map(in_toral, torus)):
+    # C(k) = Z(k) needs the torus centralizing k inside the toral part.  The Cartan
+    # subspace h = span(simple roots of g) is the orthogonal sum of span(coroots of k) and
+    # that torus, and the coroots are in the toral span by the check above, so the torus
+    # is in it iff all of h is, that is iff every simple root of g is ...
+    if not all(map(in_toral, rs.simple_roots)):
         return False
     # ... and no root space commuting with all of k.  The toral vectors times their common
     # denominator are integer rows, each pairing with a root nonzero iff the vector does.

@@ -6,16 +6,20 @@ e1-e2, ..., e_{n-1}-e_n, 2e_n); exceptional types use the standard
 coordinate simple roots and everything is generated by reflection closure.
 ``root_count`` reads the one table of simple types and their root counts.
 
-The reflection closure runs on integer simple-root coordinates, and
-``RootSystem.sum_table`` adds roots by their index in the canonical order
-(see ``build``; ``sum_partners`` keeps the sums that are roots) for
-closed-subset code, where a root subset is a bitmask with bit i for
-``all_roots[i]`` (``mask_of``, ``roots_of``, ``full_mask``); only
-``positive_mask`` and ``negated`` know that the positive roots come first.
-Weights and pairings go through the integer tables ``doubled_roots``
-and ``coroot_coords``, also built on first use, and ``vector_order`` lists
-the root indices as the root vectors sort.  Public surfaces (root vectors,
-weights, JSON) stay Fraction epsilon-vectors.
+The simple roots are written as doubled integer rows, so that every root is
+an integer row too.  The reflection closure runs on integer simple-root
+coordinates, and the build keeps the doubled rows it sorts as the table
+``doubled_roots``; the Fraction ``simple_roots``, ``positive_roots`` and
+``all_roots`` are halvings of those rows.  ``RootSystem.sum_table`` adds
+roots by their index in the canonical order (see ``build``;
+``sum_partners`` keeps the sums that are roots) for closed-subset code,
+where a root subset is a bitmask with bit i for ``all_roots[i]``
+(``mask_of``, ``roots_of``, ``full_mask``); only ``positive_mask`` and
+``negated`` know that the positive roots come first.  Weights and pairings
+go through ``doubled_roots`` and the integer table ``coroot_coords``, built
+on first use, and ``vector_order`` lists the root indices as the root
+vectors sort.  Public surfaces (root vectors, weights, JSON) stay Fraction
+epsilon-vectors.
 """
 
 from __future__ import annotations
@@ -24,23 +28,13 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError
-from .exact import (
-    Vector,
-    _rref,
-    dot,
-    format_vector,
-    vadd,
-    vneg,
-    vscale,
-    vsub,
-    vzero,
-)
+from .exact import Vector, _rref, dot, format_vector, vscale
 
 DEFAULT_MAX_RANK = 8
 # GHC_MAX_RANK may raise the cap this far: C32 and D32, the slowest rank-32 builds, take
@@ -64,12 +58,6 @@ _ROOT_COUNTS = {
 LOW_RANK_ALIASES = {("B", 1): ("A", 1), ("C", 1): ("A", 1), ("B", 2): ("C", 2), ("D", 3): ("A", 3)}
 
 _F = Fraction
-_H = Fraction(1, 2)
-
-
-def _doubled(v: Vector) -> tuple[int, ...]:
-    """2v as integers, for v with coordinates in Z/2."""
-    return tuple(x.numerator * 2 // x.denominator for x in v)
 
 
 def bits(mask: int) -> list[int]:
@@ -79,10 +67,6 @@ def bits(mask: int) -> list[int]:
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b, strict=True))
-
-
-def _e(i: int, dim: int) -> Vector:
-    return tuple(_F(1) if j == i else _F(0) for j in range(dim))
 
 
 def max_rank() -> int:
@@ -98,30 +82,26 @@ def max_rank() -> int:
     return DEFAULT_MAX_RANK
 
 
-def _simple_roots(series: str, rank: int) -> tuple[list[Vector], int]:
+def _simple_roots(series: str, rank: int) -> tuple[list[tuple[int, ...]], int]:
+    """The simple roots doubled, so that they are integer rows, and the ambient dimension."""
     n = rank
-    if series == "A":
-        dim = n + 1
-        return [vsub(_e(i, dim), _e(i + 1, dim)) for i in range(n)], dim
-    if series in ("B", "C", "D"):
-        # e1-e2, ..., e_{n-1}-e_n, then e_n (B), 2e_n (C) or e_{n-1}+e_n (D)
-        sr = [vsub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)]
-        if series == "D":
-            return sr + [vadd(_e(n - 2, n), _e(n - 1, n))], n
-        return sr + [vscale(1 if series == "B" else 2, _e(n - 1, n))], n
+    if series in ("A", "B", "C", "D"):
+        dim = n + 1 if series == "A" else n
+        # e1-e2, ..., e_{dim-1}-e_dim: all n simple roots of A, the first n-1 of B, C and D
+        chain = [tuple(2 * ((j == i) - (j == i + 1)) for j in range(dim)) for i in range(dim - 1)]
+        if series == "A":
+            return chain, dim
+        # then e_n (B), 2e_n (C) or e_{n-1}+e_n (D)
+        last = {"B": (2,), "C": (4,), "D": (2, 2)}[series]
+        return chain + [(0,) * (n - len(last)) + last], n
     if series == "G":
-        return [(_F(1), _F(-1), _F(0)), (_F(-2), _F(1), _F(1))], 3
+        return [(2, -2, 0), (-4, 2, 2)], 3
     if series == "F":
-        return [
-            (_F(0), _F(1), _F(-1), _F(0)),
-            (_F(0), _F(0), _F(1), _F(-1)),
-            (_F(0), _F(0), _F(0), _F(1)),
-            (_H, -_H, -_H, -_H),
-        ], 4
+        return [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)], 4
     if series == "E":
-        a1 = (_H, -_H, -_H, -_H, -_H, -_H, -_H, _H)
-        a2 = vadd(_e(0, 8), _e(1, 8))
-        chain = [vsub(_e(i + 1, 8), _e(i, 8)) for i in range(6)]  # e_{i+2}-e_{i+1}
+        a1 = (1, -1, -1, -1, -1, -1, -1, 1)
+        a2 = (2, 2, 0, 0, 0, 0, 0, 0)
+        chain = [tuple(2 * ((j == i + 1) - (j == i)) for j in range(8)) for i in range(6)]  # e_{i+2}-e_{i+1}
         return ([a1, a2] + chain)[:rank], 8
     raise InputError(f"unknown series {series!r}")
 
@@ -144,6 +124,8 @@ class RootSystem:
     cartan_matrix: tuple[tuple[int, ...], ...]
     fundamental_weights: tuple[Vector, ...]
     _index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
+    # 2 * all_roots[i] as integers, by root index
+    doubled_roots: tuple = field(repr=False, hash=False, compare=False, default=())
     # integer simple-root coordinates of all_roots[i], by root index
     _coords: tuple = field(repr=False, hash=False, compare=False, default=())
     _simple_doubled: tuple = field(repr=False, hash=False, compare=False, default=())  # 2 * simple_roots[i]
@@ -233,12 +215,6 @@ class RootSystem:
         return tuple(tuple((j, k) for j, k in enumerate(row) if k >= 0) for row in self.sum_table)
 
     @cached_property
-    def doubled_roots(self) -> tuple[tuple[int, ...], ...]:
-        """doubled_roots[i] is 2 * all_roots[i] as integers.  Built on first use."""
-        positive = tuple(map(_doubled, self.positive_roots))
-        return positive + tuple(tuple(-x for x in a) for a in positive)
-
-    @cached_property
     def vector_order(self) -> tuple[int, ...]:
         """The root indices in the order in which the root vectors sort.  Sorting
         the rows of ``doubled_roots`` gives it with no Fraction compare."""
@@ -288,10 +264,9 @@ def build(series: str, rank: int) -> RootSystem:
 
 @lru_cache(maxsize=None)
 def _construct(series: str, rank: int) -> RootSystem:
-    simple, dim = _simple_roots(series, rank)
     # epsilon-coordinates, doubled so that they are integers; the Cartan entry
     # <a_i, a_j^vee> = 2(a_i, a_j)/(a_j, a_j) is the same ratio on doubled roots
-    doubled = [_doubled(a) for a in simple]
+    doubled, dim = _simple_roots(series, rank)
     cartan = tuple(tuple(2 * _dot(a, b) // _dot(b, b) for b in doubled) for a in doubled)
     # reflection closure on integer simple-root coordinates c:
     # s_i(b) = b - <b, a_i^vee> a_i, with <b, a_i^vee> = sum_j c_j cartan[j][i]
@@ -316,8 +291,10 @@ def _construct(series: str, rank: int) -> RootSystem:
         for c in seen
         if min(c) >= 0
     )
-    positive_roots = tuple(tuple(_F(x, 2) for x in eps2) for _, eps2, _ in positive)
-    all_roots = positive_roots + tuple(vneg(r) for r in positive_roots)
+    doubled_roots = tuple(eps2 for _, eps2, _ in positive)
+    doubled_roots += tuple(tuple(-x for x in a) for a in doubled_roots)
+    all_roots = tuple(tuple(_F(x, 2) for x in a) for a in doubled_roots[: len(positive)])
+    all_roots += tuple(tuple(-x for x in a) for a in all_roots)
     coords = tuple(c for _, _, c in positive)
     coords += tuple(tuple(-x for x in c) for c in coords)
 
@@ -328,23 +305,23 @@ def _construct(series: str, rank: int) -> RootSystem:
         )
 
     # fundamental weights: <w_i, a_j^vee> = delta_ij within the simple span, so
-    # w_i = sum_j x_ij a_j with x the inverse Cartan matrix; [C | 1] reduces to [1 | x]
+    # w_i = sum_j x_ij a_j with x the inverse Cartan matrix; [C | 1] reduces to [1 | x],
+    # and the sum runs over the doubled simple roots, halved at the end
     aug = [[_F(c) for c in row] + [_F(int(j == i)) for j in range(rank)] for i, row in enumerate(cartan)]
     _rref(aug, rank)
-    fw = tuple(
-        reduce(vadd, (vscale(x, a) for x, a in zip(row[rank:], simple)), vzero(dim)) for row in aug
-    )
+    fw = tuple(tuple(sum(map(mul, row[rank:], col)) / 2 for col in zip(*doubled)) for row in aug)
 
     return RootSystem(
         series=series,
         rank=rank,
         ambient_dim=dim,
-        simple_roots=tuple(simple),
-        positive_roots=positive_roots,
+        simple_roots=tuple(tuple(_F(x, 2) for x in a) for a in doubled),
+        positive_roots=all_roots[: len(positive)],
         all_roots=all_roots,
         cartan_matrix=cartan,
         fundamental_weights=fw,
         _index={r: i for i, r in enumerate(all_roots)},
+        doubled_roots=doubled_roots,
         _coords=coords,
         _simple_doubled=tuple(doubled),
     )

@@ -8,8 +8,10 @@ and the closure of the members under root sums are members without an LP;
 the R+-span is decided exactly by rational LP only for the roots left.
 
 Root subsets are bitmasks over the canonical root order, and closure goes
-through the sum table; frozensets of Fraction epsilon-vectors are built only
-for results: ``RootSubalgebra.roots``, the decomposition, ``closed_subsets``.
+through the sum table.  A decomposition holds the masks of its parts, and
+its JSON reads their bits; frozensets of Fraction epsilon-vectors are views
+built only for results: ``RootSubalgebra.roots``, the parts of a
+decomposition, ``parabolic_pm``, ``fernando_fk`` and ``closed_subsets``.
 """
 
 from __future__ import annotations
@@ -87,21 +89,33 @@ class RootSubalgebra:
 
 @dataclass(frozen=True)
 class ShadowDecomposition:
+    """The four classes of roots and the generators of Gamma, as masks over
+    ``rs.all_roots``; ``I``, ``F``, ``plus``, ``minus`` and ``gamma_generators``
+    are their frozensets of vectors, built on first use."""
+
     rs: RootSystem
-    I: frozenset[Vector]
-    F: frozenset[Vector]
-    plus: frozenset[Vector]
-    minus: frozenset[Vector]
-    gamma_generators: frozenset[Vector]
+    i_mask: int
+    f_mask: int
+    plus_mask: int
+    minus_mask: int
+    gamma_mask: int
+
+    I = cached_property(lambda self: self.rs.roots_of(self.i_mask))
+    F = cached_property(lambda self: self.rs.roots_of(self.f_mask))
+    plus = cached_property(lambda self: self.rs.roots_of(self.plus_mask))
+    minus = cached_property(lambda self: self.rs.roots_of(self.minus_mask))
+    gamma_generators = cached_property(lambda self: self.rs.roots_of(self.gamma_mask))
+    # the masks of p_M (I + F + plus) and of the Fernando-Kac subalgebra (F + plus)
+    pm_mask = property(lambda self: self.i_mask | self.f_mask | self.plus_mask)
+    fernando_fk_mask = property(lambda self: self.f_mask | self.plus_mask)
 
     def to_json(self) -> dict:
-        idx = self.rs.root_index
         return {
-            "I": sorted(idx(a) for a in self.I),
-            "F": sorted(idx(a) for a in self.F),
-            "plus": sorted(idx(a) for a in self.plus),
-            "minus": sorted(idx(a) for a in self.minus),
-            "gamma_generators": sorted(idx(a) for a in self.gamma_generators),
+            "I": bits(self.i_mask),
+            "F": bits(self.f_mask),
+            "plus": bits(self.plus_mask),
+            "minus": bits(self.minus_mask),
+            "gamma_generators": bits(self.gamma_mask),
         }
 
 
@@ -120,23 +134,23 @@ def shadow(rs: RootSystem, fk: RootSubalgebra) -> ShadowDecomposition:
     neg = rs.negated(inside)  # the roots whose negatives are in the cone
     return ShadowDecomposition(
         rs,
-        I=rs.roots_of(inside & neg),
-        F=rs.roots_of(rs.full_mask & ~(inside | neg)),
-        plus=rs.roots_of(neg & ~inside),
-        minus=rs.roots_of(inside & ~neg),
-        gamma_generators=rs.roots_of(gamma_mask),
+        i_mask=inside & neg,
+        f_mask=rs.full_mask & ~(inside | neg),
+        plus_mask=neg & ~inside,
+        minus_mask=inside & ~neg,
+        gamma_mask=gamma_mask,
     )
 
 
 def parabolic_pm(sd: ShadowDecomposition) -> frozenset[Vector]:
     """Root set of the parabolic attached to the decomposition: I + F + plus."""
-    return sd.I | sd.F | sd.plus
+    return sd.rs.roots_of(sd.pm_mask)
 
 
 def fernando_fk(sd: ShadowDecomposition) -> frozenset[Vector]:
     """Root set of the Fernando-Kac subalgebra of a finite-h-type module
     with this shadow: F + plus."""
-    return sd.F | sd.plus
+    return sd.rs.roots_of(sd.fernando_fk_mask)
 
 
 def support_shape(
@@ -152,7 +166,7 @@ def support_shape(
     if any(len(b) != rs.ambient_dim for b in base_points):
         raise InputError(f"base points must have dimension {rs.ambient_dim}")
     # the shifts are doubled, so that they are integer tuples: roots lie in Z/2
-    gamma = [rs.doubled_roots[rs.root_index(g)] for g in sd.gamma_generators]
+    gamma = [rs.doubled_roots[i] for i in bits(sd.gamma_mask)]
     zero = (0,) * rs.ambient_dim
     shifts = {zero}
     # a point reached in fewer steps already had its shifts by gamma added, so only new points grow

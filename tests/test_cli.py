@@ -70,6 +70,12 @@ class TestRun:
         assert proc.returncode == EXIT_INPUT and not proc.stdout
         assert json.loads(proc.stderr) == {"code": EXIT_INPUT, "error": "eta dimension does not match x"}
 
+    @pytest.mark.parametrize("equiv", ["3/2", "3/2,1/2,1/2", ""])
+    def test_mathieu_equiv_of_the_wrong_length(self, equiv):
+        proc = invoke(["mathieu", "--x", "3/2,1/2", "--equiv", equiv])
+        assert proc.returncode == EXIT_INPUT and not proc.stdout
+        assert json.loads(proc.stderr) == {"code": EXIT_INPUT, "error": "equiv dimension does not match x"}
+
     def test_mathieu_unbounded(self):
         doc, code = run({"command": "mathieu", "parameters": {"x": "1,0"}})
         assert code == EXIT_OK
@@ -402,6 +408,12 @@ OUTPUT_PINS = [
         ["mathieu", "--x=31/2,27/2,23/2,19/2,15/2,11/2,7/2,-3/2"],
         "db3a72a1fd3933fa34fa5a8321fc87a2813195b7c020f44a9db576cc5407fde6",
     ),
+    # the singular-weight lists and the witness of an infinite-type subalgebra, pinned before
+    # the lists were read off masks, and a primality verdict, pinned before is_primal lost its torus
+    (["fk-test", "--series", "A", "--rank", "4", "--subalgebra", "0,1,4,10"],
+     "4bb88b8a8d50e5379cdc56d0c42d9cbb0a6b07e6fd221deb9c179951ae0c1ee6"),
+    (["primal-test", "--series", "D", "--rank", "4", "--k-roots", "0,12"],
+     "e86abdc470133b14964ad045a79dd7f82fe2c7a781e6243ef28c81668608307e"),
     # census --dedup, pinned before the orbit test moved from permuted vectors
     # to index tables (the A3 census without --dedup is pinned in test_exact.py)
     (["census", "--series", "A", "--rank", "3", "--dedup"], "2cdd94e51022615148a152353efe7a154c2c8d003fe777b548d39396143a8f2e"),
