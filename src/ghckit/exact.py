@@ -11,6 +11,12 @@ scale, pivots it fraction-free with Bland's rule, and turns back to
 Fractions only for the solution.  The cone queries pass their generators
 through unchanged, so integer generators (as ``fk`` and ``shadow`` give
 them) reach the simplex with no Fraction built on the way.
+
+``cone_witness`` is the one LP behind the two-cone test: it asks for a
+common point whose coordinate k is +1 or -1 and returns it as a
+``ConeWitness``.  ``cones_intersect_trivially`` is the general test, that LP
+for every (coordinate, sign) pair in turn; ``fk`` picks the one pair to ask
+for by graph reachability and calls ``cone_witness`` once.
 """
 
 from __future__ import annotations
@@ -297,11 +303,18 @@ class ConeWitness:
     point: Vector
 
     def verify(self, gens_a: Sequence[Vector], gens_b: Sequence[Vector]) -> bool:
+        """Whether the coefficients are nonnegative and combine gens_a and gens_b
+        into the same nonzero point.  A witness of another shape than the
+        generators (a coefficient per generator, the point's dimension) is false."""
+        dim = len(self.point)
+        if len(self.coefficients_a) != len(gens_a) or len(self.coefficients_b) != len(gens_b):
+            return False
+        if any(len(g) != dim for g in chain(gens_a, gens_b)):
+            return False
         if is_zero(self.point):
             return False
         if any(c < 0 for c in self.coefficients_a) or any(c < 0 for c in self.coefficients_b):
             return False
-        dim = len(self.point)
         pa = vzero(dim)
         for c, g in zip(self.coefficients_a, gens_a, strict=True):
             pa = vadd(pa, vscale(c, g))
@@ -318,6 +331,37 @@ class ConeWitness:
         }
 
 
+def cone_witness(
+    gens_a: Sequence[Vector], gens_b: Sequence[Vector], k: int, sign: int
+) -> Optional[ConeWitness]:
+    """A point common to cone(gens_a) and cone(gens_b) whose coordinate k is
+    sign (+1 or -1), with the coefficients that give it on each side, or None
+    when there is no such point.
+
+    One feasibility LP: balance rows saying that the a-combination minus the
+    b-combination is 0, and one normalisation row fixing coordinate k of the
+    a-combination at sign.  The witness is the simplex's basic solution.
+    """
+    if not gens_a or not gens_b:
+        return None
+    dim = len(gens_a[0])
+    _check_dim(gens_a, dim)
+    _check_dim(gens_b, dim)
+    na, nb = len(gens_a), len(gens_b)
+    # sum of a-coefficients times gens_a minus b-coefficients times gens_b is 0
+    balance = [(tuple(g[j] for g in gens_a) + tuple(-g[j] for g in gens_b), 0) for j in range(dim)]
+    norm = tuple(g[k] for g in gens_a) + (0,) * nb
+    sol = lp_feasible(balance + [(norm, sign)], na + nb)
+    if sol is None:
+        return None
+    ca = tuple(sol[:na])
+    cb = tuple(sol[na:])
+    # a basic solution has at most dim + 1 nonzero coefficients
+    terms = [(c, g) for c, g in zip(ca, gens_a) if c]
+    point = tuple(sum(c * g[j] for c, g in terms) for j in range(dim))
+    return ConeWitness(ca, cb, point)
+
+
 def cones_intersect_trivially(
     gens_a: Sequence[Vector], gens_b: Sequence[Vector]
 ) -> tuple[bool, Optional[ConeWitness]]:
@@ -330,28 +374,14 @@ def cones_intersect_trivially(
 
     A nonzero common point has a nonzero coordinate, and cones are invariant
     under positive scaling, so we may normalize that coordinate to +-1.  We
-    therefore run one feasibility LP per (coordinate, sign) pair instead of
-    normalizing the coefficient sum; the latter can be satisfied by a
-    combination summing to the zero point when gens_a positively spans a
-    line, which would yield a wrong verdict.
+    therefore run ``cone_witness`` for each (coordinate, sign) pair in turn
+    instead of normalizing the coefficient sum; the latter can be satisfied
+    by a combination summing to the zero point when gens_a positively spans
+    a line, which would yield a wrong verdict.
     """
-    if not gens_a or not gens_b:
-        return True, None
-    dim = len(gens_a[0])
-    _check_dim(gens_a, dim)
-    _check_dim(gens_b, dim)
-    na, nb = len(gens_a), len(gens_b)
-    # sum of a-coefficients times gens_a minus b-coefficients times gens_b is 0
-    balance = [(tuple(g[j] for g in gens_a) + tuple(-g[j] for g in gens_b), 0) for j in range(dim)]
-    for k in range(dim):
-        norm = tuple(g[k] for g in gens_a) + (0,) * nb
+    for k in range(len(gens_a[0]) if gens_a else 0):
         for sign in (1, -1):
-            sol = lp_feasible(balance + [(norm, sign)], na + nb)
-            if sol is not None:
-                ca = tuple(sol[:na])
-                cb = tuple(sol[na:])
-                # a basic solution has at most dim + 1 nonzero coefficients
-                terms = [(c, g) for c, g in zip(ca, gens_a) if c]
-                point = tuple(sum(c * g[j] for c, g in terms) for j in range(dim))
-                return False, ConeWitness(ca, cb, point)
+            witness = cone_witness(gens_a, gens_b, k, sign)
+            if witness is not None:
+                return False, witness
     return True, None

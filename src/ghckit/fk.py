@@ -2,7 +2,10 @@
 
 The central test for type A works through singular weights: for a root
 subalgebra l = k + n, the cones generated by the singular weights of g/l and
-of n must meet only at zero.  The solvable case has an independent
+of n must meet only at zero.  The weights are type-A roots e_u - e_v, so
+``theorem8_finite_type`` decides this by reachability on a graph over the
+epsilon-coordinates, and runs one LP (``exact.cone_witness``), for the
+witness, only when the cones do meet.  The solvable case has an independent
 characterization through parabolic nilradicals, which the test suite plays
 against the cone test exhaustively on small systems.
 
@@ -27,7 +30,7 @@ from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, InternalError, UnsupportedTypeError
-from .exact import ConeWitness, Vector, _rref, cones_intersect_trivially
+from .exact import ConeWitness, Vector, _rref, cone_witness
 from .rootsys import LOW_RANK_ALIASES, RootSystem, _dot, bits, root_count
 from .shadow import RootSubalgebra, closed_mask
 
@@ -120,22 +123,101 @@ class FiniteTypeVerdict:
 
 
 def theorem8_finite_type(rs: RootSystem, l: RootSubalgebra) -> FiniteTypeVerdict:
-    """Cone criterion for finite type, defined for the special-linear family."""
+    """Cone criterion for finite type, defined for the special-linear family:
+    l is of finite type iff the cones of the singular weights of g/l (the
+    a-side) and of n (the b-side) meet only at 0.
+
+    The weights are roots e_u - e_v, so the test is decided on a graph H with
+    one node per epsilon-coordinate, an edge u -> v for each a-root e_u - e_v
+    and an edge v -> u for each b-root e_u - e_v.  A common point is a
+    combination of a-roots equal to one of b-roots, that is a circulation on
+    H, and the point's coordinate k is the flow leaving k on a-edges minus
+    the flow entering k on a-edges.  A circulation splits into simple
+    cycles, which pass k at most once.  So a common point with coordinate k
+    positive exists iff some cycle leaves k on an a-edge and enters it on a
+    b-edge: iff there are a = e_k - e_y and b = e_k - e_z with z reachable
+    from y in H without passing k (y = z allowed, the empty path).  One with
+    coordinate k negative exists iff there are a = e_x - e_k and
+    b = e_z - e_k with x reachable from z in H without passing k.  Seen from
+    the other side, by Farkas the LP of ``exact.cone_witness`` for (k, s) is
+    infeasible iff there is a potential p with p·a >= s·a[k] for every a-root
+    and p·b <= 0 for every b-root.  Each is a bound on a difference
+    p_u - p_v, and such a system is feasible iff its graph has no positive cycle
+    (Schrijver, Theory of Linear and Integer Programming, 1986, ch. 7 and
+    19; Cormen et al., Introduction to Algorithms, 24.4).
+
+    A finite-type verdict therefore runs no LP.  Otherwise the one LP for
+    the first such (k, sign) in ``exact.cones_intersect_trivially``'s loop
+    order gives the witness that loop would give; the LP finding no point
+    there is an ``InternalError``.
+    """
     if rs.series != "A":
         raise UnsupportedTypeError("the cone finite-type test is only available for type A")
     # k = l & -l is symmetric, and closed as l and -l are, as _singular needs
     k = reductive_mask(l)
     sg = _singular(rs, k, rs.full_mask & ~l.mask)
     sn = _singular(rs, k, l.mask & ~k)
-    trivial, witness = cones_intersect_trivially(_integer_roots(rs, sg), _integer_roots(rs, sn))
-    return FiniteTypeVerdict(trivial, witness, SingularWeightData(rs, sg), SingularWeightData(rs, sn))
+    table = _type_a_roots(rs)
+    a = [(row, ends) for i, row, ends in table if sg >> i & 1]
+    b = [(row, ends) for i, row, ends in table if sn >> i & 1]
+    pair = _first_feasible_pair([e for _, e in a], [e for _, e in b], rs.ambient_dim)
+    witness = None
+    if pair is not None:
+        witness = cone_witness([r for r, _ in a], [r for r, _ in b], *pair)
+        if witness is None:
+            raise InternalError(f"the cone LP finds no common point at (k, sign) = {pair}, which H reaches")
+    return FiniteTypeVerdict(pair is None, witness, SingularWeightData(rs, sg), SingularWeightData(rs, sn))
 
 
-def _integer_roots(rs: RootSystem, mask: int) -> list[tuple[int, ...]]:
-    """The roots of a mask in sorted order, as integer tuples equal to their
-    epsilon-vectors: type A roots are integral, so halving ``doubled_roots`` is exact."""
-    doubled = rs.doubled_roots
-    return [tuple(x // 2 for x in doubled[i]) for i in rs.vector_order if mask >> i & 1]
+def _type_a_roots(rs: RootSystem) -> tuple[tuple[int, tuple[int, ...], tuple[int, int]], ...]:
+    """(i, row, (u, v)) for each root index i in ``vector_order``: the root as an
+    integer tuple equal to its epsilon-vector, which is e_u - e_v.  Type A roots
+    are integral, so halving ``doubled_roots`` is exact.  Built once per
+    RootSystem object and stored on it, as ``PrincipalData`` is."""
+    table = vars(rs).get("_type_a_roots")
+    if table is None:
+        rows = [(i, tuple(x // 2 for x in rs.doubled_roots[i])) for i in rs.vector_order]
+        table = vars(rs).setdefault("_type_a_roots", tuple((i, r, (r.index(1), r.index(-1))) for i, r in rows))
+    return table
+
+
+def _first_feasible_pair(
+    ends_a: Sequence[tuple[int, int]], ends_b: Sequence[tuple[int, int]], dim: int
+) -> Optional[tuple[int, int]]:
+    """The first (k, sign), coordinates in order and +1 before -1, for which the
+    cones of the type-A roots e_u - e_v given by their ends (u, v) share a point
+    with coordinate k equal to sign; None when they meet only at 0.  The rule is
+    the reachability one of ``theorem8_finite_type``, on bitmasks of nodes."""
+    succ = [0] * dim  # the edges of H, as successor masks
+    out_a, in_a, out_b, in_b = ([0] * dim for _ in range(4))
+    for u, v in ends_a:  # the edge u -> v
+        succ[u] |= 1 << v
+        out_a[u] |= 1 << v
+        in_a[v] |= 1 << u
+    for u, v in ends_b:  # the edge v -> u
+        succ[v] |= 1 << u
+        out_b[v] |= 1 << u
+        in_b[u] |= 1 << v
+    for k in range(dim):
+        # +1: from the y of a = e_k - e_y to the z of b = e_k - e_z;
+        # -1: from the z of b = e_z - e_k to the x of a = e_x - e_k
+        for sign, start, goal in ((1, out_a[k], in_b[k]), (-1, out_b[k], in_a[k])):
+            if start and goal and _reach(succ, start, 1 << k) & goal:
+                return k, sign
+    return None
+
+
+def _reach(succ: Sequence[int], start: int, avoid: int) -> int:
+    """The mask of the nodes reachable from the nodes of start (start included)
+    along the successor masks succ, through no node of avoid."""
+    seen = frontier = start
+    while frontier:
+        step = 0
+        for u in bits(frontier):
+            step |= succ[u]
+        frontier = step & ~seen & ~avoid
+        seen |= frontier
+    return seen
 
 
 def theorem6_solvable_finite_type(rs: RootSystem, l: RootSubalgebra) -> bool:

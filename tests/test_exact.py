@@ -12,6 +12,7 @@ from ghckit.exact import (
     ConeWitness,
     Vector,
     cone_member,
+    cone_witness,
     cones_intersect_trivially,
     format_rational,
     lp_feasible,
@@ -103,6 +104,25 @@ class TestConesIntersect:
         # they still meet only at the origin
         a = [vec([1, 0]), vec([-1, 0])]
         assert cones_intersect_trivially(a, [vec([0, 1])]) == (True, None)
+
+    def test_one_pair_witness(self):
+        # the skew cones meet on the positive second axis only
+        a = [vec([1, -1]), vec([-1, 2])]
+        b = [vec([0, 1])]
+        assert [cone_witness(a, b, k, s) is not None for k in (0, 1) for s in (1, -1)] == [False, False, True, False]
+        assert cone_witness(a, b, 1, 1) == cones_intersect_trivially(a, b)[1]
+        assert cone_witness([], b, 1, 1) is None
+
+    def test_verify_rejects_a_coefficient_count_that_differs(self):
+        w = ConeWitness((F(1),), (F(1),), (F(1), F(0)))
+        assert w.verify([(1, 0)], [(1, 0)])
+        assert not w.verify([(1, 0), (0, 1)], [(1, 0)])
+        assert not w.verify([(1, 0)], [(1, 0), (0, 1)])
+
+    def test_verify_rejects_a_generator_of_another_dimension(self):
+        w = ConeWitness((F(1),), (F(1),), (F(1), F(0)))
+        assert not w.verify([(1, 0)], [(1, 0, 0)])
+        assert not w.verify([(1, 0, 0)], [(1, 0)])
 
     @pytest.mark.parametrize(
         "a,b",

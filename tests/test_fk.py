@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import ALL_TYPES, V, neg
-from ghckit import fk, rootsys, shadow
+from ghckit import exact, fk, rootsys, shadow
 from ghckit.errors import InputError, InternalError, UnsupportedTypeError
 from ghckit.exact import dot, is_zero, nullspace, solve_linear
 from ghckit.rootsys import bits
@@ -125,6 +126,59 @@ class TestTheorem8:
             for roots in closed_subsets(rs):
                 if roots == {neg(a) for a in roots}:
                     assert fk.theorem8_finite_type(rs, RootSubalgebra(rs, roots)).finite_type
+
+
+@st.composite
+def type_a_root_pairs(draw):
+    """Two lists of type-A roots e_u - e_v, as their ends (u, v), in one dimension;
+    a root may be on both sides."""
+    dim = draw(st.integers(2, 6))
+    ends = st.tuples(st.integers(0, dim - 1), st.integers(1, dim - 1)).map(lambda t: (t[0], (t[0] + t[1]) % dim))
+    return dim, draw(st.lists(ends, min_size=1, max_size=8)), draw(st.lists(ends, min_size=1, max_size=8))
+
+
+def type_a_row(ends, dim):
+    u, v = ends
+    return tuple((i == u) - (i == v) for i in range(dim))
+
+
+class TestReachability:
+    # the same root on both sides: the cycle k -> 1 -> k needs y = z
+    @example((2, [(0, 1)], [(0, 1)]))
+    # two lines meeting only at 0, where the path 1 -> 0 -> 2 from y to z passes k = 0
+    @example((3, [(0, 1), (1, 0)], [(0, 2), (2, 0)]))
+    @given(type_a_root_pairs())
+    def test_first_pair_is_the_first_feasible_lp(self, pair):
+        dim, ends_a, ends_b = pair
+        rows_a = [type_a_row(e, dim) for e in ends_a]
+        rows_b = [type_a_row(e, dim) for e in ends_b]
+        lp = next(
+            ((k, sign) for k in range(dim) for sign in (1, -1) if exact.cone_witness(rows_a, rows_b, k, sign)),
+            None,
+        )
+        assert fk._first_feasible_pair(ends_a, ends_b, dim) == lp
+
+    def test_one_lp_per_infinite_type_verdict_and_none_per_finite_type(self, a3, monkeypatch):
+        calls = []
+        lp_feasible = exact.lp_feasible
+
+        def counted(*args):
+            calls.append(args)
+            return lp_feasible(*args)
+
+        monkeypatch.setattr(exact, "lp_feasible", counted)
+        verdicts = {True: 0, False: 0}
+        for m in shadow.closed_masks(a3):
+            calls.clear()
+            v = fk.theorem8_finite_type(a3, RootSubalgebra(a3, m))
+            assert len(calls) == (0 if v.finite_type else 1), m
+            verdicts[v.finite_type] += 1
+        assert verdicts == {True: 187, False: 168}
+
+    def test_lp_disagreeing_with_the_graph_is_an_internal_error(self, a2, monkeypatch):
+        monkeypatch.setattr(exact, "lp_feasible", lambda *args: None)
+        with pytest.raises(InternalError):
+            fk.theorem8_finite_type(a2, make(a2, [A1]))
 
 
 class TestTheorem6:
