@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 from .errors import InputError, InternalError, UnsupportedTypeError
 from .exact import ConeWitness, Vector, _rref, cone_witness
 from .rootsys import LOW_RANK_ALIASES, RootSystem, _dot, bits, root_count
-from .shadow import RootSubalgebra, closed_mask
+from .shadow import RootSubalgebra, _require_over, closed_mask
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,7 @@ def theorem8_finite_type(rs: RootSystem, l: RootSubalgebra) -> FiniteTypeVerdict
     order gives the witness that loop would give; the LP finding no point
     there is an ``InternalError``.
     """
+    _require_over(rs, l)
     if rs.series != "A":
         raise UnsupportedTypeError("the cone finite-type test is only available for type A")
     # k = l & -l is symmetric, and closed as l and -l are, as _singular needs
@@ -224,6 +225,7 @@ def theorem6_solvable_finite_type(rs: RootSystem, l: RootSubalgebra) -> bool:
     """Finite-type test for solvable root subalgebras (reductive part = Cartan):
     the nilpotent roots must form the nilradical of a parabolic whose
     components are all of type A or C."""
+    _require_over(rs, l)
     n = l.mask
     if reductive_mask(l):
         raise InputError("subalgebra is not solvable: its reductive part has roots")

@@ -4,8 +4,9 @@ A root subalgebra is a closed subset of roots (the Cartan subalgebra is
 always implicitly included).  Its complement generates a monoid Gamma, and
 each root is classified by whether it and its negative lie in the cone over
 Gamma's generators.  The cone is closed under addition, so the generators
-and the closure of the members under root sums are members without an LP;
-the R+-span is decided exactly by rational LP only for the roots left.
+and the closure of the members under root sums are members without an LP.
+A chain of integer functionals proves the other roots outside the cone, and
+a rational LP decides only a root that the chain leaves (see ``shadow``).
 
 Root subsets are bitmasks over the canonical root order, and closure goes
 through the sum table.  A decomposition holds the masks of its parts, and
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -119,17 +120,39 @@ class ShadowDecomposition:
         }
 
 
+def _require_over(rs: RootSystem, l: RootSubalgebra) -> None:
+    """InputError unless l is a subalgebra of rs: the same object, or a system of the same type."""
+    if l.rs is not rs and (l.rs.series, l.rs.rank) != (rs.series, rs.rank):
+        raise InputError(f"the subalgebra belongs to {l.rs.series}{l.rs.rank}, not to {rs.series}{rs.rank}")
+
+
 def shadow(rs: RootSystem, fk: RootSubalgebra) -> ShadowDecomposition:
-    """Four-way classification of every root against the cone over Gamma."""
+    """Four-way classification of every root against the cone over Gamma.
+
+    Gamma-bar, the closure of Gamma under root sums, is in the cone.  A chain
+    of integer functionals on the doubled roots proves the roots outside it
+    outside the cone: live_0 is every root, phi_k the sum of the members in
+    live_k (half of members minus non-members, live_k being symmetric), and
+    live_{k+1} the roots of live_k where phi_k is 0.  Let phi_k >= 0 on the
+    live generators, and t = sum c_g g, c_g > 0, with the support in live_k
+    (as for k = 0).  Then phi_k(t) >= 0, and phi_k(t) = 0 only if the support
+    lies in live_{k+1}.  So a live root with phi_k < 0 is outside and one with
+    phi_k = 0 stays live.  With no live generator every live root is outside;
+    where phi_k is 0, a live t with (t, g) <= 0 on every live generator is,
+    by y = -t.  Any other root, and every live one once phi_k < 0 on a
+    generator, gets a ``cone_member`` LP: no tested closed subset leaves one,
+    but that none does is not proved, so the LP stays as the fallback.
+    """
+    _require_over(rs, fk)
     gamma_mask = rs.full_mask & ~fk.mask
-    # membership is the same for v over gamma and 2v over 2 gamma, and the doubled roots are integers
-    doubled = rs.doubled_roots
-    gamma = [doubled[i] for i in bits(gamma_mask)]
     # the roots in the cone: the cone is closed under addition, so the generators and every
     # root that is a sum of two members are members without an LP
     inside = _close(rs, gamma_mask, bits(gamma_mask))
-    for i in bits(fk.mask):
-        if not inside >> i & 1 and cone_member(doubled[i], gamma) is not None:
+    undecided = rs.full_mask & ~inside & ~_certified_outside(rs, gamma_mask, inside)
+    # membership is the same for v over gamma and 2v over 2 gamma, and the doubled roots are integers
+    doubled = rs.doubled_roots
+    for i in bits(undecided):
+        if not inside >> i & 1 and cone_member(doubled[i], [doubled[g] for g in bits(gamma_mask)]) is not None:
             inside = _close(rs, inside | 1 << i, [i])
     neg = rs.negated(inside)  # the roots whose negatives are in the cone
     return ShadowDecomposition(
@@ -140,6 +163,33 @@ def shadow(rs: RootSystem, fk: RootSubalgebra) -> ShadowDecomposition:
         minus_mask=inside & ~neg,
         gamma_mask=gamma_mask,
     )
+
+
+def _certified_outside(rs: RootSystem, gamma_mask: int, inside: int) -> int:
+    """The mask of the roots outside the mask inside (cone members over gamma_mask,
+    which they include) that the functional chain of ``shadow`` proves outside the cone."""
+    doubled = rs.doubled_roots
+    live, todo, outside = rs.full_mask, rs.full_mask & ~inside, 0
+    while todo:
+        gens = gamma_mask & live
+        phi = [sum(col) for col in zip(*[doubled[i] for i in bits(inside & live)])]
+        # phi is a sum of live roots, so it is 0 on live only if it is 0; with no live
+        # generator, every live root passes the test below
+        if not any(phi):
+            rows = [doubled[g] for g in bits(gens)]
+            return outside | sum(1 << t for t in bits(todo) if all(sum(map(mul, doubled[t], g)) <= 0 for g in rows))
+        negative = zero = 0
+        for i in bits(live):
+            value = sum(map(mul, phi, doubled[i]))
+            if value < 0:
+                negative |= 1 << i
+            elif not value:
+                zero |= 1 << i
+        if negative & gens:
+            return outside
+        outside |= todo & negative
+        live, todo = zero, todo & zero
+    return outside
 
 
 def parabolic_pm(sd: ShadowDecomposition) -> frozenset[Vector]:

@@ -111,6 +111,11 @@ class TestTheorem8:
         with pytest.raises(UnsupportedTypeError):
             fk.theorem8_finite_type(c2, make(c2, []))
 
+    def test_subalgebra_of_another_system_rejected(self, a2, a3):
+        # the A2 mask read in A3 would give an infinite-type witness
+        with pytest.raises(InputError, match="A2, not to A3"):
+            fk.theorem8_finite_type(a3, RootSubalgebra.from_indices(a2, [0]))
+
     def test_singular_weights_match_the_function(self, a3):
         # the verdict holds masks and builds its vector sets on first read
         for roots in closed_subsets(a3):
@@ -195,6 +200,10 @@ class TestTheorem6:
     def test_non_solvable_rejected(self, a2):
         with pytest.raises(InputError):
             fk.theorem6_solvable_finite_type(a2, make(a2, [A1, neg(A1)]))
+
+    def test_subalgebra_of_another_system_rejected(self, a2, a3):
+        with pytest.raises(InputError, match="A2, not to A3"):
+            fk.theorem6_solvable_finite_type(a3, RootSubalgebra.from_indices(a2, [0]))
 
     def test_agrees_with_theorem8(self, a2, a3):
         for rs in (a2, a3):

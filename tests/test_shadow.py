@@ -6,9 +6,10 @@ import json
 import random
 import time
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import V, neg
 from ghckit import rootsys, shadow
@@ -59,6 +60,15 @@ class TestShadow:
         assert parabolic_pm(sd) == borel
         assert fernando_fk(sd) == borel
 
+    def test_subalgebra_of_another_system_rejected(self):
+        a2, b3 = rootsys.build("A", 2), rootsys.build("B", 3)
+        # the A2 mask read in B3 would put every root in I
+        with pytest.raises(InputError, match="A2, not to B3"):
+            shadow.shadow(b3, RootSubalgebra.from_indices(a2, [0]))
+        # another object of the same type is the same system
+        copy = dataclasses.replace(b3)
+        assert shadow.shadow(b3, RootSubalgebra.from_indices(copy, [0])) == shadow.shadow(b3, make(b3, [b3.all_roots[0]]))
+
     def test_classification_depends_only_on_subalgebra(self, a2):
         # same input twice gives identical decompositions
         sub = make(a2, [V(1, -1, 0), neg(V(1, -1, 0)), V(0, 1, -1), V(1, 0, -1)])
@@ -92,11 +102,18 @@ def _is_parabolic_type(rs, mask):
     return mask | rs.negated(mask) == rs.full_mask
 
 
+# the number of cone_member LPs that the shadow calls of decompositions(key) ran, by key
+LP_CALLS = {}
+
+
 @functools.cache
 def decompositions(key):
     """(mask, shadow decomposition) for every closed subset of a type, in closed_masks order."""
     rs = rootsys.build(*key)
-    return [(m, shadow.shadow(rs, RootSubalgebra(rs, m))) for m in shadow.closed_masks(rs)]
+    with mock.patch.object(shadow, "cone_member", wraps=shadow.cone_member) as lp:
+        built = [(m, shadow.shadow(rs, RootSubalgebra(rs, m))) for m in shadow.closed_masks(rs)]
+    LP_CALLS[key] = lp.call_count
+    return built
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -325,9 +342,11 @@ class TestClosureAgreesWithLP:
         rs = rootsys.build(*key)
         for mask, sd in decompositions(key):
             _assert_matches_lp_reference(rs, mask, sd)
+        # the certificate decided every root outside the additive closure
+        assert LP_CALLS[key] == 0
 
-    @pytest.mark.parametrize("key", [("G", 2), ("C", 3)], ids=_type_id)
-    def test_lp_path_alone(self, key):
+    @staticmethod
+    def _assert_lp_path_matches(key):
         # no tested subset leaves a cone member outside the additive closure, so
         # with an empty closure table every member comes from an LP
         rs = dataclasses.replace(rootsys.build(*key))
@@ -335,12 +354,69 @@ class TestClosureAgreesWithLP:
         for mask, _ in decompositions(key)[::7]:
             _assert_matches_lp_reference(rs, mask, shadow.shadow(rs, RootSubalgebra(rs, mask)))
 
+    @pytest.mark.parametrize("key", [("G", 2), ("C", 3)], ids=_type_id)
+    def test_lp_path_alone(self, key):
+        # the non-members come from the certificate
+        self._assert_lp_path_matches(key)
+
+    @pytest.mark.parametrize("key", [("G", 2), ("C", 3)], ids=_type_id)
+    def test_lp_path_alone_uncertified(self, key, monkeypatch):
+        # with a certificate that certifies nothing, the non-members come from an LP too;
+        # the cached decompositions are built first, with the certificate in place
+        decompositions(key)
+        monkeypatch.setattr(shadow, "_certified_outside", lambda *args: 0)
+        self._assert_lp_path_matches(key)
+
     @pytest.mark.parametrize("key", [("D", 4), ("F", 4), ("A", 4)], ids=_type_id)
-    def test_seeded_closures(self, key):
+    def test_seeded_closures(self, key, monkeypatch):
         rs = rootsys.build(*key)
         rng = random.Random(11)
         n = len(rs.all_roots)
         masks = [rs.positive_mask, 0, rs.full_mask]
         masks += [mask_closure(rs, rs.index_mask(rng.sample(range(n), rng.randint(1, 6)))) for _ in range(40)]
+        lp = mock.Mock(wraps=shadow.cone_member)
+        monkeypatch.setattr(shadow, "cone_member", lp)
         for mask in masks:
             _assert_matches_lp_reference(rs, mask, shadow.shadow(rs, RootSubalgebra(rs, mask)))
+        assert lp.call_count == 0
+
+
+@st.composite
+def root_subsets(draw):
+    """A type, an arbitrary mask gamma of its roots (not only the complement of a closed
+    set) and whether the members handed to the chain are gamma's additive closure or gamma."""
+    key = draw(st.sampled_from([("A", 3), ("B", 3), ("G", 2), ("D", 4)]))
+    rs = rootsys.build(*key)
+    return key, rs.index_mask(draw(st.lists(st.integers(0, len(rs.all_roots) - 1)))), draw(st.booleans())
+
+
+class TestCertifiedOutside:
+    @staticmethod
+    def certified(rs, gamma_mask, closed=True):
+        """The roots the chain certifies outside cone(gamma), each checked by an LP."""
+        inside = shadow._close(rs, gamma_mask, bits(gamma_mask)) if closed else gamma_mask
+        outside = shadow._certified_outside(rs, gamma_mask, inside)
+        assert not outside & inside
+        gamma = [rs.doubled_roots[i] for i in bits(gamma_mask)]
+        for i in bits(outside):
+            assert cone_member(rs.doubled_roots[i], gamma) is None, (rs.series, rs.rank, bits(gamma_mask), i)
+        return outside
+
+    @given(root_subsets())
+    # without the check of phi on the generators, a negative value there certifies a member
+    @example((("G", 2), 0b11, False))
+    # where phi is 0 on the live set, a root with (t, g) > 0 for a generator g may be a member
+    @example((("G", 2), 1 << 5 | 1 << 6 | 1 << 10, True))
+    def test_every_certified_root_is_outside_the_cone(self, drawn):
+        key, gamma_mask, closed = drawn
+        self.certified(rootsys.build(*key), gamma_mask, closed)
+
+    def test_cone_member_outside_the_closure_goes_to_the_lp(self):
+        # Gamma = {e1 +- e2, e3 +- e4} in D4 is its own additive closure, and e1 + e3 is in its
+        # cone; the complement of Gamma is not closed, so no shadow call meets this
+        d4 = rootsys.build("D", 4)
+        gamma_mask = d4.mask_of([V(1, 1, 0, 0), V(1, -1, 0, 0), V(0, 0, 1, 1), V(0, 0, 1, -1)])
+        assert shadow._close(d4, gamma_mask, bits(gamma_mask)) == gamma_mask
+        e1_e3 = d4.root_index(V(1, 0, 1, 0))
+        assert cone_member(d4.doubled_roots[e1_e3], [d4.doubled_roots[i] for i in bits(gamma_mask)]) is not None
+        assert not self.certified(d4, gamma_mask) >> e1_e3 & 1
