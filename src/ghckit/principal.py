@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import sub
 from types import MappingProxyType
 
 from .errors import InputError, InternalError
@@ -212,16 +213,18 @@ def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
         raise InputError("lambda must be non-integral")
     lh = pd.lambda_h(lam)
     # a non-integral lambda(h) makes every target non-integral
-    entries = dict.fromkeys(range(max_m + 1), 0)
+    values = [0] * (max_m + 1)
     if lh.denominator == 1:
         n = int(lh)
         table = pd.kperp_table(max(0, max_m - n + 2))
-        for m in range(max_m + 1):
-            val = _table_entry(table, m - n + 2) - _table_entry(table, -m - n)
-            if val < 0:
-                raise InternalError(f"negative multiplicity {val} for m={m}")
-            entries[m] = val
-    return KTypeSeries(lambda_h=lh, entries=entries, truncation=max_m)
+        # m = 0 .. max_m reads table[m - n + 2] less table[-m - n], each 0 at a negative index:
+        # zeros then a slice, less a reversed head then zeros
+        values = list(map(sub, [0] * min(max(0, n - 2), max_m + 1) + table[max(0, 2 - n) : max(0, max_m - n + 3)],
+                          table[max(0, -n - max_m) : max(0, 1 - n)][::-1] + [0] * (max_m + 1)))
+        if min(values) < 0:
+            m = next(m for m, val in enumerate(values) if val < 0)
+            raise InternalError(f"negative multiplicity {values[m]} for m={m}")
+    return KTypeSeries(lambda_h=lh, entries=dict(enumerate(values)), truncation=max_m)
 
 
 def find_nonintegral_weight(pd: PrincipalData, target) -> Vector:

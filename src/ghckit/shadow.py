@@ -46,13 +46,16 @@ def closed_mask(rs: RootSystem, mask: int) -> bool:
     return True
 
 
-def _close(rs: RootSystem, mask: int, queue: list[int]) -> int:
+def _close(rs: RootSystem, mask: int, queue: list[int], stop: int = 0) -> int:
     """The closure of mask under sums that are roots, where every sum of two roots
-    of mask outside the queue is already in mask; the queue is consumed."""
+    of mask outside the queue is already in mask; the queue is consumed.  It is -1
+    as soon as a root of stop would be added (roots of stop already in mask are kept)."""
     partners = rs.sum_partners
     while queue:
         for j, k in partners[queue.pop()]:
             if mask >> j & 1 and not mask >> k & 1:
+                if stop >> k & 1:
+                    return -1
                 mask |= 1 << k
                 queue.append(k)
     return mask
@@ -238,7 +241,9 @@ def closed_masks(rs: RootSystem) -> Iterator[int]:
 
     Depth-first over the canonical root ordering: each root is either
     excluded outright or included together with everything its closure
-    forces; branches that would need an excluded root are pruned.
+    forces; branches that would need an excluded root are pruned.  The
+    closure stops at the first excluded root it would add: chosen never meets
+    excluded and closures only grow, so this prunes as a full closure would.
     """
     n = len(rs.all_roots)
     # (next root to decide, chosen, excluded); the exclude branch is pushed
@@ -251,8 +256,8 @@ def closed_masks(rs: RootSystem) -> Iterator[int]:
         if i == n:
             yield chosen
             continue
-        c = _close(rs, chosen | 1 << i, [i])
-        if not c & excluded:
+        c = _close(rs, chosen | 1 << i, [i], excluded)
+        if c >= 0:
             stack.append((i + 1, c, excluded))
         stack.append((i + 1, chosen, excluded | 1 << i))
 

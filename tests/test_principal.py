@@ -362,6 +362,25 @@ def test_growing_table_matches_fresh_tables(key):
     assert len(pd.kperp_table(0)) == max(GROWING_TOPS) + 1
 
 
+@pytest.mark.parametrize("key", RANK2_TYPES)
+def test_series_slices_match_per_m_entries(key):
+    # both signs of lambda(h), and bottoms below, at and above max_m, against the per-m reads
+    pd = _pd(*key)
+    for n in range(-9, 10):
+        lam = principal.find_nonintegral_weight(pd, n)
+        for max_m in (0, 1, 2, 3, 5, 13):
+            assert principal.ktype_series(pd, lam, max_m).entries == fresh_series(pd, n, max_m), (n, max_m)
+
+
+def test_negative_entry_is_an_internal_error():
+    # a planted table with table[1] above table[5]: at lambda(h) = -2, m = 1 reads
+    # table[5] - table[1] = -7 and m = 2 reads table[6] - table[0] = -3; the first is reported
+    pd = PrincipalData.build(dataclasses.replace(rootsys.build("B", 2)))
+    vars(pd)["_kperp_table"] = [3, 7] + [0] * 20
+    with pytest.raises(InternalError, match="negative multiplicity -7 for m=1"):
+        principal.ktype_series(pd, principal.find_nonintegral_weight(pd, -2), 6)
+
+
 def test_larger_top_replaces_table():
     # a table is replaced, never changed, so one a reader holds stays as it was
     pd = PrincipalData.build(dataclasses.replace(rootsys.build("F", 4)))

@@ -275,6 +275,41 @@ class TestClosedSubsetEnumeration:
         for s in seen:
             assert shadow.is_closed(a2, s)
 
+    @pytest.mark.parametrize(
+        "key, count, digest",
+        [
+            pytest.param(("A", 4), 6942, "95a1848d18d98e6eccc7bb8da2d1cca6eaea25782fda8f6cf23b85f62ba7dd85", id="a4"),
+            pytest.param(("D", 4), 18291, "006d0f651fc1c06e51973251028031737eeef77d28dba6c688f081f66e7cde5b", id="d4"),
+        ],
+    )
+    def test_order_pinned(self, key, count, digest):
+        # SHA-256 of the compact JSON list of the bits of every mask in closed_masks order,
+        # taken when each include branch was closed in full before the excluded roots were tested
+        masks = [bits(m) for m in shadow.closed_masks(rootsys.build(*key))]
+        assert len(masks) == count
+        assert hashlib.sha256(json.dumps(masks, separators=(",", ":")).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("key", [("B", 3), ("D", 4)], ids=_type_id)
+    def test_close_stops_at_the_stop_mask(self, key):
+        # from a closed mask and one more root, a stop mask disjoint from both gives -1
+        # exactly when the full closure meets it, and the full closure otherwise
+        rs = rootsys.build(*key)
+        rng = random.Random(14)
+        n = len(rs.all_roots)
+        masks = list(shadow.closed_masks(rs))
+        outcomes = set()
+        for mask in rng.sample(masks, 300):
+            if mask == rs.full_mask:
+                continue
+            i = rng.choice([j for j in range(n) if not mask >> j & 1])
+            start = mask | 1 << i
+            stop = rs.index_mask(j for j in range(n) if not start >> j & 1 and rng.random() < rng.random())
+            full = shadow._close(rs, start, [i])
+            got = shadow._close(rs, start, [i], stop)
+            assert got == (-1 if full & stop else full), (key, bits(mask), i, bits(stop))
+            outcomes.add(got < 0)
+        assert outcomes == {False, True}
+
     def test_json_round_trip(self, a2):
         sub = make(a2, [V(1, -1, 0), neg(V(1, -1, 0))])
         sd = shadow.shadow(a2, sub)
@@ -351,8 +386,11 @@ class TestClosureAgreesWithLP:
         # with an empty closure table every member comes from an LP
         rs = dataclasses.replace(rootsys.build(*key))
         rs.__dict__["sum_partners"] = ((),) * len(rs.all_roots)
-        for mask, _ in decompositions(key)[::7]:
-            _assert_matches_lp_reference(rs, mask, shadow.shadow(rs, RootSubalgebra(rs, mask)))
+        with mock.patch.object(shadow, "cone_member", wraps=shadow.cone_member) as lp:
+            for mask, _ in decompositions(key)[::7]:
+                _assert_matches_lp_reference(rs, mask, shadow.shadow(rs, RootSubalgebra(rs, mask)))
+        # an emptied table that the closure no longer read would leave this test passing with no LP
+        assert lp.call_count >= 1
 
     @pytest.mark.parametrize("key", [("G", 2), ("C", 3)], ids=_type_id)
     def test_lp_path_alone(self, key):
