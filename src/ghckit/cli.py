@@ -10,6 +10,9 @@ A parameter's flag is derived from its request key (``max_m`` is
 ``--max-m``), and one parser reads both its JSON value and its flag string,
 so a flag invocation is the request it spells.  A request key that the
 command does not declare is an input error.
+
+A handler imports the modules it runs, so a command loads only those (and
+``rootsys``, ``exact`` and ``errors``, which every request uses).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import os
 import sys
 from typing import Callable, Iterator, NamedTuple, Optional, TextIO
 
-from . import fk, mathieu, principal, rootsys, shadow
+from . import rootsys
 from .errors import InputError, RegularIntegralCase, UnsupportedTypeError
 from .exact import format_rational, parse_vector
 
@@ -93,10 +96,12 @@ def _weights(value):
 
 
 def _cmd_exponents(rs: rootsys.RootSystem) -> dict:
+    from . import principal
     return {"series": rs.series, "rank": rs.rank, "exponents": principal.exponents(rs)}
 
 
 def _cmd_shadow(rs: rootsys.RootSystem, subalgebra: list[int]) -> dict:
+    from . import shadow
     sd = shadow.shadow(rs, shadow.RootSubalgebra.from_indices(rs, subalgebra))
     doc = sd.to_json()
     doc["p_M"] = rootsys.bits(sd.pm_mask)
@@ -105,6 +110,7 @@ def _cmd_shadow(rs: rootsys.RootSystem, subalgebra: list[int]) -> dict:
 
 
 def _cmd_fk_test(rs: rootsys.RootSystem, subalgebra: list[int]) -> dict:
+    from . import fk, shadow
     verdict = fk.theorem8_finite_type(rs, shadow.RootSubalgebra.from_indices(rs, subalgebra))
     doc = verdict.to_json()
     doc["singular_weights_g_mod_l"] = rootsys.bits(verdict.singular_g_mod_l.mask)
@@ -113,17 +119,20 @@ def _cmd_fk_test(rs: rootsys.RootSystem, subalgebra: list[int]) -> dict:
 
 
 def _cmd_solvable_test(rs: rootsys.RootSystem, subalgebra: list[int]) -> dict:
+    from . import fk, shadow
     sub = shadow.RootSubalgebra.from_indices(rs, subalgebra)
     return {"finite_type": fk.theorem6_solvable_finite_type(rs, sub)}
 
 
 def _cmd_primal_test(rs: rootsys.RootSystem, k_roots: list[int], toral) -> dict:
+    from . import fk
     if toral is None:
         toral = rs.simple_roots  # the full Cartan of g
     return {"primal": fk.is_primal(rs, rs.roots_of(rs.index_mask(k_roots)), toral)}
 
 
 def _cmd_mathieu(x, eta, equiv) -> dict:
+    from . import mathieu
     for name, other in (("eta", eta), ("equiv", equiv)):
         if other is not None and len(other) != len(x):
             raise InputError(f"{name} dimension does not match x")
@@ -140,6 +149,7 @@ def _cmd_mathieu(x, eta, equiv) -> dict:
 
 
 def _cmd_ktype_series(rs: rootsys.RootSystem, lam, max_m: int) -> dict:
+    from . import principal
     if len(lam) != rs.ambient_dim:
         raise InputError("lambda dimension does not match the ambient space")
     if rootsys.is_integral(rs, lam):
@@ -161,6 +171,7 @@ def _cmd_census(rs: rootsys.RootSystem, dedup: bool) -> dict:
 
 def census_rows(rs: rootsys.RootSystem, dedup: bool = False) -> Iterator[dict]:
     """Classify every closed root subset (Cartan implicit) of a type A system."""
+    from . import fk, shadow
     if rs.series != "A":
         raise UnsupportedTypeError("census runs over the special-linear family only")
     if rs.rank > CENSUS_MAX_RANK:

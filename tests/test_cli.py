@@ -270,6 +270,63 @@ class TestDeterminism:
         assert capsys.readouterr().out == by_flags
 
 
+# the ghckit submodules each command loads: those it runs, and those every request uses
+BASE = ["cli", "errors", "exact", "rootsys"]
+LOADS = {
+    "root-system": BASE,
+    "exponents": BASE + ["principal"],
+    "ktype-series": BASE + ["principal"],
+    "mathieu": BASE + ["mathieu"],
+    "shadow": BASE + ["shadow"],
+    **{c: BASE + ["fk", "shadow"] for c in ("fk-test", "solvable-test", "primal-test", "census")},
+}
+
+# run in one fresh interpreter: each README invocation from an empty ghckit, then a bare import
+LOAD_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m[len("ghckit."):] for m in sys.modules if m.startswith("ghckit."))
+
+def drop():
+    for m in [m for m in sys.modules if m == "ghckit" or m.startswith("ghckit.")]:
+        del sys.modules[m]
+
+report = {"loads": {}}
+for argv in json.loads(sys.argv[1]):
+    drop()
+    from ghckit import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv.split())
+    report["loads"][argv] = [code, loaded()]
+drop()
+import ghckit
+report["bare"] = loaded()
+report["attributes"] = {name: getattr(ghckit, name).__name__ for name in ghckit.__all__}
+report["nope"] = not hasattr(ghckit, "nope")
+star = {}
+exec("from ghckit import *", star)
+report["star"] = {k: v.__name__ for k, v in star.items() if k != "__builtins__"}
+report["version"] = ghckit.__version__
+print(json.dumps(report))
+"""
+
+
+def test_commands_load_only_their_modules():
+    argvs = [argv for argv, _ in README_EXAMPLES]
+    proc = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE, json.dumps(argvs)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["loads"] == {argv: [EXIT_OK, sorted(LOADS[argv.split()[0]])] for argv in argvs}
+    assert report["bare"] == []
+    names = ["errors", "exact", "fk", "mathieu", "principal", "rootsys", "shadow"]
+    assert report["attributes"] == report["star"] == {name: f"ghckit.{name}" for name in names}
+    assert report["nope"]
+    assert report["version"] == "0.1.0"
+
+
 class TestCensus:
     def test_a1_rows(self):
         rs = rootsys.build("A", 1)
