@@ -50,10 +50,6 @@ def vadd(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def vsub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def vscale(c, a: Vector) -> Vector:
     c = Fraction(c)
     return tuple(c * x for x in a)

@@ -66,8 +66,7 @@ def sp_degree(x: Sequence) -> int:
     if n < 2:
         raise InputError("need rank >= 2 for the companion system")
     dn = rootsys.build("D", n)
-    shifted = tuple(c + 1 for c in xs)
-    dim = rootsys.weyl_dim(dn, shifted)
+    dim = rootsys.weyl_dim(dn, tuple(c + 1 for c in xs))
     d, rem = divmod(dim, 2 ** (n - 1))
     if rem:
         raise InternalError(f"dimension {dim} not divisible by 2^{n - 1}")

@@ -8,10 +8,16 @@ sl(2)-types in the first derived-functor module come from a difference of
 two restricted partition counts.
 
 ``PrincipalData.build`` runs once per RootSystem object and keeps the shared
-result on it, with read-only multisets; k-type series read one partition
-table per PrincipalData, grown by ``kperp_table``.  ``partition_P``,
+result on it, with read-only multisets and h also as an integer row over one
+denominator (``h_row``, ``h_den``); k-type series read one partition table
+per PrincipalData, grown by ``kperp_table``.  ``partition_P``,
 ``a1_multiplicity`` and ``euler_rhs`` build their own tables on purpose: they
 are the independent counts that the series is checked against.
+
+A weight enters as the (integer row, denominator) pair of
+``rootsys._weight_row``, which also checks its length, so ``lambda_h`` is one
+integer dot and one Fraction; ``find_nonintegral_weight`` steps over integer
+rows and builds its Fraction weight once, at the end.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from operator import sub
 from types import MappingProxyType
 
 from .errors import InputError, InternalError
-from .exact import Vector, dot, format_rational, vadd, vscale, vsub
-from .rootsys import RootSystem, height_distribution, is_integral
+from .exact import Vector, format_rational
+from .rootsys import RootSystem, _dot, _integral, _weight_row, height_distribution, is_integral
 
 
 def principal_h(rs: RootSystem) -> Vector:
@@ -57,7 +63,8 @@ def exponents(rs: RootSystem) -> list[int]:
 class PrincipalData:
     rs: RootSystem
     h_element: Vector
-    h_norm: Fraction  # (h, h)
+    h_row: tuple[int, ...]  # h_element = h_row / h_den, in integers
+    h_den: int
     exponents: tuple[int, ...]
     nbar_multiset: MappingProxyType
     nbar_kperp_multiset: MappingProxyType
@@ -71,6 +78,7 @@ class PrincipalData:
         if rs.rank < 2:
             raise InputError("principal sl(2) machinery needs rank >= 2")
         h = principal_h(rs)
+        h_row, h_den = _weight_row(rs, h)
         nbar = {2 * height: count for height, count in height_distribution(rs).items()}
         if nbar.get(2, 0) < 1:
             raise InternalError("no eigenvalue-2 line to carve the sl(2) raising vector from")
@@ -84,14 +92,16 @@ class PrincipalData:
         return vars(rs).setdefault("_principal", cls(
             rs=rs,
             h_element=h,
-            h_norm=dot(h, h),
+            h_row=tuple(h_row),
+            h_den=h_den,
             exponents=exps,
             nbar_multiset=MappingProxyType(nbar),
             nbar_kperp_multiset=MappingProxyType(kperp),
         ))
 
     def lambda_h(self, lam: Vector) -> Fraction:
-        return dot(lam, self.h_element)
+        row, den = _weight_row(self.rs, lam)
+        return Fraction(_dot(row, self.h_row), den * self.h_den)
 
     def kperp_table(self, top: int) -> list[int]:
         """The partition table of nbar_kperp_multiset through at least q^top, kept
@@ -234,16 +244,17 @@ def find_nonintegral_weight(pd: PrincipalData, target) -> Vector:
     to be integral, perturbs along a direction of the root span orthogonal
     to h by small odd-denominator steps.
     """
-    rs = pd.rs
-    t = Fraction(target)
-    base = vscale(t / pd.h_norm, pd.h_element)
-    if not is_integral(rs, base):
-        return base
-    # directions inside the simple-root span, orthogonal to h: h pairs to 2
-    # with every simple root, so a_j - a_0 for j >= 1
-    for a in rs.simple_roots[1:]:
-        for den in (3, 5, 7, 11, 13):
-            lam = vadd(base, vscale(Fraction(1, den), vsub(a, rs.simple_roots[0])))
-            if not is_integral(rs, lam):
-                return lam
+    rs, h, t = pd.rs, pd.h_row, Fraction(target)
+    # base = t h / (h, h) = row / den, with h = h_row / h_den
+    row, den = [t.numerator * pd.h_den * x for x in h], t.denominator * _dot(h, h)
+    if not _integral(rs, row, den):
+        return tuple(Fraction(x, den) for x in row)
+    # directions inside the simple-root span, orthogonal to h: h pairs to 2 with every
+    # simple root, so a_j - a_0 for j >= 1; with the doubled roots b_j = 2 a_j,
+    # base + (a_j - a_0) / k = (2k row + den (b_j - b_0)) / (2k den)
+    for b in rs._simple_doubled[1:]:
+        for k in (3, 5, 7, 11, 13):
+            lam = [2 * k * x + den * (y - z) for x, y, z in zip(row, b, rs._simple_doubled[0])]
+            if not _integral(rs, lam, 2 * k * den):
+                return tuple(Fraction(x, 2 * k * den) for x in lam)
     raise InternalError("could not find a non-integral weight with the requested h-value")

@@ -15,11 +15,17 @@ roots by their index in the canonical order (see ``build``;
 ``sum_partners`` keeps the sums that are roots) for closed-subset code,
 where a root subset is a bitmask with bit i for ``all_roots[i]``
 (``mask_of``, ``roots_of``, ``full_mask``); only ``positive_mask`` and
-``negated`` know that the positive roots come first.  Weights and pairings
-go through ``doubled_roots`` and the integer table ``coroot_coords``, built
-on first use, and ``vector_order`` lists the root indices as the root
-vectors sort.  Public surfaces (root vectors, weights, JSON) stay Fraction
-epsilon-vectors.
+``negated`` know that the positive roots come first.  ``vector_order``
+lists the root indices as the root vectors sort.
+
+A weight enters through ``_weight_row``, once per call: it checks the length
+against ``ambient_dim`` and writes the weight as an integer row over one
+positive denominator.  ``_simple_pairings`` pairs that row with the doubled
+simple roots into integer (numerator, denominator) pairs, and the predicates
+and ``weyl_dim`` decide on them by ``%`` and ``//``, with the integer table
+``coroot_coords``, built on first use, for the other positive roots; a
+Fraction is built only for an error message.  Public surfaces (root vectors,
+weights, JSON) stay Fraction epsilon-vectors.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -224,9 +230,13 @@ class RootSystem:
     def coroot_coords(self) -> tuple[tuple[int, ...], ...]:
         """The coroot of positive_roots[i] over the simple coroots: c_j |a_j|^2 / |a|^2
         for a = sum_j c_j a_j.  Built on first use."""
-        simple = [_dot(a, a) for a in self._simple_doubled]
         positive = zip(self._coords, self.doubled_roots[: len(self.positive_roots)])
-        return tuple(tuple(cj * nj // _dot(a, a) for cj, nj in zip(c, simple)) for c, a in positive)
+        return tuple(tuple(cj * nj // _dot(a, a) for cj, nj in zip(c, self._simple_norms)) for c, a in positive)
+
+    @cached_property
+    def _simple_norms(self) -> tuple[int, ...]:
+        """|2a|^2 for each simple root a."""
+        return tuple(_dot(a, a) for a in self._simple_doubled)
 
     @cached_property
     def _rho(self) -> Vector:
@@ -331,29 +341,40 @@ def _construct(series: str, rank: int) -> RootSystem:
 # weight predicates
 
 
-def _simple_pairings(rs: RootSystem, lam: Vector) -> list[Fraction]:
-    """<lam, a^vee> = 4(lam, 2a)/|2a|^2 for each simple root a, with lam over one denominator."""
+def _weight_row(rs: RootSystem, lam: Vector) -> tuple[list[int], int]:
+    """lam as an integer row and a positive denominator, lam = row / den: the one
+    entry point of a weight, which also checks its length."""
+    if len(lam) != rs.ambient_dim:
+        raise InputError("weight dimension does not match the ambient space")
     den = lcm(*(x.denominator for x in lam))
-    scaled = [x.numerator * (den // x.denominator) for x in lam]
-    return [_F(4 * _dot(scaled, a), den * _dot(a, a)) for a in rs._simple_doubled]
+    return [x.numerator * (den // x.denominator) for x in lam], den
+
+
+def _simple_pairings(rs: RootSystem, row: Sequence[int], den: int) -> list[tuple[int, int]]:
+    """<lam, a^vee> = 4(row, 2a) / (den |2a|^2) for each simple root a, as an
+    integer (numerator, positive denominator) pair, for lam = row / den."""
+    return [(4 * sum(map(mul, row, a)), den * n) for a, n in zip(rs._simple_doubled, rs._simple_norms)]
+
+
+def _integral(rs: RootSystem, row: Sequence[int], den: int) -> bool:
+    """Whether lam = row / den pairs with every coroot in the integers."""
+    return all(p % q == 0 for p, q in _simple_pairings(rs, row, den))
 
 
 def is_integral(rs: RootSystem, lam: Vector) -> bool:
-    return all(p.denominator == 1 for p in _simple_pairings(rs, lam))
+    return _integral(rs, *_weight_row(rs, lam))
 
 
 def is_dominant(rs: RootSystem, lam: Vector) -> bool:
-    return all(p >= 0 for p in _simple_pairings(rs, lam))
+    return all(p >= 0 for p, _ in _simple_pairings(rs, *_weight_row(rs, lam)))
 
 
 def is_regular_integral(rs: RootSystem, lam: Vector) -> bool:
     """True iff <lam+rho, alpha^vee> is a nonzero integer for every positive root."""
     # <rho, a^vee> = 1 on the simple roots, and integral pairings there are integral everywhere
-    pairings = _simple_pairings(rs, lam)
-    if any(p.denominator != 1 for p in pairings):
-        return False
-    shifted = [int(p) + 1 for p in pairings]
-    return all(_dot(d, shifted) for d in rs.coroot_coords)
+    pairings = _simple_pairings(rs, *_weight_row(rs, lam))
+    shifted = [p // q + 1 for p, q in pairings]
+    return all(p % q == 0 for p, q in pairings) and all(_dot(d, shifted) for d in rs.coroot_coords)
 
 
 def weyl_dim(rs: RootSystem, lam: Vector) -> int:
@@ -362,18 +383,13 @@ def weyl_dim(rs: RootSystem, lam: Vector) -> int:
     Half-integer epsilon-coordinates are fine as long as every coroot
     pairing is a nonnegative integer.
     """
-    if len(lam) != rs.ambient_dim:
-        raise InputError("weight dimension does not match the ambient space")
-    pairings = _simple_pairings(rs, lam)
-    for p, a in zip(pairings, rs.simple_roots):
-        if p < 0 or p.denominator != 1:
-            raise InputError(f"weight is not dominant integral: pairing {p} on {a}")
+    pairings = _simple_pairings(rs, *_weight_row(rs, lam))
+    for (p, q), a in zip(pairings, rs.simple_roots):
+        if p < 0 or p % q:
+            raise InputError(f"weight is not dominant integral: pairing {_F(p, q)} on {a}")
     # prod <lam+rho, a^vee> / prod <rho, a^vee>; a^vee = sum_i d_i a_i^vee pairs as sum_i d_i p_i
-    shifted = [int(p) + 1 for p in pairings]
-    num = den = 1
-    for d in rs.coroot_coords:
-        num *= sum(map(mul, d, shifted))
-        den *= sum(d)
+    shifted = [p // q + 1 for p, q in pairings]
+    num, den = prod(sum(map(mul, d, shifted)) for d in rs.coroot_coords), prod(map(sum, rs.coroot_coords))
     dim, rem = divmod(num, den)
     if rem or dim <= 0:
         raise InternalError(f"Weyl product gave a non-positive-integer value {_F(num, den)}")

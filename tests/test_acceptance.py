@@ -66,6 +66,7 @@ EXPONENT_TABLE = {
 }
 
 RANK23 = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("G", 2)]
+RANK4 = [("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4)]
 
 
 def test_criterion_01_root_counts():
@@ -133,8 +134,8 @@ def test_criterion_06_fernando_round_trip():
 
 
 def test_criterion_07_multiplicity_vs_euler():
-    with _report(7, "k-type multiplicity equals minus the Euler sum on the full grid", budget=10):
-        for key in RANK23:
+    with _report(7, "k-type multiplicity equals minus the Euler sum on the full grid, ranks 2-4", budget=10):
+        for key in RANK23 + RANK4:
             pd = principal.PrincipalData.build(rootsys.build(*key))
             for n in range(0, 11):
                 lam = principal.find_nonintegral_weight(pd, n + 2)
@@ -144,7 +145,7 @@ def test_criterion_07_multiplicity_vs_euler():
 
 def test_criterion_08_bottom_of_spectrum():
     with _report(8, "multiplicity 1 at m = lambda(h)-2 and 0 below, same grid"):
-        for key in RANK23:
+        for key in RANK23 + RANK4:
             pd = principal.PrincipalData.build(rootsys.build(*key))
             for n in range(0, 11):
                 lam = principal.find_nonintegral_weight(pd, n + 2)

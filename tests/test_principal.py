@@ -2,8 +2,12 @@ import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_rootsys import reference_is_regular_integral, reference_weyl_dim
 
 from ghckit import principal, rootsys
 from ghckit.errors import InputError, InternalError
@@ -388,3 +392,45 @@ def test_larger_top_replaces_table():
     assert len(held) == 11 and pd.kperp_table(5) is held
     assert pd.kperp_table(100) is not held and held == _partition_table(pd.nbar_kperp_multiset, 10)
     assert len(pd.kperp_table(0)) == 101
+
+
+@pytest.mark.parametrize("lam", [(F(1), F(0)), (F(1, 3),), ()])
+def test_weight_of_the_wrong_length_is_an_input_error(a2, lam):
+    # A2 lives in a 3-dimensional ambient space; the length is checked where a weight
+    # enters, before any pairing is taken
+    pd = PrincipalData.build(a2)
+    on_rs = (rootsys.is_integral, rootsys.is_dominant, rootsys.is_regular_integral, rootsys.weyl_dim)
+    calls = [partial(f, a2) for f in on_rs] + [pd.lambda_h, partial(principal.ktype_series, pd, max_m=4)]
+    for call in calls:
+        with pytest.raises(InputError, match="^weight dimension does not match the ambient space$"):
+            call(lam)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and text of the InputError it raises."""
+    try:
+        return fn(*args)
+    except InputError as e:
+        return InputError, str(e)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_integer_weight_path_matches_fraction_pairings(data):
+    # weights with mixed denominators, negative entries and zeros, or integer
+    # combinations of the fundamental weights, which reach the dominant and the
+    # regular integral cases; every answer against the Fraction pairings 2(lam,a)/(a,a)
+    rs = rootsys.build(*data.draw(st.sampled_from(RANK2_TYPES)))
+    pd = PrincipalData.build(rs)
+    if data.draw(st.booleans()):
+        entry = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 12]))
+        lam = tuple(data.draw(st.lists(entry, min_size=rs.ambient_dim, max_size=rs.ambient_dim)))
+    else:
+        coeffs = data.draw(st.lists(st.integers(-2, 3), min_size=rs.rank, max_size=rs.rank))
+        lam = tuple(sum(c * w[k] for c, w in zip(coeffs, rs.fundamental_weights)) for k in range(rs.ambient_dim))
+    assert pd.lambda_h(lam) == dot(lam, pd.h_element)
+    pairings = [rs.pairing(lam, a) for a in rs.simple_roots]
+    assert rootsys.is_integral(rs, lam) == all(p.denominator == 1 for p in pairings)
+    assert rootsys.is_dominant(rs, lam) == all(p >= 0 for p in pairings)
+    assert rootsys.is_regular_integral(rs, lam) == reference_is_regular_integral(rs, lam)
+    assert _outcome(rootsys.weyl_dim, rs, lam) == _outcome(reference_weyl_dim, rs, lam)
