@@ -8,15 +8,20 @@ LP behind the cone queries does not: ``lp_feasible`` reads integer input as
 it is and scales any other input by the lcm of its denominators, keeps the
 tableau as an integer matrix whose rows share one denominator up to that
 scale, pivots it fraction-free with Bland's rule, and turns back to
-Fractions only for the solution.  The cone queries pass their generators
+Fractions only for the solution.  A step whose pivot and previous pivot are
+both 1 (every step of the type-A LPs that ``fk`` runs) skips the scaling and
+is a plain integer row subtraction.  The cone queries pass their generators
 through unchanged, so integer generators (as ``fk`` and ``shadow`` give
 them) reach the simplex with no Fraction built on the way.
 
 ``cone_witness`` is the one LP behind the two-cone test: it asks for a
 common point whose coordinate k is +1 or -1 and returns it as a
-``ConeWitness``.  ``cones_intersect_trivially`` is the general test, that LP
-for every (coordinate, sign) pair in turn; ``fk`` picks the one pair to ask
-for by graph reachability and calls ``cone_witness`` once.
+``ConeWitness``, whose point it sums in integers over one denominator (the
+lcm of the nonzero coefficients' denominators, 1 on every type-A LP) and
+turns into one Fraction per coordinate.  ``cones_intersect_trivially`` is
+the general test, that LP for every (coordinate, sign) pair in turn; ``fk``
+picks the one pair to ask for by graph reachability and calls
+``cone_witness`` once.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -187,7 +193,8 @@ def lp_feasible(
     (Edmonds 1967; Bareiss 1968): a pivot p at (r, s) keeps row r and sets
     a_ij <- (p·a_ij - a_is·a_rj) // d for every other row, then d <- p, where
     d is the previous pivot (initially 1).  The division is exact, since
-    every entry is a minor of the scaled input matrix.  Row i then stands
+    every entry is a minor of the scaled input matrix; when p = d = 1 the
+    step skips the scaling and is a_ij - a_is·a_rj.  Row i then stands
     for the rational row a_i / a_i[basis[i]], with a positive denominator
     (d, or d·L while the row still has its own artificial basic), so signs
     and ratios read straight off the integers.  Pivoting uses Bland's rule,
@@ -262,6 +269,8 @@ def _pivot_row(row: list[int], prow: list[int], p: int, d: int, enter: int) -> l
     """One fraction-free elimination step of row against pivot row prow."""
     f = row[enter]
     if f:
+        if p == d == 1:
+            return [x - f * y for x, y in zip(row, prow)]
         return [(p * x - f * y) // d for x, y in zip(row, prow)]
     if p == d:
         return row
@@ -344,17 +353,21 @@ def cone_witness(
     _check_dim(gens_a, dim)
     _check_dim(gens_b, dim)
     na, nb = len(gens_a), len(gens_b)
-    # sum of a-coefficients times gens_a minus b-coefficients times gens_b is 0
-    balance = [(tuple(g[j] for g in gens_a) + tuple(-g[j] for g in gens_b), 0) for j in range(dim)]
-    norm = tuple(g[k] for g in gens_a) + (0,) * nb
-    sol = lp_feasible(balance + [(norm, sign)], na + nb)
+    # sum of a-coefficients times gens_a minus b-coefficients times gens_b is 0: column j of
+    # the generators, the b-side negated, is balance row j
+    cols = list(zip(*gens_a, *(tuple(-x for x in g) for g in gens_b)))
+    rows = [(col, 0) for col in cols] + [(cols[k][:na] + (0,) * nb, sign)]
+    sol = lp_feasible(rows, na + nb)
     if sol is None:
         return None
     ca = tuple(sol[:na])
     cb = tuple(sol[na:])
-    # a basic solution has at most dim + 1 nonzero coefficients
+    # a basic solution has at most dim + 1 nonzero coefficients; their sum is taken in
+    # integers over D, the lcm of their denominators, and divided by D once per coordinate
     terms = [(c, g) for c, g in zip(ca, gens_a) if c]
-    point = tuple(sum(c * g[j] for c, g in terms) for j in range(dim))
+    den = lcm(*(c.denominator for c, _ in terms))
+    ints = [c.numerator * (den // c.denominator) for c, _ in terms]
+    point = tuple(Fraction(sum(map(mul, ints, col)), den) for col in zip(*(g for _, g in terms)))
     return ConeWitness(ca, cb, point)
 
 

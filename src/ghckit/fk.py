@@ -24,13 +24,12 @@ roots, checked against ``rootsys.root_count``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, InternalError, UnsupportedTypeError
-from .exact import ConeWitness, Vector, _rref, cone_witness
+from .exact import ConeWitness, Vector, cone_witness
 from .rootsys import LOW_RANK_ALIASES, RootSystem, _dot, bits, root_count
 from .shadow import RootSubalgebra, _require_over, closed_mask
 
@@ -287,21 +286,21 @@ def _simple_type(rank: int, roots: int, long_roots: int) -> tuple[str, int]:
 # primality
 
 
-def _span_test(vectors: Sequence[Vector], dim: int) -> Callable[[Vector], bool]:
-    """A membership test for the linear span of vectors, from one reduction:
-    v lies in the span iff clearing v at every pivot column leaves 0."""
-    basis = [[Fraction(x) for x in v] for v in vectors]
-    pivots = _rref(basis, dim)
+def _span_test(rows: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], bool]:
+    """A membership test for the linear span of integer rows, from one
+    fraction-free reduction: v lies in the span iff clearing v at every pivot leaves 0."""
+    basis: list[tuple[int, Sequence[int]]] = []  # (pivot column, row); each row is 0 at earlier pivots
 
-    def contains(v: Vector) -> bool:
-        rest = list(v)
-        for r, c in pivots:
-            f = rest[c]
-            if f:
-                rest = [x - f * y for x, y in zip(rest, basis[r])]
-        return not any(rest)
+    def clear(v: Sequence[int]) -> Sequence[int]:
+        for c, b in basis:
+            if f := v[c]:
+                v = [b[c] * x - f * y for x, y in zip(v, b)]
+        return v
 
-    return contains
+    for row in map(clear, rows):
+        if any(row):
+            basis.append((next(c for c, x in enumerate(row) if x), row))
+    return lambda v: not any(clear(v))
 
 
 def is_primal(
@@ -315,21 +314,22 @@ def is_primal(
     toral = [tuple(v) for v in toral_part]
     if any(len(v) != rs.ambient_dim for v in toral):
         raise InputError(f"toral vectors must have dimension {rs.ambient_dim}")
-    in_toral = _span_test(toral, rs.ambient_dim)
-    # the simple roots of k span its roots, and their coroots span its coroots
-    simple_k = [rs.all_roots[i] for i in _k_simple(rs, k)]
-    if not all(in_toral(rs.coroot(a)) for a in simple_k):
+    # the toral vectors times their common denominator are integer rows with the same span,
+    # each pairing with a root nonzero iff the vector does
+    den = lcm(*(x.denominator for t in toral for x in t))
+    toral_rows = [tuple(x.numerator * (den // x.denominator) for x in t) for t in toral]
+    in_toral = _span_test(toral_rows)
+    # the simple roots of k span its roots, and their coroots, positive multiples of the
+    # (doubled) roots, span its coroots
+    if not all(in_toral(rs.doubled_roots[i]) for i in _k_simple(rs, k)):
         raise InputError("toral part must contain the coroots of k_roots")
     # C(k) = Z(k) needs the torus centralizing k inside the toral part.  The Cartan
     # subspace h = span(simple roots of g) is the orthogonal sum of span(coroots of k) and
     # that torus, and the coroots are in the toral span by the check above, so the torus
     # is in it iff all of h is, that is iff every simple root of g is ...
-    if not all(map(in_toral, rs.simple_roots)):
+    if not all(map(in_toral, rs._simple_doubled)):
         return False
-    # ... and no root space commuting with all of k.  The toral vectors times their common
-    # denominator are integer rows, each pairing with a root nonzero iff the vector does.
-    den = lcm(*(x.denominator for t in toral for x in t))
-    toral_rows = [tuple(x.numerator * (den // x.denominator) for x in t) for t in toral]
+    # ... and no root space commuting with all of k
     negated_k = rs.negated(k)
     for g, row in enumerate(rs.sum_table):
         if any(_dot(rs.doubled_roots[g], t) for t in toral_rows):

@@ -219,9 +219,11 @@ def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
     table, which reaches the largest target, max_m - lambda(h) + 2."""
     if max_m < 0:
         raise InputError("max_m must be nonnegative")
-    if is_integral(pd.rs, lam):
+    # the weight enters once: its row decides integrality and gives lambda(h)
+    row, den = _weight_row(pd.rs, lam)
+    if _integral(pd.rs, row, den):
         raise InputError("lambda must be non-integral")
-    lh = pd.lambda_h(lam)
+    lh = Fraction(_dot(row, pd.h_row), den * pd.h_den)
     # a non-integral lambda(h) makes every target non-integral
     values = [0] * (max_m + 1)
     if lh.denominator == 1:

@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 import pytest
 from hypothesis import given, strategies as st
 
-from ghckit import cli
+from ghckit import cli, exact, fk
 from ghckit.errors import InputError
 from ghckit.exact import (
     ConeWitness,
@@ -22,6 +22,7 @@ from ghckit.exact import (
     vscale,
     vzero,
 )
+from ghckit.shadow import RootSubalgebra, closed_subsets
 
 F = Fraction
 
@@ -321,6 +322,47 @@ def outcome(result):
     fields = (*witness.coefficients_a, *witness.coefficients_b, *witness.point)
     assert all(type(x) is Fraction for x in fields)
     return trivial, witness.to_json()
+
+
+def counting_pivots(monkeypatch):
+    """Replace exact._pivot_row by a wrapper that counts its row steps by kind:
+    "unit" (p = d = 1, the step with no scaling) or "general"."""
+    counts = {"unit": 0, "general": 0}
+    pivot_row = exact._pivot_row
+
+    def counted(row, prow, p, d, enter):
+        counts["unit" if p == d == 1 else "general"] += 1
+        return pivot_row(row, prow, p, d, enter)
+
+    monkeypatch.setattr(exact, "_pivot_row", counted)
+    return counts
+
+
+class TestTypeAWitnesses:
+    def test_theorem8_witness_matches_the_fraction_pipeline(self, a3, monkeypatch):
+        # every infinite-type verdict on A3: the reachability rule's one integer LP and its
+        # point summed over one denominator, against the Fraction LP loop on the Fraction
+        # singular weights.  Every row step on the way has p = d = 1; their number was
+        # counted before that step had a branch of its own, so the pivots are the same
+        counts = counting_pivots(monkeypatch)
+        infinite = 0
+        for roots in closed_subsets(a3):
+            verdict = fk.theorem8_finite_type(a3, RootSubalgebra(a3, roots))
+            if verdict.finite_type:
+                continue
+            infinite += 1
+            gens = sorted(verdict.singular_g_mod_l.singular_weights), sorted(verdict.singular_n.singular_weights)
+            assert outcome(reference_cones_intersect_trivially(*gens)) == outcome((False, verdict.witness))
+        assert infinite == 168
+        assert counts == {"unit": 3065, "general": 0}
+
+    def test_fractional_input_takes_the_general_step(self, monkeypatch):
+        # the redundant-row case of TestLpAgainstReference.test_fixed_cases: scaled by 6,
+        # so its pivots are not 1
+        counts = counting_pivots(monkeypatch)
+        eqs = [((F(1, 2), F(1, 3)), F(1)), ((F(1), F(2, 3)), F(2))]
+        assert lp_feasible(eqs, 2) == reference_lp_feasible(eqs, 2)
+        assert counts["general"] > 0
 
 
 @st.composite
