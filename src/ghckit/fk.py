@@ -83,9 +83,9 @@ def _k_simple(rs: RootSystem, k: int) -> list[int]:
     return [a for a in kpos if a not in sums]
 
 
-def _singular(rs: RootSystem, k: int, module: int) -> int:
-    """The mask of the roots of a module (a mask) that no simple root of k maps into the module."""
-    simple_k = _k_simple(rs, k)
+def _singular(rs: RootSystem, simple_k: list[int], module: int) -> int:
+    """The mask of the roots of a module (a mask) that no simple root of k, given
+    by the indices simple_k from ``_k_simple``, maps into the module."""
     out = 0
     for w in bits(module):
         row = rs.sum_table[w]
@@ -104,7 +104,7 @@ def singular_weights(
     the nilpotent part of k intersected with the Borel.
     """
     k = _symmetric_closed(rs, k_roots, "k_roots")
-    return SingularWeightData(rs, _singular(rs, k, rs.mask_of(module_weights)))
+    return SingularWeightData(rs, _singular(rs, _k_simple(rs, k), rs.mask_of(module_weights)))
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,11 @@ def theorem8_finite_type(rs: RootSystem, l: RootSubalgebra) -> FiniteTypeVerdict
     _require_over(rs, l)
     if rs.series != "A":
         raise UnsupportedTypeError("the cone finite-type test is only available for type A")
-    # k = l & -l is symmetric, and closed as l and -l are, as _singular needs
+    # k = l & -l is symmetric, and closed as l and -l are, as _k_simple needs
     k = reductive_mask(l)
-    sg = _singular(rs, k, rs.full_mask & ~l.mask)
-    sn = _singular(rs, k, l.mask & ~k)
+    simple_k = _k_simple(rs, k)
+    sg = _singular(rs, simple_k, rs.full_mask & ~l.mask)
+    sn = _singular(rs, simple_k, l.mask & ~k)
     table = _type_a_roots(rs)
     a = [(row, ends) for i, row, ends in table if sg >> i & 1]
     b = [(row, ends) for i, row, ends in table if sn >> i & 1]

@@ -15,7 +15,10 @@ roots by their index in the canonical order (see ``build``;
 ``sum_partners`` keeps the sums that are roots) for closed-subset code,
 where a root subset is a bitmask with bit i for ``all_roots[i]``
 (``mask_of``, ``roots_of``, ``full_mask``); only ``positive_mask`` and
-``negated`` know that the positive roots come first.  ``vector_order``
+``negated`` know that the positive roots come first.  ``roots_of`` builds the
+frozenset view of a mask from a table, built on first use, that holds the
+frozenset of each nibble value of each chunk of four root indices: it
+merges one stored set per chunk, so no root is hashed again.  ``vector_order``
 lists the root indices as the root vectors sort.
 
 A weight enters through ``_weight_row``, once per call: it checks the length
@@ -67,8 +70,9 @@ _F = Fraction
 
 
 def bits(mask: int) -> list[int]:
-    """The positions of the set bits of mask, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The positions of the set bits of mask, a nonnegative integer, ascending:
+    one scan of its binary digits, lowest first."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -175,12 +179,22 @@ class RootSystem:
 
     def roots_of(self, mask: int) -> frozenset[Vector]:
         # a set merge reuses the hash stored with each entry, so no Fraction is hashed
-        singles = self._singletons
-        return frozenset().union(*[singles[i] for i in bits(mask)])
+        return frozenset().union(*[t[mask >> 4 * c & 15] for c, t in enumerate(self._nibble_sets)])
 
     @cached_property
-    def _singletons(self) -> tuple[frozenset[Vector], ...]:
-        return tuple(frozenset((a,)) for a in self.all_roots)
+    def _nibble_sets(self) -> tuple[tuple[frozenset[Vector], ...], ...]:
+        """For each chunk of four root indices, from 4c on, the frozenset of the roots
+        of each nibble value: entry v holds all_roots[4c + b] for each set bit b of v.
+        A last chunk of r < 4 roots has the 2**r entries a mask can select."""
+        table = []
+        for c in range(0, len(self.all_roots), 4):
+            sets = [frozenset()]
+            for a in self.all_roots[c : c + 4]:
+                # the entries with this root's bit set: the earlier ones, each with the root added
+                single = frozenset((a,))
+                sets += [s | single for s in sets]
+            table.append(tuple(sets))
+        return tuple(table)
 
     @cached_property
     def full_mask(self) -> int:

@@ -9,7 +9,11 @@ A chain of integer functionals proves the other roots outside the cone, and
 a rational LP decides only a root that the chain leaves (see ``shadow``).
 
 Root subsets are bitmasks over the canonical root order, and closure goes
-through the sum table.  A decomposition holds the masks of its parts, and
+through ``sum_partners``, by one of two kernels.  ``shadow`` closes Gamma,
+which holds most of the roots, by testing the roots outside it
+(``_close_from_outside``); the enumeration of closed subsets closes a small
+closed set plus one root by walking the partners of the roots that join
+(``_close``).  A decomposition holds the masks of its parts, and
 its JSON reads their bits; frozensets of Fraction epsilon-vectors are views
 built only for results: ``RootSubalgebra.roots``, the parts of a
 decomposition, ``parabolic_pm``, ``fernando_fk`` and ``closed_subsets``.
@@ -49,7 +53,9 @@ def closed_mask(rs: RootSystem, mask: int) -> bool:
 def _close(rs: RootSystem, mask: int, queue: list[int], stop: int = 0) -> int:
     """The closure of mask under sums that are roots, where every sum of two roots
     of mask outside the queue is already in mask; the queue is consumed.  It is -1
-    as soon as a root of stop would be added (roots of stop already in mask are kept)."""
+    as soon as a root of stop would be added (roots of stop already in mask are kept):
+    ``closed_masks`` passes its excluded roots as stop.  The walk visits the partners
+    of every root that joins, so it suits a small closed mask and one more root."""
     partners = rs.sum_partners
     while queue:
         for j, k in partners[queue.pop()]:
@@ -59,6 +65,25 @@ def _close(rs: RootSystem, mask: int, queue: list[int], stop: int = 0) -> int:
                 mask |= 1 << k
                 queue.append(k)
     return mask
+
+
+def _close_from_outside(rs: RootSystem, mask: int) -> int:
+    """The closure of mask under sums that are roots, found by testing the roots
+    outside it: k joins when k = m + (-j) for some (j, m) in ``sum_partners[k]``
+    with m and -j in mask.  Each round costs the partners of the roots outside,
+    so it suits a mask that holds most of the roots, as Gamma does."""
+    partners = rs.sum_partners
+    while True:
+        neg = rs.negated(mask)
+        grown = mask
+        for k in bits(rs.full_mask & ~mask):
+            for j, m in partners[k]:
+                if neg >> j & 1 and mask >> m & 1:
+                    grown |= 1 << k
+                    break
+        if grown == mask:
+            return mask
+        mask = grown
 
 
 def is_closed(rs: RootSystem, roots: Iterable[Vector]) -> bool:
@@ -132,10 +157,13 @@ def _require_over(rs: RootSystem, l: RootSubalgebra) -> None:
 def shadow(rs: RootSystem, fk: RootSubalgebra) -> ShadowDecomposition:
     """Four-way classification of every root against the cone over Gamma.
 
-    Gamma-bar, the closure of Gamma under root sums, is in the cone.  A chain
-    of integer functionals on the doubled roots proves the roots outside it
-    outside the cone: live_0 is every root, phi_k the sum of the members in
-    live_k (half of members minus non-members, live_k being symmetric), and
+    Gamma-bar, the closure of Gamma under root sums, is in the cone.  It
+    comes from testing the roots outside Gamma, usually the fewer
+    (``_close_from_outside``), and so does the closure after a fallback LP
+    finds a member.  A chain of integer functionals on the doubled roots
+    proves the roots outside it outside the cone: live_0 is every root,
+    phi_k the sum of the members in live_k (half of members minus
+    non-members, live_k being symmetric), and
     live_{k+1} the roots of live_k where phi_k is 0.  Let phi_k >= 0 on the
     live generators, and t = sum c_g g, c_g > 0, with the support in live_k
     (as for k = 0).  Then phi_k(t) >= 0, and phi_k(t) = 0 only if the support
@@ -150,13 +178,13 @@ def shadow(rs: RootSystem, fk: RootSubalgebra) -> ShadowDecomposition:
     gamma_mask = rs.full_mask & ~fk.mask
     # the roots in the cone: the cone is closed under addition, so the generators and every
     # root that is a sum of two members are members without an LP
-    inside = _close(rs, gamma_mask, bits(gamma_mask))
+    inside = _close_from_outside(rs, gamma_mask)
     undecided = rs.full_mask & ~inside & ~_certified_outside(rs, gamma_mask, inside)
     # membership is the same for v over gamma and 2v over 2 gamma, and the doubled roots are integers
     doubled = rs.doubled_roots
     for i in bits(undecided):
         if not inside >> i & 1 and cone_member(doubled[i], [doubled[g] for g in bits(gamma_mask)]) is not None:
-            inside = _close(rs, inside | 1 << i, [i])
+            inside = _close_from_outside(rs, inside | 1 << i)
     neg = rs.negated(inside)  # the roots whose negatives are in the cone
     return ShadowDecomposition(
         rs,

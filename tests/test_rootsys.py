@@ -313,6 +313,21 @@ def test_roots_of_builds_the_vector_set(key):
         assert got == frozenset(rs.all_roots[i] for i in rootsys.bits(mask))
 
 
+def test_bits_match_the_bitwise_definition():
+    def naive(mask):
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    full = rootsys.build("E", 8).full_mask
+    rng = random.Random(240)
+    masks = [0, 1, 1 << 239, 1 << 63, 1 << 64, full, full >> 1, full & ~1]
+    masks += [rng.getrandbits(240) & rng.getrandbits(240) & rng.getrandbits(240) for _ in range(20)]
+    masks += [rng.getrandbits(240) | rng.getrandbits(240) | rng.getrandbits(240) for _ in range(20)]
+    masks += [rng.getrandbits(rng.randrange(1, 240)) for _ in range(20)]
+    for mask in masks:
+        assert rootsys.bits(mask) == naive(mask), mask
+    assert rootsys.bits(full) == list(range(240))
+
+
 @pytest.mark.parametrize("key", ALL_TYPES)
 def test_sum_partners_are_the_root_entries_of_the_sum_table(key):
     rs = rootsys.build(*key)

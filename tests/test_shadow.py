@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import V, neg
+from conftest import ALL_TYPES, V, neg
 from ghckit import rootsys, shadow
 from ghckit.exact import cone_member, vadd, vzero
 from ghckit.errors import InputError
@@ -329,6 +329,30 @@ def mask_closure(rs, mask):
         if grown == mask:
             return mask
         mask = grown
+
+
+class TestCloseFromOutside:
+    """shadow's closure kernel against the queue walk of closed_masks."""
+
+    @pytest.mark.parametrize("key", [("G", 2), ("B", 3), ("C", 3)], ids=_type_id)
+    def test_every_gamma(self, key):
+        # Gamma, the complement of a closed subset, is what shadow closes
+        rs = rootsys.build(*key)
+        for mask, _ in decompositions(key):
+            gamma_mask = rs.full_mask & ~mask
+            assert shadow._close_from_outside(rs, gamma_mask) == shadow._close(rs, gamma_mask, bits(gamma_mask)), bits(mask)
+
+    @pytest.mark.parametrize("key", ALL_TYPES, ids=_type_id)
+    def test_random_masks(self, key):
+        # masks closed or not, sparse to dense
+        rs = rootsys.build(*key)
+        n = len(rs.all_roots)
+        rng = random.Random(n)
+        masks = [0, rs.full_mask, rs.positive_mask]
+        masks += [rs.index_mask(i for i in range(n) if rng.random() < p) for p in (0.05, 0.2, 0.5, 0.8, 0.95)]
+        masks += [mask_closure(rs, rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n))]
+        for mask in masks:
+            assert shadow._close_from_outside(rs, mask) == shadow._close(rs, mask, bits(mask)), bits(mask)
 
 
 # the types of the shadow benchmark workload
