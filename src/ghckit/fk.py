@@ -14,7 +14,9 @@ of the realization; the others are its Weyl conjugates, so the verdict is
 stable under this choice iff it is constant on Weyl orbits, which
 ``tests/test_symmetry.py`` checks on A3 and A4.  Root subsets are bitmasks,
 as in ``shadow``: the reductive part of l is ``l & negated(l)``, and the
-simple roots of k and the singular weights are sum-table lookups.
+simple roots of k, the singular weights and the roots that commute with k
+are masks built from the partners of a few roots in ``RootSystem.sum_partners``,
+the one table of root sums.
 
 Type recognition splits k into components on the integer ``doubled_roots``
 and reads each one's type off its rank, number of roots and number of long
@@ -75,23 +77,27 @@ class SingularWeightData:
         return self.rs.roots_of(self.mask)
 
 
-def _k_simple(rs: RootSystem, k: int) -> list[int]:
-    """Indices of the simple roots of k+, for the mask k of a symmetric closed
+def _k_simple(rs: RootSystem, k: int) -> int:
+    """The mask of the simple roots of k+, for the mask k of a symmetric closed
     subset: the roots of k+ that are not the sum of two roots of k+."""
-    kpos = bits(k & rs.positive_mask)
-    sums = {rs.sum_table[b][c] for b in kpos for c in kpos}
-    return [a for a in kpos if a not in sums]
+    kpos = k & rs.positive_mask
+    sums = 0
+    for b in bits(kpos):
+        for c, t in rs.sum_partners[b]:
+            if kpos >> c & 1:
+                sums |= 1 << t
+    return kpos & ~sums
 
 
-def _singular(rs: RootSystem, simple_k: list[int], module: int) -> int:
+def _singular(rs: RootSystem, simple_k: int, module: int) -> int:
     """The mask of the roots of a module (a mask) that no simple root of k, given
-    by the indices simple_k from ``_k_simple``, maps into the module."""
-    out = 0
-    for w in bits(module):
-        row = rs.sum_table[w]
-        if not any(row[b] >= 0 and module >> row[b] & 1 for b in simple_k):
-            out |= 1 << w
-    return out
+    by the mask simple_k from ``_k_simple``, maps into the module."""
+    moved = 0
+    for b in bits(simple_k):
+        for w, m in rs.sum_partners[b]:
+            if module >> m & 1:
+                moved |= 1 << w
+    return module & ~moved
 
 
 def singular_weights(
@@ -250,7 +256,7 @@ def _components(rs: RootSystem, mask: int) -> list[tuple[str, int]]:
     # split the simple roots into connected components by non-orthogonality:
     # each simple root joins every component it is not orthogonal to
     comps: list[list[int]] = []
-    for a in _k_simple(rs, mask):
+    for a in bits(_k_simple(rs, mask)):
         joined = [a]
         for comp in [c for c in comps if any(_dot(d[a], d[b]) for b in c)]:
             comps.remove(comp)
@@ -322,7 +328,7 @@ def is_primal(
     in_toral = _span_test(toral_rows)
     # the simple roots of k span its roots, and their coroots, positive multiples of the
     # (doubled) roots, span its coroots
-    if not all(in_toral(rs.doubled_roots[i]) for i in _k_simple(rs, k)):
+    if not all(in_toral(rs.doubled_roots[i]) for i in bits(_k_simple(rs, k))):
         raise InputError("toral part must contain the coroots of k_roots")
     # C(k) = Z(k) needs the torus centralizing k inside the toral part.  The Cartan
     # subspace h = span(simple roots of g) is the orthogonal sum of span(coroots of k) and
@@ -330,15 +336,14 @@ def is_primal(
     # is in it iff all of h is, that is iff every simple root of g is ...
     if not all(map(in_toral, rs._simple_doubled)):
         return False
-    # ... and no root space commuting with all of k
-    negated_k = rs.negated(k)
-    for g, row in enumerate(rs.sum_table):
-        if any(_dot(rs.doubled_roots[g], t) for t in toral_rows):
-            continue
-        # -g is not in k, and g + b is not a root for any b in k
-        if not negated_k >> g & 1 and all(row[b] < 0 for b in bits(k)):
-            return False
-    return True
+    # ... and no root space commuting with all of k: every root g with -g not in k and
+    # g + b not a root for any b in k must pair nonzero with the toral part
+    moved = 0
+    for b in bits(k):
+        for g, _ in rs.sum_partners[b]:
+            moved |= 1 << g
+    commuting = rs.full_mask & ~moved & ~rs.negated(k)
+    return all(any(_dot(rs.doubled_roots[g], t) for t in toral_rows) for g in bits(commuting))
 
 
 def prop3_covered(series: str, rank: int) -> bool:

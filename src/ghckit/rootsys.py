@@ -10,9 +10,9 @@ The simple roots are written as doubled integer rows, so that every root is
 an integer row too.  The reflection closure runs on integer simple-root
 coordinates, and the build keeps the doubled rows it sorts as the table
 ``doubled_roots``; the Fraction ``simple_roots``, ``positive_roots`` and
-``all_roots`` are halvings of those rows.  ``RootSystem.sum_table`` adds
-roots by their index in the canonical order (see ``build``;
-``sum_partners`` keeps the sums that are roots) for closed-subset code,
+``all_roots`` are halvings of those rows.  ``RootSystem.sum_partners``, the
+one table of root sums, lists the pairs (j, k) with root i + root j = root k
+by root index in the canonical order (see ``build``) for closed-subset code,
 where a root subset is a bitmask with bit i for ``all_roots[i]``
 (``mask_of``, ``roots_of``, ``full_mask``); only ``positive_mask`` and
 ``negated`` know that the positive roots come first.  ``roots_of`` builds the
@@ -218,21 +218,17 @@ class RootSystem:
         return sum(self.simple_coordinates(alpha))
 
     @cached_property
-    def sum_table(self) -> tuple[tuple[int, ...], ...]:
-        """sum_table[i][j] is the index of all_roots[i] + all_roots[j], or -1
-        when that sum is not a root.  Built on first use: only closed-subset
-        code needs it, and it has one entry per pair of roots."""
+    def sum_partners(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """sum_partners[i] lists every (j, k) with all_roots[i] + all_roots[j] = all_roots[k],
+        j ascending: the one table of root sums.  Built on first use: only closed-subset
+        code needs it."""
         # coordinates c as one integer sum_j c_j * 64**j: codes add as the vectors
         # do, and stay distinct since no coordinate of a root exceeds 6 in size
         codes = [sum(x << 6 * j for j, x in enumerate(c)) for c in self._coords]
         index = {code: i for i, code in enumerate(codes)}
-        return tuple(tuple(index.get(a + b, -1) for b in codes) for a in codes)
-
-    @cached_property
-    def sum_partners(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """sum_partners[i] lists every (j, k) with all_roots[i] + all_roots[j] = all_roots[k]:
-        the entries of ``sum_table`` row i that are roots.  Built on first use."""
-        return tuple(tuple((j, k) for j, k in enumerate(row) if k >= 0) for row in self.sum_table)
+        return tuple(
+            tuple((j, k) for j, b in enumerate(codes) if (k := index.get(a + b)) is not None) for a in codes
+        )
 
     @cached_property
     def vector_order(self) -> tuple[int, ...]:

@@ -9,14 +9,16 @@ A chain of integer functionals proves the other roots outside the cone, and
 a rational LP decides only a root that the chain leaves (see ``shadow``).
 
 Root subsets are bitmasks over the canonical root order, and closure goes
-through ``sum_partners``, by one of two kernels.  ``shadow`` closes Gamma,
-which holds most of the roots, by testing the roots outside it
-(``_close_from_outside``); the enumeration of closed subsets closes a small
-closed set plus one root by walking the partners of the roots that join
-(``_close``).  A decomposition holds the masks of its parts, and
-its JSON reads their bits; frozensets of Fraction epsilon-vectors are views
-built only for results: ``RootSubalgebra.roots``, the parts of a
-decomposition, ``parabolic_pm``, ``fernando_fk`` and ``closed_subsets``.
+through ``RootSystem.sum_partners``, the one table of root sums, by one of
+two kernels.  ``shadow`` closes Gamma, which holds most of the roots, by
+testing the roots outside it (``_close_from_outside``); the enumeration of
+closed subsets closes a small closed set plus one root by walking the
+partners of the roots that join (``_close``), and ``closed_mask`` is that
+walk from every member, stopped at the first root outside the mask.  A
+decomposition holds the masks of its parts, and its JSON reads their bits;
+frozensets of Fraction epsilon-vectors are views built only for results:
+``RootSubalgebra.roots``, the parts of a decomposition, ``parabolic_pm``,
+``fernando_fk`` and ``closed_subsets``.
 """
 
 from __future__ import annotations
@@ -38,16 +40,9 @@ MAX_SUPPORT_POINTS = 20_000
 
 
 def closed_mask(rs: RootSystem, mask: int) -> bool:
-    """True iff every sum of two roots of the mask that is a root is in the mask."""
-    members = bits(mask)
-    table = rs.sum_table
-    for i in members:
-        row = table[i]
-        for j in members:
-            k = row[j]
-            if k >= 0 and not mask >> k & 1:
-                return False
-    return True
+    """True iff every sum of two roots of the mask that is a root is in the mask:
+    ``_close`` from every member, with every root outside the mask as stop."""
+    return _close(rs, mask, bits(mask), rs.full_mask & ~mask) >= 0
 
 
 def _close(rs: RootSystem, mask: int, queue: list[int], stop: int = 0) -> int:
@@ -102,6 +97,8 @@ class RootSubalgebra:
     def __init__(self, rs: RootSystem, roots: Iterable[Vector] | int):
         """roots: the subset's roots (a non-root is an input error), or its mask."""
         mask = roots if isinstance(roots, int) else rs.mask_of(roots)
+        if not 0 <= mask <= rs.full_mask:
+            raise InputError(f"root mask {mask} is out of range for {rs.series}{rs.rank}")
         if not closed_mask(rs, mask):
             raise InputError("root subset is not closed under addition")
         object.__setattr__(self, "rs", rs)

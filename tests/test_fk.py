@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import ALL_TYPES, V, neg
+from conftest import ALL_TYPES, V, neg, seeded_closures, sum_table
 from ghckit import exact, fk, rootsys, shadow
 from ghckit.errors import InputError, InternalError, UnsupportedTypeError
-from ghckit.exact import dot, is_zero, nullspace, solve_linear
+from ghckit.exact import dot, is_zero, nullspace, solve_linear, vadd
 from ghckit.rootsys import bits
 from ghckit.shadow import RootSubalgebra, closed_subsets
 
@@ -295,11 +295,25 @@ def reference_matrices_match(a, b):
     return rec([], set())
 
 
+def reference_k_simple(rs, k_roots):
+    """The simple roots of k+, for a symmetric closed set of roots k: the positive
+    roots of k that are not a sum of two of them, by Fraction vector sums."""
+    positive = set(rs.positive_roots)
+    kpos = [a for a in k_roots if a in positive]
+    sums = {vadd(a, b) for a in kpos for b in kpos}
+    return {a for a in kpos if a not in sums}
+
+
+def reference_singular(simple_k, module):
+    """The roots of a module (a set of roots) that no simple root of k moves to a root of the module."""
+    return {w for w in module if all(vadd(w, b) not in module for b in simple_k)}
+
+
 def reference_components(rs, mask):
     """Component types as they were found before the root-count lookup: a Cartan-matrix
     isomorphism test against every simple type of the component's rank."""
     comps = []
-    for r in (rs.all_roots[i] for i in fk._k_simple(rs, mask)):
+    for r in (rs.all_roots[i] for i in bits(fk._k_simple(rs, mask))):
         joined = [r]
         for comp in [c for c in comps if any(dot(r, x) != 0 for x in c)]:
             comps.remove(comp)
@@ -359,6 +373,34 @@ def type_id(key):
 def assert_components_match(rs, masks):
     for mask in masks:
         assert fk._components(rs, mask) == reference_components(rs, mask), (rs.series, rs.rank, mask)
+
+
+class TestSimpleRootsAndSingularWeightsAgainstVectors:
+    """_k_simple and _singular, on masks, against their definitions on root vectors."""
+
+    @staticmethod
+    def _check(rs, masks):
+        rng = random.Random(0)
+        for mask in masks:
+            k = mask & rs.negated(mask)
+            simple = fk._k_simple(rs, k)
+            want = reference_k_simple(rs, rs.roots_of(k))
+            assert rs.roots_of(simple) == want, bits(mask)
+            # the two modules of theorem8_finite_type, g/l and n, which k maps into themselves,
+            # and a random set of roots, which it may map out of
+            for module in (rs.full_mask & ~mask, mask & ~k, rng.getrandbits(len(rs.all_roots))):
+                got = fk._singular(rs, simple, module)
+                assert rs.roots_of(got) == reference_singular(want, rs.roots_of(module)), bits(mask)
+
+    @pytest.mark.parametrize("key", [("G", 2), ("A", 3), ("B", 3), ("C", 3)], ids=type_id)
+    def test_every_closed_subset(self, key):
+        rs = rootsys.build(*key)
+        self._check(rs, shadow.closed_masks(rs))
+
+    @pytest.mark.parametrize("key", [("A", 4), ("D", 4), ("F", 4)], ids=type_id)
+    def test_seeded_closures(self, key):
+        rs = rootsys.build(*key)
+        self._check(rs, seeded_closures(rs))
 
 
 class TestRecognizeTypeAgainstReference:
@@ -426,7 +468,7 @@ def reference_is_primal(rs, k_roots, toral_part):
     if not all(reference_in_span(v, toral) for v in torus):
         return False
     negated_k = rs.negated(k)
-    for g, row in enumerate(rs.sum_table):
+    for g, row in enumerate(sum_table(rs)):
         if any(dot(rs.all_roots[g], t) != 0 for t in toral):
             continue
         if not negated_k >> g & 1 and all(row[b] < 0 for b in bits(k)):
@@ -470,7 +512,7 @@ class TestIsPrimal:
             if rs.negated(mask) != mask:
                 continue
             k_roots = rs.roots_of(mask)
-            coroots = [rs.coroot(rs.all_roots[i]) for i in fk._k_simple(rs, mask)]
+            coroots = [rs.coroot(rs.all_roots[i]) for i in bits(fk._k_simple(rs, mask))]
             # the torus in ambient coordinates; a zero row stands for an empty k
             rows = [tuple(dot(b, a) for a in simple) for b in sorted(k_roots)] or [(0,) * rs.rank]
             ambient = [tuple(sum(c * a[j] for c, a in zip(cs, simple)) for j in range(rs.ambient_dim))

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import ALL_TYPES, V, neg
+from conftest import ALL_TYPES, V, mask_closure, neg, seeded_closures, sum_table
 from ghckit import rootsys, shadow
 from ghckit.exact import cone_member, vadd, vzero
 from ghckit.errors import InputError
@@ -31,6 +31,11 @@ class TestRootSubalgebra:
     def test_non_root_rejected(self, a2):
         with pytest.raises(InputError):
             make(a2, [V(2, -2, 0)])
+
+    def test_mask_out_of_range_rejected(self, a2):
+        for mask in (-1, a2.full_mask + 1, 1 << 64):
+            with pytest.raises(InputError, match="out of range"):
+                RootSubalgebra(a2, mask)
 
 
 class TestShadow:
@@ -318,19 +323,6 @@ class TestClosedSubsetEnumeration:
         assert back == {"I": sd.I, "F": sd.F, "plus": sd.plus, "minus": sd.minus}
 
 
-def mask_closure(rs, mask):
-    """The closed subset that a mask generates, through the sum table."""
-    while True:
-        grown = mask
-        for i in bits(mask):
-            for j in bits(mask):
-                if rs.sum_table[i][j] >= 0:
-                    grown |= 1 << rs.sum_table[i][j]
-        if grown == mask:
-            return mask
-        mask = grown
-
-
 class TestCloseFromOutside:
     """shadow's closure kernel against the queue walk of closed_masks."""
 
@@ -395,6 +387,24 @@ def _assert_matches_lp_reference(rs, mask, sd):
     assert _part_masks(rs, sd) == want, (rs.series, rs.rank, bits(mask))
 
 
+class TestClosedMask:
+    @pytest.mark.parametrize("key", [("B", 3), ("C", 3), ("D", 4), ("F", 4)], ids=_type_id)
+    def test_matches_pairwise_sums(self, key):
+        # every pair of members against the reference sum table, on masks closed or not
+        rs = rootsys.build(*key)
+        n = len(rs.all_roots)
+        rng = random.Random(3)
+        masks = [mask_closure(rs, rs.index_mask(rng.sample(range(n), rng.randint(1, 4)))) for _ in range(30)]
+        masks += [rs.index_mask(i for i in range(n) if rng.random() < p) for p in (0.05, 0.1, 0.2, 0.5, 0.9) * 10]
+        table = sum_table(rs)
+        outcomes = set()
+        for mask in masks:
+            want = all(table[i][j] < 0 or mask >> table[i][j] & 1 for i in bits(mask) for j in bits(mask))
+            assert shadow.closed_mask(rs, mask) == want, (key, bits(mask))
+            outcomes.add(want)
+        assert outcomes == {False, True}
+
+
 class TestClosureAgreesWithLP:
     @pytest.mark.parametrize("key", [("G", 2), ("B", 3), ("C", 3)], ids=_type_id)
     def test_every_closed_subset(self, key):
@@ -432,10 +442,7 @@ class TestClosureAgreesWithLP:
     @pytest.mark.parametrize("key", [("D", 4), ("F", 4), ("A", 4)], ids=_type_id)
     def test_seeded_closures(self, key, monkeypatch):
         rs = rootsys.build(*key)
-        rng = random.Random(11)
-        n = len(rs.all_roots)
-        masks = [rs.positive_mask, 0, rs.full_mask]
-        masks += [mask_closure(rs, rs.index_mask(rng.sample(range(n), rng.randint(1, 6)))) for _ in range(40)]
+        masks = seeded_closures(rs)
         lp = mock.Mock(wraps=shadow.cone_member)
         monkeypatch.setattr(shadow, "cone_member", lp)
         for mask in masks:
