@@ -40,6 +40,20 @@ def test_json_digest_all_types():
     assert digest == "412f102203ccc672f8d9592552bfee5c57f73c4e07acd30664339ae8febc0a1a"
 
 
+@pytest.mark.parametrize("key", [("G", 2), ("F", 4), ("E", 8)])
+def test_sum_table_matches_vector_sums(key):
+    # the library's root-sum table is sum_partners: row i holds every (j, k) with a_i + a_j = a_k
+    rs = rootsys.build(*key)
+    n = len(rs.all_roots)
+    # E8: the rows of the simple roots and of the eight highest roots
+    rows = range(n) if n < 100 else [*range(8), *range(n // 2 - 8, n // 2)]
+    for i in rows:
+        row = dict(rs.sum_partners[i])
+        for j, b in enumerate(rs.all_roots):
+            s = vadd(rs.all_roots[i], b)
+            assert row.get(j, -1) == (rs.root_index(s) if rs.is_root(s) else -1)
+
+
 def reference_validate(series, rank):
     """build's accept-or-reject answer as it was before the one table of simple types."""
     ok = (
