@@ -12,12 +12,13 @@ so a flag invocation is the request it spells.  A request key that the
 command does not declare is an input error.
 
 A handler imports the modules it runs, so a command loads only those (and
-``rootsys``, ``exact`` and ``errors``, which every request uses).
+``rootsys``, ``exact`` and ``errors``, which every request uses).  ``request``
+reads its document without building the flag parser (or importing argparse);
+flags, ``--output``, ``--help`` and any other argv go through argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import os
@@ -284,11 +285,11 @@ def run(request: dict) -> tuple[dict, int]:
 
 
 def _emit(doc: dict, out: TextIO) -> None:
-    json.dump(doc, out, sort_keys=True, separators=(",", ":"))
-    out.write("\n")
+    out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def _parser():
+    import argparse
     parser = argparse.ArgumentParser(prog="ghckit")
     parser.add_argument("--output", default=None, help="output file (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -301,9 +302,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                            required=param.default is REQUIRED, **kind)
     p = sub.add_parser("request", help="read a JSON command request from a file or stdin")
     p.add_argument("file", nargs="?", default="-")
+    return parser
 
-    args = vars(parser.parse_args(argv))
-    output, command = args.pop("output"), args.pop("command")
+
+def _serve(output: Optional[str], command: str, args: dict) -> int:
+    """Run a command, or the request in args["file"], and write its document."""
     if command != "request":
         doc, code = run({"command": command, "parameters": args})
     else:
@@ -336,6 +339,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.close(devnull)
         return EXIT_BROKEN_PIPE
     return code
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    """Serve argv (default sys.argv[1:]); returns the exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
+    # `request`, `request -` and `request FILE` as argparse reads them, without building it
+    if argv[:1] == ["request"] and len(argv) <= 2 and (argv[-1] == "-" or not argv[-1].startswith("-")):
+        return _serve(None, "request", {"file": argv[1] if len(argv) == 2 else "-"})
+    args = vars(_parser().parse_args(argv))
+    return _serve(args.pop("output"), args.pop("command"), args)
 
 
 if __name__ == "__main__":

@@ -71,7 +71,8 @@ def is_zero(a: Vector) -> bool:
 
 def format_rational(q: Fraction) -> str:
     """Serialize as "p" or "p/q" (lowest terms, positive denominator)."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

@@ -281,7 +281,8 @@ LOADS = {
     **{c: BASE + ["fk", "shadow"] for c in ("fk-test", "solvable-test", "primal-test", "census")},
 }
 
-# run in one fresh interpreter: each README invocation from an empty ghckit, then a bare import
+# run in one fresh interpreter: a request file, which loads no argparse, then each README
+# invocation from an empty ghckit, then a bare import
 LOAD_PROBE = """
 import contextlib, io, json, sys
 
@@ -292,13 +293,17 @@ def drop():
     for m in [m for m in sys.modules if m == "ghckit" or m.startswith("ghckit.")]:
         del sys.modules[m]
 
-report = {"loads": {}}
+from ghckit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["request", sys.argv[2]])
+report = {"loads": {}, "request": [code, loaded(), "argparse" in sys.modules]}
 for argv in json.loads(sys.argv[1]):
     drop()
     from ghckit import cli
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv.split())
     report["loads"][argv] = [code, loaded()]
+report["argparse"] = "argparse" in sys.modules
 drop()
 import ghckit
 report["bare"] = loaded()
@@ -312,13 +317,17 @@ print(json.dumps(report))
 """
 
 
-def test_commands_load_only_their_modules():
+def test_commands_load_only_their_modules(tmp_path):
     argvs = [argv for argv, _ in README_EXAMPLES]
+    path = tmp_path / "request.json"
+    path.write_text('{"command": "root-system", "parameters": {"series": "A", "rank": 2}}')
     proc = subprocess.run(
-        [sys.executable, "-c", LOAD_PROBE, json.dumps(argvs)], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", LOAD_PROBE, json.dumps(argvs), str(path)], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
+    assert report["request"] == [EXIT_OK, sorted(LOADS["root-system"]), False]
+    assert report["argparse"]
     assert report["loads"] == {argv: [EXIT_OK, sorted(LOADS[argv.split()[0]])] for argv in argvs}
     assert report["bare"] == []
     names = ["errors", "exact", "fk", "mathieu", "principal", "rootsys", "shadow"]
@@ -389,6 +398,65 @@ class TestRequestFile:
 
     def test_nested_too_deep(self, tmp_path, capsys):
         self.request_file(tmp_path, capsys, b"[" * 100_000 + b"]" * 100_000)
+
+
+class TestArgvReaders:
+    """`request`, `request -` and `request FILE` are read without argparse; every other
+    argv goes to the argparse parser, and both readers serve a request alike."""
+
+    DOCS = {
+        "valid.json": '{"command": "exponents", "parameters": {"series": "G", "rank": 2}}',
+        "malformed.json": "{not json",
+        "unsupported.json": '{"command": "fk-test", "parameters": {"series": "B", "rank": 2}}',
+    }
+
+    def outcome(self, argv, capsys, monkeypatch, stdin=""):
+        """(exit code, stdout, stderr) of cli.main(argv); a SystemExit gives its code."""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize(
+        "rest, stdin, code, fast",
+        [
+            (["valid.json"], "", EXIT_OK, True),
+            (["malformed.json"], "", EXIT_INPUT, True),
+            (["unsupported.json"], "", EXIT_UNSUPPORTED, True),
+            (["missing.json"], "", EXIT_INPUT, True),
+            ([], DOCS["valid.json"], EXIT_OK, True),
+            (["-"], DOCS["unsupported.json"], EXIT_UNSUPPORTED, True),
+            (["-"], DOCS["malformed.json"], EXIT_INPUT, True),
+            # argparse reads all of these; how it reads a bare "--" depends on the Python version
+            (["--"], DOCS["valid.json"], None, False),
+            (["-h"], "", 0, False),
+            (["a", "b"], "", 2, False),
+            (["-x"], "", 2, False),
+        ],
+    )
+    def test_agrees_with_argparse_twin(self, rest, stdin, code, fast, tmp_path, capsys, monkeypatch):
+        for name, text in self.DOCS.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        twin = self.outcome(["--output", "-", "request", *rest], capsys, monkeypatch, stdin)
+        if fast:
+            monkeypatch.setattr(cli, "_parser", None)  # the fast reader builds no parser
+        assert self.outcome(["request", *rest], capsys, monkeypatch, stdin) == twin
+        assert code is None or twin[0] == code
+
+    @pytest.mark.parametrize("argv", [["request", "a", "b"], ["request", "-x"], []])
+    def test_usage_errors_stay_with_argparse(self, argv, capsys, monkeypatch):
+        code, out, err = self.outcome(argv, capsys, monkeypatch)
+        assert (code, out) == (2, "")
+        assert err.startswith(cli._parser().format_usage())
+
+    def test_request_help(self, capsys, monkeypatch):
+        code, out, err = self.outcome(["request", "-h"], capsys, monkeypatch)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: ghckit request [-h] [file]\n")
 
 
 # any JSON value, the way json.loads hands it to run; object keys are often
