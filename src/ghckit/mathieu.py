@@ -31,15 +31,14 @@ def sp_bounded(x: Sequence) -> bool:
     xs = vec(x)
     if not xs:
         raise InputError("weight must have at least one entry")
-    # in lowest terms, Z + 1/2 is exactly the denominator 2
+    # in lowest terms, Z + 1/2 is exactly the denominator 2, and then the numerators
+    # compare as the entries do
     if any(c.denominator != 2 for c in xs):
         return False
-    for a, b in zip(xs, xs[1:-1]):
-        if not a > b:
-            return False
-    if len(xs) >= 2 and not xs[-2] > abs(xs[-1]):
+    nums = [c.numerator for c in xs]
+    if any(a <= b for a, b in zip(nums, nums[1:-1])):
         return False
-    return True
+    return len(nums) < 2 or nums[-2] > abs(nums[-1])
 
 
 def sp_equivalent(x: Sequence, y: Sequence) -> bool:

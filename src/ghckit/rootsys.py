@@ -18,8 +18,9 @@ where a root subset is a bitmask with bit i for ``all_roots[i]``
 ``negated`` know that the positive roots come first.  ``roots_of`` builds the
 frozenset view of a mask from a table, built on first use, that holds the
 frozenset of each nibble value of each chunk of four root indices: it
-merges one stored set per chunk, so no root is hashed again.  ``vector_order``
-lists the root indices as the root vectors sort.
+merges the stored set of each chunk that the mask meets, so no root is
+hashed again.  ``vector_order`` lists the root indices as the root vectors
+sort.
 
 A weight enters through ``_weight_row``, once per call: it checks the length
 against ``ambient_dim`` and writes the weight as an integer row over one
@@ -179,7 +180,12 @@ class RootSystem:
 
     def roots_of(self, mask: int) -> frozenset[Vector]:
         # a set merge reuses the hash stored with each entry, so no Fraction is hashed
-        return frozenset().union(*[t[mask >> 4 * c & 15] for c, t in enumerate(self._nibble_sets)])
+        roots = frozenset()
+        for t in self._nibble_sets:
+            if mask & 15:
+                roots |= t[mask & 15]
+            mask >>= 4
+        return roots
 
     @cached_property
     def _nibble_sets(self) -> tuple[tuple[frozenset[Vector], ...], ...]:

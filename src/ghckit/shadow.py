@@ -3,20 +3,19 @@
 A root subalgebra is a closed subset of roots (the Cartan subalgebra is
 always implicitly included).  Its complement generates a monoid Gamma, and
 each root is classified by whether it and its negative lie in the cone over
-Gamma's generators.  The cone is closed under addition, so the generators
-and the closure of the members under root sums are members without an LP.
-A chain of integer functionals proves the other roots outside the cone, and
-a rational LP decides only a root that the chain leaves (see ``shadow``).
+Gamma's generators.  The roots in that cone are exactly the closure of
+Gamma under root sums, so membership needs no LP (``shadow`` holds the
+proof).
 
 Root subsets are bitmasks over the canonical root order, and closure goes
 through ``RootSystem.sum_partners``, the one table of root sums, by one of
 two kernels.  ``shadow`` closes Gamma, which holds most of the roots, by
 testing the roots outside it (``_close_from_outside``); the enumeration of
 closed subsets closes a small closed set plus one root by walking the
-partners of the roots that join (``_close``), and ``closed_mask`` is that
-walk from every member, stopped at the first root outside the mask.  A
-decomposition holds the masks of its parts, and its JSON reads their bits;
-frozensets of Fraction epsilon-vectors are views built only for results:
+partners of the roots that join (``_close``).  ``closed_mask`` reads each
+pair of members once, from the later one's partners.  A decomposition holds
+the masks of its parts, and its JSON reads their bits; frozensets of
+Fraction epsilon-vectors are views built only for results:
 ``RootSubalgebra.roots``, the parts of a decomposition, ``parabolic_pm``,
 ``fernando_fk`` and ``closed_subsets``.
 """
@@ -26,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .exact import Vector, cone_member
+from .exact import Vector
 from .rootsys import RootSystem, bits
 
 # bound on the points support_shape builds, counted as base points times gamma-sums: from one
@@ -40,9 +39,17 @@ MAX_SUPPORT_POINTS = 20_000
 
 
 def closed_mask(rs: RootSystem, mask: int) -> bool:
-    """True iff every sum of two roots of the mask that is a root is in the mask:
-    ``_close`` from every member, with every root outside the mask as stop."""
-    return _close(rs, mask, bits(mask), rs.full_mask & ~mask) >= 0
+    """True iff every sum of two roots of the mask that is a root is in the mask.
+    Each unordered pair is read once: from each member q, the partners j < q,
+    which ``sum_partners[q]`` lists first."""
+    partners = rs.sum_partners
+    for q in bits(mask):
+        for j, k in partners[q]:
+            if j > q:
+                break
+            if mask >> j & 1 and not mask >> k & 1:
+                return False
+    return True
 
 
 def _close(rs: RootSystem, mask: int, queue: list[int], stop: int = 0) -> int:
@@ -154,34 +161,43 @@ def _require_over(rs: RootSystem, l: RootSubalgebra) -> None:
 def shadow(rs: RootSystem, fk: RootSubalgebra) -> ShadowDecomposition:
     """Four-way classification of every root against the cone over Gamma.
 
-    Gamma-bar, the closure of Gamma under root sums, is in the cone.  It
-    comes from testing the roots outside Gamma, usually the fewer
-    (``_close_from_outside``), and so does the closure after a fallback LP
-    finds a member.  A chain of integer functionals on the doubled roots
-    proves the roots outside it outside the cone: live_0 is every root,
-    phi_k the sum of the members in live_k (half of members minus
-    non-members, live_k being symmetric), and
-    live_{k+1} the roots of live_k where phi_k is 0.  Let phi_k >= 0 on the
-    live generators, and t = sum c_g g, c_g > 0, with the support in live_k
-    (as for k = 0).  Then phi_k(t) >= 0, and phi_k(t) = 0 only if the support
-    lies in live_{k+1}.  So a live root with phi_k < 0 is outside and one with
-    phi_k = 0 stays live.  With no live generator every live root is outside;
-    where phi_k is 0, a live t with (t, g) <= 0 on every live generator is,
-    by y = -t.  Any other root, and every live one once phi_k < 0 on a
-    generator, gets a ``cone_member`` LP: no tested closed subset leaves one,
-    but that none does is not proved, so the LP stays as the fallback.
+    Gamma is the complement of the closed subset S, and the roots in its cone
+    are Gamma-bar, the closure of Gamma under root sums, which comes from
+    testing the roots outside Gamma, usually the fewer (``_close_from_outside``).
+    The cone is closed under addition, so Gamma-bar lies in it; that it holds
+    no other root rests on one standard fact: for roots a != b with (a, b) > 0,
+    a - b is a root (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 9.4).  Build Gamma-bar in rounds: Gamma_0 = Gamma, and Gamma_{n+1}
+    adds every root x + y with x, y in Gamma_n.  Let T be the roots outside
+    Gamma-bar, a subset of S.
+
+    Step A: T is closed.  By induction on n, no a, b in T have a + b in Gamma_n.
+    For n = 0, a + b lies in S, as S is closed.  For n > 0, let d = a + b lie in
+    Gamma_n but not in Gamma_{n-1}, so d = x + y with x, y in Gamma_{n-1}.  Since
+    (d, d) = (a, d) + (b, d) > 0, say (a, d) > 0, and then say (a, x) > 0.  As x is
+    in Gamma-bar, a != x, so a - x is a root.  It lies in T, or a = (a - x) + x
+    would lie in Gamma-bar; but then (a - x) + b = y lies in Gamma_{n-1}, which the
+    induction rules out.
+
+    Step B: if B and its complement T are both closed, the roots in cone(B)
+    are B.  With B = Gamma-bar, and cone(Gamma-bar) = cone(Gamma), this is the
+    claim.  Let B^s = B & -B, B^u = B - B^s and T^s = T & -T, so that the roots
+    are the disjoint union of B^s, B^u, -B^u and T^s, and T = T^s | -B^u.
+    B^s is orthogonal to T^s: for b in B^s and c in T^s with (b, c) < 0 (use -c
+    if it is > 0), b + c is a root; in B it would put c = (b + c) + (-b) in B, in
+    T it would put b = (b + c) + (-c) in T.  P = B | T^s is closed (a root b + c
+    with b in B and c in T^s lies in B, or b = (b + c) + (-c) would lie in T), and
+    P | -P holds every root, so P is parabolic (Bourbaki, Lie Groups and Lie
+    Algebras, ch. VI 1.7, Prop. 20) with Levi part B^s | T^s and nilradical B^u.
+    So phi = sum B^u, which is 2 rho_P, is 0 on B^s | T^s, > 0 on B^u and < 0 on
+    -B^u.  A root t of T in cone(B) has phi(t) >= 0, so t is in T^s and
+    phi(t) = 0; then every generator with a positive coefficient lies in B^s,
+    and t lies in the span of B^s, to which it is orthogonal: (t, t) = 0, which
+    no root has.
     """
     _require_over(rs, fk)
     gamma_mask = rs.full_mask & ~fk.mask
-    # the roots in the cone: the cone is closed under addition, so the generators and every
-    # root that is a sum of two members are members without an LP
     inside = _close_from_outside(rs, gamma_mask)
-    undecided = rs.full_mask & ~inside & ~_certified_outside(rs, gamma_mask, inside)
-    # membership is the same for v over gamma and 2v over 2 gamma, and the doubled roots are integers
-    doubled = rs.doubled_roots
-    for i in bits(undecided):
-        if not inside >> i & 1 and cone_member(doubled[i], [doubled[g] for g in bits(gamma_mask)]) is not None:
-            inside = _close_from_outside(rs, inside | 1 << i)
     neg = rs.negated(inside)  # the roots whose negatives are in the cone
     return ShadowDecomposition(
         rs,
@@ -191,33 +207,6 @@ def shadow(rs: RootSystem, fk: RootSubalgebra) -> ShadowDecomposition:
         minus_mask=inside & ~neg,
         gamma_mask=gamma_mask,
     )
-
-
-def _certified_outside(rs: RootSystem, gamma_mask: int, inside: int) -> int:
-    """The mask of the roots outside the mask inside (cone members over gamma_mask,
-    which they include) that the functional chain of ``shadow`` proves outside the cone."""
-    doubled = rs.doubled_roots
-    live, todo, outside = rs.full_mask, rs.full_mask & ~inside, 0
-    while todo:
-        gens = gamma_mask & live
-        phi = [sum(col) for col in zip(*[doubled[i] for i in bits(inside & live)])]
-        # phi is a sum of live roots, so it is 0 on live only if it is 0; with no live
-        # generator, every live root passes the test below
-        if not any(phi):
-            rows = [doubled[g] for g in bits(gens)]
-            return outside | sum(1 << t for t in bits(todo) if all(sum(map(mul, doubled[t], g)) <= 0 for g in rows))
-        negative = zero = 0
-        for i in bits(live):
-            value = sum(map(mul, phi, doubled[i]))
-            if value < 0:
-                negative |= 1 << i
-            elif not value:
-                zero |= 1 << i
-        if negative & gens:
-            return outside
-        outside |= todo & negative
-        live, todo = zero, todo & zero
-    return outside
 
 
 def parabolic_pm(sd: ShadowDecomposition) -> frozenset[Vector]:

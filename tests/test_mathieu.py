@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ghckit import mathieu
 from ghckit.errors import InputError, RegularIntegralCase
@@ -37,6 +37,33 @@ class TestSpBounded:
     def test_rank_three(self):
         assert mathieu.sp_bounded([F(5, 2), F(3, 2), F(-1, 2)])
         assert not mathieu.sp_bounded([F(5, 2), F(1, 2), F(3, 2)])
+
+    @given(
+        st.tuples(
+            st.lists(
+                st.builds(lambda k: F(2 * k + 1, 2), st.integers(-5, 4))
+                | st.builds(F, st.integers(-9, 9), st.sampled_from([1, 3, 4])),
+                min_size=1,
+                max_size=6,
+            ),
+            st.booleans(),
+        ).map(lambda drawn: sorted(drawn[0], reverse=True) if drawn[1] else drawn[0])
+    )
+    # an equal pair ahead of the last entry, and a last entry larger in size than the one before
+    @example([F(5, 2), F(5, 2), F(1, 2)])
+    @example([F(5, 2), F(1, 2), F(-3, 2)])
+    @settings(deadline=None, max_examples=120)
+    def test_matches_fraction_comparisons(self, xs):
+        # small entries, often sorted down: equal neighbours, negative last entries of
+        # either size and entries off Z + 1/2 all come up
+        def reference(xs):
+            if any(c.denominator != 2 for c in xs):
+                return False
+            if any(not a > b for a, b in zip(xs, xs[1:-1])):
+                return False
+            return len(xs) < 2 or xs[-2] > abs(xs[-1])
+
+        assert mathieu.sp_bounded(xs) == reference(xs)
 
 
 class TestSpEquivalent:

@@ -309,6 +309,12 @@ def test_roots_of_builds_the_vector_set(key):
     rng = random.Random(n)
     masks = [0, rs.full_mask, rs.positive_mask, rs.negated(rs.positive_mask)]
     masks += [rng.getrandbits(n) for _ in range(10)] + [1 << rng.randrange(n) for _ in range(3)]
+    # masks whose highest root lies in the last chunk of four, a partial one unless 4 divides n,
+    # and sparse masks, which leave whole chunks empty
+    last = 4 * ((n - 1) // 4)
+    masks += [1 << n - 1, rs.full_mask >> last << last, rs.full_mask & ~(1 << last)]
+    masks += [1 << n - 1 | rng.getrandbits(n - 1) for _ in range(5)]
+    masks += [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(5)]
     for mask in masks:
         got = rs.roots_of(mask)
         assert type(got) is frozenset

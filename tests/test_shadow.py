@@ -6,10 +6,10 @@ import json
 import random
 import time
 from fractions import Fraction as F
-from unittest import mock
+from operator import mul
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import ALL_TYPES, V, mask_closure, neg, seeded_closures, sum_table
 from ghckit import rootsys, shadow
@@ -107,18 +107,11 @@ def _is_parabolic_type(rs, mask):
     return mask | rs.negated(mask) == rs.full_mask
 
 
-# the number of cone_member LPs that the shadow calls of decompositions(key) ran, by key
-LP_CALLS = {}
-
-
 @functools.cache
 def decompositions(key):
     """(mask, shadow decomposition) for every closed subset of a type, in closed_masks order."""
     rs = rootsys.build(*key)
-    with mock.patch.object(shadow, "cone_member", wraps=shadow.cone_member) as lp:
-        built = [(m, shadow.shadow(rs, RootSubalgebra(rs, m))) for m in shadow.closed_masks(rs)]
-    LP_CALLS[key] = lp.call_count
-    return built
+    return [(m, shadow.shadow(rs, RootSubalgebra(rs, m))) for m in shadow.closed_masks(rs)]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -387,6 +380,12 @@ def _assert_matches_lp_reference(rs, mask, sd):
     assert _part_masks(rs, sd) == want, (rs.series, rs.rank, bits(mask))
 
 
+def reference_closed(rs, mask):
+    """Whether every pair of members sums to a member or to no root, by the reference sum table."""
+    table = sum_table(rs)
+    return all(table[i][j] < 0 or mask >> table[i][j] & 1 for i in bits(mask) for j in bits(mask))
+
+
 class TestClosedMask:
     @pytest.mark.parametrize("key", [("B", 3), ("C", 3), ("D", 4), ("F", 4)], ids=_type_id)
     def test_matches_pairwise_sums(self, key):
@@ -396,10 +395,9 @@ class TestClosedMask:
         rng = random.Random(3)
         masks = [mask_closure(rs, rs.index_mask(rng.sample(range(n), rng.randint(1, 4)))) for _ in range(30)]
         masks += [rs.index_mask(i for i in range(n) if rng.random() < p) for p in (0.05, 0.1, 0.2, 0.5, 0.9) * 10]
-        table = sum_table(rs)
         outcomes = set()
         for mask in masks:
-            want = all(table[i][j] < 0 or mask >> table[i][j] & 1 for i in bits(mask) for j in bits(mask))
+            want = reference_closed(rs, mask)
             assert shadow.closed_mask(rs, mask) == want, (key, bits(mask))
             outcomes.add(want)
         assert outcomes == {False, True}
@@ -411,81 +409,61 @@ class TestClosureAgreesWithLP:
         rs = rootsys.build(*key)
         for mask, sd in decompositions(key):
             _assert_matches_lp_reference(rs, mask, sd)
-        # the certificate decided every root outside the additive closure
-        assert LP_CALLS[key] == 0
-
-    @staticmethod
-    def _assert_lp_path_matches(key):
-        # no tested subset leaves a cone member outside the additive closure, so
-        # with an empty closure table every member comes from an LP
-        rs = dataclasses.replace(rootsys.build(*key))
-        rs.__dict__["sum_partners"] = ((),) * len(rs.all_roots)
-        with mock.patch.object(shadow, "cone_member", wraps=shadow.cone_member) as lp:
-            for mask, _ in decompositions(key)[::7]:
-                _assert_matches_lp_reference(rs, mask, shadow.shadow(rs, RootSubalgebra(rs, mask)))
-        # an emptied table that the closure no longer read would leave this test passing with no LP
-        assert lp.call_count >= 1
-
-    @pytest.mark.parametrize("key", [("G", 2), ("C", 3)], ids=_type_id)
-    def test_lp_path_alone(self, key):
-        # the non-members come from the certificate
-        self._assert_lp_path_matches(key)
-
-    @pytest.mark.parametrize("key", [("G", 2), ("C", 3)], ids=_type_id)
-    def test_lp_path_alone_uncertified(self, key, monkeypatch):
-        # with a certificate that certifies nothing, the non-members come from an LP too;
-        # the cached decompositions are built first, with the certificate in place
-        decompositions(key)
-        monkeypatch.setattr(shadow, "_certified_outside", lambda *args: 0)
-        self._assert_lp_path_matches(key)
 
     @pytest.mark.parametrize("key", [("D", 4), ("F", 4), ("A", 4)], ids=_type_id)
-    def test_seeded_closures(self, key, monkeypatch):
+    def test_seeded_closures(self, key):
         rs = rootsys.build(*key)
-        masks = seeded_closures(rs)
-        lp = mock.Mock(wraps=shadow.cone_member)
-        monkeypatch.setattr(shadow, "cone_member", lp)
-        for mask in masks:
+        for mask in seeded_closures(rs):
             _assert_matches_lp_reference(rs, mask, shadow.shadow(rs, RootSubalgebra(rs, mask)))
-        assert lp.call_count == 0
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_random_closed_subsets(self, data):
+        # the closure of Gamma alone against one LP per root of S, past the types above
+        rs = rootsys.build(*data.draw(st.sampled_from([("B", 4), ("C", 4), ("D", 5)])))
+        seed = data.draw(st.lists(st.integers(0, len(rs.all_roots) - 1), max_size=6))
+        mask = mask_closure(rs, rs.index_mask(seed))
+        assert shadow._close_from_outside(rs, rs.full_mask & ~mask) == reference_inside(rs, mask)
 
 
-@st.composite
-def root_subsets(draw):
-    """A type, an arbitrary mask gamma of its roots (not only the complement of a closed
-    set) and whether the members handed to the chain are gamma's additive closure or gamma."""
-    key = draw(st.sampled_from([("A", 3), ("B", 3), ("G", 2), ("D", 4)]))
-    rs = rootsys.build(*key)
-    return key, rs.index_mask(draw(st.lists(st.integers(0, len(rs.all_roots) - 1)))), draw(st.booleans())
+def _assert_proof_steps(rs, mask):
+    """Step A of shadow's proof, T = the roots outside Gamma-bar is closed, and Step B's
+    parabolic P = Gamma-bar + T^s, on which phi = sum of Gamma-bar^u is 0 on the Levi part
+    and > 0 on the nilradical; closure and closedness come from the reference sum table."""
+    closure = mask_closure(rs, rs.full_mask & ~mask)
+    t = rs.full_mask & ~closure
+    assert not t & ~mask and reference_closed(rs, t), (rs.series, rs.rank, bits(mask))
+    t_sym, b_sym = t & rs.negated(t), closure & rs.negated(closure)
+    p = closure | t_sym
+    assert reference_closed(rs, p) and p | rs.negated(p) == rs.full_mask
+    phi = [sum(col) for col in zip(*[rs.doubled_roots[i] for i in bits(closure & ~b_sym)])]
+    values = {i: sum(map(mul, phi, rs.doubled_roots[i])) for i in range(len(rs.all_roots))}
+    assert all(values[i] == 0 for i in bits(b_sym | t_sym))
+    assert all(values[i] > 0 for i in bits(closure & ~b_sym))
 
 
-class TestCertifiedOutside:
-    @staticmethod
-    def certified(rs, gamma_mask, closed=True):
-        """The roots the chain certifies outside cone(gamma), each checked by an LP."""
-        inside = shadow._close(rs, gamma_mask, bits(gamma_mask)) if closed else gamma_mask
-        outside = shadow._certified_outside(rs, gamma_mask, inside)
-        assert not outside & inside
-        gamma = [rs.doubled_roots[i] for i in bits(gamma_mask)]
-        for i in bits(outside):
-            assert cone_member(rs.doubled_roots[i], gamma) is None, (rs.series, rs.rank, bits(gamma_mask), i)
-        return outside
+class TestProofSteps:
+    @pytest.mark.parametrize("key", [("G", 2), ("B", 3), ("C", 3)], ids=_type_id)
+    def test_every_closed_subset(self, key):
+        rs = rootsys.build(*key)
+        for mask, _ in decompositions(key):
+            _assert_proof_steps(rs, mask)
 
-    @given(root_subsets())
-    # without the check of phi on the generators, a negative value there certifies a member
-    @example((("G", 2), 0b11, False))
-    # where phi is 0 on the live set, a root with (t, g) > 0 for a generator g may be a member
-    @example((("G", 2), 1 << 5 | 1 << 6 | 1 << 10, True))
-    def test_every_certified_root_is_outside_the_cone(self, drawn):
-        key, gamma_mask, closed = drawn
-        self.certified(rootsys.build(*key), gamma_mask, closed)
+    @pytest.mark.parametrize("key", [("D", 4), ("F", 4), ("A", 4)], ids=_type_id)
+    def test_seeded_closures(self, key):
+        rs = rootsys.build(*key)
+        for mask in seeded_closures(rs):
+            _assert_proof_steps(rs, mask)
 
-    def test_cone_member_outside_the_closure_goes_to_the_lp(self):
-        # Gamma = {e1 +- e2, e3 +- e4} in D4 is its own additive closure, and e1 + e3 is in its
-        # cone; the complement of Gamma is not closed, so no shadow call meets this
+    def test_self_closed_gamma_with_a_cone_member_outside(self):
+        # the proof needs the complement of Gamma closed: Gamma = {e1 +- e2, e3 +- e4} in D4
+        # is its own additive closure, yet e1 + e3 is in its cone, and the complement of
+        # Gamma is not closed, so no shadow call meets this
         d4 = rootsys.build("D", 4)
         gamma_mask = d4.mask_of([V(1, 1, 0, 0), V(1, -1, 0, 0), V(0, 0, 1, 1), V(0, 0, 1, -1)])
         assert shadow._close(d4, gamma_mask, bits(gamma_mask)) == gamma_mask
-        e1_e3 = d4.root_index(V(1, 0, 1, 0))
-        assert cone_member(d4.doubled_roots[e1_e3], [d4.doubled_roots[i] for i in bits(gamma_mask)]) is not None
-        assert not self.certified(d4, gamma_mask) >> e1_e3 & 1
+        assert not shadow.closed_mask(d4, d4.full_mask & ~gamma_mask)
+        gamma = [d4.doubled_roots[i] for i in bits(gamma_mask)]
+        coefficients = cone_member(d4.doubled_roots[d4.root_index(V(1, 0, 1, 0))], gamma)
+        assert coefficients is not None and min(coefficients) >= 0
+        assert [sum(c * g[j] for c, g in zip(coefficients, gamma)) for j in range(4)] == [2, 0, 2, 0]
