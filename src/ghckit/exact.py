@@ -3,16 +3,20 @@
 The interface is ``fractions.Fraction``; no floating point is used anywhere.
 Vectors are plain tuples of Fractions, which keeps them hashable and
 immutable, so all operations are pure and safe for concurrent use.
-Elimination in ``solve_linear`` and ``nullspace`` runs over Fractions.  The
-LP behind the cone queries does not: ``lp_feasible`` reads integer input as
-it is and scales any other input by the lcm of its denominators, keeps the
-tableau as an integer matrix whose rows share one denominator up to that
-scale, pivots it fraction-free with Bland's rule, and turns back to
-Fractions only for the solution.  A step whose pivot and previous pivot are
-both 1 (every step of the type-A LPs that ``fk`` runs) skips the scaling and
-is a plain integer row subtraction.  The cone queries pass their generators
-through unchanged, so integer generators (as ``fk`` and ``shadow`` give
-them) reach the simplex with no Fraction built on the way.
+Elimination runs on integers, by one fraction-free step, ``_pivot_row``.
+The LP behind the cone queries reads integer input as it is and scales any
+other input by the lcm of its denominators, keeps the tableau as an integer
+matrix whose rows share one denominator up to that scale, pivots it with
+that step under Bland's rule, and turns back to Fractions only for the
+solution.  ``_reduce`` is Gauss-Jordan by the same step: ``nullspace`` (and
+``solve_linear`` through it) scale their rows to integers the same way and
+reduce them with it, ``rootsys`` inverts the Cartan matrix with it, and
+``fk`` reduces toral rows by the step itself.  A step whose pivot and
+previous pivot are both 1 (every step of the type-A LPs that ``fk`` runs)
+skips the scaling and is a plain integer row subtraction.  The cone queries
+pass their generators through unchanged, so integer generators (as ``fk``
+and ``shadow`` give them) reach the simplex with no Fraction built on the
+way.
 
 ``cone_witness`` is the one LP behind the two-cone test: it asks for a
 common point whose coordinate k is +1 or -1 and returns it as a
@@ -92,71 +96,6 @@ def format_vector(v: Vector) -> list[str]:
 
 def parse_vector(items: Sequence) -> Vector:
     return tuple(parse_rational(str(c)) for c in items)
-
-
-# ---------------------------------------------------------------------------
-# exact Gaussian elimination
-
-
-def _rref(a: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
-    """Reduce the first ncols columns of a to reduced row echelon form, in place.
-
-    Returns the (row, column) of every pivot, in column order.
-    """
-    m = len(a)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append((r, c))
-        r += 1
-    return pivots
-
-
-def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """Solve rows·x = rhs exactly.  Returns one solution or None if inconsistent.
-
-    Free variables are set to 0.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = _rref(a, n)
-    if any(a[i][n] != 0 for i in range(len(pivots), m)):
-        return None
-    x = [Fraction(0)] * n
-    for pr, pc in pivots:
-        x[pc] = a[pr][n]
-    return x
-
-
-def nullspace(rows: Sequence[Vector]) -> list[Vector]:
-    """Basis of {x : row·x = 0 for every row}."""
-    if not rows:
-        raise InputError("nullspace needs at least one row to fix the dimension")
-    n = len(rows[0])
-    a = [list(row) for row in rows]
-    pivots = _rref(a, n)
-    pivot_cols = {pc for _, pc in pivots}
-    basis = []
-    for fc in (c for c in range(n) if c not in pivot_cols):
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for pr, pc in pivots:
-            v[pc] = -a[pr][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +215,72 @@ def _pivot_row(row: list[int], prow: list[int], p: int, d: int, enter: int) -> l
     if p == d:
         return row
     return [p * x // d for x in row]
+
+
+# ---------------------------------------------------------------------------
+# linear systems, on the same fraction-free step
+
+
+def _reduce(rows: list[list[int]], ncols: int) -> tuple[list[tuple[int, int]], int]:
+    """Reduce the first ncols columns of integer rows fraction-free, in place:
+    Gauss-Jordan by ``_pivot_row`` steps, swapping up the first row with a
+    nonzero entry in each column.
+
+    Returns the (row, column) of every pivot, in column order, and the last
+    pivot d.  Each pivot row then holds d at its own pivot column and 0 at
+    the others', so the rows over d are the reduced row echelon form.
+    """
+    pivots: list[tuple[int, int]] = []
+    d = 1
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        p = rows[r][c]
+        rows[:] = [row if i == r else _pivot_row(row, rows[r], p, d, c) for i, row in enumerate(rows)]
+        d = p
+        pivots.append((r, c))
+    return pivots, d
+
+
+def nullspace(rows: Sequence[Sequence]) -> list[Vector]:
+    """Basis of {x : row·x = 0 for every row}, one vector per free column.
+
+    The rows are scaled to integers (``_integer_rows``) and reduced by
+    ``_reduce``.
+    """
+    if not rows:
+        raise InputError("nullspace needs at least one row to fix the dimension")
+    n = len(rows[0])
+    a, _ = _integer_rows([(row, 0) for row in rows])
+    pivots, d = _reduce(a, n)
+    pivot_cols = {pc for _, pc in pivots}
+    basis = []
+    for fc in (c for c in range(n) if c not in pivot_cols):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for pr, pc in pivots:
+            v[pc] = Fraction(-a[pr][fc], d)
+        basis.append(tuple(v))
+    return basis
+
+
+def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
+    """Solve rows·x = rhs exactly.  Returns one solution or None if inconsistent.
+
+    Free variables are set to 0.  That solution is -v[:-1] for the vector v of
+    ``nullspace`` of the augmented rows [row | rhs] that belongs to the rhs
+    column, the last; that column is free, so v exists, iff the system is
+    consistent.
+    """
+    if not rows:
+        return []
+    basis = nullspace([(*row, b) for row, b in zip(rows, rhs)])
+    if not basis or basis[-1][-1] != 1:
+        return None
+    return [-x for x in basis[-1][:-1]]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, InternalError, UnsupportedTypeError
-from .exact import ConeWitness, Vector, cone_witness
+from .exact import ConeWitness, Vector, _pivot_row, cone_witness
 from .rootsys import LOW_RANK_ALIASES, RootSystem, _dot, bits, root_count
 from .shadow import RootSubalgebra, _require_over, closed_mask
 
@@ -300,8 +300,8 @@ def _span_test(rows: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], bool]
 
     def clear(v: Sequence[int]) -> Sequence[int]:
         for c, b in basis:
-            if f := v[c]:
-                v = [b[c] * x - f * y for x, y in zip(v, b)]
+            if v[c]:  # a step at a zero entry would only scale v by b[c]
+                v = _pivot_row(v, b, b[c], 1, c)
         return v
 
     for row in map(clear, rows):

@@ -10,12 +10,18 @@ The simple roots are written as doubled integer rows, so that every root is
 an integer row too.  The reflection closure runs on integer simple-root
 coordinates, and the build keeps the doubled rows it sorts as the table
 ``doubled_roots``; the Fraction ``simple_roots``, ``positive_roots`` and
-``all_roots`` are halvings of those rows.  ``RootSystem.sum_partners``, the
-one table of root sums, lists the pairs (j, k) with root i + root j = root k
-by root index in the canonical order (see ``build``) for closed-subset code,
-where a root subset is a bitmask with bit i for ``all_roots[i]``
-(``mask_of``, ``roots_of``, ``full_mask``); only ``positive_mask`` and
-``negated`` know that the positive roots come first.  ``roots_of`` builds the
+``all_roots`` are halvings of those rows.  The ``fundamental_weights`` are
+the simple-root combinations that the rows of the inverse Cartan matrix give:
+the build inverts the integer Cartan matrix fraction-free with
+``exact._reduce``, Gauss-Jordan by the LP's elimination step, sums the
+doubled simple roots in integers and builds one Fraction per weight
+coordinate.
+``RootSystem.sum_partners``, the one table of root sums, lists the pairs
+(j, k) with root i + root j = root k by root index in the canonical order
+(see ``build``) for closed-subset code, where a root subset is a bitmask
+with bit i for ``all_roots[i]`` (``mask_of``, ``roots_of``, ``full_mask``);
+only ``positive_mask`` and ``negated`` know that the positive roots come
+first.  ``roots_of`` builds the
 frozenset view of a mask from a table, built on first use, that holds the
 frozenset of each nibble value of each chunk of four root indices: it
 merges the stored set of each chunk that the mask meets, so no root is
@@ -44,7 +50,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError
-from .exact import Vector, _rref, dot, format_vector, vscale
+from .exact import Vector, _reduce, dot, format_vector, vscale
 
 DEFAULT_MAX_RANK = 8
 # GHC_MAX_RANK may raise the cap this far: C32 and D32, the slowest rank-32 builds, take
@@ -254,13 +260,9 @@ class RootSystem:
         """|2a|^2 for each simple root a."""
         return tuple(_dot(a, a) for a in self._simple_doubled)
 
-    @cached_property
-    def _rho(self) -> Vector:
+    def rho(self) -> Vector:
         # the doubled positive roots sum to 4 rho
         return tuple(_F(sum(x), 4) for x in zip(*self.doubled_roots[: len(self.positive_roots)]))
-
-    def rho(self) -> Vector:
-        return self._rho
 
     def to_json(self) -> dict:
         return {
@@ -331,11 +333,13 @@ def _construct(series: str, rank: int) -> RootSystem:
         )
 
     # fundamental weights: <w_i, a_j^vee> = delta_ij within the simple span, so
-    # w_i = sum_j x_ij a_j with x the inverse Cartan matrix; [C | 1] reduces to [1 | x],
-    # and the sum runs over the doubled simple roots, halved at the end
-    aug = [[_F(c) for c in row] + [_F(int(j == i)) for j in range(rank)] for i, row in enumerate(cartan)]
-    _rref(aug, rank)
-    fw = tuple(tuple(sum(map(mul, row[rank:], col)) / 2 for col in zip(*doubled)) for row in aug)
+    # w_i = sum_j x_ij a_j with x the inverse Cartan matrix.  [C | 1] reduces fraction-free
+    # to [d 1 | d x], d = det C, and no row is swapped, so row i stays w_i's: C is a Gram
+    # matrix times a positive diagonal, so every leading minor, and with it every pivot,
+    # is positive.  The sum runs over the doubled simple roots, so w_i is that row over 2d
+    aug = [[*row, *unit] for row, unit in zip(cartan, units)]
+    _, d = _reduce(aug, rank)
+    fw = tuple(tuple(_F(sum(map(mul, row[rank:], col)), 2 * d) for col in zip(*doubled)) for row in aug)
 
     return RootSystem(
         series=series,

@@ -2,11 +2,14 @@ import os
 import random
 from fractions import Fraction
 from operator import add
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import settings
 
 from ghckit import rootsys
+from ghckit.errors import InputError
+from ghckit.exact import Vector
 from ghckit.rootsys import bits
 
 # HYPOTHESIS_PROFILE=ci: a fixed example sequence, and ten times the default
@@ -93,3 +96,68 @@ def seeded_closures(rs):
     n = len(rs.all_roots)
     masks = [rs.positive_mask, 0, rs.full_mask]
     return masks + [mask_closure(rs, rs.index_mask(rng.sample(range(n), rng.randint(1, 6)))) for _ in range(40)]
+
+
+# reference solvers by Gauss-Jordan elimination over Fractions, independent of the
+# library's one fraction-free elimination step, exact._pivot_row
+
+
+def _rref(a: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
+    """Reduce the first ncols columns of a to reduced row echelon form, in place.
+
+    Returns the (row, column) of every pivot, in column order.
+    """
+    m = len(a)
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append((r, c))
+        r += 1
+    return pivots
+
+
+def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
+    """Solve rows·x = rhs exactly.  Returns one solution or None if inconsistent.
+
+    Free variables are set to 0.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    pivots = _rref(a, n)
+    if any(a[i][n] != 0 for i in range(len(pivots), m)):
+        return None
+    x = [Fraction(0)] * n
+    for pr, pc in pivots:
+        x[pc] = a[pr][n]
+    return x
+
+
+def nullspace(rows: Sequence[Vector]) -> list[Vector]:
+    """Basis of {x : row·x = 0 for every row}."""
+    if not rows:
+        raise InputError("nullspace needs at least one row to fix the dimension")
+    n = len(rows[0])
+    a = [list(row) for row in rows]
+    pivots = _rref(a, n)
+    pivot_cols = {pc for _, pc in pivots}
+    basis = []
+    for fc in (c for c in range(n) if c not in pivot_cols):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for pr, pc in pivots:
+            v[pc] = -a[pr][fc]
+        basis.append(tuple(v))
+    return basis

@@ -6,6 +6,7 @@ from typing import Optional, Sequence
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import nullspace as reference_nullspace, solve_linear as reference_solve_linear
 from ghckit import cli, exact, fk
 from ghckit.errors import InputError
 from ghckit.exact import (
@@ -274,6 +275,28 @@ class TestLpAgainstReference:
         sol = lp_feasible([((1, "1/2"), "3/2"), ((1, -1), 0)], 2)
         assert sol == reference_lp_feasible([((F(1), F(1, 2)), F(3, 2)), ((F(1), F(-1)), F(0))], 2)
         assert sol == [F(1), F(1)]
+
+
+class TestLinearSystemsAgainstReference:
+    """solve_linear and nullspace on the fraction-free step, against the Fraction
+    Gauss-Jordan references in conftest: the same Fractions, on systems where zero
+    columns, dependent rows and inconsistent right-hand sides come up often."""
+
+    @given(lp_systems())
+    def test_same_answers_as_fraction_gauss_jordan(self, system):
+        eqs, _ = system
+        rows, rhs = [c for c, _ in eqs], [b for _, b in eqs]
+        assert exact.solve_linear(rows, rhs) == reference_solve_linear(rows, rhs)
+        assert exact.nullspace(rows) == reference_nullspace(rows)
+
+    def test_edge_cases(self):
+        assert exact.solve_linear([], []) == reference_solve_linear([], []) == []
+        # integer input, a zero column and an inconsistent row
+        assert exact.solve_linear([(1, 0, 2), (2, 0, 4)], [1, 3]) is None
+        assert exact.solve_linear([(1, 0, 2), (2, 0, 4)], [1, 2]) == [F(1), F(0), F(0)]
+        assert exact.nullspace([(2, 0, 4)]) == [(F(0), F(1), F(0)), (F(-2), F(0), F(1))]
+        with pytest.raises(InputError):
+            exact.nullspace([])
 
 
 def test_census_a3_stdout_digest(capsys):

@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import ALL_TYPES, V, neg, seeded_closures, sum_table
+from conftest import ALL_TYPES, V, neg, nullspace, seeded_closures, solve_linear, sum_table
 from ghckit import exact, fk, rootsys, shadow
 from ghckit.errors import InputError, InternalError, UnsupportedTypeError
-from ghckit.exact import dot, is_zero, nullspace, solve_linear, vadd
+from ghckit.exact import dot, is_zero, vadd
 from ghckit.rootsys import bits
 from ghckit.shadow import RootSubalgebra, closed_subsets
 

@@ -7,11 +7,12 @@ from functools import partial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import nullspace, solve_linear
 from test_rootsys import reference_is_regular_integral, reference_weyl_dim
 
 from ghckit import principal, rootsys
 from ghckit.errors import InputError, InternalError
-from ghckit.exact import dot, nullspace, solve_linear, vadd, vscale, vzero
+from ghckit.exact import dot, vadd, vscale, vzero
 from ghckit.principal import (
     PrincipalData,
     _partition_table,

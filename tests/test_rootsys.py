@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_TYPES, V, neg, sum_table
+from conftest import ALL_TYPES, V, neg, solve_linear, sum_table
 from ghckit import rootsys
 from ghckit.errors import InputError, InternalError
 from ghckit.exact import dot, vadd, vscale, vzero
@@ -286,6 +286,20 @@ def test_weight_tables_match_reference(key):
         assert rootsys.is_integral(rs, lam) == all(p.denominator == 1 for p in pairings)
         assert rootsys.is_dominant(rs, lam) == all(p >= 0 for p in pairings)
         assert rootsys.is_regular_integral(rs, lam) == reference_is_regular_integral(rs, lam)
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_fundamental_weights_match_reference(key):
+    """<w_i, a_j^vee> = delta_ij, and w_i is the simple-root combination x with
+    x C = e_i that the Fraction reference solver gives on the Cartan matrix C."""
+    rs = rootsys.build(*key)
+    columns = list(zip(*rs.cartan_matrix))
+    for i, w in enumerate(rs.fundamental_weights):
+        unit = [int(j == i) for j in range(rs.rank)]
+        assert all(type(x) is F for x in w)
+        assert [rs.pairing(w, a) for a in rs.simple_roots] == unit
+        x = solve_linear(columns, unit)
+        assert w == reduce(vadd, (vscale(c, a) for c, a in zip(x, rs.simple_roots)))
 
 
 @pytest.mark.parametrize("key", ALL_TYPES)
