@@ -263,6 +263,9 @@ def run(request: dict) -> tuple[dict, int]:
     try:
         if not isinstance(request, dict):
             raise InputError("request must be a JSON object")
+        extra = next((k for k in request if k not in ("command", "parameters")), None)
+        if extra is not None:
+            raise InputError(f"a request has no key {extra!r}, only 'command' and 'parameters'")
         command = request.get("command")
         params = request.get("parameters", {})
         if not isinstance(params, dict):

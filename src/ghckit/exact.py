@@ -11,12 +11,12 @@ that step under Bland's rule, and turns back to Fractions only for the
 solution.  ``_reduce`` is Gauss-Jordan by the same step: ``nullspace`` (and
 ``solve_linear`` through it) scale their rows to integers the same way and
 reduce them with it, ``rootsys`` inverts the Cartan matrix with it, and
-``fk`` reduces toral rows by the step itself.  A step whose pivot and
-previous pivot are both 1 (every step of the type-A LPs that ``fk`` runs)
-skips the scaling and is a plain integer row subtraction.  The cone queries
-pass their generators through unchanged, so integer generators (as ``fk``
-and ``shadow`` give them) reach the simplex with no Fraction built on the
-way.
+``fk`` tests the span of toral rows with ``nullspace``.  A step whose pivot
+and previous pivot are both 1 (every step of the type-A LPs that ``fk``
+runs) skips the scaling and is a plain integer row subtraction.  The cone
+queries pass their generators through unchanged, so integer generators (as
+``fk`` and ``shadow`` give them) reach the simplex with no Fraction built on
+the way.
 
 ``cone_witness`` is the one LP behind the two-cone test: it asks for a
 common point whose coordinate k is +1 or -1 and returns it as a

@@ -15,8 +15,9 @@ stable under this choice iff it is constant on Weyl orbits, which
 ``tests/test_symmetry.py`` checks on A3 and A4.  Root subsets are bitmasks,
 as in ``shadow``: the reductive part of l is ``l & negated(l)``, and the
 simple roots of k, the singular weights and the roots that commute with k
-are masks built from the partners of a few roots in ``RootSystem.sum_partners``,
-the one table of root sums.
+are each one mask expression over ``RootSystem.sums``, the one image of root
+sums.  Primality tests membership in the toral span as orthogonality to the
+``exact.nullspace`` of the toral rows.
 
 Type recognition splits k into components on the integer ``doubled_roots``
 and reads each one's type off its rank, number of roots and number of long
@@ -28,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError, InternalError, UnsupportedTypeError
-from .exact import ConeWitness, Vector, _pivot_row, cone_witness
+from .exact import ConeWitness, Vector, cone_witness, nullspace
 from .rootsys import LOW_RANK_ALIASES, RootSystem, _dot, bits, root_count
 from .shadow import RootSubalgebra, _require_over, closed_mask
 
@@ -81,23 +82,14 @@ def _k_simple(rs: RootSystem, k: int) -> int:
     """The mask of the simple roots of k+, for the mask k of a symmetric closed
     subset: the roots of k+ that are not the sum of two roots of k+."""
     kpos = k & rs.positive_mask
-    sums = 0
-    for b in bits(kpos):
-        for c, t in rs.sum_partners[b]:
-            if kpos >> c & 1:
-                sums |= 1 << t
-    return kpos & ~sums
+    return kpos & ~rs.sums(kpos, kpos)
 
 
 def _singular(rs: RootSystem, simple_k: int, module: int) -> int:
     """The mask of the roots of a module (a mask) that no simple root of k, given
-    by the mask simple_k from ``_k_simple``, maps into the module."""
-    moved = 0
-    for b in bits(simple_k):
-        for w, m in rs.sum_partners[b]:
-            if module >> m & 1:
-                moved |= 1 << w
-    return module & ~moved
+    by the mask simple_k from ``_k_simple``, maps into the module: a simple root b
+    moves w to a weight m iff w = m - b."""
+    return module & ~rs.sums(rs.negated(simple_k), module)
 
 
 def singular_weights(
@@ -293,23 +285,6 @@ def _simple_type(rank: int, roots: int, long_roots: int) -> tuple[str, int]:
 # primality
 
 
-def _span_test(rows: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], bool]:
-    """A membership test for the linear span of integer rows, from one
-    fraction-free reduction: v lies in the span iff clearing v at every pivot leaves 0."""
-    basis: list[tuple[int, Sequence[int]]] = []  # (pivot column, row); each row is 0 at earlier pivots
-
-    def clear(v: Sequence[int]) -> Sequence[int]:
-        for c, b in basis:
-            if v[c]:  # a step at a zero entry would only scale v by b[c]
-                v = _pivot_row(v, b, b[c], 1, c)
-        return v
-
-    for row in map(clear, rows):
-        if any(row):
-            basis.append((next(c for c, x in enumerate(row) if x), row))
-    return lambda v: not any(clear(v))
-
-
 def is_primal(
     rs: RootSystem,
     k_roots: frozenset[Vector],
@@ -325,7 +300,13 @@ def is_primal(
     # each pairing with a root nonzero iff the vector does
     den = lcm(*(x.denominator for t in toral for x in t))
     toral_rows = [tuple(x.numerator * (den // x.denominator) for x in t) for t in toral]
-    in_toral = _span_test(toral_rows)
+    # over Q the span of the rows is the orthogonal complement of their null space; the
+    # zero row stands for an empty toral part, whose span holds no root
+    null = nullspace(toral_rows or [(0,) * rs.ambient_dim])
+
+    def in_toral(v: Sequence[int]) -> bool:
+        return not any(_dot(v, x) for x in null)
+
     # the simple roots of k span its roots, and their coroots, positive multiples of the
     # (doubled) roots, span its coroots
     if not all(in_toral(rs.doubled_roots[i]) for i in bits(_k_simple(rs, k))):
@@ -337,12 +318,9 @@ def is_primal(
     if not all(map(in_toral, rs._simple_doubled)):
         return False
     # ... and no root space commuting with all of k: every root g with -g not in k and
-    # g + b not a root for any b in k must pair nonzero with the toral part
-    moved = 0
-    for b in bits(k):
-        for g, _ in rs.sum_partners[b]:
-            moved |= 1 << g
-    commuting = rs.full_mask & ~moved & ~rs.negated(k)
+    # g + b not a root for any b in k must pair nonzero with the toral part.  As k is
+    # symmetric, g + b is a root for some b in k iff g = (g + b) + (-b) is in sums(k, all)
+    commuting = rs.full_mask & ~rs.sums(k, rs.full_mask) & ~rs.negated(k)
     return all(any(_dot(rs.doubled_roots[g], t) for t in toral_rows) for g in bits(commuting))
 
 

@@ -21,10 +21,11 @@ coordinate.
 (see ``build``) for closed-subset code, where a root subset is a bitmask
 with bit i for ``all_roots[i]`` (``mask_of``, ``roots_of``, ``full_mask``);
 only ``positive_mask`` and ``negated`` know that the positive roots come
-first.  ``roots_of`` builds the
-frozenset view of a mask from a table, built on first use, that holds the
-frozenset of each nibble value of each chunk of four root indices: it
-merges the stored set of each chunk that the mask meets, so no root is
+first.  ``sums(a, b)``, the one image of root sums, reads that table for the
+mask of the roots x + y with x in mask a and y in mask b.  ``roots_of``
+builds the frozenset view of a mask from a table, built on first use, that
+holds the frozenset of each nibble value of each chunk of four root indices:
+it merges the stored set of each chunk that the mask meets, so no root is
 hashed again.  ``vector_order`` lists the root indices as the root vectors
 sort.
 
@@ -241,6 +242,16 @@ class RootSystem:
         return tuple(
             tuple((j, k) for j, b in enumerate(codes) if (k := index.get(a + b)) is not None) for a in codes
         )
+
+    def sums(self, a: int, b: int) -> int:
+        """The mask of the roots x + y with x in mask a and y in mask b, read from the
+        ``sum_partners`` rows of a's roots, one row per root of a."""
+        out = 0
+        for i in bits(a):
+            for j, k in self.sum_partners[i]:
+                if b >> j & 1:
+                    out |= 1 << k
+        return out
 
     @cached_property
     def vector_order(self) -> tuple[int, ...]:

@@ -39,6 +39,14 @@ class TestRun:
         _, code = run([1, 2, 3])
         assert code == EXIT_INPUT
 
+    def test_misspelled_top_level_key(self):
+        # a document holds only "command" and "parameters": a stray key is named, not ignored
+        doc, code = run(
+            {"command": "census", "parameters": {"series": "A", "rank": 2}, "paramters": {"dedup": True}}
+        )
+        assert code == EXIT_INPUT
+        assert "'paramters'" in doc["error"]
+
     def test_unsupported_maps_to_three(self):
         doc, code = run({"command": "fk-test", "parameters": {"series": "B", "rank": 2}})
         assert code == EXIT_UNSUPPORTED

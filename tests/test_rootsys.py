@@ -356,3 +356,26 @@ def test_sum_partners_are_the_root_entries_of_the_sum_table(key):
     rs = rootsys.build(*key)
     want = tuple(tuple((j, k) for j, k in enumerate(row) if k >= 0) for row in sum_table(rs))
     assert rs.sum_partners == want
+
+
+@pytest.mark.parametrize("key", [("G", 2), ("F", 4), ("E", 8)])
+def test_sums_are_the_image_of_the_sum_table(key):
+    # sums(a, b) against every entry of the conftest table whose row is in a and column in b
+    rs = rootsys.build(*key)
+    table, n, full = sum_table(rs), len(rs.all_roots), rs.full_mask
+    rng = random.Random(n)
+    pos, negs = rs.positive_mask, rs.negated(rs.positive_mask)
+    pairs = [(0, 0), (0, full), (full, 0), (full, full), (pos, pos), (pos, negs), (negs, full)]
+    # seeded dense, sparse and one-root masks on either side, and some pairs both ways round
+    dense = [rng.getrandbits(n) for _ in range(4)]
+    sparse = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(4)]
+    single = [1 << rng.randrange(n) for _ in range(4)]
+    pairs += [*zip(dense, sparse), *zip(sparse, single), *zip(single, dense), *zip(dense[:2], dense[2:])]
+    pairs += [(b, a) for a, b in pairs[-6:]]
+    for a, b in pairs:
+        want = 0
+        for i in rootsys.bits(a):
+            for j in rootsys.bits(b):
+                if table[i][j] >= 0:
+                    want |= 1 << table[i][j]
+        assert rs.sums(a, b) == want, (a, b)
