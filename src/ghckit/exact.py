@@ -11,7 +11,7 @@ that step under Bland's rule, and turns back to Fractions only for the
 solution.  ``_reduce`` is Gauss-Jordan by the same step: ``nullspace`` (and
 ``solve_linear`` through it) scale their rows to integers the same way and
 reduce them with it, ``rootsys`` inverts the Cartan matrix with it, and
-``fk`` tests the span of toral rows with ``nullspace``.  A step whose pivot
+``fk`` compares the ranks of integer toral rows with it.  A step whose pivot
 and previous pivot are both 1 (every step of the type-A LPs that ``fk``
 runs) skips the scaling and is a plain integer row subtraction.  The cone
 queries pass their generators through unchanged, so integer generators (as

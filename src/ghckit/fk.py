@@ -14,26 +14,27 @@ of the realization; the others are its Weyl conjugates, so the verdict is
 stable under this choice iff it is constant on Weyl orbits, which
 ``tests/test_symmetry.py`` checks on A3 and A4.  Root subsets are bitmasks,
 as in ``shadow``: the reductive part of l is ``l & negated(l)``, and the
-simple roots of k, the singular weights and the roots that commute with k
-are each one mask expression over ``RootSystem.sums``, the one image of root
-sums.  Primality tests membership in the toral span as orthogonality to the
-``exact.nullspace`` of the toral rows.
+simple roots of k and the singular weights are each one mask expression over
+``RootSystem.sums``, the one image of root sums.  Primality compares integer
+ranks by ``exact._reduce``: the toral rows span k's coroots and all of h iff
+adding them leaves the rank unchanged.
 
-Type recognition splits k into components on the integer ``doubled_roots``
-and reads each one's type off its rank, number of roots and number of long
-roots, checked against ``rootsys.root_count``.
+Type recognition splits the simple roots of k into components by ``_reach``
+on the integer ``doubled_roots`` and reads each one's type off its rank,
+number of roots and number of long roots, checked against
+``rootsys.root_count``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
-from typing import Optional, Sequence
+from operator import or_
+from typing import Mapping, Optional, Sequence
 
 from .errors import InputError, InternalError, UnsupportedTypeError
-from .exact import ConeWitness, Vector, cone_witness, nullspace
-from .rootsys import LOW_RANK_ALIASES, RootSystem, _dot, bits, root_count
+from .exact import ConeWitness, Vector, _reduce, cone_witness
+from .rootsys import LOW_RANK_ALIASES, RootSystem, _dot, _weight_row, bits, root_count
 from .shadow import RootSubalgebra, _require_over, closed_mask
 
 
@@ -187,16 +188,14 @@ def _first_feasible_pair(
     cones of the type-A roots e_u - e_v given by their ends (u, v) share a point
     with coordinate k equal to sign; None when they meet only at 0.  The rule is
     the reachability one of ``theorem8_finite_type``, on bitmasks of nodes."""
-    succ = [0] * dim  # the edges of H, as successor masks
     out_a, in_a, out_b, in_b = ([0] * dim for _ in range(4))
     for u, v in ends_a:  # the edge u -> v
-        succ[u] |= 1 << v
         out_a[u] |= 1 << v
         in_a[v] |= 1 << u
     for u, v in ends_b:  # the edge v -> u
-        succ[v] |= 1 << u
         out_b[v] |= 1 << u
         in_b[u] |= 1 << v
+    succ = list(map(or_, out_a, out_b))  # the edges of H, as successor masks
     for k in range(dim):
         # +1: from the y of a = e_k - e_y to the z of b = e_k - e_z;
         # -1: from the z of b = e_z - e_k to the x of a = e_x - e_k
@@ -206,9 +205,9 @@ def _first_feasible_pair(
     return None
 
 
-def _reach(succ: Sequence[int], start: int, avoid: int) -> int:
+def _reach(succ: Sequence[int] | Mapping[int, int], start: int, avoid: int) -> int:
     """The mask of the nodes reachable from the nodes of start (start included)
-    along the successor masks succ, through no node of avoid."""
+    along the successor masks succ, indexed by node, through no node of avoid."""
     seen = frontier = start
     while frontier:
         step = 0
@@ -222,13 +221,17 @@ def _reach(succ: Sequence[int], start: int, avoid: int) -> int:
 def theorem6_solvable_finite_type(rs: RootSystem, l: RootSubalgebra) -> bool:
     """Finite-type test for solvable root subalgebras (reductive part = Cartan):
     the nilpotent roots must form the nilradical of a parabolic whose
-    components are all of type A or C."""
+    components are all of type A or C.
+
+    The parabolic is m ∪ n, for m the roots outside n ∪ -n, and one closedness test
+    covers both parts: n ∩ -n is empty, so m = (m ∪ n) ∩ -(m ∪ n), which is
+    closed whenever m ∪ n is, as the intersection of two closed sets."""
     _require_over(rs, l)
     n = l.mask
     if reductive_mask(l):
         raise InputError("subalgebra is not solvable: its reductive part has roots")
     m = rs.full_mask & ~(n | rs.negated(n))
-    if not closed_mask(rs, m) or not closed_mask(rs, m | n):
+    if not closed_mask(rs, m | n):
         return False
     return all(series in ("A", "C") for series, _ in _components(rs, m))
 
@@ -245,22 +248,20 @@ def recognize_type(rs: RootSystem, subset: frozenset[Vector]) -> list[tuple[str,
 
 def _components(rs: RootSystem, mask: int) -> list[tuple[str, int]]:
     d = rs.doubled_roots
-    # split the simple roots into connected components by non-orthogonality:
-    # each simple root joins every component it is not orthogonal to
-    comps: list[list[int]] = []
-    for a in bits(_k_simple(rs, mask)):
-        joined = [a]
-        for comp in [c for c in comps if any(_dot(d[a], d[b]) for b in c)]:
-            comps.remove(comp)
-            joined += comp
-        comps.append(joined)
+    simple = _k_simple(rs, mask)
+    # the simple roots each root of k is not orthogonal to; on the simple roots these are the
+    # edges of a graph whose connected components, peeled off by _reach, are k's components
+    succ = {i: sum(1 << b for b in bits(simple) if _dot(d[i], d[b])) for i in bits(mask)}
+    comps: list[int] = []
+    while simple:
+        comps.append(_reach(succ, simple & -simple, 0))
+        simple &= ~comps[-1]
     # a root of k is in the span of one component, whose simple roots are a basis of that span, so
     # being nonzero it pairs nonzero with one of them; every other component is orthogonal to it
     norms: list[list[int]] = [[] for _ in comps]
     for i in bits(mask):
-        j = next(j for j, comp in enumerate(comps) if any(_dot(d[i], d[b]) for b in comp))
-        norms[j].append(_dot(d[i], d[i]))
-    return sorted(_simple_type(len(c), len(n), n.count(max(n))) for c, n in zip(comps, norms))
+        norms[next(j for j, comp in enumerate(comps) if succ[i] & comp)].append(_dot(d[i], d[i]))
+    return sorted(_simple_type(c.bit_count(), len(n), n.count(max(n))) for c, n in zip(comps, norms))
 
 
 def _simple_type(rank: int, roots: int, long_roots: int) -> tuple[str, int]:
@@ -293,35 +294,26 @@ def is_primal(
     """Test whether the reductive subalgebra spanned by k_roots root spaces
     and the given toral subspace has centralizer equal to its center."""
     k = _symmetric_closed(rs, k_roots, "k_roots")
-    toral = [tuple(v) for v in toral_part]
-    if any(len(v) != rs.ambient_dim for v in toral):
+    if any(len(v) != rs.ambient_dim for v in toral_part):
         raise InputError(f"toral vectors must have dimension {rs.ambient_dim}")
-    # the toral vectors times their common denominator are integer rows with the same span,
-    # each pairing with a root nonzero iff the vector does
-    den = lcm(*(x.denominator for t in toral for x in t))
-    toral_rows = [tuple(x.numerator * (den // x.denominator) for x in t) for t in toral]
-    # over Q the span of the rows is the orthogonal complement of their null space; the
-    # zero row stands for an empty toral part, whose span holds no root
-    null = nullspace(toral_rows or [(0,) * rs.ambient_dim])
+    # each toral vector times its own denominator: integer rows with the same span
+    rows = [_weight_row(rs, t)[0] for t in toral_part]
 
-    def in_toral(v: Sequence[int]) -> bool:
-        return not any(_dot(v, x) for x in null)
+    def rank(extra: Sequence[Sequence[int]]) -> int:
+        """The rank of the toral rows with the rows extra added."""
+        return len(_reduce(rows + list(extra), rs.ambient_dim)[0])
 
     # the simple roots of k span its roots, and their coroots, positive multiples of the
     # (doubled) roots, span its coroots
-    if not all(in_toral(rs.doubled_roots[i]) for i in bits(_k_simple(rs, k))):
+    if rank([rs.doubled_roots[i] for i in bits(_k_simple(rs, k))]) != rank(()):
         raise InputError("toral part must contain the coroots of k_roots")
     # C(k) = Z(k) needs the torus centralizing k inside the toral part.  The Cartan
     # subspace h = span(simple roots of g) is the orthogonal sum of span(coroots of k) and
     # that torus, and the coroots are in the toral span by the check above, so the torus
-    # is in it iff all of h is, that is iff every simple root of g is ...
-    if not all(map(in_toral, rs._simple_doubled)):
-        return False
-    # ... and no root space commuting with all of k: every root g with -g not in k and
-    # g + b not a root for any b in k must pair nonzero with the toral part.  As k is
-    # symmetric, g + b is a root for some b in k iff g = (g + b) + (-b) is in sums(k, all)
-    commuting = rs.full_mask & ~rs.sums(k, rs.full_mask) & ~rs.negated(k)
-    return all(any(_dot(rs.doubled_roots[g], t) for t in toral_rows) for g in bits(commuting))
+    # is in it iff all of h is, that is iff every simple root of g is.  Then nothing
+    # outside k + t centralizes it: a root g, in h, pairs nonzero with some toral row,
+    # as (g, g) != 0, so C(k + t) lies in C(h) = h, which lies in k + t
+    return rank(rs._simple_doubled) == rank(())
 
 
 def prop3_covered(series: str, rank: int) -> bool:

@@ -125,12 +125,13 @@ class CoherentFamilyDescriptor:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CoherentFamilyDescriptor":
-        rep = vec(parse_rational(c) for c in doc["class_rep"])
-        d = cls.from_weight(rep)
-        if d.degree != int(doc["degree"]):
-            raise InputError(
-                f"stored degree {doc['degree']} disagrees with recomputed {d.degree}"
-            )
+        rep, degree = (doc.get("class_rep"), doc.get("degree")) if isinstance(doc, dict) else (None, None)
+        # type(degree) is int, since isinstance(True, int) holds; a float is no degree either
+        if not isinstance(rep, list) or not all(isinstance(c, str) for c in rep) or type(degree) is not int:
+            raise InputError("a descriptor document needs a class_rep list of strings and an int degree")
+        d = cls.from_weight(vec(parse_rational(c) for c in rep))
+        if d.degree != degree:
+            raise InputError(f"stored degree {degree} disagrees with recomputed {d.degree}")
         return d
 
 

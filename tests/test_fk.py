@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -439,6 +440,28 @@ class TestRecognizeTypeAgainstReference:
             fk._simple_type(*triple)
 
 
+class TestTheorem6AgainstParabolics:
+    """Theorem 6 outside type A, by its definition: n is of finite type iff it is the
+    nilradical, the roots of P outside -P, of a parabolic subset P (closed, with P ∪ -P
+    every root) whose Levi factor P ∩ -P has components of types A and C only, as the
+    reference names them."""
+
+    @pytest.mark.parametrize("key", [("G", 2), ("B", 3), ("C", 3), ("A", 3)], ids=type_id)
+    def test_every_solvable_closed_subset(self, key):
+        rs = rootsys.build(*key)
+        masks = list(shadow.closed_masks(rs))
+        finite = set()
+        for p in masks:
+            if p | rs.negated(p) == rs.full_mask:
+                levi = p & rs.negated(p)
+                if all(series in ("A", "C") for series, _ in reference_components(rs, levi)):
+                    finite.add(p & ~levi)
+        solvable = [n for n in masks if not n & rs.negated(n)]
+        for n in solvable:
+            assert fk.theorem6_solvable_finite_type(rs, RootSubalgebra(rs, n)) == (n in finite), bits(n)
+        assert finite and len(finite) < len(solvable)
+
+
 def reference_in_span(v, gens):
     """True iff v is a linear (not necessarily nonnegative) combination of gens."""
     if is_zero(v):
@@ -483,7 +506,50 @@ def primal_outcome(fn, rs, k_roots, toral):
         return str(e)
 
 
+def degenerate_toral_cases(rs):
+    """(k_roots, toral part) pairs whose toral part holds a zero vector, a repeated vector,
+    or vectors over different denominators, each beside k = +-a and the full system."""
+    a = rs.simple_roots[-1]
+    simple = list(rs.simple_roots)
+    zero = (Fraction(0),) * rs.ambient_dim
+    coroots = [rs.coroot(b) for b in simple]
+    mixed = [tuple(x / (7 + i) for x in c) for i, c in enumerate(coroots)]
+    sevens = [tuple(7 * x for x in c) for c in coroots]
+    pm = frozenset([a, neg(a)])
+    return [
+        (pm, [rs.coroot(a), zero]),
+        (pm, simple + [zero]),
+        (pm, [zero, rs.coroot(a), rs.coroot(a)]),
+        (pm, simple[:1] * 2 + simple[1:]),
+        (pm, mixed),
+        (pm, mixed[1:] + [rs.coroot(a)]),
+        (pm, sevens[::-1]),
+        (pm, mixed[:-1] + [zero]),
+        (frozenset(rs.all_roots), mixed),
+        (frozenset(rs.all_roots), sevens + [zero]),
+        (frozenset(rs.all_roots), mixed[:-1] + sevens[-1:] * 2),
+        (frozenset(), [zero]),
+        (frozenset(), [zero, zero]),
+    ]
+
+
 class TestIsPrimal:
+    @pytest.mark.parametrize("key", [("A", 2), ("G", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4)], ids=type_id)
+    def test_degenerate_toral_parts_without_null_space(self, key, monkeypatch):
+        # zero, repeated and mixed-denominator toral vectors against the reference; primality is
+        # a comparison of integer ranks, so every verdict comes with no null-space basis computed,
+        # in exact or under any name bound in fk
+        rs = rootsys.build(*key)
+
+        def no_nullspace(rows):
+            raise AssertionError("is_primal computed a null space")
+
+        for module in (exact, fk):
+            monkeypatch.setattr(module, "nullspace", no_nullspace, raising=False)
+        for k_roots, toral in degenerate_toral_cases(rs):
+            want = primal_outcome(reference_is_primal, rs, k_roots, toral)
+            assert primal_outcome(fk.is_primal, rs, k_roots, toral) == want, (sorted(k_roots), toral)
+
     @pytest.mark.parametrize("key", ALL_TYPES)
     def test_matches_reference(self, key):
         rs = rootsys.build(*key)

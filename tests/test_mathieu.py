@@ -166,6 +166,32 @@ class TestDescriptor:
         with pytest.raises(InputError):
             mathieu.CoherentFamilyDescriptor.from_json(doc)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            ["3/2", "1/2"],
+            None,
+            {"degree": 5},
+            {"class_rep": ["3/2", "1/2"]},
+            {"class_rep": 5, "degree": 5},
+            {"class_rep": "3/2", "degree": 5},
+            {"class_rep": [3, 1], "degree": 5},
+            {"class_rep": ["3/2", None], "degree": 5},
+            {"class_rep": ["3/2", "1/2"], "degree": "x"},
+            {"class_rep": ["3/2", "1/2"], "degree": "5"},
+            {"class_rep": ["3/2", "1/2"], "degree": None},
+            {"class_rep": ["3/2", "1/2"], "degree": 5.9},
+            {"class_rep": ["3/2", "1/2"], "degree": 5.0},
+            {"class_rep": ["3/2", "1/2"], "degree": True},
+        ],
+    )
+    def test_malformed_document_rejected(self, doc):
+        # every malformed document is an InputError, not a KeyError, TypeError or plain
+        # ValueError; a float or bool degree is not read as an int (int(5.9) is the right
+        # degree 5, and a bool is an int to isinstance)
+        with pytest.raises(InputError):
+            mathieu.CoherentFamilyDescriptor.from_json(doc)
+
     def test_same_family(self):
         d1 = mathieu.CoherentFamilyDescriptor.from_weight([F(3, 2), F(1, 2)])
         d2 = mathieu.CoherentFamilyDescriptor.from_weight([F(3, 2), F(-1, 2)])
