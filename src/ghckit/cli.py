@@ -127,9 +127,8 @@ def _cmd_solvable_test(rs: rootsys.RootSystem, subalgebra: list[int]) -> dict:
 
 def _cmd_primal_test(rs: rootsys.RootSystem, k_roots: list[int], toral) -> dict:
     from . import fk
-    if toral is None:
-        toral = rs.simple_roots  # the full Cartan of g
-    return {"primal": fk.is_primal(rs, rs.roots_of(rs.index_mask(k_roots)), toral)}
+    # the default toral part is the full Cartan of g
+    return {"primal": fk.is_primal(rs, rs.index_mask(k_roots), rs.simple_roots if toral is None else toral)}
 
 
 def _cmd_mathieu(x, eta, equiv) -> dict:
@@ -179,8 +178,9 @@ def census_rows(rs: rootsys.RootSystem, dedup: bool = False) -> Iterator[dict]:
         raise InputError(f"census rank bound is {CENSUS_MAX_RANK}")
 
     # each coordinate permutation (a Weyl group element) as a map of root indices
+    index = {r: i for i, r in enumerate(rs.doubled_roots)}
     perms = [
-        [rs.root_index(tuple(r[j] for j in p)) for r in rs.all_roots]
+        [index[tuple(r[j] for j in p)] for r in rs.doubled_roots]
         for p in itertools.permutations(range(rs.ambient_dim))
     ] if dedup else []
     subsets = sorted((tuple(rootsys.bits(m)) for m in shadow.closed_masks(rs)), key=lambda t: (len(t), t))
@@ -194,8 +194,7 @@ def census_rows(rs: rootsys.RootSystem, dedup: bool = False) -> Iterator[dict]:
         yield {
             "subalgebra": list(idx),
             "levi": {"k_roots": rootsys.bits(k), "n_roots": rootsys.bits(sub.mask & ~k)},
-            "finite_type": verdict.finite_type,
-            "witness": verdict.witness.to_json() if verdict.witness else None,
+            **verdict.to_json(),
         }
 
 

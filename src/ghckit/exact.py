@@ -84,6 +84,9 @@ def parse_rational(s: str) -> Fraction:
     # no exponent notation: Fraction would expand "1e999999999" into a billion-digit integer
     if re.search(r"[\d.][eE]", s):
         raise InputError(f"not a rational: {s!r} (exponent notation is not accepted)")
+    # nor "_" separators, which Fraction reads ("3_0" is 30) only from Python 3.11 on
+    if "_" in s:
+        raise InputError(f"not a rational: {s!r} (_ separators are not accepted)")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as e:

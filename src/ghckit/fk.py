@@ -16,8 +16,8 @@ stable under this choice iff it is constant on Weyl orbits, which
 as in ``shadow``: the reductive part of l is ``l & negated(l)``, and the
 simple roots of k and the singular weights are each one mask expression over
 ``RootSystem.sums``, the one image of root sums.  Primality compares integer
-ranks by ``exact._reduce``: the toral rows span k's coroots and all of h iff
-adding them leaves the rank unchanged.
+ranks by ``exact._reduce``: the toral rows must lie in h and span k's coroots,
+and the verdict is whether they span all of h.
 
 Type recognition splits the simple roots of k into components by ``_reach``
 on the integer ``doubled_roots`` and reads each one's type off its rank,
@@ -56,13 +56,12 @@ def levi_decompose(l: RootSubalgebra) -> LeviDecomposition:
     return LeviDecomposition(k_roots=l.rs.roots_of(k), n_roots=l.rs.roots_of(l.mask & ~k))
 
 
-def _symmetric_closed(rs: RootSystem, roots: frozenset[Vector], name: str) -> int:
-    """The mask of a root subset given from outside, which must be symmetric and closed."""
-    mask = rs.mask_of(roots)
+def _symmetric_closed(rs: RootSystem, roots: frozenset[Vector] | int, name: str) -> int:
+    """The mask of a root subset given from outside, as roots or a mask, which must be
+    closed (``RootSubalgebra`` checks that) and symmetric."""
+    mask = RootSubalgebra(rs, roots).mask
     if rs.negated(mask) != mask:
         raise InputError(f"{name} must be symmetric")
-    if not closed_mask(rs, mask):
-        raise InputError(f"{name} must be closed")
     return mask
 
 
@@ -288,11 +287,13 @@ def _simple_type(rank: int, roots: int, long_roots: int) -> tuple[str, int]:
 
 def is_primal(
     rs: RootSystem,
-    k_roots: frozenset[Vector],
+    k_roots: frozenset[Vector] | int,
     toral_part: Sequence[Vector],
 ) -> bool:
-    """Test whether the reductive subalgebra spanned by k_roots root spaces
-    and the given toral subspace has centralizer equal to its center."""
+    """Test whether the reductive subalgebra spanned by k_roots root spaces (the
+    roots or their mask) and the given toral subspace has centralizer equal to its
+    center.  The toral vectors must lie in the Cartan subalgebra h, the span of
+    the roots."""
     k = _symmetric_closed(rs, k_roots, "k_roots")
     if any(len(v) != rs.ambient_dim for v in toral_part):
         raise InputError(f"toral vectors must have dimension {rs.ambient_dim}")
@@ -303,17 +304,21 @@ def is_primal(
         """The rank of the toral rows with the rows extra added."""
         return len(_reduce(rows + list(extra), rs.ambient_dim)[0])
 
+    # h = span(simple roots of g) has dimension rs.rank, which the toral rows leave as it is
+    # iff they lie in h; the ambient space is bigger than h for A_n, G2, E6 and E7
+    if rank(rs._simple_doubled) != rs.rank:
+        raise InputError("toral vectors must lie in the span of the roots")
     # the simple roots of k span its roots, and their coroots, positive multiples of the
     # (doubled) roots, span its coroots
     if rank([rs.doubled_roots[i] for i in bits(_k_simple(rs, k))]) != rank(()):
         raise InputError("toral part must contain the coroots of k_roots")
     # C(k) = Z(k) needs the torus centralizing k inside the toral part.  The Cartan
-    # subspace h = span(simple roots of g) is the orthogonal sum of span(coroots of k) and
-    # that torus, and the coroots are in the toral span by the check above, so the torus
-    # is in it iff all of h is, that is iff every simple root of g is.  Then nothing
-    # outside k + t centralizes it: a root g, in h, pairs nonzero with some toral row,
-    # as (g, g) != 0, so C(k + t) lies in C(h) = h, which lies in k + t
-    return rank(rs._simple_doubled) == rank(())
+    # subspace h is the orthogonal sum of span(coroots of k) and that torus, and the
+    # coroots are in the toral span by the check above, so the torus is in it iff all of
+    # h is, that is iff the toral rows, which lie in h, span a space of its dimension.
+    # Then nothing outside k + t centralizes it: a root g, in h, pairs nonzero with some
+    # toral row, as (g, g) != 0, so C(k + t) lies in C(h) = h, which lies in k + t
+    return rank(()) == rs.rank
 
 
 def prop3_covered(series: str, rank: int) -> bool:

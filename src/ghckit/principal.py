@@ -39,7 +39,7 @@ def principal_h(rs: RootSystem) -> Vector:
     element through the invariant form).  That is 2 rho^vee, the sum of
     2a/(a,a) over the positive roots a, computed on doubled roots."""
     doubled = rs.doubled_roots
-    norms = [sum(x * x for x in a) for a in doubled[: len(rs.positive_roots)]]  # 4(a,a)
+    norms = [sum(x * x for x in a) for a in doubled[: len(doubled) // 2]]  # 4(a,a), positive a
     scale = lcm(*norms)
     # scale * h = sum of (4 scale / norm) * doubled root, in integers
     weights = [4 * scale // n for n in norms]
@@ -87,7 +87,7 @@ class PrincipalData:
         if kperp[2] == 0:
             del kperp[2]
         exps = tuple(exponents(rs))
-        if sum(2 * e + 1 for e in exps) != len(rs.all_roots) + rs.rank:
+        if sum(2 * e + 1 for e in exps) != len(rs.doubled_roots) + rs.rank:
             raise InternalError("exponents do not add up to dim g")
         return vars(rs).setdefault("_principal", cls(
             rs=rs,

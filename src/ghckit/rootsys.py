@@ -7,15 +7,14 @@ coordinate simple roots and everything is generated by reflection closure.
 ``root_count`` reads the one table of simple types and their root counts.
 
 The simple roots are written as doubled integer rows, so that every root is
-an integer row too.  The reflection closure runs on integer simple-root
-coordinates, and the build keeps the doubled rows it sorts as the table
-``doubled_roots``; the Fraction ``simple_roots``, ``positive_roots`` and
-``all_roots`` are halvings of those rows.  The ``fundamental_weights`` are
-the simple-root combinations that the rows of the inverse Cartan matrix give:
-the build inverts the integer Cartan matrix fraction-free with
-``exact._reduce``, Gauss-Jordan by the LP's elimination step, sums the
-doubled simple roots in integers and builds one Fraction per weight
-coordinate.
+an integer row too.  A ``RootSystem`` stores only integer tables: the Cartan
+matrix, the doubled roots ``doubled_roots``, their simple-root coordinates and
+the doubled simple roots, all from a reflection closure on integer
+simple-root coordinates.  The Fraction ``all_roots``, ``positive_roots``,
+``simple_roots``, ``fundamental_weights`` (by a fraction-free inverse of the
+Cartan matrix, ``exact._reduce``) and the root index behind ``root_index``
+are views built on first use, for the JSON boundary and the public
+Fraction API; equality and hashing compare the integer tables.
 ``RootSystem.sum_partners``, the one table of root sums, lists the pairs
 (j, k) with root i + root j = root k by root index in the canonical order
 (see ``build``) for closed-subset code, where a root subset is a bitmask
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm, prod
@@ -136,17 +135,40 @@ class RootSystem:
     series: str
     rank: int
     ambient_dim: int
-    simple_roots: tuple[Vector, ...]
-    positive_roots: tuple[Vector, ...]
-    all_roots: tuple[Vector, ...]
     cartan_matrix: tuple[tuple[int, ...], ...]
-    fundamental_weights: tuple[Vector, ...]
-    _index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
-    # 2 * all_roots[i] as integers, by root index
-    doubled_roots: tuple = field(repr=False, hash=False, compare=False, default=())
-    # integer simple-root coordinates of all_roots[i], by root index
-    _coords: tuple = field(repr=False, hash=False, compare=False, default=())
-    _simple_doubled: tuple = field(repr=False, hash=False, compare=False, default=())  # 2 * simple_roots[i]
+    doubled_roots: tuple[tuple[int, ...], ...]  # 2 * all_roots[i] as integers, by root index
+    _coords: tuple[tuple[int, ...], ...]  # integer simple-root coordinates of all_roots[i], by root index
+    _simple_doubled: tuple[tuple[int, ...], ...]  # 2 * simple_roots[i]
+
+    # -- Fraction views, built on first use -------------------------------
+
+    @cached_property
+    def all_roots(self) -> tuple[Vector, ...]:
+        return tuple(tuple(_F(x, 2) for x in a) for a in self.doubled_roots)
+
+    @cached_property
+    def positive_roots(self) -> tuple[Vector, ...]:
+        return self.all_roots[: len(self.doubled_roots) // 2]
+
+    @cached_property
+    def simple_roots(self) -> tuple[Vector, ...]:
+        return tuple(tuple(_F(x, 2) for x in a) for a in self._simple_doubled)
+
+    @cached_property
+    def fundamental_weights(self) -> tuple[Vector, ...]:
+        # <w_i, a_j^vee> = delta_ij within the simple span, so w_i = sum_j x_ij a_j with x
+        # the inverse Cartan matrix.  [C | 1] reduces fraction-free to [d 1 | d x], d = det C,
+        # and no row is swapped, so row i stays w_i's: C is a Gram matrix times a positive
+        # diagonal, so every leading minor, and with it every pivot, is positive.  The sum
+        # runs over the doubled simple roots, so w_i is that row over 2d
+        r = self.rank
+        aug = [[*row, *(int(j == i) for j in range(r))] for i, row in enumerate(self.cartan_matrix)]
+        _, d = _reduce(aug, r)
+        return tuple(tuple(_F(sum(map(mul, row[r:], col)), 2 * d) for col in zip(*self._simple_doubled)) for row in aug)
+
+    @cached_property
+    def _index(self) -> dict[Vector, int]:
+        return {r: i for i, r in enumerate(self.all_roots)}
 
     # -- pairings ---------------------------------------------------------
 
@@ -180,7 +202,7 @@ class RootSystem:
                 k = int(i)
             except (TypeError, ValueError) as e:
                 raise InputError(f"root index {i!r} is not an integer") from e
-            if not 0 <= k < len(self.all_roots):
+            if not 0 <= k < len(self.doubled_roots):
                 raise InputError(f"root index {i} out of range")
             mask |= 1 << k
         return mask
@@ -211,16 +233,16 @@ class RootSystem:
 
     @cached_property
     def full_mask(self) -> int:
-        return (1 << len(self.all_roots)) - 1
+        return (1 << len(self.doubled_roots)) - 1
 
     @cached_property
     def positive_mask(self) -> int:
         """The positive roots come first in all_roots: the low half of the bits."""
-        return (1 << len(self.positive_roots)) - 1
+        return (1 << len(self.doubled_roots) // 2) - 1
 
     def negated(self, mask: int) -> int:
         """The mask of the negated roots: all_roots[i + |positive|] is -all_roots[i]."""
-        half = len(self.positive_roots)
+        half = len(self.doubled_roots) // 2
         return mask >> half | (mask & self.positive_mask) << half
 
     def simple_coordinates(self, alpha: Vector) -> tuple[int, ...]:
@@ -257,13 +279,13 @@ class RootSystem:
     def vector_order(self) -> tuple[int, ...]:
         """The root indices in the order in which the root vectors sort.  Sorting
         the rows of ``doubled_roots`` gives it with no Fraction compare."""
-        return tuple(sorted(range(len(self.all_roots)), key=self.doubled_roots.__getitem__))
+        return tuple(sorted(range(len(self.doubled_roots)), key=self.doubled_roots.__getitem__))
 
     @cached_property
     def coroot_coords(self) -> tuple[tuple[int, ...], ...]:
         """The coroot of positive_roots[i] over the simple coroots: c_j |a_j|^2 / |a|^2
         for a = sum_j c_j a_j.  Built on first use."""
-        positive = zip(self._coords, self.doubled_roots[: len(self.positive_roots)])
+        positive = zip(self._coords, self.doubled_roots[: len(self.doubled_roots) // 2])
         return tuple(tuple(cj * nj // _dot(a, a) for cj, nj in zip(c, self._simple_norms)) for c, a in positive)
 
     @cached_property
@@ -273,7 +295,7 @@ class RootSystem:
 
     def rho(self) -> Vector:
         # the doubled positive roots sum to 4 rho
-        return tuple(_F(sum(x), 4) for x in zip(*self.doubled_roots[: len(self.positive_roots)]))
+        return tuple(_F(sum(x), 4) for x in zip(*self.doubled_roots[: len(self.doubled_roots) // 2]))
 
     def to_json(self) -> dict:
         return {
@@ -330,42 +352,15 @@ def _construct(series: str, rank: int) -> RootSystem:
         for c in seen
         if min(c) >= 0
     )
-    doubled_roots = tuple(eps2 for _, eps2, _ in positive)
+    # the positive roots, then their negatives in the same order
+    _, doubled_roots, coords = zip(*positive)
     doubled_roots += tuple(tuple(-x for x in a) for a in doubled_roots)
-    all_roots = tuple(tuple(_F(x, 2) for x in a) for a in doubled_roots[: len(positive)])
-    all_roots += tuple(tuple(-x for x in a) for a in all_roots)
-    coords = tuple(c for _, _, c in positive)
     coords += tuple(tuple(-x for x in c) for c in coords)
 
     count = root_count(series, rank)
-    if len(all_roots) != count:
-        raise InternalError(
-            f"{series}{rank}: generated {len(all_roots)} roots, expected {count}"
-        )
-
-    # fundamental weights: <w_i, a_j^vee> = delta_ij within the simple span, so
-    # w_i = sum_j x_ij a_j with x the inverse Cartan matrix.  [C | 1] reduces fraction-free
-    # to [d 1 | d x], d = det C, and no row is swapped, so row i stays w_i's: C is a Gram
-    # matrix times a positive diagonal, so every leading minor, and with it every pivot,
-    # is positive.  The sum runs over the doubled simple roots, so w_i is that row over 2d
-    aug = [[*row, *unit] for row, unit in zip(cartan, units)]
-    _, d = _reduce(aug, rank)
-    fw = tuple(tuple(_F(sum(map(mul, row[rank:], col)), 2 * d) for col in zip(*doubled)) for row in aug)
-
-    return RootSystem(
-        series=series,
-        rank=rank,
-        ambient_dim=dim,
-        simple_roots=tuple(tuple(_F(x, 2) for x in a) for a in doubled),
-        positive_roots=all_roots[: len(positive)],
-        all_roots=all_roots,
-        cartan_matrix=cartan,
-        fundamental_weights=fw,
-        _index={r: i for i, r in enumerate(all_roots)},
-        doubled_roots=doubled_roots,
-        _coords=coords,
-        _simple_doubled=tuple(doubled),
-    )
+    if len(doubled_roots) != count:
+        raise InternalError(f"{series}{rank}: generated {len(doubled_roots)} roots, expected {count}")
+    return RootSystem(series, rank, dim, cartan, doubled_roots, coords, tuple(doubled))
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +410,9 @@ def weyl_dim(rs: RootSystem, lam: Vector) -> int:
     pairing is a nonnegative integer.
     """
     pairings = _simple_pairings(rs, *_weight_row(rs, lam))
-    for (p, q), a in zip(pairings, rs.simple_roots):
+    for i, (p, q) in enumerate(pairings):
         if p < 0 or p % q:
-            raise InputError(f"weight is not dominant integral: pairing {_F(p, q)} on {a}")
+            raise InputError(f"weight is not dominant integral: pairing {_F(p, q)} on {rs.simple_roots[i]}")
     # prod <lam+rho, a^vee> / prod <rho, a^vee>; a^vee = sum_i d_i a_i^vee pairs as sum_i d_i p_i
     shifted = [p // q + 1 for p, q in pairings]
     num, den = prod(sum(map(mul, d, shifted)) for d in rs.coroot_coords), prod(map(sum, rs.coroot_coords))
@@ -428,4 +423,4 @@ def weyl_dim(rs: RootSystem, lam: Vector) -> int:
 
 
 def height_distribution(rs: RootSystem) -> dict[int, int]:
-    return dict(sorted(Counter(map(sum, rs._coords[: len(rs.positive_roots)])).items()))
+    return dict(sorted(Counter(h for h in map(sum, rs._coords) if h > 0).items()))

@@ -259,7 +259,7 @@ def closed_masks(rs: RootSystem) -> Iterator[int]:
     closure stops at the first excluded root it would add: chosen never meets
     excluded and closures only grow, so this prunes as a full closure would.
     """
-    n = len(rs.all_roots)
+    n = len(rs.doubled_roots)
     # (next root to decide, chosen, excluded); the exclude branch is pushed
     # last so that it is explored first
     stack = [(0, 0, 0)]

@@ -27,6 +27,10 @@ ALL_TYPES = sorted(
 )
 
 
+# the Fraction views of a RootSystem, each built on first use from its integer tables
+VIEWS = ("_index", "all_roots", "fundamental_weights", "positive_roots", "simple_roots")
+
+
 def V(*coords):
     return tuple(Fraction(c) for c in coords)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import VIEWS
 from ghckit import cli, rootsys, shadow
 from ghckit.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, MAX_M, run
 from ghckit.errors import UnsupportedTypeError
@@ -215,6 +216,20 @@ class TestExitCodes:
         assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
         assert proc.stderr == b""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # (1, 1, 1) is orthogonal to every root of A2, so it is not in the Cartan subalgebra
+            (["primal-test", "--series", "A", "--rank", "2", "--toral", "1,1,1"], "span of the roots"),
+            # Fraction reads "3_0" as 30 from Python 3.11 on
+            (["mathieu", "--x", "3_0/2,1/2"], "not a rational"),
+        ],
+    )
+    def test_invalid_flags_exit_2_with_nothing_on_stdout(self, argv, message):
+        proc = invoke(argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert message in json.loads(proc.stderr)["error"]
+
     @pytest.mark.parametrize("entry", ['"1e999999999"', '"2.5E-999999999"', "1e300"])
     def test_exponent_notation_exits_2(self, entry):
         # Fraction would expand the exponent into a billion-digit integer
@@ -290,7 +305,8 @@ LOADS = {
 }
 
 # run in one fresh interpreter: a request file, which loads no argparse, then each README
-# invocation from an empty ghckit, then a bare import
+# invocation from an empty ghckit, then a bare import; each records the modules it loaded
+# and the views built on the root systems it built
 LOAD_PROBE = """
 import contextlib, io, json, sys
 
@@ -301,16 +317,28 @@ def drop():
     for m in [m for m in sys.modules if m == "ghckit" or m.startswith("ghckit.")]:
         del sys.modules[m]
 
+def watch():
+    # every RootSystem the fresh rootsys builds, and then the views built on them
+    rootsys = sys.modules["ghckit.rootsys"]
+    construct, built = rootsys._construct, []
+    def record(*key):
+        built.append(construct(*key))
+        return built[-1]
+    rootsys._construct = record
+    return lambda: sorted({v for rs in built for v in json.loads(sys.argv[3]) if v in vars(rs)})
+
 from ghckit import cli
+views = watch()
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["request", sys.argv[2]])
-report = {"loads": {}, "request": [code, loaded(), "argparse" in sys.modules]}
+report = {"loads": {}, "request": [code, loaded(), "argparse" in sys.modules, views()]}
 for argv in json.loads(sys.argv[1]):
     drop()
     from ghckit import cli
+    views = watch()
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv.split())
-    report["loads"][argv] = [code, loaded()]
+    report["loads"][argv] = [code, loaded(), views()]
 report["argparse"] = "argparse" in sys.modules
 drop()
 import ghckit
@@ -330,13 +358,19 @@ def test_commands_load_only_their_modules(tmp_path):
     path = tmp_path / "request.json"
     path.write_text('{"command": "root-system", "parameters": {"series": "A", "rank": 2}}')
     proc = subprocess.run(
-        [sys.executable, "-c", LOAD_PROBE, json.dumps(argvs), str(path)], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", LOAD_PROBE, json.dumps(argvs), str(path), json.dumps(list(VIEWS))],
+        capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["request"] == [EXIT_OK, sorted(LOADS["root-system"]), False]
+    # only root-system builds the Fraction roots, and primal-test its default toral part, the
+    # simple roots; no command builds the root index or the fundamental weights
+    views = {"root-system": ["all_roots", "positive_roots", "simple_roots"], "primal-test": ["simple_roots"]}
+    assert report["request"] == [EXIT_OK, sorted(LOADS["root-system"]), False, views["root-system"]]
     assert report["argparse"]
-    assert report["loads"] == {argv: [EXIT_OK, sorted(LOADS[argv.split()[0]])] for argv in argvs}
+    assert report["loads"] == {
+        argv: [EXIT_OK, sorted(LOADS[argv.split()[0]]), views.get(argv.split()[0], [])] for argv in argvs
+    }
     assert report["bare"] == []
     names = ["errors", "exact", "fk", "mathieu", "principal", "rootsys", "shadow"]
     assert report["attributes"] == report["star"] == {name: f"ghckit.{name}" for name in names}

@@ -160,6 +160,12 @@ class TestSerialization:
         with pytest.raises(InputError):
             parse_rational("1/0")
 
+    @pytest.mark.parametrize("text", ["3_0/2", "1_000", "1/2_0", "_1", "1_"])
+    def test_parse_rejects_digit_separators(self, text):
+        # Fraction reads "3_0" as 30 from Python 3.11 on and rejects it before: one answer on all
+        with pytest.raises(InputError, match="not a rational"):
+            parse_rational(text)
+
 
 # ---------------------------------------------------------------------------
 # reference: the Fraction two-phase simplex that lp_feasible replaced, kept

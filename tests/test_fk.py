@@ -566,6 +566,8 @@ class TestIsPrimal:
         for k_roots, toral in cases:
             want = primal_outcome(reference_is_primal, rs, k_roots, toral)
             assert primal_outcome(fk.is_primal, rs, k_roots, toral) == want
+            # k given by its mask, as the CLI passes it
+            assert primal_outcome(fk.is_primal, rs, rs.mask_of(k_roots), toral) == want
 
     @pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
     def test_simple_root_torus_matches_all_roots(self, key):
@@ -605,6 +607,32 @@ class TestIsPrimal:
     def test_missing_coroot_rejected(self, a2):
         with pytest.raises(InputError):
             fk.is_primal(a2, frozenset([A1, neg(A1)]), [a2.coroot(A2_)])
+
+    @pytest.mark.parametrize("key", [("A", 2), ("G", 2), ("E", 6)], ids=type_id)
+    def test_toral_vector_outside_the_roots_span_rejected(self, key):
+        # here the ambient space is bigger than h, and a vector orthogonal to every root is not
+        # in h: alone, beside the simple roots (whose span it enlarges, so a verdict that
+        # compared ranks only would be "primal") and beside the coroot of k = +-a
+        rs = rootsys.build(*key)
+        v = V(1, 1, 1) if key != ("E", 6) else V(0, 0, 0, 0, 0, 0, 1, 1)
+        assert all(dot(v, b) == 0 for b in rs.all_roots)
+        a = rs.simple_roots[-1]
+        for k_roots, toral in [
+            (frozenset(), [v]),
+            (frozenset(rs.all_roots), list(rs.simple_roots) + [v]),
+            (frozenset([a, neg(a)]), [rs.coroot(a), v]),
+        ]:
+            with pytest.raises(InputError, match="span of the roots"):
+                fk.is_primal(rs, k_roots, toral)
+
+    def test_not_closed_reported_before_not_symmetric(self, a2):
+        # the simple roots A1 and A2_ are neither closed nor symmetric, +-A1 with +-A2_ is
+        # symmetric but not closed, and A1 with A12 is closed but not symmetric
+        for k_roots in ([A1, A2_], [A1, neg(A1), A2_, neg(A2_)]):
+            with pytest.raises(InputError, match="not closed"):
+                fk.is_primal(a2, frozenset(k_roots), list(a2.simple_roots))
+        with pytest.raises(InputError, match="k_roots must be symmetric"):
+            fk.is_primal(a2, frozenset([A1, A12]), list(a2.simple_roots))
 
 
 class TestProp3:

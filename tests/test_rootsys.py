@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_TYPES, V, neg, solve_linear, sum_table
+from conftest import ALL_TYPES, VIEWS, V, neg, solve_linear, sum_table
 from ghckit import rootsys
 from ghckit.errors import InputError, InternalError
 from ghckit.exact import dot, vadd, vscale, vzero
@@ -38,6 +39,34 @@ def test_json_digest_all_types():
     assert len(docs) == 34
     digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
     assert digest == "412f102203ccc672f8d9592552bfee5c57f73c4e07acd30664339ae8febc0a1a"
+
+
+FIELDS = ["series", "rank", "ambient_dim", "cartan_matrix", "doubled_roots", "_coords", "_simple_doubled"]
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_copy_compares_and_hashes_by_integer_tables(key):
+    # the fields are the integer tables: a copy of the cached system equals it and hashes as
+    # it does, and neither the copy nor the comparison builds a view on either
+    rs = rootsys.build(*key)
+    assert [f.name for f in dataclasses.fields(rs)] == FIELDS
+    before = [v for v in VIEWS if v in vars(rs)]
+    copy = dataclasses.replace(rs)
+    assert copy == rs and copy is not rs and hash(copy) == hash(rs)
+    assert [v for v in VIEWS if v in vars(rs)] == before and not any(v in vars(copy) for v in VIEWS)
+    # the copy builds its own views, equal to the cached system's
+    assert all(getattr(copy, v) == getattr(rs, v) for v in VIEWS)
+
+
+@pytest.mark.parametrize("key", [("A", 8), ("C", 8), ("E", 8), ("G", 2)])
+def test_build_makes_no_fraction(key, monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("the build made a Fraction")
+
+    monkeypatch.setattr(rootsys, "_F", no_fraction)
+    monkeypatch.setattr(rootsys, "Fraction", no_fraction)
+    rs = rootsys._construct.__wrapped__(*key)
+    assert rs == rootsys.build(*key) and not any(v in vars(rs) for v in VIEWS)
 
 
 @pytest.mark.parametrize("key", [("G", 2), ("F", 4), ("E", 8)])
