@@ -47,7 +47,8 @@ MAX_M = 10_000
 def _integer(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
+    # no "_" separators, which int reads ("0_2" is 2), as parse_rational takes none
+    if isinstance(value, str) and "_" not in value:
         try:
             return int(value)
         except ValueError:

@@ -3,13 +3,16 @@ highest weight modules: complete for sp(2n), partial for sl(n+1).
 
 The sp(2n) degree goes through the companion D_n system: the weight is
 shifted by (1, ..., 1) and fed to the Weyl dimension formula, then divided
-by 2^(n-1).  Divisibility is asserted at runtime; a failure would signal a
-realization bug, not bad input.
+by 2^(n-1).  A bounded weight has every entry over the denominator 2, so
+the shift adds 2 to each numerator and builds each entry once, with no
+Fraction addition.  Divisibility is asserted at runtime; a failure would
+signal a realization bug, not bad input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import rootsys
@@ -28,7 +31,11 @@ def sp_bounded(x: Sequence) -> bool:
     """Bounded-multiplicity test for an infinite dimensional sp(2n) highest
     weight module: all entries in Z + 1/2, strictly decreasing down to the
     absolute value of the last."""
-    xs = vec(x)
+    return _bounded(vec(x))
+
+
+def _bounded(xs: Vector) -> bool:
+    """``sp_bounded`` on a weight already read by ``vec``."""
     if not xs:
         raise InputError("weight must have at least one entry")
     # in lowest terms, Z + 1/2 is exactly the denominator 2, and then the numerators
@@ -45,7 +52,7 @@ def sp_equivalent(x: Sequence, y: Sequence) -> bool:
     """Two bounded weights head the same coherent family iff they agree
     except possibly for the sign of the last entry."""
     xs, ys = vec(x), vec(y)
-    if not (sp_bounded(xs) and sp_bounded(ys)):
+    if not (_bounded(xs) and _bounded(ys)):
         raise InputError("both weights must satisfy the bounded-multiplicity test")
     return xs[:-1] == ys[:-1] and (xs[-1] == ys[-1] or xs[-1] == -ys[-1])
 
@@ -59,13 +66,14 @@ def sp_fiber_irreducible(eta: Sequence) -> bool:
 def sp_degree(x: Sequence) -> int:
     """Degree of the coherent family headed by x, via the companion D_n."""
     xs = vec(x)
-    if not sp_bounded(xs):
+    if not _bounded(xs):
         raise InputError("weight fails the bounded-multiplicity test")
     n = len(xs)
     if n < 2:
         raise InputError("need rank >= 2 for the companion system")
     dn = rootsys.build("D", n)
-    dim = rootsys.weyl_dim(dn, tuple(c + 1 for c in xs))
+    # every entry is c/2 with c odd, so c/2 + 1 = (c + 2)/2, already in lowest terms
+    dim = rootsys.weyl_dim(dn, tuple(Fraction(c.numerator + 2, 2) for c in xs))
     d, rem = divmod(dim, 2 ** (n - 1))
     if rem:
         raise InternalError(f"dimension {dim} not divisible by 2^{n - 1}")

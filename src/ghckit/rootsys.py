@@ -32,10 +32,15 @@ A weight enters through ``_weight_row``, once per call: it checks the length
 against ``ambient_dim`` and writes the weight as an integer row over one
 positive denominator.  ``_simple_pairings`` pairs that row with the doubled
 simple roots into integer (numerator, denominator) pairs, and the predicates
-and ``weyl_dim`` decide on them by ``%`` and ``//``, with the integer table
-``coroot_coords``, built on first use, for the other positive roots; a
-Fraction is built only for an error message.  Public surfaces (root vectors,
-weights, JSON) stay Fraction epsilon-vectors.
+and ``weyl_dim`` decide on them by ``%`` and ``//``; a Fraction is built only
+for an error message.  The pairings with the other positive coroots come from
+one kernel, ``_coroot_pairings``, along the chain ``coroot_chain``, built on
+first use from ``coroot_coords`` (the positive coroots over the simple
+coroots): ordered by coroot height, every positive coroot that is not simple
+is an earlier one plus a simple coroot, so its pairing is one integer
+addition.  ``rho_product``, the product of the coroot heights, is the cached
+denominator of the Weyl product.  Public surfaces (root vectors, weights,
+JSON) stay Fraction epsilon-vectors.
 """
 
 from __future__ import annotations
@@ -289,6 +294,31 @@ class RootSystem:
         return tuple(tuple(cj * nj // _dot(a, a) for cj, nj in zip(c, self._simple_norms)) for c, a in positive)
 
     @cached_property
+    def coroot_chain(self) -> tuple[tuple[int, int], ...]:
+        """The positive coroots that are not simple, by coroot height, each as (p, j):
+        coroot p plus the simple coroot a_j^vee.  Positions 0 .. rank-1 are the simple
+        coroots by index, and entry k is position rank + k, so p always comes earlier.
+        Every positive coroot that is not simple is a positive coroot of height one
+        less plus a simple coroot (Humphreys, Lie algebras, 10.2, in the dual system).
+        Coroot order is not root order: in B2 with a1 long, the root a1 + a2 comes
+        first, but its coroot 2a1^vee + a2^vee follows a1^vee + a2^vee, the coroot of
+        a1 + 2a2.  Built on first use."""
+        r = self.rank
+        order = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+        order += sorted((c for c in self.coroot_coords if sum(c) > 1), key=sum)
+        position = {c: k for k, c in enumerate(order)}
+        # for each coroot c that is not simple, the first j for which c - a_j^vee is a positive coroot
+        return tuple(
+            next((position[d], j) for j in range(r) if (d := c[:j] + (c[j] - 1,) + c[j + 1 :]) in position)
+            for c in order[r:]
+        )
+
+    @cached_property
+    def rho_product(self) -> int:
+        """prod <rho, b^vee> over the positive coroots b^vee: the product of their heights."""
+        return prod(map(sum, self.coroot_coords))
+
+    @cached_property
     def _simple_norms(self) -> tuple[int, ...]:
         """|2a|^2 for each simple root a."""
         return tuple(_dot(a, a) for a in self._simple_doubled)
@@ -395,27 +425,36 @@ def is_dominant(rs: RootSystem, lam: Vector) -> bool:
     return all(p >= 0 for p, _ in _simple_pairings(rs, *_weight_row(rs, lam)))
 
 
+def _coroot_pairings(rs: RootSystem, shifted: Sequence[int]) -> list[int]:
+    """<mu, b^vee> for every positive coroot b^vee, in ``coroot_chain`` positions, from
+    the integer pairings ``shifted`` of mu with the simple coroots: one addition each."""
+    out = list(shifted)
+    append = out.append
+    for p, j in rs.coroot_chain:
+        append(out[p] + shifted[j])
+    return out
+
+
 def is_regular_integral(rs: RootSystem, lam: Vector) -> bool:
     """True iff <lam+rho, alpha^vee> is a nonzero integer for every positive root."""
     # <rho, a^vee> = 1 on the simple roots, and integral pairings there are integral everywhere
     pairings = _simple_pairings(rs, *_weight_row(rs, lam))
-    shifted = [p // q + 1 for p, q in pairings]
-    return all(p % q == 0 for p, q in pairings) and all(_dot(d, shifted) for d in rs.coroot_coords)
+    return all(p % q == 0 for p, q in pairings) and all(_coroot_pairings(rs, [p // q + 1 for p, q in pairings]))
 
 
 def weyl_dim(rs: RootSystem, lam: Vector) -> int:
     """Dimension of the irreducible module with highest weight lam.
 
     Half-integer epsilon-coordinates are fine as long as every coroot
-    pairing is a nonnegative integer.
+    pairing is a nonnegative integer.  The product prod <lam+rho, b^vee> over
+    the positive coroots is read along ``coroot_chain``, one integer addition
+    per coroot that is not simple, and divided by the cached ``rho_product``.
     """
     pairings = _simple_pairings(rs, *_weight_row(rs, lam))
     for i, (p, q) in enumerate(pairings):
         if p < 0 or p % q:
             raise InputError(f"weight is not dominant integral: pairing {_F(p, q)} on {rs.simple_roots[i]}")
-    # prod <lam+rho, a^vee> / prod <rho, a^vee>; a^vee = sum_i d_i a_i^vee pairs as sum_i d_i p_i
-    shifted = [p // q + 1 for p, q in pairings]
-    num, den = prod(sum(map(mul, d, shifted)) for d in rs.coroot_coords), prod(map(sum, rs.coroot_coords))
+    num, den = prod(_coroot_pairings(rs, [p // q + 1 for p, q in pairings])), rs.rho_product
     dim, rem = divmod(num, den)
     if rem or dim <= 0:
         raise InternalError(f"Weyl product gave a non-positive-integer value {_F(num, den)}")

@@ -123,6 +123,23 @@ class TestMalformedParameters:
     def test_subalgebra_index_not_an_integer(self):
         assert "'x'" in self.probe("shadow", subalgebra=["x"])
 
+    @pytest.mark.parametrize(
+        "key, params",
+        [
+            ("rank", {"rank": "0_2"}),
+            ("max_m", {"max_m": "1_0", "lambda": "4/3,0,-4/3"}),
+            ("subalgebra", {"subalgebra": "0,1_0"}),
+            ("subalgebra", {"subalgebra": ["0_1"]}),
+            ("k_roots", {"k_roots": "0,0_3"}),
+        ],
+    )
+    def test_integer_digit_separator(self, key, params):
+        # int reads "_" separators ("1_0" is 10); an integer, like a rational, takes none
+        command = {"max_m": "ktype-series", "k_roots": "primal-test"}.get(key, "shadow")
+        doc, code = run({"command": command, "parameters": {"series": "A", "rank": 2, **params}})
+        assert code == EXIT_INPUT
+        assert doc["error"].startswith(f"{key}: expected an integer")
+
     def test_lambda_a_bare_number(self):
         assert "lambda" in self.probe("ktype-series", **{"lambda": 5})
 
@@ -223,6 +240,9 @@ class TestExitCodes:
             (["primal-test", "--series", "A", "--rank", "2", "--toral", "1,1,1"], "span of the roots"),
             # Fraction reads "3_0" as 30 from Python 3.11 on
             (["mathieu", "--x", "3_0/2,1/2"], "not a rational"),
+            # and int reads "0_2" as 2 on every version
+            (["root-system", "--series", "A", "--rank", "0_2"], "expected an integer"),
+            (["ktype-series", "--series", "A", "--rank", "2", "--lambda", "4/3,0,-4/3", "--max-m", "1_0"], "max_m"),
         ],
     )
     def test_invalid_flags_exit_2_with_nothing_on_stdout(self, argv, message):

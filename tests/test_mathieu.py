@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -128,6 +129,25 @@ class TestSpDegree:
                 for t in tails:
                     for x in (list(head) + [t], list(head) + [-t]):
                         assert mathieu.sp_degree(x) >= 1
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_matches_the_d_n_weyl_product(self, n):
+        # a fixed sample of bounded weights, both signs of the last entry, against the D_n
+        # Weyl product at x + (1, ..., 1), in Fractions: for l = x + 1 + rho and
+        # rho = (n-1, ..., 1, 0), prod over i < j of (l_i^2 - l_j^2) / (rho_i^2 - rho_j^2)
+        rng = random.Random(n)
+        for _ in range(6):
+            tail = [H + rng.randint(0, 3)]
+            for _ in range(n - 1):
+                tail.append(tail[-1] + rng.randint(1, 4))
+            for last in (tail[0], -tail[0]):
+                x = tail[:0:-1] + [last]
+                rho = range(n - 1, -1, -1)
+                l = [c + 1 + r for c, r in zip(x, rho)]
+                dim = F(1)
+                for i, j in combinations(range(n), 2):
+                    dim *= F(l[i] ** 2 - l[j] ** 2, rho[i] ** 2 - rho[j] ** 2)
+                assert mathieu.sp_degree(x) == dim / 2 ** (n - 1)
 
 
 class TestSlDegree:

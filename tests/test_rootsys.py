@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -315,6 +316,50 @@ def test_weight_tables_match_reference(key):
         assert rootsys.is_integral(rs, lam) == all(p.denominator == 1 for p in pairings)
         assert rootsys.is_dominant(rs, lam) == all(p >= 0 for p in pairings)
         assert rootsys.is_regular_integral(rs, lam) == reference_is_regular_integral(rs, lam)
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_coroot_chain_covers_the_positive_coroots(key):
+    """Each chain entry is an earlier positive coroot plus one simple coroot, by their
+    coordinates over the simple coroots, and the chain reaches every positive coroot
+    once, in order of coroot height."""
+    rs = rootsys.build(*key)
+    r = rs.rank
+    coords = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+    for p, j in rs.coroot_chain:
+        assert 0 <= p < len(coords) and 0 <= j < r
+        coords.append(tuple(c + (i == j) for i, c in enumerate(coords[p])))
+    assert len(set(coords)) == len(coords) == len(rs.coroot_coords)
+    assert set(coords) == set(rs.coroot_coords)
+    heights = [sum(c) for c in coords]
+    assert heights == sorted(heights)
+    # prod <rho, b^vee>: the coroot heights, and the Fraction pairings of the reference rho
+    rho = reference_rho(rs)
+    assert rs.rho_product == reduce(mul, heights) == reduce(mul, (rs.pairing(rho, a) for a in rs.positive_roots))
+
+
+def test_coroot_order_is_not_root_order(c2):
+    # the root a1 + a2 (a1 short) comes before 2a1 + a2, but its coroot a1^vee + 2a2^vee
+    # comes after a1^vee + a2^vee, the coroot of 2a1 + a2
+    assert [sum(c) for c in c2.coroot_coords] == [1, 1, 3, 2]
+    assert c2.coroot_chain == ((1, 0), (2, 1))
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_weyl_dim_of_rho(key):
+    # prod <2 rho, b^vee> / <rho, b^vee> over the positive coroots
+    rs = rootsys.build(*key)
+    assert rootsys.weyl_dim(rs, rs.rho()) == 2 ** len(rs.positive_roots)
+
+
+@pytest.mark.parametrize("key", [k for k in ALL_TYPES if k[0] in "ABCD"])
+def test_weyl_dim_of_the_first_fundamental_weight(key):
+    # the standard module: n + 1 for A_n, 2n + 1 for B_n and 2n for C_n and D_n; on
+    # D2 = A1 x A1, w_1 = (1/2, -1/2) is a spin weight, of dimension 2
+    series, n = key
+    rs = rootsys.build(*key)
+    standard = {"A": n + 1, "B": 2 * n + 1, "C": 2 * n, "D": 2 * n if n > 2 else 2}[series]
+    assert rootsys.weyl_dim(rs, rs.fundamental_weights[0]) == standard
 
 
 @pytest.mark.parametrize("key", ALL_TYPES)
