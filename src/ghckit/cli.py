@@ -9,7 +9,12 @@ with sorted keys, so identical requests produce byte-identical documents.
 A parameter's flag is derived from its request key (``max_m`` is
 ``--max-m``), and one parser reads both its JSON value and its flag string,
 so a flag invocation is the request it spells.  A request key that the
-command does not declare is an input error.
+command does not declare is an input error.  An integer is read by
+``exact.parse_integer``, which also reads ``GHC_MAX_RANK``.
+
+The ``ktype-series`` handler only dispatches: the series' bound
+``MAX_M``, its integrality check and its minimal k-type live in
+``principal``, which enforces them for any caller.
 
 A handler imports the modules it runs, so a command loads only those (and
 ``rootsys``, ``exact`` and ``errors``, which every request uses).  ``request``
@@ -27,7 +32,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, TextIO
 
 from . import rootsys
 from .errors import InputError, RegularIntegralCase, UnsupportedTypeError
-from .exact import format_rational, parse_vector
+from .exact import format_rational, parse_integer, parse_vector
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -35,25 +40,10 @@ EXIT_UNSUPPORTED = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout was closed before the output was written
 
 CENSUS_MAX_RANK = 4
-# bound on a k-type series' max_m and |lambda(h)|: the slowest series within
-# it, E8 with max_m = MAX_M and lambda(h) = -MAX_M, takes about 0.2 s
-MAX_M = 10_000
 
 
 # ---------------------------------------------------------------------------
 # parameter parsers: each reads a JSON value or a flag string
-
-
-def _integer(value) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    # no "_" separators, which int reads ("0_2" is 2), as parse_rational takes none
-    if isinstance(value, str) and "_" not in value:
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise InputError(f"expected an integer, got {value!r}")
 
 
 def _string(value) -> str:
@@ -79,7 +69,7 @@ def _split(value, sep: str) -> list:
 
 def _indices(value) -> list[int]:
     """Root indices: "0,3" or [0, 3]."""
-    return [_integer(i) for i in _split(value, ",")]
+    return [parse_integer(i) for i in _split(value, ",")]
 
 
 def _weight(value):
@@ -151,19 +141,8 @@ def _cmd_mathieu(x, eta, equiv) -> dict:
 
 def _cmd_ktype_series(rs: rootsys.RootSystem, lam, max_m: int) -> dict:
     from . import principal
-    if len(lam) != rs.ambient_dim:
-        raise InputError("lambda dimension does not match the ambient space")
-    if rootsys.is_integral(rs, lam):
-        raise InputError("lambda must be non-integral")
-    pd = principal.PrincipalData.build(rs)
-    # the partition table has max_m - lambda(h) + 2 entries
-    lh = pd.lambda_h(lam)
-    if abs(lh) > MAX_M:
-        raise InputError(f"lambda(h) = {format_rational(lh)} is outside the bound +-{MAX_M}")
-    doc = principal.ktype_series(pd, lam, max_m).to_json()
-    # the series bottoms out at lambda(h) - 2 when that is a nonnegative integer
-    doc["minimal_ktype"] = principal.minimal_ktype(pd, lam) if lh >= 2 and lh.denominator == 1 else None
-    return doc
+    series = principal.ktype_series(principal.PrincipalData.build(rs), lam, max_m)
+    return {**series.to_json(), "minimal_ktype": series.minimal_ktype}
 
 
 def _cmd_census(rs: rootsys.RootSystem, dedup: bool) -> dict:
@@ -204,17 +183,16 @@ def census_rows(rs: rootsys.RootSystem, dedup: bool = False) -> Iterator[dict]:
 
 
 class Param(NamedTuple):
-    """A command parameter: its request key, the parser of its value, its
-    default (REQUIRED: none) and, for an integer, the largest value allowed."""
+    """A command parameter: its request key, the parser of its value and its
+    default (REQUIRED: none)."""
 
     key: str
     parse: Callable
     default: object = None
-    bound: Optional[int] = None
 
 
 REQUIRED = object()
-SYSTEM = (Param("series", _string, REQUIRED), Param("rank", _integer, REQUIRED))
+SYSTEM = (Param("series", _string, REQUIRED), Param("rank", parse_integer, REQUIRED))
 SUBALGEBRA = Param("subalgebra", _indices, ())
 
 COMMANDS: dict[str, tuple[Callable[..., dict], tuple[Param, ...]]] = {
@@ -230,7 +208,7 @@ COMMANDS: dict[str, tuple[Callable[..., dict], tuple[Param, ...]]] = {
     ),
     "ktype-series": (
         _cmd_ktype_series,
-        SYSTEM + (Param("lambda", _weight, REQUIRED), Param("max_m", _integer, 10, MAX_M)),
+        SYSTEM + (Param("lambda", _weight, REQUIRED), Param("max_m", parse_integer, 10)),
     ),
     "census": (_cmd_census, SYSTEM + (Param("dedup", _boolean, False),)),
 }
@@ -242,12 +220,9 @@ def _value(param: Param, params: dict):
             raise InputError(f"missing parameter {param.key}")
         return param.default
     try:
-        value = param.parse(params[param.key])
+        return param.parse(params[param.key])
     except InputError as e:
         raise InputError(f"{param.key}: {e}") from None
-    if param.bound is not None and value > param.bound:
-        raise InputError(f"{param.key} {value} exceeds the bound {param.bound}")
-    return value
 
 
 def _error(message: str, code: int) -> tuple[dict, int]:

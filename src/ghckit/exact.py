@@ -1,6 +1,8 @@
 """Exact rational arithmetic, linear algebra and rational-cone geometry.
 
 The interface is ``fractions.Fraction``; no floating point is used anywhere.
+Numbers enter as text by one rule: ``parse_rational`` and ``parse_integer``
+take no exponent notation and no "_" digit separators.
 Vectors are plain tuples of Fractions, which keeps them hashable and
 immutable, so all operations are pure and safe for concurrent use.
 Elimination runs on integers, by one fraction-free step, ``_pivot_row``.
@@ -91,6 +93,19 @@ def parse_rational(s: str) -> Fraction:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"not a rational: {s!r}") from e
+
+
+def parse_integer(value) -> int:
+    """An int (not a bool) as it is, or the integer a string spells, with no "_"
+    separators, which int reads ("0_2" is 2), as parse_rational takes none."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and "_" not in value:
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"expected an integer, got {value!r}")
 
 
 def format_vector(v: Vector) -> list[str]:

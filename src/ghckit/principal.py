@@ -8,29 +8,43 @@ sl(2)-types in the first derived-functor module come from a difference of
 two restricted partition counts.
 
 ``PrincipalData.build`` runs once per RootSystem object and keeps the shared
-result on it, with read-only multisets and h also as an integer row over one
-denominator (``h_row``, ``h_den``); k-type series read one partition table
-per PrincipalData, grown by ``kperp_table``.  ``partition_P``,
+result on it, with read-only multisets and h stored once, as an integer row
+over one denominator (``h_row``, ``h_den``); the Fraction ``h_element`` is a
+view built on first use.  K-type series read one partition table per
+PrincipalData, grown by ``kperp_table``.  ``partition_P``,
 ``a1_multiplicity`` and ``euler_rhs`` build their own tables on purpose: they
 are the independent counts that the series is checked against.
 
 A weight enters as the (integer row, denominator) pair of
 ``rootsys._weight_row``, which also checks its length, so ``lambda_h`` is one
-integer dot and one Fraction; ``find_nonintegral_weight`` steps over integer
+integer dot and one Fraction.  ``ktype_series``, ``minimal_ktype`` and
+``a1_multiplicity`` read a non-integral weight once, through
+``_nonintegral_lambda_h``; ``find_nonintegral_weight`` steps over integer
 rows and builds its Fraction weight once, at the end.
+
+The k-type series owns its rules: the bound ``MAX_M`` on max_m and on
+|lambda(h)|, which keeps the partition table an explicit input error rather
+than a memory exhaustion, and the minimal k-type lambda(h) - 2
+(``KTypeSeries.minimal_ktype``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import sub
 from types import MappingProxyType
 
 from .errors import InputError, InternalError
 from .exact import Vector, format_rational
-from .rootsys import RootSystem, _dot, _integral, _weight_row, height_distribution, is_integral
+from .rootsys import RootSystem, _dot, _integral, _weight_row, height_distribution
+
+# bound on a k-type series' max_m and |lambda(h)|: the slowest series within
+# it, E8 with max_m = MAX_M and lambda(h) = -MAX_M, takes about 0.2 s (Python 3.11,
+# one core of a 2-core x86-64 VM)
+MAX_M = 10_000
 
 
 def principal_h(rs: RootSystem) -> Vector:
@@ -62,8 +76,7 @@ def exponents(rs: RootSystem) -> list[int]:
 @dataclass(frozen=True)
 class PrincipalData:
     rs: RootSystem
-    h_element: Vector
-    h_row: tuple[int, ...]  # h_element = h_row / h_den, in integers
+    h_row: tuple[int, ...]  # h = h_row / h_den, in integers
     h_den: int
     exponents: tuple[int, ...]
     nbar_multiset: MappingProxyType
@@ -77,8 +90,7 @@ class PrincipalData:
             return vars(rs)["_principal"]
         if rs.rank < 2:
             raise InputError("principal sl(2) machinery needs rank >= 2")
-        h = principal_h(rs)
-        h_row, h_den = _weight_row(rs, h)
+        h_row, h_den = _weight_row(rs, principal_h(rs))
         nbar = {2 * height: count for height, count in height_distribution(rs).items()}
         if nbar.get(2, 0) < 1:
             raise InternalError("no eigenvalue-2 line to carve the sl(2) raising vector from")
@@ -91,13 +103,17 @@ class PrincipalData:
             raise InternalError("exponents do not add up to dim g")
         return vars(rs).setdefault("_principal", cls(
             rs=rs,
-            h_element=h,
             h_row=tuple(h_row),
             h_den=h_den,
             exponents=exps,
             nbar_multiset=MappingProxyType(nbar),
             nbar_kperp_multiset=MappingProxyType(kperp),
         ))
+
+    @cached_property
+    def h_element(self) -> Vector:
+        """h as a Fraction vector, built on first use."""
+        return tuple(Fraction(x, self.h_den) for x in self.h_row)
 
     def lambda_h(self, lam: Vector) -> Fraction:
         row, den = _weight_row(self.rs, lam)
@@ -143,14 +159,29 @@ def partition_P(multiset: dict, target) -> int:
     return _table_entry(_partition_table(multiset, max(0, n)), n)
 
 
+def _nonintegral_lambda_h(pd: PrincipalData, lam: Vector) -> Fraction:
+    """lambda(h) for a weight lam that must be non-integral, read by one
+    ``_weight_row``: its row decides integrality and gives lambda(h)."""
+    row, den = _weight_row(pd.rs, lam)
+    if _integral(pd.rs, row, den):
+        raise InputError("lambda must be non-integral")
+    return Fraction(_dot(row, pd.h_row), den * pd.h_den)
+
+
+def _minimal_ktype(lh: Fraction) -> int | None:
+    """The minimal k-type at lambda(h) = lh: lh - 2 when that is a nonnegative
+    integer, else None.  The multiplicity at m is P(m - lh + 2) - P(-m - lh),
+    and both targets are negative for m < lh - 2; at m = lh - 2 it is P(0) = 1.
+    A non-integral lh makes every target non-integral, so every entry 0."""
+    return int(lh) - 2 if lh >= 2 and lh.denominator == 1 else None
+
+
 def a1_multiplicity(pd: PrincipalData, m: int, lam: Vector) -> int:
     """Multiplicity of the (m+1)-dimensional sl(2)-type in the first
     derived-functor module attached to a non-integral weight."""
     if m < 0 or int(m) != m:
         raise InputError("m must be a nonnegative integer")
-    if is_integral(pd.rs, lam):
-        raise InputError("lambda must be non-integral")
-    lh = pd.lambda_h(lam)
+    lh = _nonintegral_lambda_h(pd, lam)
     val = partition_P(pd.nbar_kperp_multiset, m - lh + 2) - partition_P(
         pd.nbar_kperp_multiset, -m - lh
     )
@@ -161,16 +192,11 @@ def a1_multiplicity(pd: PrincipalData, m: int, lam: Vector) -> int:
 
 def minimal_ktype(pd: PrincipalData, lam: Vector) -> int:
     """Smallest m with nonzero multiplicity; the series bottoms out at
-    lambda(h) - 2 with multiplicity exactly 1."""
-    lh = pd.lambda_h(lam)
-    n = lh - 2
-    if n < 0 or n.denominator != 1:
+    lambda(h) - 2 with multiplicity exactly 1 (see ``_minimal_ktype``)."""
+    n = _minimal_ktype(_nonintegral_lambda_h(pd, lam))
+    if n is None:
         raise InputError("lambda(h) - 2 must be a nonnegative integer")
-    if is_integral(pd.rs, lam):
-        raise InputError("lambda must be non-integral")
-    # the multiplicity at m is P(m - n) - P(-m - lambda(h)), and both targets
-    # are negative for m < n; at m = n it is P(0) = 1
-    return int(n)
+    return n
 
 
 def euler_rhs(pd: PrincipalData, m: int, lam: Vector) -> int:
@@ -206,6 +232,12 @@ class KTypeSeries:
     entries: dict
     truncation: int
 
+    @property
+    def minimal_ktype(self) -> int | None:
+        """The smallest m with nonzero multiplicity, lambda(h) - 2, when that is a
+        nonnegative integer (also above the truncation); None otherwise."""
+        return _minimal_ktype(self.lambda_h)
+
     def to_json(self) -> dict:
         return {
             "lambda_h": format_rational(self.lambda_h),
@@ -216,14 +248,15 @@ class KTypeSeries:
 
 def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
     """a1_multiplicity for m = 0 .. max_m, read from pd's k-perp partition
-    table, which reaches the largest target, max_m - lambda(h) + 2."""
+    table, which reaches the largest target, max_m - lambda(h) + 2; both
+    max_m and |lambda(h)| are bounded by MAX_M."""
     if max_m < 0:
         raise InputError("max_m must be nonnegative")
-    # the weight enters once: its row decides integrality and gives lambda(h)
-    row, den = _weight_row(pd.rs, lam)
-    if _integral(pd.rs, row, den):
-        raise InputError("lambda must be non-integral")
-    lh = Fraction(_dot(row, pd.h_row), den * pd.h_den)
+    if max_m > MAX_M:
+        raise InputError(f"max_m {max_m} exceeds the bound {MAX_M}")
+    lh = _nonintegral_lambda_h(pd, lam)
+    if abs(lh) > MAX_M:
+        raise InputError(f"lambda(h) = {format_rational(lh)} is outside the bound +-{MAX_M}")
     # a non-integral lambda(h) makes every target non-integral
     values = [0] * (max_m + 1)
     if lh.denominator == 1:

@@ -55,7 +55,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError
-from .exact import Vector, _reduce, dot, format_vector, vscale
+from .exact import Vector, _reduce, dot, format_vector, parse_integer, vscale
 
 DEFAULT_MAX_RANK = 8
 # GHC_MAX_RANK may raise the cap this far: C32 and D32, the slowest rank-32 builds, take
@@ -92,12 +92,16 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def max_rank() -> int:
+    """The rank cap: DEFAULT_MAX_RANK, or GHC_MAX_RANK read as the CLI reads an
+    integer (``exact.parse_integer``: no "_" separators), from 0 to the ceiling."""
     env = os.environ.get("GHC_MAX_RANK")
     if env is not None:
         try:
-            cap = int(env)
-        except ValueError as e:
+            cap = parse_integer(env)
+        except InputError as e:
             raise InputError(f"GHC_MAX_RANK must be an integer, got {env!r}") from e
+        if cap < 0:
+            raise InputError(f"GHC_MAX_RANK {cap} is negative")
         if cap > MAX_RANK_CEILING:
             raise InputError(f"GHC_MAX_RANK {cap} exceeds the ceiling {MAX_RANK_CEILING}")
         return cap

@@ -10,9 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import VIEWS
-from ghckit import cli, rootsys, shadow
-from ghckit.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, MAX_M, run
+from ghckit import cli, principal, rootsys, shadow
+from ghckit.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, run
 from ghckit.errors import UnsupportedTypeError
+from ghckit.principal import MAX_M
 
 
 def invoke(argv, stdin=None):
@@ -191,6 +192,23 @@ class TestMalformedParameters:
         assert code == EXIT_INPUT
         assert str(MAX_M) in doc["error"]
 
+    def test_lambda_of_the_wrong_length(self):
+        # the library's one message for a weight of the wrong length
+        doc, code = self.ktype(**{"lambda": "4/3,-4/3"})
+        assert (code, doc["error"]) == (EXIT_INPUT, "weight dimension does not match the ambient space")
+
+    def test_weight_read_once(self, monkeypatch):
+        # E8 at lambda(h) = 7: the series, its bound and its minimal k-type all come
+        # from one read of the weight
+        pd = principal.PrincipalData.build(rootsys.build("E", 8))
+        lam = [str(x) for x in principal.find_nonintegral_weight(pd, 7)]
+        calls = []
+        real = principal._weight_row
+        monkeypatch.setattr(principal, "_weight_row", lambda *args: calls.append(args) or real(*args))
+        doc, code = run({"command": "ktype-series", "parameters": {"series": "E", "rank": 8, "lambda": lam}})
+        assert code == EXIT_OK and doc["lambda_h"] == "7" and doc["minimal_ktype"] == 5
+        assert len(calls) == 1
+
 
 class TestExitCodes:
     def test_success(self):
@@ -205,6 +223,14 @@ class TestExitCodes:
     def test_input_error(self):
         proc = invoke(["root-system", "--series", "Z", "--rank", "2"])
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("value, rank", [("1_0", "9"), ("-5", "1")])
+    def test_malformed_rank_cap(self, monkeypatch, capsys, value, rank):
+        monkeypatch.setenv("GHC_MAX_RANK", value)
+        code = cli.main(["exponents", "--series", "A", "--rank", rank])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_INPUT, "")
+        assert json.loads(err)["error"].startswith("GHC_MAX_RANK ")
 
     def test_malformed_request_json(self):
         proc = invoke(["request"], stdin="{not json")

@@ -14,6 +14,7 @@ from ghckit import principal, rootsys
 from ghckit.errors import InputError, InternalError
 from ghckit.exact import dot, vadd, vscale, vzero
 from ghckit.principal import (
+    MAX_M,
     PrincipalData,
     _partition_table,
     _table_entry,
@@ -266,14 +267,16 @@ class TestMinimalKtype:
         lam = principal.find_nonintegral_weight(pd, F(7, 2))
         with pytest.raises(InputError):
             principal.minimal_ktype(pd, lam)
+        assert principal.ktype_series(pd, lam, 6).minimal_ktype is None
 
     @pytest.mark.parametrize("key", RANK23 + [("F", 4), ("E", 8)])
     def test_first_nonzero_entry_of_the_series(self, key):
         pd = _pd(*key)
         for target in (2, 3, 9):
             lam = principal.find_nonintegral_weight(pd, target)
-            entries = principal.ktype_series(pd, lam, 12).entries
-            assert principal.minimal_ktype(pd, lam) == min(m for m, v in entries.items() if v)
+            series = principal.ktype_series(pd, lam, 12)
+            first = min(m for m, v in series.entries.items() if v)
+            assert principal.minimal_ktype(pd, lam) == series.minimal_ktype == first
 
     def test_integral_lambda_rejected(self, a2):
         pd = PrincipalData.build(a2)
@@ -309,6 +312,36 @@ def test_ktype_series_matches_a1_multiplicity(key):
 def test_ktype_series_integral_lambda_rejected(a2):
     with pytest.raises(InputError):
         principal.ktype_series(PrincipalData.build(a2), (F(1), F(0), F(-1)), 3)
+
+
+class TestBounds:
+    """ktype_series rejects a max_m or a |lambda(h)| above MAX_M before it builds a table."""
+
+    def fresh(self):
+        # a copy of the cached RootSystem starts with no table of its own
+        return PrincipalData.build(dataclasses.replace(rootsys.build("A", 2)))
+
+    def test_max_m_above_bound(self):
+        pd = self.fresh()
+        lam = principal.find_nonintegral_weight(pd, 4)
+        with pytest.raises(InputError, match=f"^max_m {MAX_M + 1} exceeds the bound {MAX_M}$"):
+            principal.ktype_series(pd, lam, MAX_M + 1)
+        assert "_kperp_table" not in vars(pd)
+
+    @pytest.mark.parametrize("target", [MAX_M + 1, -MAX_M - 1, F(2 * MAX_M + 1, 2)])
+    def test_lambda_h_above_bound(self, target):
+        pd = self.fresh()
+        held = pd.kperp_table(8)
+        lam = principal.find_nonintegral_weight(pd, target)
+        with pytest.raises(InputError, match=r"^lambda\(h\) = .* is outside the bound \+-10000$"):
+            principal.ktype_series(pd, lam, 4)
+        assert vars(pd)["_kperp_table"] is held and held == _partition_table(pd.nbar_kperp_multiset, 8)
+
+    def test_lambda_h_at_bound(self):
+        pd = self.fresh()
+        for target in (MAX_M, -MAX_M):
+            lam = principal.find_nonintegral_weight(pd, target)
+            assert principal.ktype_series(pd, lam, 2).lambda_h == target
 
 
 class TestBuildCache:

@@ -128,6 +128,14 @@ def test_rank_cap(monkeypatch):
     assert len(rootsys.build("A", 9).all_roots) == 90
 
 
+@pytest.mark.parametrize("value, match", [("1_0", "must be an integer, got '1_0'"), ("-5", "-5 is negative")])
+def test_rank_cap_malformed(monkeypatch, value, match):
+    # the CLI's integer rule: int reads "1_0" as 10; and a negative cap bounds nothing
+    monkeypatch.setenv("GHC_MAX_RANK", value)
+    with pytest.raises(InputError, match="^GHC_MAX_RANK " + match):
+        rootsys.build("A", 1)
+
+
 def test_rank_cap_ceiling(monkeypatch):
     monkeypatch.setenv("GHC_MAX_RANK", str(rootsys.MAX_RANK_CEILING))
     assert len(rootsys.build("A", 9).all_roots) == 90
