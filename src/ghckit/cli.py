@@ -12,9 +12,13 @@ so a flag invocation is the request it spells.  A request key that the
 command does not declare is an input error.  An integer is read by
 ``exact.parse_integer``, which also reads ``GHC_MAX_RANK``.
 
-The ``ktype-series`` handler only dispatches: the series' bound
-``MAX_M``, its integrality check and its minimal k-type live in
-``principal``, which enforces them for any caller.
+Every handler only dispatches: one library call and the JSON keys.  The
+rules live in the library, which enforces them for any caller: the k-type
+series' bound ``MAX_M``, its integrality check and its minimal k-type in
+``principal``; the census (type A only, rank bound ``CENSUS_MAX_RANK``) in
+``fk.census_rows``; the default toral part h of ``primal-test`` in
+``fk.is_primal``; and the ``mathieu`` document, with its rule that ``eta`` and
+``equiv`` have the length of ``x``, in ``mathieu.describe``.
 
 A handler imports the modules it runs, so a command loads only those (and
 ``rootsys``, ``exact`` and ``errors``, which every request uses).  ``request``
@@ -24,22 +28,19 @@ flags, ``--output``, ``--help`` and any other argv go through argparse.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import sys
-from typing import Callable, Iterator, NamedTuple, Optional, TextIO
+from typing import Callable, NamedTuple, Optional, TextIO
 
 from . import rootsys
 from .errors import InputError, RegularIntegralCase, UnsupportedTypeError
-from .exact import format_rational, parse_integer, parse_vector
+from .exact import parse_integer, parse_vector
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout was closed before the output was written
-
-CENSUS_MAX_RANK = 4
 
 
 # ---------------------------------------------------------------------------
@@ -118,25 +119,12 @@ def _cmd_solvable_test(rs: rootsys.RootSystem, subalgebra: list[int]) -> dict:
 
 def _cmd_primal_test(rs: rootsys.RootSystem, k_roots: list[int], toral) -> dict:
     from . import fk
-    # the default toral part is the full Cartan of g
-    return {"primal": fk.is_primal(rs, rs.index_mask(k_roots), rs.simple_roots if toral is None else toral)}
+    return {"primal": fk.is_primal(rs, rs.index_mask(k_roots), toral)}
 
 
 def _cmd_mathieu(x, eta, equiv) -> dict:
     from . import mathieu
-    for name, other in (("eta", eta), ("equiv", equiv)):
-        if other is not None and len(other) != len(x):
-            raise InputError(f"{name} dimension does not match x")
-    doc: dict = {"bounded": mathieu.sp_bounded(x)}
-    if doc["bounded"]:
-        doc.update(mathieu.CoherentFamilyDescriptor.from_weight(x).to_json())
-    else:
-        doc["class_rep"] = [format_rational(c) for c in x]
-    if eta is not None:
-        doc["fiber_irreducible"] = mathieu.sp_fiber_irreducible(eta)
-    if equiv is not None:
-        doc["equivalent"] = mathieu.sp_equivalent(x, equiv)
-    return doc
+    return mathieu.describe(x, eta, equiv)
 
 
 def _cmd_ktype_series(rs: rootsys.RootSystem, lam, max_m: int) -> dict:
@@ -146,36 +134,8 @@ def _cmd_ktype_series(rs: rootsys.RootSystem, lam, max_m: int) -> dict:
 
 
 def _cmd_census(rs: rootsys.RootSystem, dedup: bool) -> dict:
-    return {"rows": list(census_rows(rs, dedup))}
-
-
-def census_rows(rs: rootsys.RootSystem, dedup: bool = False) -> Iterator[dict]:
-    """Classify every closed root subset (Cartan implicit) of a type A system."""
-    from . import fk, shadow
-    if rs.series != "A":
-        raise UnsupportedTypeError("census runs over the special-linear family only")
-    if rs.rank > CENSUS_MAX_RANK:
-        raise InputError(f"census rank bound is {CENSUS_MAX_RANK}")
-
-    # each coordinate permutation (a Weyl group element) as a map of root indices
-    index = {r: i for i, r in enumerate(rs.doubled_roots)}
-    perms = [
-        [index[tuple(r[j] for j in p)] for r in rs.doubled_roots]
-        for p in itertools.permutations(range(rs.ambient_dim))
-    ] if dedup else []
-    subsets = sorted((tuple(rootsys.bits(m)) for m in shadow.closed_masks(rs)), key=lambda t: (len(t), t))
-    for idx in subsets:
-        # a row per orbit: the subset whose sorted indices come first
-        if any(tuple(sorted(p[i] for i in idx)) < idx for p in perms):
-            continue
-        sub = shadow.RootSubalgebra.from_indices(rs, idx)
-        k = fk.reductive_mask(sub)
-        verdict = fk.theorem8_finite_type(rs, sub)
-        yield {
-            "subalgebra": list(idx),
-            "levi": {"k_roots": rootsys.bits(k), "n_roots": rootsys.bits(sub.mask & ~k)},
-            **verdict.to_json(),
-        }
+    from . import fk
+    return {"rows": list(fk.census_rows(rs, dedup))}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,13 @@ as in ``shadow``: the reductive part of l is ``l & negated(l)``, and the
 simple roots of k and the singular weights are each one mask expression over
 ``RootSystem.sums``, the one image of root sums.  Primality compares integer
 ranks by ``exact._reduce``: the toral rows must lie in h and span k's coroots,
-and the verdict is whether they span all of h.
+and the verdict is whether they span all of h; the default toral part is h,
+read from the doubled simple roots.
+
+``census_rows`` is the census of type-A root subalgebras: the Theorem 8
+verdict of every closed subset of A_n for n up to ``CENSUS_MAX_RANK``.  With
+dedup it keeps one subset per Weyl orbit, acting on the roots e_u - e_v by
+permuting their ends (u, v), which ``_type_a_roots`` stores.
 
 Type recognition splits the simple roots of k into components by ``_reach``
 on the integer ``doubled_roots`` and reads each one's type off its rank,
@@ -29,13 +35,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 from operator import or_
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import InputError, InternalError, UnsupportedTypeError
 from .exact import ConeWitness, Vector, _reduce, cone_witness
 from .rootsys import LOW_RANK_ALIASES, RootSystem, _dot, _weight_row, bits, root_count
-from .shadow import RootSubalgebra, _require_over, closed_mask
+from .shadow import RootSubalgebra, _require_over, closed_mask, closed_masks
+
+CENSUS_MAX_RANK = 4
 
 
 @dataclass(frozen=True)
@@ -217,6 +226,32 @@ def _reach(succ: Sequence[int] | Mapping[int, int], start: int, avoid: int) -> i
     return seen
 
 
+def census_rows(rs: RootSystem, dedup: bool = False) -> Iterator[dict]:
+    """Classify every closed root subset (Cartan implicit) of a type A system of
+    rank at most ``CENSUS_MAX_RANK``: one row per subset, by size and then by sorted
+    indices, with its Levi split and its Theorem 8 verdict.  With dedup, one row per
+    Weyl orbit: the subset whose sorted indices come first."""
+    if rs.series != "A":
+        raise UnsupportedTypeError("census runs over the special-linear family only")
+    if rs.rank > CENSUS_MAX_RANK:
+        raise InputError(f"census rank bound is {CENSUS_MAX_RANK}")
+    # each coordinate permutation p (a Weyl group element) as a map of root indices:
+    # e_u - e_v goes to e_p(u) - e_p(v)
+    at = {ends: i for i, _, ends in _type_a_roots(rs)}
+    weyl = permutations(range(rs.ambient_dim)) if dedup else ()
+    perms = [{i: at[p[u], p[v]] for (u, v), i in at.items()} for p in weyl]
+    for idx in sorted((tuple(bits(m)) for m in closed_masks(rs)), key=lambda t: (len(t), t)):
+        if any(tuple(sorted(p[i] for i in idx)) < idx for p in perms):
+            continue
+        sub = RootSubalgebra.from_indices(rs, idx)
+        k = reductive_mask(sub)
+        yield {
+            "subalgebra": list(idx),
+            "levi": {"k_roots": bits(k), "n_roots": bits(sub.mask & ~k)},
+            **theorem8_finite_type(rs, sub).to_json(),
+        }
+
+
 def theorem6_solvable_finite_type(rs: RootSystem, l: RootSubalgebra) -> bool:
     """Finite-type test for solvable root subalgebras (reductive part = Cartan):
     the nilpotent roots must form the nilradical of a parabolic whose
@@ -288,17 +323,18 @@ def _simple_type(rank: int, roots: int, long_roots: int) -> tuple[str, int]:
 def is_primal(
     rs: RootSystem,
     k_roots: frozenset[Vector] | int,
-    toral_part: Sequence[Vector],
+    toral_part: Optional[Sequence[Vector]] = None,
 ) -> bool:
     """Test whether the reductive subalgebra spanned by k_roots root spaces (the
     roots or their mask) and the given toral subspace has centralizer equal to its
     center.  The toral vectors must lie in the Cartan subalgebra h, the span of
-    the roots."""
+    the roots; the default toral part (None) is h itself."""
     k = _symmetric_closed(rs, k_roots, "k_roots")
-    if any(len(v) != rs.ambient_dim for v in toral_part):
+    if toral_part is not None and any(len(v) != rs.ambient_dim for v in toral_part):
         raise InputError(f"toral vectors must have dimension {rs.ambient_dim}")
-    # each toral vector times its own denominator: integer rows with the same span
-    rows = [_weight_row(rs, t)[0] for t in toral_part]
+    # each toral vector times its own denominator: integer rows with the same span; h is
+    # spanned by the doubled simple roots
+    rows = list(rs._simple_doubled) if toral_part is None else [_weight_row(rs, t)[0] for t in toral_part]
 
     def rank(extra: Sequence[Sequence[int]]) -> int:
         """The rank of the toral rows with the rows extra added."""

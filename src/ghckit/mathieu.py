@@ -7,6 +7,10 @@ by 2^(n-1).  A bounded weight has every entry over the denominator 2, so
 the shift adds 2 to each numerator and builds each entry once, with no
 Fraction addition.  Divisibility is asserted at runtime; a failure would
 signal a realization bug, not bad input.
+
+``describe`` builds the document of the ``mathieu`` command.  A weight read
+beside x (``eta``, or the ``equiv`` of ``sp_equivalent``) must have the length
+of x, and ``_same_length`` states that rule once for every caller.
 """
 
 from __future__ import annotations
@@ -48,10 +52,18 @@ def _bounded(xs: Vector) -> bool:
     return len(nums) < 2 or nums[-2] > abs(nums[-1])
 
 
+def _same_length(name: str, xs: Vector, other: Optional[Sequence]) -> None:
+    """The length rule: a weight read beside x (eta, equiv), when given, has the length of x."""
+    if other is not None and len(other) != len(xs):
+        raise InputError(f"{name} dimension does not match x")
+
+
 def sp_equivalent(x: Sequence, y: Sequence) -> bool:
     """Two bounded weights head the same coherent family iff they agree
-    except possibly for the sign of the last entry."""
+    except possibly for the sign of the last entry.  A y whose length is not
+    x's is an ``InputError``, as is a weight that fails the bounded test."""
     xs, ys = vec(x), vec(y)
+    _same_length("equiv", xs, ys)
     if not (_bounded(xs) and _bounded(ys)):
         raise InputError("both weights must satisfy the bounded-multiplicity test")
     return xs[:-1] == ys[:-1] and (xs[-1] == ys[-1] or xs[-1] == -ys[-1])
@@ -147,7 +159,9 @@ def degree_constancy_check(
     descriptor: CoherentFamilyDescriptor, sample_points: Sequence[Sequence]
 ) -> bool:
     """Guard for serialization round-trips: the stored degree must match a
-    recomputation at the representative and at every sampled class member."""
+    recomputation at the representative and at every sampled class member.  A
+    sample point that is not bounded, or whose length is not the
+    representative's, is an ``InputError`` (from ``sp_equivalent``)."""
     if sp_degree(descriptor.representative) != descriptor.degree:
         return False
     for p in sample_points:
@@ -156,3 +170,22 @@ def degree_constancy_check(
         if sp_degree(p) != descriptor.degree:
             return False
     return True
+
+
+def describe(x: Sequence, eta: Optional[Sequence] = None, equiv: Optional[Sequence] = None) -> dict:
+    """The document of the ``mathieu`` command.  It says whether x is bounded, and
+    holds x's coherent-family descriptor if so, or else x as ``class_rep``; with
+    eta, whether the fiber over eta is irreducible; with equiv, whether equiv
+    heads the family of x.  eta and equiv must have the length of x."""
+    xs = vec(x)
+    _same_length("eta", xs, eta)
+    # equiv before x's descriptor, so that a wrong equiv length is reported first
+    doc: dict = {} if equiv is None else {"equivalent": sp_equivalent(xs, equiv)}
+    doc["bounded"] = _bounded(xs)
+    if doc["bounded"]:
+        doc.update(CoherentFamilyDescriptor.from_weight(xs).to_json())
+    else:
+        doc["class_rep"] = [format_rational(c) for c in xs]
+    if eta is not None:
+        doc["fiber_irreducible"] = sp_fiber_irreducible(eta)
+    return doc

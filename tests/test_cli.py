@@ -10,9 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import VIEWS
-from ghckit import cli, principal, rootsys, shadow
+from ghckit import cli, fk, principal, rootsys, shadow
 from ghckit.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, run
-from ghckit.errors import UnsupportedTypeError
+from ghckit.errors import InputError, UnsupportedTypeError
 from ghckit.principal import MAX_M
 
 
@@ -409,9 +409,9 @@ def test_commands_load_only_their_modules(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    # only root-system builds the Fraction roots, and primal-test its default toral part, the
-    # simple roots; no command builds the root index or the fundamental weights
-    views = {"root-system": ["all_roots", "positive_roots", "simple_roots"], "primal-test": ["simple_roots"]}
+    # only root-system builds the Fraction roots (primal-test reads its default toral part, h,
+    # from the integer simple roots); no command builds the root index or the fundamental weights
+    views = {"root-system": ["all_roots", "positive_roots", "simple_roots"]}
     assert report["request"] == [EXIT_OK, sorted(LOADS["root-system"]), False, views["root-system"]]
     assert report["argparse"]
     assert report["loads"] == {
@@ -427,14 +427,14 @@ def test_commands_load_only_their_modules(tmp_path):
 class TestCensus:
     def test_a1_rows(self):
         rs = rootsys.build("A", 1)
-        rows = list(cli.census_rows(rs))
+        rows = list(fk.census_rows(rs))
         assert len(rows) == 4
         assert all(r["finite_type"] for r in rows)
 
     def test_a2_replay(self):
         # every row must be reproducible from its own subalgebra field
         rs = rootsys.build("A", 2)
-        rows = list(cli.census_rows(rs))
+        rows = list(fk.census_rows(rs))
         assert len(rows) == len(list(shadow.closed_subsets(rs)))
         for row in rows:
             doc, code = run(
@@ -448,13 +448,28 @@ class TestCensus:
 
     def test_dedup_shrinks(self):
         rs = rootsys.build("A", 2)
-        full = list(cli.census_rows(rs))
-        deduped = list(cli.census_rows(rs, dedup=True))
+        full = list(fk.census_rows(rs))
+        deduped = list(fk.census_rows(rs, dedup=True))
         assert 0 < len(deduped) < len(full)
 
     def test_non_type_a_rejected(self):
         with pytest.raises(UnsupportedTypeError):
-            list(cli.census_rows(rootsys.build("C", 2)))
+            list(fk.census_rows(rootsys.build("C", 2)))
+
+    def test_rank_bound(self):
+        with pytest.raises(InputError, match="^census rank bound is 4$"):
+            list(fk.census_rows(rootsys.build("A", fk.CENSUS_MAX_RANK + 1)))
+
+    @pytest.mark.parametrize("dedup,digest", [
+        (False, "c57d41e0857dd4fc454a637063ccc8a361304356523e641d6f7f1ce78b73d042"),
+        (True, "2cdd94e51022615148a152353efe7a154c2c8d003fe777b548d39396143a8f2e"),
+    ])
+    def test_library_a3_digest(self, dedup, digest):
+        # the library census, written as the census command writes it, has the stdout digests
+        # of `ghckit census --series A --rank 3` with and without --dedup
+        rows = list(fk.census_rows(rootsys.build("A", 3), dedup=dedup))
+        out = json.dumps({"rows": rows}, sort_keys=True, separators=(",", ":")) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOutputFile(object):

@@ -1,10 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import ALL_TYPES, V, neg, nullspace, seeded_closures, solve_linear, sum_table
+from conftest import ALL_TYPES, VIEWS, V, neg, nullspace, seeded_closures, solve_linear, sum_table
 from ghckit import exact, fk, rootsys, shadow
 from ghckit.errors import InputError, InternalError, UnsupportedTypeError
 from ghckit.exact import dot, is_zero, vadd
@@ -588,6 +589,18 @@ class TestIsPrimal:
             for toral in (simple, simple[1:], coroots, coroots + ambient, coroots + ambient[1:]):
                 want = primal_outcome(reference_is_primal, rs, k_roots, toral)
                 assert primal_outcome(fk.is_primal, rs, k_roots, toral) == want, (key, bits(mask), toral)
+
+    @pytest.mark.parametrize("key", SMALL_TYPES, ids=type_id)
+    def test_default_toral_part_is_h(self, key):
+        # no toral part means h: on every symmetric closed subset the verdict is the reference's
+        # with the simple roots as toral part, and it is read from the integer tables alone
+        rs = rootsys.build(*key)
+        simple = list(rs.simple_roots)
+        for mask in symmetric_closed_masks(rs):
+            fresh = dataclasses.replace(rs)
+            want = primal_outcome(reference_is_primal, rs, rs.roots_of(mask), simple)
+            assert primal_outcome(fk.is_primal, fresh, mask, None) == want, bits(mask)
+            assert not any(v in vars(fresh) for v in VIEWS)
 
     def test_full_cartan_always_primal(self, a2, a3, c2):
         for rs in (a2, a3, c2):

@@ -81,6 +81,12 @@ class TestSpEquivalent:
         with pytest.raises(InputError):
             mathieu.sp_equivalent([1, 0], [F(3, 2), F(1, 2)])
 
+    @pytest.mark.parametrize("y", [[F(3, 2)], [F(3, 2), F(1, 2), F(1, 2)], []])
+    def test_length_must_match(self, y):
+        # a y of another length is an input error, not a weight of another family
+        with pytest.raises(InputError, match="^equiv dimension does not match x$"):
+            mathieu.sp_equivalent([F(3, 2), F(1, 2)], y)
+
     @given(st.lists(st.integers(min_value=0, max_value=8), min_size=2, max_size=4, unique=True))
     @settings(deadline=None)
     def test_equivalence_relation(self, ks):
@@ -223,3 +229,32 @@ class TestDescriptor:
         assert not mathieu.degree_constancy_check(d, [[F(3, 2), F(-1, 2)]])
         d2 = mathieu.CoherentFamilyDescriptor.from_weight([F(5, 2), F(1, 2)])
         assert not mathieu.degree_constancy_check(d2, [[F(5, 2), F(-1, 2)]])
+
+    @pytest.mark.parametrize("point", [[F(3, 2)], [F(5, 2), F(3, 2), F(1, 2)]])
+    def test_degree_constancy_sample_of_another_length(self, point):
+        d = mathieu.CoherentFamilyDescriptor.from_weight([F(3, 2), F(1, 2)])
+        with pytest.raises(InputError, match="^equiv dimension does not match x$"):
+            mathieu.degree_constancy_check(d, [[F(3, 2), F(1, 2)], point])
+
+
+class TestDescribe:
+    def test_document(self):
+        doc = mathieu.describe([F(3, 2), F(1, 2)], eta=[0, 0], equiv=[F(3, 2), F(-1, 2)])
+        assert doc == {
+            "bounded": True, "degree": 5, "class_rep": ["3/2", "1/2"], "companion": {"series": "D", "rank": 2},
+            "fiber_irreducible": True, "equivalent": True,
+        }
+        assert mathieu.describe([1, 0]) == {"bounded": False, "class_rep": ["1", "0"]}
+
+    @pytest.mark.parametrize("name", ["eta", "equiv"])
+    @pytest.mark.parametrize("other", [[F(1, 2)], [F(5, 2), F(3, 2), F(1, 2)], []])
+    def test_length_must_match(self, name, other):
+        with pytest.raises(InputError, match=f"^{name} dimension does not match x$"):
+            mathieu.describe([F(3, 2), F(1, 2)], **{name: other})
+
+    def test_wrong_equiv_length_reported_before_the_descriptor(self):
+        # x = (1/2) has no companion system, and equiv's length is checked first
+        with pytest.raises(InputError, match="^equiv dimension does not match x$"):
+            mathieu.describe([F(1, 2)], equiv=[F(3, 2), F(1, 2)])
+        with pytest.raises(InputError, match="^weight must have at least one entry$"):
+            mathieu.describe([], equiv=[])

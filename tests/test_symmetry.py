@@ -8,7 +8,7 @@ under it is the stability under the choice of Borel that the ``fk`` module
 docstring claims.
 
 Orbits are computed here from permuted vectors only, independently of the
-index tables that ``cli.census_rows`` uses.
+root tables that ``fk.census_rows`` uses.
 """
 
 import itertools
@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from ghckit import cli, fk, rootsys, shadow
+from ghckit import fk, rootsys, shadow
 from ghckit.shadow import RootSubalgebra, closed_subsets
 
 CLASSES = ("I", "F", "plus", "minus", "gamma_generators")
@@ -46,7 +46,7 @@ def classes(rs, roots):
 def check_census_orbits(rs, perms, subsets, verdicts):
     """Each census --dedup row is the least index tuple of its orbit, so no two
     rows share an orbit, and the least tuple of each given subset's orbit is a row."""
-    rows = list(cli.census_rows(rs, dedup=True))
+    rows = list(fk.census_rows(rs, dedup=True))
     reps = [tuple(r["subalgebra"]) for r in rows]
     assert len(set(reps)) == len(reps)
     for row, rep in zip(rows, reps):
