@@ -15,19 +15,23 @@ solution.  ``_reduce`` is Gauss-Jordan by the same step: ``nullspace`` (and
 reduce them with it, ``rootsys`` inverts the Cartan matrix with it, and
 ``fk`` compares the ranks of integer toral rows with it.  A step whose pivot
 and previous pivot are both 1 (every step of the type-A LPs that ``fk``
-runs) skips the scaling and is a plain integer row subtraction.  The cone
-queries pass their generators through unchanged, so integer generators (as
-``fk`` and ``shadow`` give them) reach the simplex with no Fraction built on
-the way.
+runs) skips the scaling and runs in C, through ``map``: a row subtraction
+when the row's entering entry is 1, an addition when it is -1 (every such
+step of those LPs is one of the two), and a subtraction of a ``map``-scaled
+pivot row otherwise.  The cone queries pass their generators through
+unchanged, so integer generators (as ``fk`` and ``shadow`` give them) reach
+the simplex with no Fraction built on the way, and a solution or point
+entry over denominator 1 is built as a one-argument Fraction.
 
 ``cone_witness`` is the one LP behind the two-cone test: it asks for a
 common point whose coordinate k is +1 or -1 and returns it as a
 ``ConeWitness``, whose point it sums in integers over one denominator (the
 lcm of the nonzero coefficients' denominators, 1 on every type-A LP) and
-turns into one Fraction per coordinate.  ``cones_intersect_trivially`` is
-the general test, that LP for every (coordinate, sign) pair in turn; ``fk``
-picks the one pair to ask for by graph reachability and calls
-``cone_witness`` once.
+turns into one Fraction per coordinate.  A coordinate outside the cones'
+dimension, or a sign other than +1 and -1, is an input error.
+``cones_intersect_trivially`` is the general test, that LP for every
+(coordinate, sign) pair in turn; ``fk`` picks the one pair to ask for by
+graph reachability and calls ``cone_witness`` once.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import mul
+from operator import add, mul, neg, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -152,13 +156,19 @@ def lp_feasible(
     a_ij <- (p·a_ij - a_is·a_rj) // d for every other row, then d <- p, where
     d is the previous pivot (initially 1).  The division is exact, since
     every entry is a minor of the scaled input matrix; when p = d = 1 the
-    step skips the scaling and is a_ij - a_is·a_rj.  Row i then stands
-    for the rational row a_i / a_i[basis[i]], with a positive denominator
-    (d, or d·L while the row still has its own artificial basic), so signs
-    and ratios read straight off the integers.  Pivoting uses Bland's rule,
-    with the ratio test done by cross-multiplication and ties broken by the
-    smaller basis index, so the run always terminates and takes the same
-    pivots as the same simplex run over Fractions.
+    step skips the scaling and is a_ij - a_is·a_rj (see ``_pivot_row``).
+    Row i then stands for the rational row a_i / a_i[basis[i]], with a
+    positive denominator (d, or d·L while the row still has its own
+    artificial basic), so signs and ratios read straight off the integers.
+    Pivoting uses Bland's rule, with the ratio test done by
+    cross-multiplication and ties broken by the smaller basis index, so the
+    run always terminates and takes the same pivots as the same simplex run
+    over Fractions.  The per-cell work runs
+    in C: the phase-1 objective is the negated column sums of the equality
+    rows, by ``map`` over ``zip``, before the artificial block is inserted
+    into each row in place, and the unit step is one ``map``.  A basic
+    value whose row holds 1 at its basic column is an integer and comes out
+    as a one-argument Fraction; any other is the quotient of the two entries.
     """
     n = nonneg_vars
     for coeffs, _ in equalities:
@@ -168,39 +178,38 @@ def lp_feasible(
     if m == 0:
         return [Fraction(0)] * n
     rows, scale = _integer_rows(equalities)
-    # tableau rows: n structural columns, m artificial columns, rhs; rhs >= 0
-    tab: list[list[int]] = []
-    for i, ints in enumerate(rows):
-        if ints[-1] < 0:
-            ints = [-x for x in ints]
-        art = [0] * m
-        art[i] = scale
-        tab.append(ints[:n] + art + ints[n:])
-    basis = [n + i for i in range(m)]
+    # the equality rows with rhs >= 0
+    tab = [ints if ints[-1] >= 0 else list(map(neg, ints)) for ints in rows]
     # phase-1 objective: minimize the sum of artificials.  Its reduced-cost
     # row (over the same denominator as an untouched row) is the negated
     # column sum on structural columns and the rhs, and 0 on artificials.
-    obj = [-sum(col) for col in zip(*tab)]
-    for i in range(m):
-        obj[n + i] = 0
+    obj = list(map(neg, map(sum, zip(*tab))))
+    obj[n:n] = [0] * m
+    # tableau rows: n structural columns, m artificial columns, rhs
+    for i, ints in enumerate(tab):
+        art = [0] * m
+        art[i] = scale
+        ints[n:n] = art
+    basis = [n + i for i in range(m)]
 
     d = 1
     while True:
-        enter = next((j for j in range(n + m) if obj[j] < 0), None)
-        if enter is None:
+        # Bland's rule: the first column with a negative reduced cost enters; none left, done
+        for enter in range(n + m):
+            if obj[enter] < 0:
+                break
+        else:
             break
         leave = None
-        for i in range(m):
-            a = tab[i][enter]
+        for i, row in enumerate(tab):
+            a = row[enter]
             if a > 0:
-                if leave is None:
-                    leave = i
-                    continue
-                # ratio tab[i][-1] / a against the best so far, cross-multiplied
-                here = tab[i][-1] * tab[leave][enter]
-                best = tab[leave][-1] * a
-                if here < best or (here == best and basis[i] < basis[leave]):
-                    leave = i
+                if leave is not None:
+                    # ratio row[-1] / a against the best so far, lb / la, cross-multiplied
+                    here, best = row[-1] * la, lb * a
+                    if not (here < best or (here == best and basis[i] < basis[leave])):
+                        continue
+                leave, la, lb = i, a, row[-1]
         if leave is None:
             # phase-1 objective is bounded below by 0, so this cannot happen
             raise InputError("unbounded phase-1 LP; inconsistent input")
@@ -219,16 +228,30 @@ def lp_feasible(
     x = [Fraction(0)] * n
     for i, bj in enumerate(basis):
         if bj < n:
-            x[bj] = Fraction(tab[i][-1], tab[i][bj])
+            row = tab[i]
+            x[bj] = Fraction(row[-1]) if row[bj] == 1 else Fraction(row[-1], row[bj])
     return x
 
 
 def _pivot_row(row: list[int], prow: list[int], p: int, d: int, enter: int) -> list[int]:
-    """One fraction-free elimination step of row against pivot row prow."""
+    """One fraction-free elimination step of row against pivot row prow:
+    (p·x - f·y) // d for each entry x of row and y of prow, where f is the
+    row's entry in the entering column.
+
+    When p = d = 1 there is no scaling, and the step runs in C: x - y for
+    f = 1 and x + y for f = -1 through ``map`` over the two rows, and
+    x - f·y through ``map`` with ``f.__mul__`` for any other f.  A row
+    with f = 0 comes back as it is (the same list) when p = d, and as
+    p·x // d otherwise.
+    """
     f = row[enter]
     if f:
         if p == d == 1:
-            return [x - f * y for x, y in zip(row, prow)]
+            if f == 1:
+                return list(map(sub, row, prow))
+            if f == -1:
+                return list(map(add, row, prow))
+            return list(map(sub, row, map(f.__mul__, prow)))
         return [(p * x - f * y) // d for x, y in zip(row, prow)]
     if p == d:
         return row
@@ -370,16 +393,23 @@ def cone_witness(
     One feasibility LP: balance rows saying that the a-combination minus the
     b-combination is 0, and one normalisation row fixing coordinate k of the
     a-combination at sign.  The witness is the simplex's basic solution.
+
+    A sign other than 1 and -1, or (when both sides have generators) a k
+    outside range(dim), is an input error.
     """
+    if sign not in (1, -1):
+        raise InputError(f"sign must be 1 or -1, got {sign!r}")
     if not gens_a or not gens_b:
         return None
     dim = len(gens_a[0])
+    if k not in range(dim):
+        raise InputError(f"coordinate {k!r} is outside range({dim})")
     _check_dim(gens_a, dim)
     _check_dim(gens_b, dim)
     na, nb = len(gens_a), len(gens_b)
     # sum of a-coefficients times gens_a minus b-coefficients times gens_b is 0: column j of
     # the generators, the b-side negated, is balance row j
-    cols = list(zip(*gens_a, *(tuple(-x for x in g) for g in gens_b)))
+    cols = list(zip(*gens_a, *(map(neg, g) for g in gens_b)))
     rows = [(col, 0) for col in cols] + [(cols[k][:na] + (0,) * nb, sign)]
     sol = lp_feasible(rows, na + nb)
     if sol is None:
@@ -391,7 +421,8 @@ def cone_witness(
     terms = [(c, g) for c, g in zip(ca, gens_a) if c]
     den = lcm(*(c.denominator for c, _ in terms))
     ints = [c.numerator * (den // c.denominator) for c, _ in terms]
-    point = tuple(Fraction(sum(map(mul, ints, col)), den) for col in zip(*(g for _, g in terms)))
+    sums = [sum(map(mul, ints, col)) for col in zip(*(g for _, g in terms))]
+    point = tuple(map(Fraction, sums)) if den == 1 else tuple(Fraction(s, den) for s in sums)
     return ConeWitness(ca, cb, point)
 
 

@@ -471,6 +471,13 @@ class TestCensus:
         out = json.dumps({"rows": rows}, sort_keys=True, separators=(",", ":")) + "\n"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_a4_stdout_digest(self, capsys):
+        # `ghckit census --series A --rank 4`: a witness for each of the 4,960 infinite-type
+        # subalgebras of A4, byte for byte
+        assert cli.main(["census", "--series", "A", "--rank", "4"]) == EXIT_OK
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "3be1f4b106468866502fd4565628524f07dd6fc3945cb3a69e27ab72b6165337"
+
 
 class TestOutputFile(object):
     def test_output_flag(self, tmp_path):

@@ -4,7 +4,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import nullspace as reference_nullspace, solve_linear as reference_solve_linear
 from ghckit import cli, exact, fk
@@ -114,6 +114,23 @@ class TestConesIntersect:
         assert [cone_witness(a, b, k, s) is not None for k in (0, 1) for s in (1, -1)] == [False, False, True, False]
         assert cone_witness(a, b, 1, 1) == cones_intersect_trivially(a, b)[1]
         assert cone_witness([], b, 1, 1) is None
+
+    # without the checks, sign 0 gives an empty point that fails its own verify, sign 2 a
+    # point whose coordinate k is 2, k = -1 the point (1, 1) found on the last coordinate,
+    # and k = 5 an IndexError
+    @pytest.mark.parametrize(
+        "k,sign,match",
+        [
+            (1, 0, "sign must be 1 or -1"),
+            (1, 2, "sign must be 1 or -1"),
+            (-1, 1, "outside range"),
+            (5, 1, "outside range"),
+        ],
+    )
+    def test_coordinate_and_sign_out_of_range(self, k, sign, match):
+        a, b = [vec([1, 0]), vec([0, 1])], [vec([1, 1])]
+        with pytest.raises(InputError, match=match):
+            cone_witness(a, b, k, sign)
 
     def test_verify_rejects_a_coefficient_count_that_differs(self):
         w = ConeWitness((F(1),), (F(1),), (F(1), F(0)))
@@ -255,6 +272,57 @@ def lp_systems(draw):
     return draw(st.lists(row, min_size=m, max_size=m)), n
 
 
+small_ints = st.integers(-6, 6)
+nonzero_ints = small_ints.filter(bool)
+
+
+@st.composite
+def pivot_steps(draw, f, p, d):
+    """A row, a pivot row and an entering column for one _pivot_row step, with the
+    entering entry f and the pivots p and d drawn from the given strategies."""
+    n = draw(st.integers(1, 6))
+    row = draw(st.lists(small_ints, min_size=n, max_size=n))
+    prow = draw(st.lists(small_ints, min_size=n, max_size=n))
+    enter = draw(st.integers(0, n - 1))
+    row[enter] = draw(f)
+    p = draw(p)
+    return row, prow, p, draw(d) if d is not None else p, enter
+
+
+class TestPivotRow:
+    """Every branch of the fraction-free step is the Bareiss step (p·x - f·y) // d."""
+
+    unit = st.just(1)
+    general = st.integers(-6, 6).filter(lambda x: x not in (0, 1))
+
+    # d None: d = p
+    @pytest.mark.parametrize(
+        "f,p,d",
+        [
+            (st.just(1), unit, unit),
+            (st.just(-1), unit, unit),
+            (nonzero_ints.filter(lambda f: abs(f) != 1), unit, unit),
+            (nonzero_ints, general, nonzero_ints),
+            (nonzero_ints, unit, general),
+            (st.just(0), unit, None),
+            (st.just(0), general, None),
+            (st.just(0), general, st.just(1)),
+            (st.just(0), unit, general),
+        ],
+        ids=["unit f=1", "unit f=-1", "unit other f", "p not 1", "p=1 d not 1", "f=0 p=d=1", "f=0 p=d",
+             "f=0 d=1", "f=0 p=1"],
+    )
+    @settings(max_examples=25)  # per branch: each is one line of arithmetic
+    @given(data=st.data())
+    def test_bareiss_step(self, f, p, d, data):
+        row, prow, p, d, enter = data.draw(pivot_steps(f, p, d))
+        f = row[enter]
+        got = exact._pivot_row(row, prow, p, d, enter)
+        assert got == [(p * x - f * y) // d for x, y in zip(row, prow)]
+        if f == 0 and p == d:
+            assert got is row
+
+
 class TestLpAgainstReference:
     @given(lp_systems())
     def test_same_answer_as_fraction_simplex(self, system):
@@ -354,17 +422,21 @@ def outcome(result):
 
 
 def counting_pivots(monkeypatch):
-    """Replace exact._pivot_row by a wrapper that counts its row steps by kind:
-    "unit" (p = d = 1, the step with no scaling) or "general"."""
+    """Replace exact._pivot_row by a wrapper that counts its row steps twice: by kind,
+    "unit" (p = d = 1, the step with no scaling) or "general", and by the entering
+    entry f of the row, "±1", "0" or "other"."""
     counts = {"unit": 0, "general": 0}
+    entries = {"±1": 0, "0": 0, "other": 0}
     pivot_row = exact._pivot_row
 
     def counted(row, prow, p, d, enter):
         counts["unit" if p == d == 1 else "general"] += 1
+        f = row[enter]
+        entries["0" if f == 0 else "±1" if abs(f) == 1 else "other"] += 1
         return pivot_row(row, prow, p, d, enter)
 
     monkeypatch.setattr(exact, "_pivot_row", counted)
-    return counts
+    return counts, entries
 
 
 class TestTypeAWitnesses:
@@ -372,8 +444,10 @@ class TestTypeAWitnesses:
         # every infinite-type verdict on A3: the reachability rule's one integer LP and its
         # point summed over one denominator, against the Fraction LP loop on the Fraction
         # singular weights.  Every row step on the way has p = d = 1; their number was
-        # counted before that step had a branch of its own, so the pivots are the same
-        counts = counting_pivots(monkeypatch)
+        # counted before that step had a branch of its own, so the pivots are the same.
+        # Every entering entry is 0 or ±1, so each step that eliminates an entry is a
+        # plain row subtraction or addition
+        counts, entries = counting_pivots(monkeypatch)
         infinite = 0
         for roots in closed_subsets(a3):
             verdict = fk.theorem8_finite_type(a3, RootSubalgebra(a3, roots))
@@ -384,11 +458,12 @@ class TestTypeAWitnesses:
             assert outcome(reference_cones_intersect_trivially(*gens)) == outcome((False, verdict.witness))
         assert infinite == 168
         assert counts == {"unit": 3065, "general": 0}
+        assert entries == {"±1": 2144, "0": 921, "other": 0}
 
     def test_fractional_input_takes_the_general_step(self, monkeypatch):
         # the redundant-row case of TestLpAgainstReference.test_fixed_cases: scaled by 6,
         # so its pivots are not 1
-        counts = counting_pivots(monkeypatch)
+        counts, _ = counting_pivots(monkeypatch)
         eqs = [((F(1, 2), F(1, 3)), F(1)), ((F(1), F(2, 3)), F(2))]
         assert lp_feasible(eqs, 2) == reference_lp_feasible(eqs, 2)
         assert counts["general"] > 0
