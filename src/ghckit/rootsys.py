@@ -23,10 +23,10 @@ only ``positive_mask`` and ``negated`` know that the positive roots come
 first.  ``sums(a, b)``, the one image of root sums, reads that table for the
 mask of the roots x + y with x in mask a and y in mask b.  ``roots_of``
 builds the frozenset view of a mask from a table, built on first use, that
-holds the frozenset of each nibble value of each chunk of four root indices:
-it merges the stored set of each chunk that the mask meets, so no root is
-hashed again.  ``vector_order`` lists the root indices as the root vectors
-sort.
+holds the frozenset of each of the 64 values of each chunk of six root
+indices: it starts from the stored set of the first chunk that the mask
+meets and merges in that of each later one, so no root is hashed again.
+``vector_order`` lists the root indices as the root vectors sort.
 
 A weight enters through ``_weight_row``, once per call: it checks the length
 against ``ambient_dim`` and writes the weight as an integer row over one
@@ -204,12 +204,13 @@ class RootSystem:
         return self.index_mask(map(self.root_index, roots))
 
     def index_mask(self, indices: Iterable) -> int:
-        """The mask of root indices given from outside; raises InputError for a bad index."""
+        """The mask of root indices given from outside, each read by ``parse_integer``
+        (so neither a float nor a bool is an index); raises InputError for a bad index."""
         mask = 0
         for i in indices:
             try:
-                k = int(i)
-            except (TypeError, ValueError) as e:
+                k = parse_integer(i)
+            except InputError as e:
                 raise InputError(f"root index {i!r} is not an integer") from e
             if not 0 <= k < len(self.doubled_roots):
                 raise InputError(f"root index {i} out of range")
@@ -217,23 +218,27 @@ class RootSystem:
         return mask
 
     def roots_of(self, mask: int) -> frozenset[Vector]:
-        # a set merge reuses the hash stored with each entry, so no Fraction is hashed
+        """The frozenset of the roots of a mask from 0 to ``full_mask``."""
+        if not 0 <= mask <= self.full_mask:
+            raise InputError(f"root mask {mask} is out of range for {self.series}{self.rank}")
+        # a set merge reuses the hash stored with each entry, so no Fraction is hashed;
+        # the first chunk the mask meets gives its stored set as it is
         roots = frozenset()
-        for t in self._nibble_sets:
-            if mask & 15:
-                roots |= t[mask & 15]
-            mask >>= 4
+        for t in self._chunk_sets:
+            if mask & 63:
+                roots = roots | t[mask & 63] if roots else t[mask & 63]
+            mask >>= 6
         return roots
 
     @cached_property
-    def _nibble_sets(self) -> tuple[tuple[frozenset[Vector], ...], ...]:
-        """For each chunk of four root indices, from 4c on, the frozenset of the roots
-        of each nibble value: entry v holds all_roots[4c + b] for each set bit b of v.
-        A last chunk of r < 4 roots has the 2**r entries a mask can select."""
+    def _chunk_sets(self) -> tuple[tuple[frozenset[Vector], ...], ...]:
+        """For each chunk of six root indices, from 6c on, the frozenset of the roots
+        of each 6-bit value: entry v holds all_roots[6c + b] for each set bit b of v.
+        A last chunk of r < 6 roots has the 2**r entries a mask can select."""
         table = []
-        for c in range(0, len(self.all_roots), 4):
+        for c in range(0, len(self.all_roots), 6):
             sets = [frozenset()]
-            for a in self.all_roots[c : c + 4]:
+            for a in self.all_roots[c : c + 6]:
                 # the entries with this root's bit set: the earlier ones, each with the root added
                 single = frozenset((a,))
                 sets += [s | single for s in sets]

@@ -11,13 +11,16 @@ Root subsets are bitmasks over the canonical root order, and closure goes
 through ``RootSystem.sum_partners``, the one table of root sums, by one of
 two kernels.  ``shadow`` closes Gamma, which holds most of the roots, by
 testing the roots outside it (``_close_from_outside``); the enumeration of
-closed subsets closes a small closed set plus one root by walking the
-partners of the roots that join (``_close``).  ``closed_mask`` reads each
-pair of members once, from the later one's partners.  A decomposition holds
-the masks of its parts, and its JSON reads their bits; frozensets of
-Fraction epsilon-vectors are views built only for results:
-``RootSubalgebra.roots``, the parts of a decomposition, ``parabolic_pm``,
-``fernando_fk`` and ``closed_subsets``.
+closed subsets (``closed_masks``) walks each exclude chain in one loop and
+closes each include branch, a small closed set plus one root, by walking the
+partners of the roots that join, on the table's rows as bits, built once per
+call, until the first excluded root (``_close`` is the same walk on index
+pairs, run to the end).  ``closed_mask`` reads each pair of members once,
+from the later one's partners.  A decomposition holds the masks of its
+parts, and its JSON reads their bits; frozensets of Fraction
+epsilon-vectors are views built only for results: ``RootSubalgebra.roots``,
+the parts of a decomposition, ``parabolic_pm``, ``fernando_fk`` and
+``closed_subsets``.
 """
 
 from __future__ import annotations
@@ -52,18 +55,15 @@ def closed_mask(rs: RootSystem, mask: int) -> bool:
     return True
 
 
-def _close(rs: RootSystem, mask: int, queue: list[int], stop: int = 0) -> int:
+def _close(rs: RootSystem, mask: int, queue: list[int]) -> int:
     """The closure of mask under sums that are roots, where every sum of two roots
-    of mask outside the queue is already in mask; the queue is consumed.  It is -1
-    as soon as a root of stop would be added (roots of stop already in mask are kept):
-    ``closed_masks`` passes its excluded roots as stop.  The walk visits the partners
-    of every root that joins, so it suits a small closed mask and one more root."""
+    of mask outside the queue is already in mask; the queue is consumed.  The walk
+    visits the partners of every root that joins, so it suits a small closed mask
+    and one more root.  ``closed_masks`` runs the same walk inline."""
     partners = rs.sum_partners
     while queue:
         for j, k in partners[queue.pop()]:
             if mask >> j & 1 and not mask >> k & 1:
-                if stop >> k & 1:
-                    return -1
                 mask |= 1 << k
                 queue.append(k)
     return mask
@@ -255,25 +255,42 @@ def closed_masks(rs: RootSystem) -> Iterator[int]:
 
     Depth-first over the canonical root ordering: each root is either
     excluded outright or included together with everything its closure
-    forces; branches that would need an excluded root are pruned.  The
-    closure stops at the first excluded root it would add: chosen never meets
-    excluded and closures only grow, so this prunes as a full closure would.
+    forces; branches that would need an excluded root are pruned.  A popped
+    branch walks its exclude chain in one loop: at each root not yet chosen it
+    closes the include branch, as ``_close`` does, and pushes it if it
+    survives, then excludes the root and goes on; at the end of the chain it
+    yields chosen.  The closure stops at the first excluded root it would add:
+    chosen never meets excluded and closures only grow, so this prunes as a
+    full closure would.  The last-pushed include branch is popped first, so
+    the order is that of a stack holding each exclude branch above its
+    include branch.
     """
     n = len(rs.doubled_roots)
-    # (next root to decide, chosen, excluded); the exclude branch is pushed
-    # last so that it is explored first
+    # sum_partners as bits, once per call: root q + root j = root k is (1 << j, 1 << k) in row q
+    rows = [tuple((1 << j, 1 << k) for j, k in row) for row in rs.sum_partners]
+    # (next root to decide, chosen, excluded)
     stack = [(0, 0, 0)]
     while stack:
-        i, chosen, excluded = stack.pop()
-        while i < n and chosen >> i & 1:
-            i += 1
-        if i == n:
-            yield chosen
-            continue
-        c = _close(rs, chosen | 1 << i, [i], excluded)
-        if c >= 0:
-            stack.append((i + 1, c, excluded))
-        stack.append((i + 1, chosen, excluded | 1 << i))
+        start, chosen, excluded = stack.pop()
+        for i in range(start, n):
+            bit = 1 << i
+            if chosen & bit:
+                continue
+            c, queue = chosen | bit, [i]
+            while queue:
+                for jb, kb in rows[queue.pop()]:
+                    if c & jb and not c & kb:
+                        if excluded & kb:
+                            break
+                        c |= kb
+                        queue.append(kb.bit_length() - 1)
+                else:
+                    continue
+                break  # the closure met an excluded root: the include branch is pruned
+            else:
+                stack.append((i + 1, c, excluded))
+            excluded |= bit
+        yield chosen
 
 
 def closed_subsets(rs: RootSystem) -> Iterator[frozenset[Vector]]:

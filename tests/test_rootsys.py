@@ -405,16 +405,26 @@ def test_roots_of_builds_the_vector_set(key):
     rng = random.Random(n)
     masks = [0, rs.full_mask, rs.positive_mask, rs.negated(rs.positive_mask)]
     masks += [rng.getrandbits(n) for _ in range(10)] + [1 << rng.randrange(n) for _ in range(3)]
-    # masks whose highest root lies in the last chunk of four, a partial one unless 4 divides n,
-    # and sparse masks, which leave whole chunks empty
-    last = 4 * ((n - 1) // 4)
-    masks += [1 << n - 1, rs.full_mask >> last << last, rs.full_mask & ~(1 << last)]
+    # masks whose highest root lies in the last chunk of four or of six, a partial one unless 4
+    # or 6 divides n, masks that straddle each six-root chunk boundary, and sparse masks, which
+    # leave whole chunks empty
+    masks.append(1 << n - 1)
+    for width in (4, 6):
+        last = width * ((n - 1) // width)
+        masks += [rs.full_mask >> last << last, rs.full_mask & ~(1 << last)]
+    masks += [3 << c - 1 for c in range(6, n, 6)]
     masks += [1 << n - 1 | rng.getrandbits(n - 1) for _ in range(5)]
     masks += [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(5)]
     for mask in masks:
         got = rs.roots_of(mask)
         assert type(got) is frozenset
         assert got == frozenset(rs.all_roots[i] for i in rootsys.bits(mask))
+
+
+@pytest.mark.parametrize("mask", [1 << 6, -1, 1 << 40])
+def test_roots_of_rejects_a_mask_out_of_range(a2, mask):
+    with pytest.raises(InputError, match=f"root mask {mask} is out of range for A2"):
+        a2.roots_of(mask)
 
 
 def test_bits_match_the_bitwise_definition():

@@ -37,6 +37,12 @@ class TestRootSubalgebra:
             with pytest.raises(InputError, match="out of range"):
                 RootSubalgebra(a2, mask)
 
+    @pytest.mark.parametrize("index", [1.7, True], ids=["float", "bool"])
+    def test_index_that_is_not_an_integer_rejected(self, a2, index):
+        # int() would read both as root 1
+        with pytest.raises(InputError, match=f"root index {index!r} is not an integer"):
+            RootSubalgebra.from_indices(a2, [index])
+
 
 class TestShadow:
     def test_full_subalgebra_is_all_f(self, a2):
@@ -127,6 +133,23 @@ EXHAUSTIVE = [("A", 2), ("C", 2), ("G", 2), ("B", 3), ("C", 3)]
 
 def _type_id(key):
     return f"{key[0].lower()}{key[1]}"
+
+
+def reference_closed_masks(rs):
+    n = len(rs.all_roots)
+    # (next root to decide, chosen, excluded); the exclude branch is pushed last, so it is popped first
+    stack = [(0, 0, 0)]
+    while stack:
+        i, chosen, excluded = stack.pop()
+        while i < n and chosen >> i & 1:
+            i += 1
+        if i == n:
+            yield chosen
+            continue
+        c = shadow._close(rs, chosen | 1 << i, [i])
+        if not c & excluded:
+            stack.append((i + 1, c, excluded))
+        stack.append((i + 1, chosen, excluded | 1 << i))
 
 
 class TestShadowInvariantsExhaustive:
@@ -287,26 +310,12 @@ class TestClosedSubsetEnumeration:
         assert len(masks) == count
         assert hashlib.sha256(json.dumps(masks, separators=(",", ":")).encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("key", [("B", 3), ("D", 4)], ids=_type_id)
-    def test_close_stops_at_the_stop_mask(self, key):
-        # from a closed mask and one more root, a stop mask disjoint from both gives -1
-        # exactly when the full closure meets it, and the full closure otherwise
+    @pytest.mark.parametrize("key", [k for k in ALL_TYPES if rootsys.root_count(*k) <= 24], ids=_type_id)
+    def test_walk_matches_the_full_closure_dfs(self, key):
+        # every mask, in order, against the depth-first search with a stack entry per branch that
+        # closes each include branch in full and prunes it iff the closure meets the excluded roots
         rs = rootsys.build(*key)
-        rng = random.Random(14)
-        n = len(rs.all_roots)
-        masks = list(shadow.closed_masks(rs))
-        outcomes = set()
-        for mask in rng.sample(masks, 300):
-            if mask == rs.full_mask:
-                continue
-            i = rng.choice([j for j in range(n) if not mask >> j & 1])
-            start = mask | 1 << i
-            stop = rs.index_mask(j for j in range(n) if not start >> j & 1 and rng.random() < rng.random())
-            full = shadow._close(rs, start, [i])
-            got = shadow._close(rs, start, [i], stop)
-            assert got == (-1 if full & stop else full), (key, bits(mask), i, bits(stop))
-            outcomes.add(got < 0)
-        assert outcomes == {False, True}
+        assert list(shadow.closed_masks(rs)) == list(reference_closed_masks(rs))
 
     def test_json_round_trip(self, a2):
         sub = make(a2, [V(1, -1, 0), neg(V(1, -1, 0))])
