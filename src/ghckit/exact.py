@@ -8,7 +8,7 @@ immutable, so all operations are pure and safe for concurrent use.
 Elimination runs on integers, by one fraction-free step, ``_pivot_row``.
 The LP behind the cone queries reads integer input as it is and scales any
 other input by the lcm of its denominators, keeps the tableau as an integer
-matrix whose rows share one denominator up to that scale, pivots it with
+matrix whose rows share one denominator, pivots it with
 that step under Bland's rule, and turns back to Fractions only for the
 solution.  ``_reduce`` is Gauss-Jordan by the same step: ``nullspace`` (and
 ``solve_linear`` through it) scale their rows to integers the same way and
@@ -124,18 +124,15 @@ def parse_vector(items: Sequence) -> Vector:
 # LP feasibility: two-phase simplex, Bland's anti-cycling rule
 
 
-def _integer_rows(equalities: Sequence[tuple[Sequence, object]]) -> tuple[list[list[int]], int]:
-    """The rows [coeffs..., rhs] as integers, and the factor L they were scaled by.
-
-    All-int input is read as it is (L = 1); any other rationals are scaled by
-    the lcm L of their denominators.
-    """
+def _integer_rows(equalities: Sequence[tuple[Sequence, object]]) -> list[list[int]]:
+    """The rows [coeffs..., rhs] as integers: all-int input is read as it is, and
+    any other rationals are scaled by the lcm of their denominators."""
     rows = [[*coeffs, rhs] for coeffs, rhs in equalities]
     if set(map(type, chain.from_iterable(rows))) <= {int}:
-        return rows, 1
+        return rows
     rows = [[c if isinstance(c, (int, Fraction)) else Fraction(c) for c in row] for row in rows]
     scale = lcm(*(c.denominator for row in rows for c in row))
-    return [[c.numerator * (scale // c.denominator) for c in row] for row in rows], scale
+    return [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
 
 
 def lp_feasible(
@@ -150,7 +147,7 @@ def lp_feasible(
     same tableau.
 
     Inside, the phase-1 tableau (n structural columns, m artificial columns,
-    rhs; rows negated where rhs < 0) is the integer rows with L on the
+    rhs; rows negated where rhs < 0) is the integer rows with 1 on the
     artificial diagonal, pivoted fraction-free
     (Edmonds 1967; Bareiss 1968): a pivot p at (r, s) keeps row r and sets
     a_ij <- (p·a_ij - a_is·a_rj) // d for every other row, then d <- p, where
@@ -158,8 +155,7 @@ def lp_feasible(
     every entry is a minor of the scaled input matrix; when p = d = 1 the
     step skips the scaling and is a_ij - a_is·a_rj (see ``_pivot_row``).
     Row i then stands for the rational row a_i / a_i[basis[i]], with a
-    positive denominator (d, or d·L while the row still has its own
-    artificial basic), so signs and ratios read straight off the integers.
+    positive denominator d, so signs and ratios read straight off the integers.
     Pivoting uses Bland's rule, with the ratio test done by
     cross-multiplication and ties broken by the smaller basis index, so the
     run always terminates and takes the same pivots as the same simplex run
@@ -177,7 +173,7 @@ def lp_feasible(
     m = len(equalities)
     if m == 0:
         return [Fraction(0)] * n
-    rows, scale = _integer_rows(equalities)
+    rows = _integer_rows(equalities)
     # the equality rows with rhs >= 0
     tab = [ints if ints[-1] >= 0 else list(map(neg, ints)) for ints in rows]
     # phase-1 objective: minimize the sum of artificials.  Its reduced-cost
@@ -188,7 +184,7 @@ def lp_feasible(
     # tableau rows: n structural columns, m artificial columns, rhs
     for i, ints in enumerate(tab):
         art = [0] * m
-        art[i] = scale
+        art[i] = 1
         ints[n:n] = art
     basis = [n + i for i in range(m)]
 
@@ -295,7 +291,7 @@ def nullspace(rows: Sequence[Sequence]) -> list[Vector]:
     if not rows:
         raise InputError("nullspace needs at least one row to fix the dimension")
     n = len(rows[0])
-    a, _ = _integer_rows([(row, 0) for row in rows])
+    a = _integer_rows([(row, 0) for row in rows])
     pivots, d = _reduce(a, n)
     pivot_cols = {pc for _, pc in pivots}
     basis = []

@@ -25,7 +25,9 @@ rows and builds its Fraction weight once, at the end.
 The k-type series owns its rules: the bound ``MAX_M`` on max_m and on
 |lambda(h)|, which keeps the partition table an explicit input error rather
 than a memory exhaustion, and the minimal k-type lambda(h) - 2
-(``KTypeSeries.minimal_ktype``).
+(``KTypeSeries.minimal_ktype``).  Its integer arguments, max_m and the m of
+``a1_multiplicity`` and ``euler_rhs``, are read by ``exact.parse_integer``,
+so a bool or a float is an input error.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from operator import sub
 from types import MappingProxyType
 
 from .errors import InputError, InternalError
-from .exact import Vector, format_rational
+from .exact import Vector, format_rational, parse_integer
 from .rootsys import RootSystem, _dot, _integral, _weight_row, height_distribution
 
 # bound on a k-type series' max_m and |lambda(h)|: the slowest series within
@@ -96,8 +98,6 @@ class PrincipalData:
             raise InternalError("no eigenvalue-2 line to carve the sl(2) raising vector from")
         kperp = dict(nbar)
         kperp[2] -= 1
-        if kperp[2] == 0:
-            del kperp[2]
         exps = tuple(exponents(rs))
         if sum(2 * e + 1 for e in exps) != len(rs.doubled_roots) + rs.rank:
             raise InternalError("exponents do not add up to dim g")
@@ -179,7 +179,8 @@ def _minimal_ktype(lh: Fraction) -> int | None:
 def a1_multiplicity(pd: PrincipalData, m: int, lam: Vector) -> int:
     """Multiplicity of the (m+1)-dimensional sl(2)-type in the first
     derived-functor module attached to a non-integral weight."""
-    if m < 0 or int(m) != m:
+    m = parse_integer(m)
+    if m < 0:
         raise InputError("m must be a nonnegative integer")
     lh = _nonintegral_lambda_h(pd, lam)
     val = partition_P(pd.nbar_kperp_multiset, m - lh + 2) - partition_P(
@@ -208,6 +209,7 @@ def euler_rhs(pd: PrincipalData, m: int, lam: Vector) -> int:
     lambda(h).  All terms are read from one partition table up to the
     largest target, m + 2 - lambda(h).
     """
+    m = parse_integer(m)
     if m < 0:
         raise InputError("m must be a nonnegative integer")
     lh = pd.lambda_h(lam)
@@ -250,6 +252,7 @@ def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
     """a1_multiplicity for m = 0 .. max_m, read from pd's k-perp partition
     table, which reaches the largest target, max_m - lambda(h) + 2; both
     max_m and |lambda(h)| are bounded by MAX_M."""
+    max_m = parse_integer(max_m)
     if max_m < 0:
         raise InputError("max_m must be nonnegative")
     if max_m > MAX_M:

@@ -20,7 +20,9 @@ from the later one's partners.  A decomposition holds the masks of its
 parts, and its JSON reads their bits; frozensets of Fraction
 epsilon-vectors are views built only for results: ``RootSubalgebra.roots``,
 the parts of a decomposition, ``parabolic_pm``, ``fernando_fk`` and
-``closed_subsets``.
+``closed_subsets``.  A support shape grows only from newly reached points,
+in doubled integer coordinates, up to ``MAX_SUPPORT_POINTS`` points; more is
+an input error.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .exact import Vector
+from .exact import Vector, parse_integer
 from .rootsys import RootSystem, bits
 
 # bound on the points support_shape builds, counted as base points times gamma-sums: from one
@@ -226,7 +228,9 @@ def support_shape(
     truncation_radius: int,
 ) -> frozenset[Vector]:
     """Truncated support: base points shifted by Gamma-sums of total
-    coefficient at most truncation_radius."""
+    coefficient at most truncation_radius, an integer read by
+    ``exact.parse_integer`` (a bool or a float is an input error)."""
+    truncation_radius = parse_integer(truncation_radius)
     if truncation_radius < 0:
         raise InputError("truncation radius must be nonnegative")
     rs = sd.rs

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -309,6 +310,15 @@ README_EXAMPLES = [
     ),
     ("census --series A --rank 2 --dedup", {"series": "A", "rank": 2, "dedup": True}),
 ]
+
+
+def test_readme_lists_the_examples():
+    # verbatim, as tools/check_cli.py reads and runs them
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "check_cli.py")
+    spec = importlib.util.spec_from_file_location("check_cli", path)
+    check_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_cli)
+    assert check_cli.readme_invocations() == [argv for argv, _ in README_EXAMPLES]
 
 
 class TestDeterminism:

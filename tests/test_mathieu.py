@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -125,6 +126,11 @@ class TestSpDegree:
         with pytest.raises(InputError):
             mathieu.sp_degree([1, 0])
 
+    def test_one_entry_has_no_companion_system(self):
+        # (1/2) is bounded, but D1 is no root system
+        with pytest.raises(InputError, match="rank >= 2"):
+            mathieu.sp_degree([F(1, 2)])
+
     def test_integrality_grid(self):
         # exhaustive over bounded weights with entries up to 21/2, rank <= 4:
         # the halved dimension must always come out a positive integer
@@ -159,6 +165,11 @@ class TestSpDegree:
 class TestSlDegree:
     def test_trivial_module(self):
         assert mathieu.sl_degree([F(1, 3), F(1, 3)]) == 1
+
+    def test_one_entry_and_none(self):
+        assert mathieu.sl_degree([F(1, 3)]) == 1
+        with pytest.raises(InputError, match="at least one entry"):
+            mathieu.sl_degree([])
 
     def test_non_dominant_rejected(self):
         with pytest.raises(InputError):
@@ -229,6 +240,11 @@ class TestDescriptor:
         assert not mathieu.degree_constancy_check(d, [[F(3, 2), F(-1, 2)]])
         d2 = mathieu.CoherentFamilyDescriptor.from_weight([F(5, 2), F(1, 2)])
         assert not mathieu.degree_constancy_check(d2, [[F(5, 2), F(-1, 2)]])
+        # a stored degree that the representative does not give, and a sample of the same degree 9
+        # outside the class
+        assert not mathieu.degree_constancy_check(dataclasses.replace(d, degree=7), [])
+        assert mathieu.sp_degree([F(7, 2), F(5, 2)]) == d2.degree
+        assert not mathieu.degree_constancy_check(d2, [[F(7, 2), F(5, 2)]])
 
     @pytest.mark.parametrize("point", [[F(3, 2)], [F(5, 2), F(3, 2), F(1, 2)]])
     def test_degree_constancy_sample_of_another_length(self, point):

@@ -237,6 +237,13 @@ class TestA1Multiplicity:
         with pytest.raises(InputError):
             a1_multiplicity(pd, -1, lam)
 
+    @pytest.mark.parametrize("m", [True, 2.0, 1.5])
+    def test_bool_or_float_m_rejected(self, a2, m):
+        pd = PrincipalData.build(a2)
+        lam = principal.find_nonintegral_weight(pd, 2)
+        with pytest.raises(InputError, match="expected an integer"):
+            a1_multiplicity(pd, m, lam)
+
 
 class TestEuler:
     def test_a2_examples(self, a2):
@@ -245,6 +252,18 @@ class TestEuler:
         assert euler_rhs(pd, 0, lam) == -1
         assert euler_rhs(pd, 2, lam) == -1
         assert euler_rhs(pd, 1, lam) == 0
+
+    def test_nonintegral_lambda_h_gives_zero(self, a2):
+        pd = PrincipalData.build(a2)
+        lam = principal.find_nonintegral_weight(pd, F(7, 2))
+        assert [euler_rhs(pd, m, lam) for m in range(4)] == [0] * 4
+
+    @pytest.mark.parametrize("m", [True, 2.0, 1.5])
+    def test_bool_or_float_m_rejected(self, a2, m):
+        pd = PrincipalData.build(a2)
+        lam = principal.find_nonintegral_weight(pd, 2)
+        with pytest.raises(InputError, match="expected an integer"):
+            euler_rhs(pd, m, lam)
 
     def test_matches_direct_formula(self):
         for key in RANK23:
@@ -327,6 +346,14 @@ class TestBounds:
         with pytest.raises(InputError, match=f"^max_m {MAX_M + 1} exceeds the bound {MAX_M}$"):
             principal.ktype_series(pd, lam, MAX_M + 1)
         assert "_kperp_table" not in vars(pd)
+
+    @pytest.mark.parametrize("max_m", [True, 2.0, 2.5])
+    def test_bool_or_float_max_m_rejected(self, max_m):
+        # a bool would be read as 1 and echoed as "truncation": true
+        pd = self.fresh()
+        lam = principal.find_nonintegral_weight(pd, 4)
+        with pytest.raises(InputError, match="expected an integer"):
+            principal.ktype_series(pd, lam, max_m)
 
     @pytest.mark.parametrize("target", [MAX_M + 1, -MAX_M - 1, F(2 * MAX_M + 1, 2)])
     def test_lambda_h_above_bound(self, target):

@@ -128,7 +128,7 @@ def test_rank_cap(monkeypatch):
     assert len(rootsys.build("A", 9).all_roots) == 90
 
 
-@pytest.mark.parametrize("value, match", [("1_0", "must be an integer, got '1_0'"), ("-5", "-5 is negative")])
+@pytest.mark.parametrize("value, match", [("1_0", "must be an integer, got '1_0'"), ("-5", "-5 is negative"), ("-1", "-1 is negative")])
 def test_rank_cap_malformed(monkeypatch, value, match):
     # the CLI's integer rule: int reads "1_0" as 10; and a negative cap bounds nothing
     monkeypatch.setenv("GHC_MAX_RANK", value)

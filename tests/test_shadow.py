@@ -37,6 +37,12 @@ class TestRootSubalgebra:
             with pytest.raises(InputError, match="out of range"):
                 RootSubalgebra(a2, mask)
 
+    @pytest.mark.parametrize("index", [-1, 6])
+    def test_index_out_of_range_rejected(self, a2, index):
+        # A2 has 6 roots, so 6 is the first index past them
+        with pytest.raises(InputError, match=f"^root index {index} out of range$"):
+            a2.index_mask([index])
+
     @pytest.mark.parametrize("index", [1.7, True], ids=["float", "bool"])
     def test_index_that_is_not_an_integer_rejected(self, a2, index):
         # int() would read both as root 1
@@ -251,6 +257,21 @@ class TestSupportShape:
         base = [tuple(F(k) for _ in range(5)) for k in range(shadow.MAX_SUPPORT_POINTS)]
         with pytest.raises(InputError):
             support_shape(sd, base, 1)
+
+    def test_bound_holds_exactly_max_support_points(self, a1):
+        # the A1 Cartan at radius 2 shifts each base point by 0, ±a and ±2a: 5 points each,
+        # distinct over base points (k, k), so 4,000 of them reach the bound exactly
+        sd = shadow.shadow(a1, make(a1, []))
+        base = [V(k, k) for k in range(shadow.MAX_SUPPORT_POINTS // 5 + 1)]
+        assert len(support_shape(sd, base[:-1], 2)) == shadow.MAX_SUPPORT_POINTS
+        with pytest.raises(InputError, match="exceeds"):
+            support_shape(sd, base, 2)
+
+    @pytest.mark.parametrize("radius", [-1, True, 1.0, 1.5])
+    def test_radius_must_be_a_nonnegative_integer(self, a1, radius):
+        sd = shadow.shadow(a1, make(a1, []))
+        with pytest.raises(InputError, match="nonnegative|expected an integer"):
+            support_shape(sd, (V(0, 0),), radius)
 
     @given(radius=st.integers(min_value=0, max_value=3))
     @settings(deadline=None, max_examples=10)
