@@ -223,7 +223,19 @@ def run(request: dict) -> tuple[dict, int]:
 
 
 def _emit(doc: dict, out: TextIO) -> None:
-    out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    """Write doc as one line to out, through its binary stream when it has one.  An
+    unbuffered stream's raw write may take only part of the bytes, as it does once the
+    reader of a pipe is gone, and the text layer drops the rest without an error; the
+    loop writes on until every byte is taken or the write raises."""
+    line = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    raw = getattr(out, "buffer", None)
+    if raw is None:  # a text-only stream, such as io.StringIO
+        out.write(line)
+        return
+    out.flush()  # text written to out before goes first
+    data = memoryview(line.encode())
+    while data:
+        data = data[raw.write(data) :]
 
 
 def _parser():

@@ -3,14 +3,15 @@
 Classical series are realized in the usual coordinate ambients (A_n inside
 an (n+1)-dimensional space with sum-zero roots, C_n with simple roots
 e1-e2, ..., e_{n-1}-e_n, 2e_n); exceptional types use the standard
-coordinate simple roots and everything is generated by reflection closure.
+coordinate simple roots, and the positive roots are generated from the simple
+ones height by height along simple-root strings.
 ``root_count`` reads the one table of simple types and their root counts.
 
 The simple roots are written as doubled integer rows, so that every root is
 an integer row too.  A ``RootSystem`` stores only integer tables: the Cartan
 matrix, the doubled roots ``doubled_roots``, their simple-root coordinates and
-the doubled simple roots, all from a reflection closure on integer
-simple-root coordinates.  The Fraction ``all_roots``, ``positive_roots``,
+the doubled simple roots, all grown height by height on integer simple-root
+coordinates, with no Fraction.  The Fraction ``all_roots``, ``positive_roots``,
 ``simple_roots``, ``fundamental_weights`` (by a fraction-free inverse of the
 Cartan matrix, ``exact._reduce``) and the root index behind ``root_index``
 are views built on first use, for the JSON boundary and the public
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError
@@ -59,7 +60,8 @@ from .exact import Vector, _reduce, dot, format_vector, parse_integer, vscale
 
 DEFAULT_MAX_RANK = 8
 # GHC_MAX_RANK may raise the cap this far: C32 and D32, the slowest rank-32 builds, take
-# about 0.9 s (Python 3.11, one core of a 2-core x86-64 VM), and D48 already takes 3 s
+# 0.02-0.04 s (Python 3.11, one core of a 2-core x86-64 VM) and D48 about 0.08 s, but a
+# root-system request at rank 32 takes about 0.3 s, most of it the Fraction views and JSON
 MAX_RANK_CEILING = 32
 
 # the simple types and their numbers of roots: a classical series counts its roots by
@@ -348,7 +350,8 @@ class RootSystem:
 
 
 def build(series: str, rank: int) -> RootSystem:
-    """Construct the root system by reflection closure from the simple roots.
+    """Construct the root system from the simple roots, growing the positive
+    roots one height at a time along simple-root strings.
 
     Root ordering is canonical: positive roots sorted by (height, coords),
     then the negatives in the matching order; this ordering backs the root
@@ -368,31 +371,36 @@ def _construct(series: str, rank: int) -> RootSystem:
     # <a_i, a_j^vee> = 2(a_i, a_j)/(a_j, a_j) is the same ratio on doubled roots
     doubled, dim = _simple_roots(series, rank)
     cartan = tuple(tuple(2 * _dot(a, b) // _dot(b, b) for b in doubled) for a in doubled)
-    # reflection closure on integer simple-root coordinates c:
-    # s_i(b) = b - <b, a_i^vee> a_i, with <b, a_i^vee> = sum_j c_j cartan[j][i]
+    # the positive roots level by level (Humphreys, Lie algebras, 9.4 and 10.2): for a
+    # positive root b and a simple root a_i, with p the length of the a_i-string below b,
+    # b + a_i is a root iff p > <b, a_i^vee>, and the string is unbroken, so iff that
+    # pairing is negative or b - (<b, a_i^vee> + 1) a_i is a positive root.  A root is
+    # keyed by its coordinates c packed as sum_j c_j << 6j, as in sum_partners (a
+    # coordinate taken below 0 borrows, into a code that keys no root), and carries its
+    # doubled row, c and its pairings with the simple coroots, each its parent's plus
+    # that of a_i
+    steps = [1 << 6 * i for i in range(rank)]
     units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    seen = set(units)
-    frontier = units
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i in range(rank):
-                p = sum(cj * row[i] for cj, row in zip(c, cartan))
-                if p:
-                    refl = c[:i] + (c[i] - p,) + c[i + 1:]
-                    if refl not in seen:
-                        seen.add(refl)
-                        nxt.append(refl)
-        frontier = nxt
+    simple = list(zip(range(rank), steps, doubled, units, cartan))
+    level = list(zip(doubled, units, cartan, steps))
+    seen = set(steps)
+    positive = []
+    while level:
+        # sorting a level on doubled epsilon-coordinates orders it as the Fraction roots sort
+        level.sort()
+        positive += level
+        nxt = {}
+        for a, c, pairings, code in level:
+            for i, step, d, u, row in simple:
+                m = pairings[i]
+                if (m < 0 or code - (m + 1) * step in seen) and code + step not in nxt:
+                    nxt[code + step] = (tuple(map(add, a, d)), tuple(map(add, c, u)), tuple(map(add, pairings, row)),
+                                        code + step)
+        seen.update(nxt)
+        level = list(nxt.values())
 
-    # sorting on doubled epsilon-coordinates orders roots as their Fraction coordinates do
-    positive = sorted(
-        (sum(c), tuple(sum(cj * a[k] for cj, a in zip(c, doubled)) for k in range(dim)), c)
-        for c in seen
-        if min(c) >= 0
-    )
     # the positive roots, then their negatives in the same order
-    _, doubled_roots, coords = zip(*positive)
+    doubled_roots, coords, _, _ = zip(*positive)
     doubled_roots += tuple(tuple(-x for x in a) for a in doubled_roots)
     coords += tuple(tuple(-x for x in c) for c in coords)
 

@@ -238,13 +238,18 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["code"] == 2
 
+    @staticmethod
+    def buffering_env(unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        return env
+
     @pytest.mark.parametrize("unbuffered", ["1", ""])
     def test_closed_stdout_pipe(self, unbuffered):
         # the read end is closed before the child starts, so its first write meets a broken
         # pipe: in write() when unbuffered, else in the flush of the buffered document
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = unbuffered
+        env = self.buffering_env(unbuffered)
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -259,6 +264,29 @@ class TestExitCodes:
             os.close(write_end)
         assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
         assert proc.stderr == b""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_reader_closes_after_100_bytes(self, unbuffered, tmp_path):
+        # the A4 census is 1.5 MB, far more than a pipe holds, so the reader goes while the
+        # document is being written: unbuffered, a raw write then takes only part of it,
+        # and the rest must still be written, to meet the broken pipe
+        with open(tmp_path / "stderr", "w+b") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "ghckit", "census", "--series", "A", "--rank", "4"],
+                stdout=subprocess.PIPE,
+                stderr=err,
+                env=self.buffering_env(unbuffered),
+            )
+            head = b""
+            while len(head) < 100 and (chunk := os.read(proc.stdout.fileno(), 100 - len(head))):
+                head += chunk
+            proc.stdout.close()
+            try:
+                code = proc.wait(timeout=120)
+            finally:
+                proc.kill()
+            err.seek(0)
+            assert (len(head), code, err.read()) == (100, cli.EXIT_BROKEN_PIPE, b"")
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_TYPES, VIEWS, V, neg, solve_linear, sum_table
+from reference_rootsys import reference_construct
 from ghckit import rootsys
 from ghckit.errors import InputError, InternalError
 from ghckit.exact import dot, vadd, vscale, vzero
@@ -57,6 +58,13 @@ def test_copy_compares_and_hashes_by_integer_tables(key):
     assert [v for v in VIEWS if v in vars(rs)] == before and not any(v in vars(copy) for v in VIEWS)
     # the copy builds its own views, equal to the cached system's
     assert all(getattr(copy, v) == getattr(rs, v) for v in VIEWS)
+
+
+@pytest.mark.parametrize("key", ALL_TYPES + [("B", 1), ("C", 1)] + [(s, 12) for s in "ABCD"])
+def test_construct_matches_reflection_closure(key):
+    # the level-by-level build against the reflection closure it replaced, field for field
+    built, want = rootsys._construct.__wrapped__(*key), reference_construct(*key)
+    assert {f: getattr(built, f) for f in FIELDS} == {f: getattr(want, f) for f in FIELDS}
 
 
 @pytest.mark.parametrize("key", [("A", 8), ("C", 8), ("E", 8), ("G", 2)])

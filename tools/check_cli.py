@@ -83,11 +83,15 @@ DIGESTS = [
 ]
 
 
-def run(command, stdin=None, env=None):
+def child_env(env=None):
     paths = [str(ROOT / p) for p in ("src", "tools", "tests")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    # buffered: an unbuffered stdout drops the rest of a write to a closed pipe with no error, so closed_pipe would pass
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), "PYTHONUNBUFFERED": "", **(env or {})}
-    return subprocess.run(command, input=stdin and stdin.encode(), capture_output=True, timeout=TIMEOUT, env=env)
+    # buffered unless a check asks otherwise: closed_pipe reads the buffered path, closed_pipe_unbuffered the other
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), "PYTHONUNBUFFERED": "", **(env or {})}
+
+
+def run(command, stdin=None, env=None):
+    return subprocess.run(command, input=stdin and stdin.encode(), capture_output=True, timeout=TIMEOUT,
+                          env=child_env(env))
 
 
 def ask(ghckit, request, env=None):
@@ -142,6 +146,26 @@ def closed_pipe(ghckit):
     """A reader that closes stdout after 100 bytes gets no traceback on stderr."""
     p = run(["sh", "-c", '"$@" census --series A --rank 4 | head -c 100 > /dev/null', "sh", *ghckit])
     assert b"Traceback" not in p.stderr, p
+
+
+def closed_pipe_unbuffered(ghckit):
+    """With PYTHONUNBUFFERED=1, a reader that closes stdout after 100 bytes of the 1.5 MB A4 census makes ghckit
+    itself exit 141 with nothing on stderr: an unbuffered raw write takes part of the document, and the rest must
+    still be written, to meet the broken pipe."""
+    with tempfile.TemporaryFile() as err:
+        p = subprocess.Popen([*ghckit, "census", "--series", "A", "--rank", "4"], stdout=subprocess.PIPE, stderr=err,
+                             env=child_env({"PYTHONUNBUFFERED": "1"}))
+        head = b""
+        while len(head) < 100 and (chunk := os.read(p.stdout.fileno(), 100 - len(head))):
+            head += chunk
+        p.stdout.close()
+        try:
+            code = p.wait(timeout=TIMEOUT)
+        finally:
+            p.kill()
+        err.seek(0)
+        stderr = err.read()
+    assert (len(head), code, stderr) == (100, 141, b""), (len(head), code, stderr[-600:])
 
 
 def library(name, env):
@@ -211,17 +235,24 @@ def rank4_shadows():
 
 def rank32():
     """The classical series at the rank ceiling, where the Cartan inverse runs its longest elimination and coroot
-    order differs most from root order: <w_i, a_j^vee> = delta_ij, V(0) = 1, V(w_1) standard, V(rho) = 2^|R+|."""
+    order differs most from root order: the build equals the reflection closure it replaced, field for field, and
+    <w_i, a_j^vee> = delta_ij, V(0) = 1, V(w_1) standard, V(rho) = 2^|R+|."""
+    from dataclasses import fields
+    from reference_rootsys import reference_construct
     from ghckit import rootsys
 
     for series, standard in zip("ABCD", (33, 65, 64, 64)):
         rs = rootsys.build(series, 32)
+        want = reference_construct(series, 32)
+        for f in fields(rs):
+            assert getattr(rs, f.name) == getattr(want, f.name), (series, f.name)
         for i, w in enumerate(rs.fundamental_weights):
             assert [rs.pairing(w, a) for a in rs.simple_roots] == [int(j == i) for j in range(32)], (series, i)
         zero = (0,) * rs.ambient_dim
         assert rootsys.weyl_dim(rs, rs.rho()) == 2 ** len(rs.coroot_coords), series
         assert (rootsys.weyl_dim(rs, zero), rootsys.weyl_dim(rs, rs.fundamental_weights[0])) == (1, standard), series
-    return "A32, B32, C32 and D32: <w_i, a_j^vee> = delta_ij, V(0) = 1, V(w_1) = 33, 65, 64, 64, V(rho) = 2^|R+|"
+    return ("A32, B32, C32 and D32: the reflection closure's tables, <w_i, a_j^vee> = delta_ij, V(0) = 1, "
+            "V(w_1) = 33, 65, 64, 64, V(rho) = 2^|R+|")
 
 
 LIBRARY = [("a5_closures", {}), ("rank4_shadows", {}), ("rank32", {"GHC_MAX_RANK": "32"})]
@@ -232,7 +263,7 @@ def main(ghckit):
         sys.exit("the checks are asserts: run without -O")
     tables = (exits_2, EXIT_2), (pin, PINS), (digest, DIGESTS)
     checks = [(f"{f.__name__} {row[0][:60]}", partial(f, ghckit, *row)) for f, table in tables for row in table]
-    checks += [(f.__name__, partial(f, ghckit)) for f in (request_file, readme, closed_pipe)]
+    checks += [(f.__name__, partial(f, ghckit)) for f in (request_file, readme, closed_pipe, closed_pipe_unbuffered)]
     checks += [(name, partial(library, name, env)) for name, env in LIBRARY]
     failed = 0
     for name, check in checks:
