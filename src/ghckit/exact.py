@@ -15,13 +15,13 @@ solution.  ``_reduce`` is Gauss-Jordan by the same step: ``nullspace`` (and
 reduce them with it, ``rootsys`` inverts the Cartan matrix with it, and
 ``fk`` compares the ranks of integer toral rows with it.  A step whose pivot
 and previous pivot are both 1 (every step of the type-A LPs that ``fk``
-runs) skips the scaling and runs in C, through ``map``: a row subtraction
-when the row's entering entry is 1, an addition when it is -1 (every such
-step of those LPs is one of the two), and a subtraction of a ``map``-scaled
-pivot row otherwise.  The cone queries pass their generators through
-unchanged, so integer generators (as ``fk`` and ``shadow`` give them) reach
-the simplex with no Fraction built on the way, and a solution or point
-entry over denominator 1 is built as a one-argument Fraction.
+runs) and whose row's entering entry is 1 or -1 (every such step of those
+LPs that changes its row) skips the scaling and runs in C, through ``map``:
+a row subtraction for 1, an addition for -1.  The cone queries pass their
+generators through unchanged, so integer generators (as ``fk`` and
+``shadow`` give them) reach the simplex with no Fraction built on the way,
+and a solution or point entry over denominator 1 is built as a one-argument
+Fraction.
 
 ``cone_witness`` is the one LP behind the two-cone test: it asks for a
 common point whose coordinate k is +1 or -1 and returns it as a
@@ -234,11 +234,12 @@ def _pivot_row(row: list[int], prow: list[int], p: int, d: int, enter: int) -> l
     (p·x - f·y) // d for each entry x of row and y of prow, where f is the
     row's entry in the entering column.
 
-    When p = d = 1 there is no scaling, and the step runs in C: x - y for
-    f = 1 and x + y for f = -1 through ``map`` over the two rows, and
-    x - f·y through ``map`` with ``f.__mul__`` for any other f.  A row
-    with f = 0 comes back as it is (the same list) when p = d, and as
-    p·x // d otherwise.
+    When p = d = 1 and f = ±1, as in every step of the type-A LPs that
+    ``fk`` runs that changes its row, there is no scaling, and the step runs
+    in C: x - y for f = 1 and x + y for f = -1, through ``map`` over the two
+    rows.  Any other nonzero f takes the general line.  A row with f = 0
+    comes back as it is (the same list) when p = d, and as p·x // d
+    otherwise.
     """
     f = row[enter]
     if f:
@@ -247,7 +248,6 @@ def _pivot_row(row: list[int], prow: list[int], p: int, d: int, enter: int) -> l
                 return list(map(sub, row, prow))
             if f == -1:
                 return list(map(add, row, prow))
-            return list(map(sub, row, map(f.__mul__, prow)))
         return [(p * x - f * y) // d for x, y in zip(row, prow)]
     if p == d:
         return row

@@ -11,11 +11,13 @@ The simple roots are written as doubled integer rows, so that every root is
 an integer row too.  A ``RootSystem`` stores only integer tables: the Cartan
 matrix, the doubled roots ``doubled_roots``, their simple-root coordinates and
 the doubled simple roots, all grown height by height on integer simple-root
-coordinates, with no Fraction.  The Fraction ``all_roots``, ``positive_roots``,
-``simple_roots``, ``fundamental_weights`` (by a fraction-free inverse of the
-Cartan matrix, ``exact._reduce``) and the root index behind ``root_index``
-are views built on first use, for the JSON boundary and the public
-Fraction API; equality and hashing compare the integer tables.
+coordinates, with no Fraction.  ``to_json`` writes the doubled rows as
+they are, each even entry x as x // 2 and each odd one as "x/2".  The
+Fraction ``all_roots``, ``positive_roots``, ``simple_roots``,
+``fundamental_weights`` (by a fraction-free inverse of the Cartan matrix,
+``exact._reduce``) and the root index behind ``root_index`` are views built
+on first use, for the public Fraction API; equality and hashing compare the
+integer tables.
 ``RootSystem.sum_partners``, the one table of root sums, lists the pairs
 (j, k) with root i + root j = root k by root index in the canonical order
 (see ``build``) for closed-subset code, where a root subset is a bitmask
@@ -40,8 +42,9 @@ first use from ``coroot_coords`` (the positive coroots over the simple
 coroots): ordered by coroot height, every positive coroot that is not simple
 is an earlier one plus a simple coroot, so its pairing is one integer
 addition.  ``rho_product``, the product of the coroot heights, is the cached
-denominator of the Weyl product.  Public surfaces (root vectors, weights,
-JSON) stay Fraction epsilon-vectors.
+denominator of the Weyl product.  Public surfaces stay rational
+epsilon-vectors: Fractions for root vectors and weights, "p" or "p/q" text in
+the JSON.
 """
 
 from __future__ import annotations
@@ -56,12 +59,13 @@ from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError
-from .exact import Vector, _reduce, dot, format_vector, parse_integer, vscale
+from .exact import Vector, _reduce, dot, parse_integer, vscale
 
 DEFAULT_MAX_RANK = 8
 # GHC_MAX_RANK may raise the cap this far: C32 and D32, the slowest rank-32 builds, take
-# 0.02-0.04 s (Python 3.11, one core of a 2-core x86-64 VM) and D48 about 0.08 s, but a
-# root-system request at rank 32 takes about 0.3 s, most of it the Fraction views and JSON
+# 0.02-0.04 s (Python 3.11, one core of a 2-core x86-64 VM), their JSON about as long, and
+# D48 about 0.07 s each; a root-system request at rank 32 takes about 0.13-0.15 s, half of
+# it the interpreter's start-up
 MAX_RANK_CEILING = 32
 
 # the simple types and their numbers of roots: a classical series counts its roots by
@@ -339,14 +343,21 @@ class RootSystem:
         return tuple(_F(sum(x), 4) for x in zip(*self.doubled_roots[: len(self.doubled_roots) // 2]))
 
     def to_json(self) -> dict:
+        # straight from the doubled rows, as format_vector writes the Fraction views: an even
+        # entry x is the integer x // 2, an odd one x/2 in lowest terms
+        roots = [_format_doubled(a) for a in self.doubled_roots]
         return {
             "series": self.series,
             "rank": self.rank,
-            "roots": [format_vector(r) for r in self.all_roots],
-            "simple_roots": [format_vector(r) for r in self.simple_roots],
-            "positive_roots": [format_vector(r) for r in self.positive_roots],
+            "roots": roots,
+            "simple_roots": [_format_doubled(a) for a in self._simple_doubled],
+            "positive_roots": roots[: len(roots) // 2],
             "cartan_matrix": [list(row) for row in self.cartan_matrix],
         }
+
+
+def _format_doubled(a: Sequence[int]) -> list[str]:
+    return [f"{x}/2" if x % 2 else str(x // 2) for x in a]
 
 
 def build(series: str, rank: int) -> RootSystem:

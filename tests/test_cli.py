@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -15,6 +16,8 @@ from ghckit import cli, fk, principal, rootsys, shadow
 from ghckit.cli import EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED, run
 from ghckit.errors import InputError, UnsupportedTypeError
 from ghckit.principal import MAX_M
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 def invoke(argv, stdin=None):
@@ -340,13 +343,24 @@ README_EXAMPLES = [
 ]
 
 
-def test_readme_lists_the_examples():
-    # verbatim, as tools/check_cli.py reads and runs them
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "check_cli.py")
+def load_check_cli():
+    path = os.path.join(ROOT, "tools", "check_cli.py")
     spec = importlib.util.spec_from_file_location("check_cli", path)
     check_cli = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(check_cli)
-    assert check_cli.readme_invocations() == [argv for argv, _ in README_EXAMPLES]
+    return check_cli
+
+
+def test_readme_lists_the_examples():
+    # verbatim, as tools/check_cli.py reads and runs them
+    assert load_check_cli().readme_invocations() == [argv for argv, _ in README_EXAMPLES]
+
+
+def test_every_bench_workload_has_a_pinned_digest():
+    # tools/check_cli.py runs each benchmark workload at seed 1 against its pin in BENCH
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        workloads = [w["name"] for w in json.load(f)["workloads"]]
+    assert sorted(load_check_cli().BENCH) == sorted(workloads)
 
 
 class TestDeterminism:
@@ -377,16 +391,16 @@ class TestDeterminism:
         assert capsys.readouterr().out == by_flags
 
 
-# the ghckit submodules each command loads: those it runs, and those every request uses
-BASE = ["cli", "errors", "exact", "rootsys"]
-LOADS = {
-    "root-system": BASE,
-    "exponents": BASE + ["principal"],
-    "ktype-series": BASE + ["principal"],
-    "mathieu": BASE + ["mathieu"],
-    "shadow": BASE + ["shadow"],
-    **{c: BASE + ["fk", "shadow"] for c in ("fk-test", "solvable-test", "primal-test", "census")},
-}
+def readme_load_sets():
+    """Each command of README.md's load-set table, mapped to the sorted ghckit submodules of its row."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        text = f.read()
+    rows = text.split("| Command | `ghckit` modules loaded |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    loads = {}
+    for row in rows.splitlines():
+        commands, modules = row.strip("|").split("|")
+        loads.update(dict.fromkeys(re.findall("`(.+?)`", commands), sorted(re.findall("`(.+?)`", modules))))
+    return loads
 
 # run in one fresh interpreter: a request file, which loads no argparse, then each README
 # invocation from an empty ghckit, then a bare import; each records the modules it loaded
@@ -447,14 +461,14 @@ def test_commands_load_only_their_modules(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    # only root-system builds the Fraction roots (primal-test reads its default toral part, h,
-    # from the integer simple roots); no command builds the root index or the fundamental weights
-    views = {"root-system": ["all_roots", "positive_roots", "simple_roots"]}
-    assert report["request"] == [EXIT_OK, sorted(LOADS["root-system"]), False, views["root-system"]]
+    # the README table lists every command, and each loads those modules only; no command builds a
+    # Fraction view (root-system writes its JSON from the integer rows, and primal-test reads its
+    # default toral part, h, from the integer simple roots)
+    loads = readme_load_sets()
+    assert sorted(loads) == sorted(cli.COMMANDS)
+    assert report["request"] == [EXIT_OK, loads["root-system"], False, []]
     assert report["argparse"]
-    assert report["loads"] == {
-        argv: [EXIT_OK, sorted(LOADS[argv.split()[0]]), views.get(argv.split()[0], [])] for argv in argvs
-    }
+    assert report["loads"] == {argv: [EXIT_OK, loads[argv.split()[0]], []] for argv in argvs}
     assert report["bare"] == []
     names = ["errors", "exact", "fk", "mathieu", "principal", "rootsys", "shadow"]
     assert report["attributes"] == report["star"] == {name: f"ghckit.{name}" for name in names}

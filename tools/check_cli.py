@@ -5,7 +5,9 @@ runs with the checkout's ``src``, ``tools`` and ``tests`` first on PYTHONPATH an
 seconds, which catches an LP or a walk that never ends.  A request of ``EXIT_2`` exits 2, prints nothing on stdout
 and writes its pattern (a line-anchored regex, as grep reads it) to stderr; one of ``PINS`` or ``DIGESTS`` exits 0
 and prints its pin, or output of that SHA-256; each function of ``LIBRARY`` runs in a child of this interpreter.
-Every check prints ``ok`` or ``FAIL``, and the script exits 1 if any failed.
+Each workload of ``BENCH`` (census, shadow, spectra and cli) runs once through ``perfbench/run.py`` at seed 1 under
+this interpreter, exits 0, calls every answer correct and gives its pinned answer digest.  Every check prints
+``ok`` or ``FAIL``, and the script exits 1 if any failed.
 """
 
 import hashlib
@@ -82,11 +84,19 @@ DIGESTS = [
      "--max-m 10000", "f97c12da910b1ba16665d5c7e2dc8ae2c3356ceebd8f0208824dd3f020842aa3"),
 ]
 
+# workload: detail.digest of ``perfbench/run.py --workload W --seed 1 --seconds 15``, the SHA-256 over every answer of
+# the run in op order, so two commits give byte-identical answers when it matches
+BENCH = {
+    "census": "922b84081631684ee668d9a7b33b75f3ad5dbea42b05d83d65ebede7d2139a47",
+    "shadow": "bd1c4f6ffa99d735cc61ed874130ad8976c204810d9a919a0a699f96b7dae606",
+    "spectra": "270f4803cc7abe9dbe86a3d0847ddec2f7df8ac932505c25df04d32d41e2430e",
+    "cli": "e21796e1d3b5280f0fb4b9dca0759852a5f8aafd8d787a1e21f2907a7dec81a2",
+}
+
 
 def child_env(env=None):
     paths = [str(ROOT / p) for p in ("src", "tools", "tests")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    # buffered unless a check asks otherwise: closed_pipe reads the buffered path, closed_pipe_unbuffered the other
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), "PYTHONUNBUFFERED": "", **(env or {})}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **(env or {})}
 
 
 def run(command, stdin=None, env=None):
@@ -117,6 +127,15 @@ def digest(ghckit, request, want):
     assert p.returncode == 0 and got == want, (p.returncode, got, p.stderr[-600:])
 
 
+def bench(workload, want):
+    p = run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--seed", "1",
+             "--seconds", "15"])
+    assert p.returncode == 0, p.stderr[-600:]
+    *_, detail, result = p.stdout.splitlines()
+    got, correct = json.loads(detail)["detail"]["digest"], json.loads(result)["correct"]
+    assert correct is True and got == want, (correct, got, p.stderr[-600:])
+
+
 def request_file(ghckit):
     """A request file prints the same bytes read without argparse and with it."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -143,29 +162,24 @@ def readme(ghckit):
 
 
 def closed_pipe(ghckit):
-    """A reader that closes stdout after 100 bytes gets no traceback on stderr."""
-    p = run(["sh", "-c", '"$@" census --series A --rank 4 | head -c 100 > /dev/null', "sh", *ghckit])
-    assert b"Traceback" not in p.stderr, p
-
-
-def closed_pipe_unbuffered(ghckit):
-    """With PYTHONUNBUFFERED=1, a reader that closes stdout after 100 bytes of the 1.5 MB A4 census makes ghckit
-    itself exit 141 with nothing on stderr: an unbuffered raw write takes part of the document, and the rest must
+    """A reader that closes stdout after 100 bytes of the 1.5 MB A4 census makes ghckit itself exit 141 with nothing
+    on stderr, buffered or not: with PYTHONUNBUFFERED=1 a raw write takes part of the document, and the rest must
     still be written, to meet the broken pipe."""
-    with tempfile.TemporaryFile() as err:
-        p = subprocess.Popen([*ghckit, "census", "--series", "A", "--rank", "4"], stdout=subprocess.PIPE, stderr=err,
-                             env=child_env({"PYTHONUNBUFFERED": "1"}))
-        head = b""
-        while len(head) < 100 and (chunk := os.read(p.stdout.fileno(), 100 - len(head))):
-            head += chunk
-        p.stdout.close()
-        try:
-            code = p.wait(timeout=TIMEOUT)
-        finally:
-            p.kill()
-        err.seek(0)
-        stderr = err.read()
-    assert (len(head), code, stderr) == (100, 141, b""), (len(head), code, stderr[-600:])
+    for unbuffered in ("", "1"):
+        with tempfile.TemporaryFile() as err:
+            p = subprocess.Popen([*ghckit, "census", "--series", "A", "--rank", "4"], stdout=subprocess.PIPE,
+                                 stderr=err, env=child_env({"PYTHONUNBUFFERED": unbuffered}))
+            head = b""
+            while len(head) < 100 and (chunk := os.read(p.stdout.fileno(), 100 - len(head))):
+                head += chunk
+            p.stdout.close()
+            try:
+                code = p.wait(timeout=TIMEOUT)
+            finally:
+                p.kill()
+            err.seek(0)
+            stderr = err.read()
+        assert (len(head), code, stderr) == (100, 141, b""), (unbuffered, len(head), code, stderr[-600:])
 
 
 def library(name, env):
@@ -235,24 +249,30 @@ def rank4_shadows():
 
 def rank32():
     """The classical series at the rank ceiling, where the Cartan inverse runs its longest elimination and coroot
-    order differs most from root order: the build equals the reflection closure it replaced, field for field, and
+    order differs most from root order: the build equals the reflection closure it replaced, field for field, its
+    JSON, written from the integer rows, equals the Fraction views as format_vector writes them, and
     <w_i, a_j^vee> = delta_ij, V(0) = 1, V(w_1) standard, V(rho) = 2^|R+|."""
     from dataclasses import fields
     from reference_rootsys import reference_construct
     from ghckit import rootsys
+    from ghckit.exact import format_vector
 
     for series, standard in zip("ABCD", (33, 65, 64, 64)):
         rs = rootsys.build(series, 32)
         want = reference_construct(series, 32)
         for f in fields(rs):
             assert getattr(rs, f.name) == getattr(want, f.name), (series, f.name)
+        doc = rs.to_json()
+        for key, view in (("roots", rs.all_roots), ("simple_roots", rs.simple_roots),
+                          ("positive_roots", rs.positive_roots)):
+            assert doc[key] == [format_vector(r) for r in view], (series, key)
         for i, w in enumerate(rs.fundamental_weights):
             assert [rs.pairing(w, a) for a in rs.simple_roots] == [int(j == i) for j in range(32)], (series, i)
         zero = (0,) * rs.ambient_dim
         assert rootsys.weyl_dim(rs, rs.rho()) == 2 ** len(rs.coroot_coords), series
         assert (rootsys.weyl_dim(rs, zero), rootsys.weyl_dim(rs, rs.fundamental_weights[0])) == (1, standard), series
-    return ("A32, B32, C32 and D32: the reflection closure's tables, <w_i, a_j^vee> = delta_ij, V(0) = 1, "
-            "V(w_1) = 33, 65, 64, 64, V(rho) = 2^|R+|")
+    return ("A32, B32, C32 and D32: the reflection closure's tables, the Fraction views' JSON, "
+            "<w_i, a_j^vee> = delta_ij, V(0) = 1, V(w_1) = 33, 65, 64, 64, V(rho) = 2^|R+|")
 
 
 LIBRARY = [("a5_closures", {}), ("rank4_shadows", {}), ("rank32", {"GHC_MAX_RANK": "32"})]
@@ -263,14 +283,15 @@ def main(ghckit):
         sys.exit("the checks are asserts: run without -O")
     tables = (exits_2, EXIT_2), (pin, PINS), (digest, DIGESTS)
     checks = [(f"{f.__name__} {row[0][:60]}", partial(f, ghckit, *row)) for f, table in tables for row in table]
-    checks += [(f.__name__, partial(f, ghckit)) for f in (request_file, readme, closed_pipe, closed_pipe_unbuffered)]
+    checks += [(f.__name__, partial(f, ghckit)) for f in (request_file, readme, closed_pipe)]
     checks += [(name, partial(library, name, env)) for name, env in LIBRARY]
+    checks += [(f"bench {workload}", partial(bench, workload, want)) for workload, want in BENCH.items()]
     failed = 0
     for name, check in checks:
         start = time.perf_counter()
         try:
             detail = check()
-        except (AssertionError, OSError, subprocess.SubprocessError) as e:
+        except (AssertionError, OSError, ValueError, subprocess.SubprocessError) as e:
             failed += 1
             print(f"FAIL {name}: {e}", flush=True)
         else:
