@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Optional, TextIO
 
 from . import rootsys
 from .errors import InputError, RegularIntegralCase, UnsupportedTypeError
-from .exact import parse_integer, parse_vector
+from .exact import parse_integer, parse_rational
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -75,7 +75,7 @@ def _indices(value) -> list[int]:
 
 def _weight(value):
     """A weight: "3/2,1/2" or ["3/2", "1/2"]."""
-    return parse_vector(_split(value, ","))
+    return tuple(parse_rational(str(c)) for c in _split(value, ","))
 
 
 def _weights(value):

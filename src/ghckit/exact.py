@@ -2,7 +2,10 @@
 
 The interface is ``fractions.Fraction``; no floating point is used anywhere.
 Numbers enter as text by one rule: ``parse_rational`` and ``parse_integer``
-take no exponent notation and no "_" digit separators.
+take no exponent notation and no "_" digit separators.  ``parse_integer`` is
+also the one rule for the library's integer arguments (so a float or a bool
+is an input error), ``parse_nonnegative`` that rule for a count or a bound,
+and ``cone_witness`` reads its k and sign by it.
 Vectors are plain tuples of Fractions, which keeps them hashable and
 immutable, so all operations are pure and safe for concurrent use.
 Elimination runs on integers, by one fraction-free step, ``_pivot_row``.
@@ -29,6 +32,8 @@ common point whose coordinate k is +1 or -1 and returns it as a
 lcm of the nonzero coefficients' denominators, 1 on every type-A LP) and
 turns into one Fraction per coordinate.  A coordinate outside the cones'
 dimension, or a sign other than +1 and -1, is an input error.
+``ConeWitness.verify`` checks each side one coordinate at a time, by one
+``dot`` of the coefficients with that coordinate of the generators.
 ``cones_intersect_trivially`` is the general test, that LP for every
 (coordinate, sign) pair in turn; ``fk`` picks the one pair to ask for by
 graph reachability and calls ``cone_witness`` once.
@@ -112,12 +117,16 @@ def parse_integer(value) -> int:
     raise InputError(f"expected an integer, got {value!r}")
 
 
+def parse_nonnegative(value, name: str) -> int:
+    """``parse_integer``, then the rule that the integer is not negative."""
+    n = parse_integer(value)
+    if n < 0:
+        raise InputError(f"{name} must be a nonnegative integer, got {n}")
+    return n
+
+
 def format_vector(v: Vector) -> list[str]:
     return [format_rational(c) for c in v]
-
-
-def parse_vector(items: Sequence) -> Vector:
-    return tuple(parse_rational(str(c)) for c in items)
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +372,15 @@ class ConeWitness:
             return False
         if any(c < 0 for c in self.coefficients_a) or any(c < 0 for c in self.coefficients_b):
             return False
-        pa = vzero(dim)
-        for c, g in zip(self.coefficients_a, gens_a, strict=True):
-            pa = vadd(pa, vscale(c, g))
-        pb = vzero(dim)
-        for c, g in zip(self.coefficients_b, gens_b, strict=True):
-            pb = vadd(pb, vscale(c, g))
-        return pa == self.point and pb == self.point
+        # one dot per coordinate of the point, not per row of zip(*gens): a side with no
+        # generators then sums to the zero point, which differs from a nonzero point
+        sides = ((self.coefficients_a, gens_a), (self.coefficients_b, gens_b))
+        return all(dot(cs, [g[i] for g in gens]) == x for cs, gens in sides for i, x in enumerate(self.point))
 
     def to_json(self) -> dict:
         return {
-            "coefficients_a": [format_rational(c) for c in self.coefficients_a],
-            "coefficients_b": [format_rational(c) for c in self.coefficients_b],
+            "coefficients_a": format_vector(self.coefficients_a),
+            "coefficients_b": format_vector(self.coefficients_b),
             "point": format_vector(self.point),
         }
 
@@ -390,9 +396,11 @@ def cone_witness(
     b-combination is 0, and one normalisation row fixing coordinate k of the
     a-combination at sign.  The witness is the simplex's basic solution.
 
-    A sign other than 1 and -1, or (when both sides have generators) a k
-    outside range(dim), is an input error.
+    k and sign are read by ``parse_integer``, so a float or a bool is an input
+    error, as are a sign other than 1 and -1 and (when both sides have
+    generators) a k outside range(dim).
     """
+    k, sign = parse_integer(k), parse_integer(sign)
     if sign not in (1, -1):
         raise InputError(f"sign must be 1 or -1, got {sign!r}")
     if not gens_a or not gens_b:

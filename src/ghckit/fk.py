@@ -23,7 +23,8 @@ read from the doubled simple roots.
 ``census_rows`` is the census of type-A root subalgebras: the Theorem 8
 verdict of every closed subset of A_n for n up to ``CENSUS_MAX_RANK``.  With
 dedup it keeps one subset per Weyl orbit, acting on the roots e_u - e_v by
-permuting their ends (u, v), which ``_type_a_roots`` stores.
+permuting their ends (u, v), which ``_type_a_roots`` stores.  That table
+sorts the type-A root rows itself, into the column order of the Theorem 8 LP.
 
 Type recognition splits the simple roots of k into components by ``_reach``
 on the integer ``doubled_roots`` and reads each one's type off its rank,
@@ -178,14 +179,16 @@ def theorem8_finite_type(rs: RootSystem, l: RootSubalgebra) -> FiniteTypeVerdict
 
 
 def _type_a_roots(rs: RootSystem) -> tuple[tuple[int, tuple[int, ...], tuple[int, int]], ...]:
-    """(i, row, (u, v)) for each root index i in ``vector_order``: the root as an
-    integer tuple equal to its epsilon-vector, which is e_u - e_v.  Type A roots
-    are integral, so halving ``doubled_roots`` is exact.  Built once per
-    RootSystem object and stored on it, as ``PrincipalData`` is."""
+    """(i, row, (u, v)) for each root index i, in the order in which the rows
+    sort: the root as an integer tuple equal to its epsilon-vector, which is
+    e_u - e_v.  Type A roots are integral, so halving ``doubled_roots`` is
+    exact.  That order is the LP column order of ``theorem8_finite_type``, on
+    which its witness depends.  Built once per RootSystem object and stored on
+    it, as ``PrincipalData`` is."""
     table = vars(rs).get("_type_a_roots")
     if table is None:
-        rows = [(i, tuple(x // 2 for x in rs.doubled_roots[i])) for i in rs.vector_order]
-        table = vars(rs).setdefault("_type_a_roots", tuple((i, r, (r.index(1), r.index(-1))) for i, r in rows))
+        rows = sorted((tuple(x // 2 for x in a), i) for i, a in enumerate(rs.doubled_roots))
+        table = vars(rs).setdefault("_type_a_roots", tuple((i, r, (r.index(1), r.index(-1))) for r, i in rows))
     return table
 
 

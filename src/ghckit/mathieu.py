@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import rootsys
 from .errors import InputError, InternalError, RegularIntegralCase
-from .exact import Vector, format_rational, parse_rational, vec
+from .exact import Vector, format_vector, parse_rational, vec
 
 
 def cuspidal_exists(components: Sequence[tuple[str, int]]) -> bool:
@@ -139,7 +139,7 @@ class CoherentFamilyDescriptor:
         return {
             "bounded": True,
             "degree": self.degree,
-            "class_rep": [format_rational(c) for c in self.representative],
+            "class_rep": format_vector(self.representative),
             "companion": {"series": "D", "rank": self.rank},
         }
 
@@ -185,7 +185,7 @@ def describe(x: Sequence, eta: Optional[Sequence] = None, equiv: Optional[Sequen
     if doc["bounded"]:
         doc.update(CoherentFamilyDescriptor.from_weight(xs).to_json())
     else:
-        doc["class_rep"] = [format_rational(c) for c in xs]
+        doc["class_rep"] = format_vector(xs)
     if eta is not None:
         doc["fiber_irreducible"] = sp_fiber_irreducible(eta)
     return doc

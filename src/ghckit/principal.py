@@ -26,8 +26,14 @@ The k-type series owns its rules: the bound ``MAX_M`` on max_m and on
 |lambda(h)|, which keeps the partition table an explicit input error rather
 than a memory exhaustion, and the minimal k-type lambda(h) - 2
 (``KTypeSeries.minimal_ktype``).  Its integer arguments, max_m and the m of
-``a1_multiplicity`` and ``euler_rhs``, are read by ``exact.parse_integer``,
-so a bool or a float is an input error.
+``a1_multiplicity`` and ``euler_rhs``, are read by ``exact.parse_nonnegative``,
+so a bool, a float or a negative number is an input error.
+
+Every partition table, the series' and the independent counts' alike, is
+built by ``_partition_table`` under one rule: its parts are positive and its
+multiplicities nonnegative, each read by ``exact.parse_integer``, and it
+reaches no further than ``TABLE_TOP`` = q^(2 MAX_M + 2), the largest table a
+series within ``MAX_M`` reads, so a large target or m is an input error too.
 """
 
 from __future__ import annotations
@@ -40,13 +46,16 @@ from operator import sub
 from types import MappingProxyType
 
 from .errors import InputError, InternalError
-from .exact import Vector, format_rational, parse_integer
+from .exact import Vector, format_rational, parse_integer, parse_nonnegative
 from .rootsys import RootSystem, _dot, _integral, _weight_row, height_distribution
 
 # bound on a k-type series' max_m and |lambda(h)|: the slowest series within
 # it, E8 with max_m = MAX_M and lambda(h) = -MAX_M, takes about 0.2 s (Python 3.11,
 # one core of a 2-core x86-64 VM)
 MAX_M = 10_000
+# bound on the top of a partition table: q^(2 MAX_M + 2), the largest that a k-type
+# series within MAX_M reads (max_m - lambda(h) + 2)
+TABLE_TOP = 2 * MAX_M + 2
 
 
 def principal_h(rs: RootSystem) -> Vector:
@@ -55,14 +64,14 @@ def principal_h(rs: RootSystem) -> Vector:
     element through the invariant form).  That is 2 rho^vee, the sum of
     2a/(a,a) over the positive roots a, computed on doubled roots."""
     doubled = rs.doubled_roots
-    norms = [sum(x * x for x in a) for a in doubled[: len(doubled) // 2]]  # 4(a,a), positive a
+    norms = [_dot(a, a) for a in doubled[: len(doubled) // 2]]  # 4(a,a), positive a
     scale = lcm(*norms)
     # scale * h = sum of (4 scale / norm) * doubled root, in integers
     weights = [4 * scale // n for n in norms]
-    total = [sum(w * a[k] for w, a in zip(weights, doubled)) for k in range(rs.ambient_dim)]
+    total = [_dot(weights, col) for col in zip(*doubled[: len(weights)])]
     # (a, h) = (2a . total) / (2 scale) must be twice the height of a
     for a, c in zip(doubled, rs._coords):
-        if sum(x * y for x, y in zip(a, total)) != 4 * scale * sum(c):
+        if _dot(a, total) != 4 * scale * sum(c):
             raise InternalError("h does not pair with roots by twice the height")
     return tuple(Fraction(x, scale) for x in total)
 
@@ -130,13 +139,17 @@ class PrincipalData:
 
 
 def _partition_table(multiset: dict, top: int) -> list[int]:
-    """Coefficients of q^0 .. q^top in prod (1 - q^part)^(-mult)."""
-    for part in multiset:
-        if part <= 0:
-            raise InputError(f"parts must be positive, got {part}")
+    """Coefficients of q^0 .. q^top in prod (1 - q^part)^(-mult), for integer parts
+    that are positive and multiplicities that are nonnegative, with top at most
+    TABLE_TOP."""
+    if top > TABLE_TOP:
+        raise InputError(f"a partition table to q^{top} exceeds the bound q^{TABLE_TOP}")
+    items = sorted((parse_integer(part), parse_nonnegative(mult, "a multiplicity")) for part, mult in multiset.items())
+    if items and items[0][0] <= 0:
+        raise InputError(f"parts must be positive, got {items[0][0]}")
     dp = [0] * (top + 1)
     dp[0] = 1
-    for part, mult in sorted(multiset.items()):
+    for part, mult in items:
         for _ in range(mult):
             for i in range(part, top + 1):
                 dp[i] += dp[i - part]
@@ -152,7 +165,8 @@ def partition_P(multiset: dict, target) -> int:
     """Coefficient of q^target in prod (1 - q^part)^(-mult).
 
     Negative, non-integral or otherwise unreachable targets give 0: no
-    monomial of the symmetric algebra has such an h-weight.
+    monomial of the symmetric algebra has such an h-weight.  A target above
+    TABLE_TOP is an input error.
     """
     t = Fraction(target)
     n = int(t) if t.denominator == 1 else -1
@@ -179,9 +193,7 @@ def _minimal_ktype(lh: Fraction) -> int | None:
 def a1_multiplicity(pd: PrincipalData, m: int, lam: Vector) -> int:
     """Multiplicity of the (m+1)-dimensional sl(2)-type in the first
     derived-functor module attached to a non-integral weight."""
-    m = parse_integer(m)
-    if m < 0:
-        raise InputError("m must be a nonnegative integer")
+    m = parse_nonnegative(m, "m")
     lh = _nonintegral_lambda_h(pd, lam)
     val = partition_P(pd.nbar_kperp_multiset, m - lh + 2) - partition_P(
         pd.nbar_kperp_multiset, -m - lh
@@ -209,9 +221,7 @@ def euler_rhs(pd: PrincipalData, m: int, lam: Vector) -> int:
     lambda(h).  All terms are read from one partition table up to the
     largest target, m + 2 - lambda(h).
     """
-    m = parse_integer(m)
-    if m < 0:
-        raise InputError("m must be a nonnegative integer")
+    m = parse_nonnegative(m, "m")
     lh = pd.lambda_h(lam)
     if lh.denominator != 1:
         return 0  # every target w - lambda(h) is non-integral
@@ -252,9 +262,7 @@ def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
     """a1_multiplicity for m = 0 .. max_m, read from pd's k-perp partition
     table, which reaches the largest target, max_m - lambda(h) + 2; both
     max_m and |lambda(h)| are bounded by MAX_M."""
-    max_m = parse_integer(max_m)
-    if max_m < 0:
-        raise InputError("max_m must be nonnegative")
+    max_m = parse_nonnegative(max_m, "max_m")
     if max_m > MAX_M:
         raise InputError(f"max_m {max_m} exceeds the bound {MAX_M}")
     lh = _nonintegral_lambda_h(pd, lam)

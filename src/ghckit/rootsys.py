@@ -29,7 +29,6 @@ builds the frozenset view of a mask from a table, built on first use, that
 holds the frozenset of each of the 64 values of each chunk of six root
 indices: it starts from the stored set of the first chunk that the mask
 meets and merges in that of each later one, so no root is hashed again.
-``vector_order`` lists the root indices as the root vectors sort.
 
 A weight enters through ``_weight_row``, once per call: it checks the length
 against ``ambient_dim`` and writes the weight as an integer row over one
@@ -179,7 +178,7 @@ class RootSystem:
         r = self.rank
         aug = [[*row, *(int(j == i) for j in range(r))] for i, row in enumerate(self.cartan_matrix)]
         _, d = _reduce(aug, r)
-        return tuple(tuple(_F(sum(map(mul, row[r:], col)), 2 * d) for col in zip(*self._simple_doubled)) for row in aug)
+        return tuple(tuple(_F(_dot(row[r:], col), 2 * d) for col in zip(*self._simple_doubled)) for row in aug)
 
     @cached_property
     def _index(self) -> dict[Vector, int]:
@@ -294,12 +293,6 @@ class RootSystem:
                 if b >> j & 1:
                     out |= 1 << k
         return out
-
-    @cached_property
-    def vector_order(self) -> tuple[int, ...]:
-        """The root indices in the order in which the root vectors sort.  Sorting
-        the rows of ``doubled_roots`` gives it with no Fraction compare."""
-        return tuple(sorted(range(len(self.doubled_roots)), key=self.doubled_roots.__getitem__))
 
     @cached_property
     def coroot_coords(self) -> tuple[tuple[int, ...], ...]:

@@ -34,7 +34,7 @@ from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .exact import Vector, parse_integer
+from .exact import Vector, parse_nonnegative
 from .rootsys import RootSystem, bits
 
 # bound on the points support_shape builds, counted as base points times gamma-sums: from one
@@ -229,10 +229,9 @@ def support_shape(
 ) -> frozenset[Vector]:
     """Truncated support: base points shifted by Gamma-sums of total
     coefficient at most truncation_radius, an integer read by
-    ``exact.parse_integer`` (a bool or a float is an input error)."""
-    truncation_radius = parse_integer(truncation_radius)
-    if truncation_radius < 0:
-        raise InputError("truncation radius must be nonnegative")
+    ``exact.parse_nonnegative`` (a bool, a float or a negative number is an
+    input error)."""
+    truncation_radius = parse_nonnegative(truncation_radius, "truncation radius")
     rs = sd.rs
     if any(len(b) != rs.ambient_dim for b in base_points):
         raise InputError(f"base points must have dimension {rs.ambient_dim}")

@@ -113,7 +113,8 @@ class TestConesIntersect:
 
     # without the checks, sign 0 gives an empty point that fails its own verify, sign 2 a
     # point whose coordinate k is 2, k = -1 the point (1, 1) found on the last coordinate,
-    # and k = 5 an IndexError
+    # and k = 5 an IndexError; without parse_integer, k = 1.0 is a TypeError (1.0 is in
+    # range(2)), and k = True, sign = True and sign = 1.0 are read as 1
     @pytest.mark.parametrize(
         "k,sign,match",
         [
@@ -121,6 +122,10 @@ class TestConesIntersect:
             (1, 2, "sign must be 1 or -1"),
             (-1, 1, "outside range"),
             (5, 1, "outside range"),
+            (1.0, 1, "expected an integer, got 1.0"),
+            (True, 1, "expected an integer, got True"),
+            (1, True, "expected an integer, got True"),
+            (1, 1.0, "expected an integer, got 1.0"),
         ],
     )
     def test_coordinate_and_sign_out_of_range(self, k, sign, match):
@@ -143,6 +148,11 @@ class TestConesIntersect:
         # -1·(1, 0) + 1·(2, 0) is the point (1, 0), but not as a cone member
         w = ConeWitness((F(-1), F(1)), (F(1),), (F(1), F(0)))
         assert not w.verify([(1, 0), (2, 0)], [(1, 0)])
+
+    def test_verify_rejects_an_empty_side_under_a_nonzero_point(self):
+        # no generators combine to the zero point, whatever the point's dimension
+        w = ConeWitness((), (F(1),), (F(1), F(0)))
+        assert not w.verify([], [(1, 0)])
 
     def test_verify_rejects_a_generator_of_another_dimension(self):
         w = ConeWitness((F(1),), (F(1),), (F(1), F(0)))

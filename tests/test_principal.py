@@ -15,6 +15,7 @@ from ghckit.errors import InputError, InternalError
 from ghckit.exact import dot, vadd, vscale, vzero
 from ghckit.principal import (
     MAX_M,
+    TABLE_TOP,
     PrincipalData,
     _partition_table,
     _table_entry,
@@ -181,6 +182,27 @@ class TestPartitionP:
     def test_bad_part_rejected(self):
         with pytest.raises(InputError):
             partition_P({0: 1}, 4)
+        # a negative multiplicity was skipped, and a float part or multiplicity was a TypeError
+        with pytest.raises(InputError, match="multiplicity must be a nonnegative integer, got -1"):
+            partition_P({2: -1}, 4)
+        for ms in ({2: 1.5}, {1.5: 1}):
+            with pytest.raises(InputError, match="expected an integer, got 1.5"):
+                partition_P(ms, 4)
+        # a table past q^TABLE_TOP, which no k-type series within MAX_M reads
+        with pytest.raises(InputError, match=f"q\\^20003 exceeds the bound q\\^{TABLE_TOP}$"):
+            partition_P({2: 1}, 20_003)
+
+    def test_table_reaches_its_bound(self):
+        # the largest table a k-type series within MAX_M reads is allowed, one more is not
+        assert partition_P({2: 1}, TABLE_TOP) == 1
+        pd = PrincipalData.build(rootsys.build("A", 2))
+        lam = principal.find_nonintegral_weight(pd, 4)
+        # lambda(h) = 4, so both counts read a table to q^(m - 2)
+        m = TABLE_TOP + 2
+        assert euler_rhs(pd, m, lam) == -a1_multiplicity(pd, m, lam)
+        for f in (euler_rhs, a1_multiplicity):
+            with pytest.raises(InputError, match="exceeds the bound"):
+                f(pd, m + 1, lam)
 
     def test_brute_force_small(self):
         # direct enumeration over the count vectors, independent of the DP
