@@ -42,12 +42,11 @@ graph reachability and calls ``cone_witness`` once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import add, mul, neg, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputError
 
@@ -351,8 +350,7 @@ def cone_member(v: Vector, generators: Sequence[Vector]) -> Optional[list[Fracti
     return lp_feasible(eqs, len(generators))
 
 
-@dataclass(frozen=True)
-class ConeWitness:
+class ConeWitness(NamedTuple):
     """Certificate of a nonzero point common to two rational cones."""
 
     coefficients_a: tuple[Fraction, ...]

@@ -34,22 +34,20 @@ number of roots and number of long roots, checked against
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from operator import or_
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalError, UnsupportedTypeError
 from .exact import ConeWitness, Vector, _reduce, cone_witness
-from .rootsys import LOW_RANK_ALIASES, RootSystem, _dot, _weight_row, bits, root_count
+from .rootsys import LOW_RANK_ALIASES, RootSystem, _dot, _Record, _weight_row, bits, root_count
 from .shadow import RootSubalgebra, _require_over, closed_mask, closed_masks
 
 CENSUS_MAX_RANK = 4
 
 
-@dataclass(frozen=True)
-class LeviDecomposition:
+class LeviDecomposition(NamedTuple):
     k_roots: frozenset[Vector]
     n_roots: frozenset[Vector]
 
@@ -75,13 +73,16 @@ def _symmetric_closed(rs: RootSystem, roots: frozenset[Vector] | int, name: str)
     return mask
 
 
-@dataclass(frozen=True)
-class SingularWeightData:
+class SingularWeightData(_Record):
     """The singular weights of a module as a mask over ``rs.all_roots``;
     ``singular_weights`` is their frozenset of vectors, built on first use."""
 
     rs: RootSystem
     mask: int
+
+    def __init__(self, rs, mask):
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "mask", mask)
 
     @cached_property
     def singular_weights(self) -> frozenset[Vector]:
@@ -115,8 +116,7 @@ def singular_weights(
     return SingularWeightData(rs, _singular(rs, _k_simple(rs, k), rs.mask_of(module_weights)))
 
 
-@dataclass(frozen=True)
-class FiniteTypeVerdict:
+class FiniteTypeVerdict(NamedTuple):
     finite_type: bool
     witness: Optional[ConeWitness]
     singular_g_mod_l: SingularWeightData

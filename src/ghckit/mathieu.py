@@ -15,9 +15,8 @@ of x, and ``_same_length`` states that rule once for every caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import rootsys
 from .errors import InputError, InternalError, RegularIntegralCase
@@ -119,8 +118,7 @@ def sl_degree(x: Sequence, full_weight: Optional[Sequence] = None) -> int:
     return rootsys.weyl_dim(an1, xs)
 
 
-@dataclass(frozen=True)
-class CoherentFamilyDescriptor:
+class CoherentFamilyDescriptor(NamedTuple):
     """sp(2n) coherent family: class representative, degree, companion system."""
 
     rank: int

@@ -38,16 +38,16 @@ series within ``MAX_M`` reads, so a large target or m is an input error too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import sub
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import InputError, InternalError
 from .exact import Vector, format_rational, parse_integer, parse_nonnegative
-from .rootsys import RootSystem, _dot, _integral, _weight_row, height_distribution
+from .rootsys import RootSystem, _dot, _integral, _Record, _weight_row, height_distribution
 
 # bound on a k-type series' max_m and |lambda(h)|: the slowest series within
 # it, E8 with max_m = MAX_M and lambda(h) = -MAX_M, takes about 0.2 s (Python 3.11,
@@ -84,14 +84,21 @@ def exponents(rs: RootSystem) -> list[int]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class PrincipalData:
+class PrincipalData(_Record):
     rs: RootSystem
     h_row: tuple[int, ...]  # h = h_row / h_den, in integers
     h_den: int
     exponents: tuple[int, ...]
     nbar_multiset: MappingProxyType
     nbar_kperp_multiset: MappingProxyType
+
+    def __init__(self, rs, h_row, h_den, exponents, nbar_multiset, nbar_kperp_multiset):
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "h_row", h_row)
+        object.__setattr__(self, "h_den", h_den)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "nbar_multiset", nbar_multiset)
+        object.__setattr__(self, "nbar_kperp_multiset", nbar_kperp_multiset)
 
     @classmethod
     def build(cls, rs: RootSystem) -> "PrincipalData":
@@ -238,8 +245,7 @@ def vanishing_degree(pd: PrincipalData) -> int:
     return 2
 
 
-@dataclass(frozen=True)
-class KTypeSeries:
+class KTypeSeries(NamedTuple):
     lambda_h: Fraction
     entries: dict
     truncation: int

@@ -17,7 +17,10 @@ Fraction ``all_roots``, ``positive_roots``, ``simple_roots``,
 ``fundamental_weights`` (by a fraction-free inverse of the Cartan matrix,
 ``exact._reduce``) and the root index behind ``root_index`` are views built
 on first use, for the public Fraction API; equality and hashing compare the
-integer tables.
+integer tables.  ``RootSystem`` is a frozen record on ``_Record``, the small base
+that the records of ``shadow``, ``fk`` and ``principal`` with views built on first
+use share; the records with no such view are ``typing.NamedTuple``s, so that no
+module imports ``dataclasses``, and with it ``inspect``.
 ``RootSystem.sum_partners``, the one table of root sums, lists the pairs
 (j, k) with root i + root j = root k by root index in the canonical order
 (see ``build``) for closed-subset code, where a root subset is a bitmask
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm, prod
@@ -93,7 +95,11 @@ def bits(mask: int) -> list[int]:
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    """The dot product of two integer rows of the same length; rows of two lengths
+    are a ValueError."""
+    if len(a) != len(b):
+        raise ValueError(f"dot of rows of lengths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
 
 
 def max_rank() -> int:
@@ -144,8 +150,50 @@ def root_count(series: str, rank: int) -> int | None:
     return count(rank) if count else None
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class _Record:
+    """A frozen record with views built on first use and stored on it.  Its fields
+    are the class annotations, in order (``_fields``), and its constructor takes
+    them in that order and sets each by ``object.__setattr__``.  Equality and
+    hashing compare the fields alone, of records of the same class, so a stored
+    view changes neither; ``_replace`` builds a new record, with no views, from
+    the fields; assigning or deleting an attribute is an AttributeError.  That is
+    what ``dataclass(frozen=True)`` gave, without importing ``dataclasses``, which
+    costs every fresh interpreter about 10 ms, most of it in ``inspect``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def _replace(self, **changes):
+        unknown = changes.keys() - self._fields
+        if unknown:
+            raise TypeError(f"{type(self).__qualname__} has no fields {sorted(unknown)}")
+        return type(self)(*(changes.get(f, getattr(self, f)) for f in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RootSystem(_Record):
     series: str
     rank: int
     ambient_dim: int
@@ -153,6 +201,15 @@ class RootSystem:
     doubled_roots: tuple[tuple[int, ...], ...]  # 2 * all_roots[i] as integers, by root index
     _coords: tuple[tuple[int, ...], ...]  # integer simple-root coordinates of all_roots[i], by root index
     _simple_doubled: tuple[tuple[int, ...], ...]  # 2 * simple_roots[i]
+
+    def __init__(self, series, rank, ambient_dim, cartan_matrix, doubled_roots, _coords, _simple_doubled):
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "cartan_matrix", cartan_matrix)
+        object.__setattr__(self, "doubled_roots", doubled_roots)
+        object.__setattr__(self, "_coords", _coords)
+        object.__setattr__(self, "_simple_doubled", _simple_doubled)
 
     # -- Fraction views, built on first use -------------------------------
 
@@ -430,7 +487,7 @@ def _weight_row(rs: RootSystem, lam: Vector) -> tuple[list[int], int]:
 def _simple_pairings(rs: RootSystem, row: Sequence[int], den: int) -> list[tuple[int, int]]:
     """<lam, a^vee> = 4(row, 2a) / (den |2a|^2) for each simple root a, as an
     integer (numerator, positive denominator) pair, for lam = row / den."""
-    return [(4 * sum(map(mul, row, a)), den * n) for a, n in zip(rs._simple_doubled, rs._simple_norms)]
+    return [(4 * _dot(row, a), den * n) for a, n in zip(rs._simple_doubled, rs._simple_norms)]
 
 
 def _integral(rs: RootSystem, row: Sequence[int], den: int) -> bool:

@@ -27,7 +27,6 @@ an input error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
@@ -35,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .exact import Vector, parse_nonnegative
-from .rootsys import RootSystem, bits
+from .rootsys import RootSystem, _Record, bits
 
 # bound on the points support_shape builds, counted as base points times gamma-sums: from one
 # base point, the A4 Cartan (20 generators) passes it at radius 9, after about 0.2 s, and
@@ -95,8 +94,7 @@ def is_closed(rs: RootSystem, roots: Iterable[Vector]) -> bool:
     return closed_mask(rs, rs.mask_of(roots))
 
 
-@dataclass(frozen=True, init=False)
-class RootSubalgebra:
+class RootSubalgebra(_Record):
     """A closed subset of roots, held as a bitmask over ``rs.all_roots``;
     ``roots`` is its frozenset of vectors, built on first use."""
 
@@ -122,8 +120,7 @@ class RootSubalgebra:
         return self.rs.roots_of(self.mask)
 
 
-@dataclass(frozen=True)
-class ShadowDecomposition:
+class ShadowDecomposition(_Record):
     """The four classes of roots and the generators of Gamma, as masks over
     ``rs.all_roots``; ``I``, ``F``, ``plus``, ``minus`` and ``gamma_generators``
     are their frozensets of vectors, built on first use."""
@@ -134,6 +131,14 @@ class ShadowDecomposition:
     plus_mask: int
     minus_mask: int
     gamma_mask: int
+
+    def __init__(self, rs, i_mask, f_mask, plus_mask, minus_mask, gamma_mask):
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "i_mask", i_mask)
+        object.__setattr__(self, "f_mask", f_mask)
+        object.__setattr__(self, "plus_mask", plus_mask)
+        object.__setattr__(self, "minus_mask", minus_mask)
+        object.__setattr__(self, "gamma_mask", gamma_mask)
 
     I = cached_property(lambda self: self.rs.roots_of(self.i_mask))
     F = cached_property(lambda self: self.rs.roots_of(self.f_mask))

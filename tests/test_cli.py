@@ -403,13 +403,19 @@ def readme_load_sets():
     return loads
 
 # run in one fresh interpreter: a request file, which loads no argparse, then each README
-# invocation from an empty ghckit, then a bare import; each records the modules it loaded
-# and the views built on the root systems it built
+# invocation from an empty ghckit, then a bare import; each records the ghckit modules it
+# loaded, the other modules loaded since the interpreter started and the views built on the
+# root systems it built
 LOAD_PROBE = """
-import contextlib, io, json, sys
+import sys
+START = set(sys.modules)
+import contextlib, io, json
 
 def loaded():
     return sorted(m[len("ghckit."):] for m in sys.modules if m.startswith("ghckit."))
+
+def added():
+    return sorted(m for m in set(sys.modules) - START if m != "ghckit" and not m.startswith("ghckit."))
 
 def drop():
     for m in [m for m in sys.modules if m == "ghckit" or m.startswith("ghckit.")]:
@@ -429,7 +435,7 @@ from ghckit import cli
 views = watch()
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["request", sys.argv[2]])
-report = {"loads": {}, "request": [code, loaded(), "argparse" in sys.modules, views()]}
+report = {"loads": {}, "request": [code, loaded(), "argparse" in sys.modules, views()], "added": {"request": added()}}
 for argv in json.loads(sys.argv[1]):
     drop()
     from ghckit import cli
@@ -437,6 +443,7 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv.split())
     report["loads"][argv] = [code, loaded(), views()]
+    report["added"][argv] = added()
 report["argparse"] = "argparse" in sys.modules
 drop()
 import ghckit
@@ -469,6 +476,10 @@ def test_commands_load_only_their_modules(tmp_path):
     assert report["request"] == [EXIT_OK, loads["root-system"], False, []]
     assert report["argparse"]
     assert report["loads"] == {argv: [EXIT_OK, loads[argv.split()[0]], []] for argv in argvs}
+    # no invocation imports dataclasses, or inspect, which dataclasses would bring: about 10 ms of
+    # start-up in a fresh interpreter
+    assert list(report["added"]) == ["request", *argvs]
+    assert all(not {"dataclasses", "inspect"} & set(added) for added in report["added"].values()), report["added"]
     assert report["bare"] == []
     names = ["errors", "exact", "fk", "mathieu", "principal", "rootsys", "shadow"]
     assert report["attributes"] == report["star"] == {name: f"ghckit.{name}" for name in names}

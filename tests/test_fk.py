@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -597,7 +596,7 @@ class TestIsPrimal:
         rs = rootsys.build(*key)
         simple = list(rs.simple_roots)
         for mask in symmetric_closed_masks(rs):
-            fresh = dataclasses.replace(rs)
+            fresh = rs._replace()
             want = primal_outcome(reference_is_primal, rs, rs.roots_of(mask), simple)
             assert primal_outcome(fk.is_primal, fresh, mask, None) == want, bits(mask)
             assert not any(v in vars(fresh) for v in VIEWS)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -242,7 +241,7 @@ class TestDescriptor:
         assert not mathieu.degree_constancy_check(d2, [[F(5, 2), F(-1, 2)]])
         # a stored degree that the representative does not give, and a sample of the same degree 9
         # outside the class
-        assert not mathieu.degree_constancy_check(dataclasses.replace(d, degree=7), [])
+        assert not mathieu.degree_constancy_check(d._replace(degree=7), [])
         assert mathieu.sp_degree([F(7, 2), F(5, 2)]) == d2.degree
         assert not mathieu.degree_constancy_check(d2, [[F(7, 2), F(5, 2)]])
 

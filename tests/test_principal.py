@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -360,7 +359,7 @@ class TestBounds:
 
     def fresh(self):
         # a copy of the cached RootSystem starts with no table of its own
-        return PrincipalData.build(dataclasses.replace(rootsys.build("A", 2)))
+        return PrincipalData.build(rootsys.build("A", 2)._replace())
 
     def test_max_m_above_bound(self):
         pd = self.fresh()
@@ -404,7 +403,7 @@ class TestBuildCache:
 
     def test_equal_copy_gets_its_own(self):
         rs = rootsys.build("B", 3)
-        copy = dataclasses.replace(rs)
+        copy = rs._replace()
         pd = PrincipalData.build(copy)
         assert copy == rs and copy is not rs
         assert pd is not PrincipalData.build(rs) and pd.rs is copy
@@ -435,7 +434,7 @@ GROWING_TOPS = [10, 30, 5, 25, 70, 100, 120, 0, 64]
 @pytest.mark.parametrize("key", RANK2_TYPES)
 def test_growing_table_matches_fresh_tables(key):
     # a copy of the cached RootSystem starts with no table of its own
-    pd = PrincipalData.build(dataclasses.replace(rootsys.build(*key)))
+    pd = PrincipalData.build(rootsys.build(*key)._replace())
     rng = random.Random(5)
     for top in GROWING_TOPS:
         n = rng.randint(-3, 12)
@@ -462,7 +461,7 @@ def test_series_slices_match_per_m_entries(key):
 def test_negative_entry_is_an_internal_error():
     # a planted table with table[1] above table[5]: at lambda(h) = -2, m = 1 reads
     # table[5] - table[1] = -7 and m = 2 reads table[6] - table[0] = -3; the first is reported
-    pd = PrincipalData.build(dataclasses.replace(rootsys.build("B", 2)))
+    pd = PrincipalData.build(rootsys.build("B", 2)._replace())
     vars(pd)["_kperp_table"] = [3, 7] + [0] * 20
     with pytest.raises(InternalError, match="negative multiplicity -7 for m=1"):
         principal.ktype_series(pd, principal.find_nonintegral_weight(pd, -2), 6)
@@ -470,7 +469,7 @@ def test_negative_entry_is_an_internal_error():
 
 def test_larger_top_replaces_table():
     # a table is replaced, never changed, so one a reader holds stays as it was
-    pd = PrincipalData.build(dataclasses.replace(rootsys.build("F", 4)))
+    pd = PrincipalData.build(rootsys.build("F", 4)._replace())
     held = pd.kperp_table(10)
     assert len(held) == 11 and pd.kperp_table(5) is held
     assert pd.kperp_table(100) is not held and held == _partition_table(pd.nbar_kperp_multiset, 10)

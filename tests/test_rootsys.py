@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import ALL_TYPES, VIEWS, V, neg, solve_linear, sum_table
 from reference_rootsys import reference_construct
-from ghckit import fk, rootsys
+from ghckit import exact, fk, mathieu, principal, rootsys, shadow
 from ghckit.errors import InputError, InternalError
 from ghckit.exact import dot, vadd, vscale, vzero
 
@@ -51,13 +50,79 @@ def test_copy_compares_and_hashes_by_integer_tables(key):
     # the fields are the integer tables: a copy of the cached system equals it and hashes as
     # it does, and neither the copy nor the comparison builds a view on either
     rs = rootsys.build(*key)
-    assert [f.name for f in dataclasses.fields(rs)] == FIELDS
+    assert list(rs._fields) == FIELDS
     before = [v for v in VIEWS if v in vars(rs)]
-    copy = dataclasses.replace(rs)
+    copy = rs._replace()
     assert copy == rs and copy is not rs and hash(copy) == hash(rs)
     assert [v for v in VIEWS if v in vars(rs)] == before and not any(v in vars(copy) for v in VIEWS)
     # the copy builds its own views, equal to the cached system's
     assert all(getattr(copy, v) == getattr(rs, v) for v in VIEWS)
+
+
+def _b3():
+    # a copy of the cached system, so that the views a test builds stay off the cache
+    return rootsys.build("B", 3)._replace()
+
+
+def _infinite_a2():
+    # A2 with one negative root, 32 = bit 5: of infinite type, so its verdict holds a witness
+    a2 = rootsys.build("A", 2)._replace()
+    return fk.theorem8_finite_type(a2, shadow.RootSubalgebra(a2, 32))
+
+
+# (record class, a record of it, its fields, a view built on first use or None, whether it hashes)
+RECORDS = [
+    (rootsys.RootSystem, _b3, FIELDS, "all_roots", True),
+    (shadow.RootSubalgebra, lambda: shadow.RootSubalgebra(_b3(), 1), ["rs", "mask"], "roots", True),
+    (shadow.ShadowDecomposition, lambda: shadow.shadow(b3 := _b3(), shadow.RootSubalgebra(b3, 1)),
+     ["rs", "i_mask", "f_mask", "plus_mask", "minus_mask", "gamma_mask"], "I", True),
+    (fk.SingularWeightData, lambda: _infinite_a2().singular_g_mod_l, ["rs", "mask"], "singular_weights", True),
+    (principal.PrincipalData, lambda: principal.PrincipalData.build(_b3()),
+     ["rs", "h_row", "h_den", "exponents", "nbar_multiset", "nbar_kperp_multiset"], "h_element", False),
+    (exact.ConeWitness, lambda: _infinite_a2().witness, ["coefficients_a", "coefficients_b", "point"], None, True),
+    (fk.LeviDecomposition, lambda: fk.levi_decompose(shadow.RootSubalgebra(_b3(), 1)), ["k_roots", "n_roots"],
+     None, True),
+    (fk.FiniteTypeVerdict, _infinite_a2, ["finite_type", "witness", "singular_g_mod_l", "singular_n"], None, True),
+    (principal.KTypeSeries, lambda: principal.ktype_series(pd := principal.PrincipalData.build(_b3()),
+                                                           principal.find_nonintegral_weight(pd, 4), 3),
+     ["lambda_h", "entries", "truncation"], None, False),
+    (mathieu.CoherentFamilyDescriptor, lambda: mathieu.CoherentFamilyDescriptor.from_weight([F(5, 2), F(1, 2)]),
+     ["rank", "representative", "degree"], None, True),
+]
+
+
+@pytest.mark.parametrize("cls,make,fields,view,hashable", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_semantics(cls, make, fields, view, hashable):
+    # what dataclass(frozen=True) gave each record: its fields in order; _replace() gives an equal,
+    # distinct record that holds nothing but its fields, so no view; a field cannot be assigned or
+    # deleted; and equal records hash equal, where their fields hash
+    rec = make()
+    assert type(rec) is cls and list(rec._fields) == fields
+    if view is not None:
+        getattr(rec, view)
+        assert view in vars(rec)
+    copy = rec._replace()
+    assert copy == rec and copy is not rec
+    assert not set(getattr(copy, "__dict__", ())) - set(fields)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    try:
+        want = hash(rec)
+    except TypeError:
+        assert not hashable
+    else:
+        assert hashable and hash(copy) == want
+
+
+def test_dot_rejects_rows_of_two_lengths():
+    assert rootsys._dot((1, -2, 3), [4, 5, 6]) == 12 and rootsys._dot((), ()) == 0
+    with pytest.raises(ValueError, match="^dot of rows of lengths 3 and 2$"):
+        rootsys._dot((1, 2, 3), (1, 2))
+    with pytest.raises(ValueError, match="^dot of rows of lengths 0 and 1$"):
+        rootsys._dot((), (1,))
 
 
 @pytest.mark.parametrize("key", ALL_TYPES + [("B", 1), ("C", 1)] + [(s, 12) for s in "ABCD"])

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -83,7 +82,7 @@ class TestShadow:
         with pytest.raises(InputError, match="A2, not to B3"):
             shadow.shadow(b3, RootSubalgebra.from_indices(a2, [0]))
         # another object of the same type is the same system
-        copy = dataclasses.replace(b3)
+        copy = b3._replace()
         assert shadow.shadow(b3, RootSubalgebra.from_indices(copy, [0])) == shadow.shadow(b3, make(b3, [b3.all_roots[0]]))
 
     def test_classification_depends_only_on_subalgebra(self, a2):

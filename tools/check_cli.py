@@ -4,7 +4,8 @@ GHCKIT runs ghckit (``ghckit`` for the console script; by default this interpret
 runs with the checkout's ``src``, ``tools`` and ``tests`` first on PYTHONPATH and fails its check after TIMEOUT
 seconds, which catches an LP or a walk that never ends.  A request of ``EXIT_2`` exits 2, prints nothing on stdout
 and writes its pattern (a line-anchored regex, as grep reads it) to stderr; one of ``PINS`` or ``DIGESTS`` exits 0
-and prints its pin, or output of that SHA-256; each function of ``LIBRARY`` runs in a child of this interpreter.
+and prints its pin, or output of that SHA-256; each function of ``LIBRARY`` runs in a child of this interpreter, and
+``cold_imports`` runs each of its requests as ``-m ghckit`` runs it, in a fresh child of this interpreter.
 Each workload of ``BENCH`` (census, shadow, spectra and cli) runs once through ``perfbench/run.py`` at seed 1 under
 this interpreter, exits 0, calls every answer correct and gives its pinned answer digest.  Every check prints
 ``ok`` or ``FAIL``, and the script exits 1 if any failed.
@@ -161,6 +162,35 @@ def readme(ghckit):
         json.loads(p.stdout)
 
 
+# modules that no request may import: dataclasses, through inspect, costs a fresh interpreter about 10 ms
+COLD = ("dataclasses", "inspect")
+# run as ``python -m ghckit`` runs, after noting the modules loaded at interpreter start; at exit, the ones of COLD
+# that the request imported go to stderr as a JSON list
+COLD_PROBE = f"""
+import sys
+start = set(sys.modules)
+import runpy
+try:
+    runpy.run_module("ghckit", run_name="__main__", alter_sys=True)
+finally:
+    imported = sorted(set(sys.modules) - start & set({COLD!r}))
+    import json
+    sys.stderr.write(json.dumps(imported))
+"""
+
+
+def cold_imports():
+    """Each README invocation, one per command, and a request document, each in a fresh interpreter, exits 0 and
+    imports no module of COLD."""
+    requests = readme_invocations() + [PINS[0][0]]
+    for request in requests:
+        document = request.startswith("{")
+        p = run([sys.executable, "-c", COLD_PROBE, *(["request"] if document else request.split())],
+                request if document else None)
+        assert p.returncode == 0 and p.stderr == b"[]", (request, p.returncode, p.stderr[-600:])
+    return f"{len(requests)} requests import none of {', '.join(COLD)}"
+
+
 def closed_pipe(ghckit):
     """A reader that closes stdout after 100 bytes of the 1.5 MB A4 census makes ghckit itself exit 141 with nothing
     on stderr, buffered or not: with PYTHONUNBUFFERED=1 a raw write takes part of the document, and the rest must
@@ -252,7 +282,6 @@ def rank32():
     order differs most from root order: the build equals the reflection closure it replaced, field for field, its
     JSON, written from the integer rows, equals the Fraction views as format_vector writes them, and
     <w_i, a_j^vee> = delta_ij, V(0) = 1, V(w_1) standard, V(rho) = 2^|R+|."""
-    from dataclasses import fields
     from reference_rootsys import reference_construct
     from ghckit import rootsys
     from ghckit.exact import format_vector
@@ -260,8 +289,8 @@ def rank32():
     for series, standard in zip("ABCD", (33, 65, 64, 64)):
         rs = rootsys.build(series, 32)
         want = reference_construct(series, 32)
-        for f in fields(rs):
-            assert getattr(rs, f.name) == getattr(want, f.name), (series, f.name)
+        for f in rs._fields:
+            assert getattr(rs, f) == getattr(want, f), (series, f)
         doc = rs.to_json()
         for key, view in (("roots", rs.all_roots), ("simple_roots", rs.simple_roots),
                           ("positive_roots", rs.positive_roots)):
@@ -284,6 +313,7 @@ def main(ghckit):
     tables = (exits_2, EXIT_2), (pin, PINS), (digest, DIGESTS)
     checks = [(f"{f.__name__} {row[0][:60]}", partial(f, ghckit, *row)) for f, table in tables for row in table]
     checks += [(f.__name__, partial(f, ghckit)) for f in (request_file, readme, closed_pipe)]
+    checks.append(("cold_imports", cold_imports))
     checks += [(name, partial(library, name, env)) for name, env in LIBRARY]
     checks += [(f"bench {workload}", partial(bench, workload, want)) for workload, want in BENCH.items()]
     failed = 0
