@@ -479,7 +479,7 @@ def test_commands_load_only_their_modules(tmp_path):
     # no invocation imports dataclasses, or inspect, which dataclasses would bring: about 10 ms of
     # start-up in a fresh interpreter
     assert list(report["added"]) == ["request", *argvs]
-    assert all(not {"dataclasses", "inspect"} & set(added) for added in report["added"].values()), report["added"]
+    assert not any({"dataclasses", "inspect"} & set(added) for added in report["added"].values()), report["added"]
     assert report["bare"] == []
     names = ["errors", "exact", "fk", "mathieu", "principal", "rootsys", "shadow"]
     assert report["attributes"] == report["star"] == {name: f"ghckit.{name}" for name in names}
