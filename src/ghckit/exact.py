@@ -2,12 +2,17 @@
 
 The interface is ``fractions.Fraction``; no floating point is used anywhere.
 Numbers enter as text by one rule: ``parse_rational`` and ``parse_integer``
-take no exponent notation and no "_" digit separators.  ``parse_integer`` is
-also the one rule for the library's integer arguments (so a float or a bool
-is an input error), ``parse_nonnegative`` that rule for a count or a bound,
-and ``cone_witness`` reads its k and sign by it.
+take no exponent notation and no "_" digit separators.  ``parse_rational``
+reads plain "p" and "p/q" (a sign and decimal digits) by ``int`` alone, with
+no pattern compiled, and any other text by ``Fraction``, to the same value
+or input error.  ``parse_integer`` is also the one rule for the library's
+integer arguments (so a float or a bool is an input error),
+``parse_nonnegative`` that rule for a count or a bound, and ``cone_witness``
+reads its k and sign by it.
 Vectors are plain tuples of Fractions, which keeps them hashable and
-immutable, so all operations are pure and safe for concurrent use.
+immutable, so all operations are pure and safe for concurrent use.  ``vec``
+reads a vector's entries: a Fraction or an int (not a bool) as it is, text by
+``parse_rational``, and anything else, a float among them, as an input error.
 Elimination runs on integers, by one fraction-free step, ``_pivot_row``.
 The LP behind the cone queries reads integer input as it is and scales any
 other input by the lcm of its denominators, keeps the tableau as an integer
@@ -58,8 +63,21 @@ Vector = tuple[Fraction, ...]
 
 
 def vec(coords: Iterable) -> Vector:
-    # a Fraction entry is kept as it is, so vec on a Vector converts nothing
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+    """coords as a Vector: a Fraction entry as it is (so vec on a Vector converts
+    nothing), an int (not a bool) as its Fraction, and text by ``parse_rational``;
+    any other entry, a float among them, is an input error, and so is coords
+    given as one text, which would otherwise be read a character at a time."""
+    if isinstance(coords, str):
+        raise InputError(f"a vector is a sequence of entries, not the text {coords!r}")
+    return tuple(c if type(c) is Fraction else _entry(c) for c in coords)
+
+
+def _entry(c) -> Fraction:
+    if isinstance(c, str):
+        return parse_rational(c)
+    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
+        return Fraction(c)
+    raise InputError(f"not a rational: {c!r}")
 
 
 def vzero(dim: int) -> Vector:
@@ -91,13 +109,22 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    # no exponent notation: Fraction would expand "1e999999999" into a billion-digit integer
-    if re.search(r"[\d.][eE]", s):
-        raise InputError(f"not a rational: {s!r} (exponent notation is not accepted)")
-    # nor "_" separators, which Fraction reads ("3_0" is 30) only from Python 3.11 on
-    if "_" in s:
-        raise InputError(f"not a rational: {s!r} (_ separators are not accepted)")
+    # plain "p" or "p/q", a sign and decimal digits, is read by int alone: isdecimal
+    # takes exactly the digits that int (and Fraction's \d) reads, and no pattern is
+    # compiled, here or at import
+    num, slash, den = s.partition("/")
+    plain = (num[1:] if num[:1] in ("+", "-") else num).isdecimal() and (den.isdecimal() or not slash)
+    if not plain:
+        # no exponent notation: Fraction would expand "1e999999999" into a billion-digit integer
+        if re.search(r"[\d.][eE]", s):
+            raise InputError(f"not a rational: {s!r} (exponent notation is not accepted)")
+        # nor "_" separators, which Fraction reads ("3_0" is 30) only from Python 3.11 on
+        if "_" in s:
+            raise InputError(f"not a rational: {s!r} (_ separators are not accepted)")
     try:
+        if plain:
+            # int raises ValueError past 4,300 digits from Python 3.11 on, as Fraction does
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"not a rational: {s!r}") from e

@@ -4,9 +4,12 @@ highest weight modules: complete for sp(2n), partial for sl(n+1).
 The sp(2n) degree goes through the companion D_n system: the weight is
 shifted by (1, ..., 1) and fed to the Weyl dimension formula, then divided
 by 2^(n-1).  A bounded weight has every entry over the denominator 2, so
-the shift adds 2 to each numerator and builds each entry once, with no
-Fraction addition.  Divisibility is asserted at runtime; a failure would
-signal a realization bug, not bad input.
+the shifted weight is the integer row of the numerators plus 2, over 2,
+which goes to the row-level ``rootsys._weyl_dim`` with no Fraction built.
+Divisibility is asserted at runtime; a failure would signal a realization
+bug, not bad input.  A weight is a sequence read by ``exact.vec``: its
+entries are Fractions, ints or rational text, and nothing else; a weight
+given as one text is an input error.
 
 ``describe`` builds the document of the ``mathieu`` command.  A weight read
 beside x (``eta``, or the ``equiv`` of ``sp_equivalent``) must have the length
@@ -15,12 +18,11 @@ of x, and ``_same_length`` states that rule once for every caller.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from . import rootsys
 from .errors import InputError, InternalError, RegularIntegralCase
-from .exact import Vector, format_vector, parse_rational, vec
+from .exact import Vector, format_vector, vec
 
 
 def cuspidal_exists(components: Sequence[tuple[str, int]]) -> bool:
@@ -83,8 +85,8 @@ def sp_degree(x: Sequence) -> int:
     if n < 2:
         raise InputError("need rank >= 2 for the companion system")
     dn = rootsys.build("D", n)
-    # every entry is c/2 with c odd, so c/2 + 1 = (c + 2)/2, already in lowest terms
-    dim = rootsys.weyl_dim(dn, tuple(Fraction(c.numerator + 2, 2) for c in xs))
+    # every entry is c/2 with c odd, so x + (1, ..., 1) is the integer row of c + 2 over 2
+    dim = rootsys._weyl_dim(dn, [c.numerator + 2 for c in xs], 2)
     d, rem = divmod(dim, 2 ** (n - 1))
     if rem:
         raise InternalError(f"dimension {dim} not divisible by 2^{n - 1}")
@@ -147,7 +149,7 @@ class CoherentFamilyDescriptor(NamedTuple):
         # type(degree) is int, since isinstance(True, int) holds; a float is no degree either
         if not isinstance(rep, list) or not all(isinstance(c, str) for c in rep) or type(degree) is not int:
             raise InputError("a descriptor document needs a class_rep list of strings and an int degree")
-        d = cls.from_weight(vec(parse_rational(c) for c in rep))
+        d = cls.from_weight(rep)
         if d.degree != degree:
             raise InputError(f"stored degree {degree} disagrees with recomputed {d.degree}")
         return d

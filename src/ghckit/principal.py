@@ -19,8 +19,12 @@ A weight enters as the (integer row, denominator) pair of
 ``rootsys._weight_row``, which also checks its length, so ``lambda_h`` is one
 integer dot and one Fraction.  ``ktype_series``, ``minimal_ktype`` and
 ``a1_multiplicity`` read a non-integral weight once, through
-``_nonintegral_lambda_h``; ``find_nonintegral_weight`` steps over integer
-rows and builds its Fraction weight once, at the end.
+``_nonintegral_lambda_h``, which gives lambda(h) as an integer pair (num,
+den) with den positive; ``ktype_series`` bounds it and reads its table index
+on those integers (|num| > MAX_M den, num % den, num // den) and builds the
+one Fraction of ``KTypeSeries.lambda_h`` at the end.
+``find_nonintegral_weight`` steps over integer rows and builds its Fraction
+weight once, at the end.
 
 The k-type series owns its rules: the bound ``MAX_M`` on max_m and on
 |lambda(h)|, which keeps the partition table an explicit input error rather
@@ -180,13 +184,14 @@ def partition_P(multiset: dict, target) -> int:
     return _table_entry(_partition_table(multiset, max(0, n)), n)
 
 
-def _nonintegral_lambda_h(pd: PrincipalData, lam: Vector) -> Fraction:
-    """lambda(h) for a weight lam that must be non-integral, read by one
-    ``_weight_row``: its row decides integrality and gives lambda(h)."""
+def _nonintegral_lambda_h(pd: PrincipalData, lam: Vector) -> tuple[int, int]:
+    """lambda(h) = num / den, with den positive, for a weight lam that must be
+    non-integral, read by one ``_weight_row``: its row decides integrality and
+    gives lambda(h)."""
     row, den = _weight_row(pd.rs, lam)
     if _integral(pd.rs, row, den):
         raise InputError("lambda must be non-integral")
-    return Fraction(_dot(row, pd.h_row), den * pd.h_den)
+    return _dot(row, pd.h_row), den * pd.h_den
 
 
 def _minimal_ktype(lh: Fraction) -> int | None:
@@ -201,7 +206,7 @@ def a1_multiplicity(pd: PrincipalData, m: int, lam: Vector) -> int:
     """Multiplicity of the (m+1)-dimensional sl(2)-type in the first
     derived-functor module attached to a non-integral weight."""
     m = parse_nonnegative(m, "m")
-    lh = _nonintegral_lambda_h(pd, lam)
+    lh = Fraction(*_nonintegral_lambda_h(pd, lam))
     val = partition_P(pd.nbar_kperp_multiset, m - lh + 2) - partition_P(
         pd.nbar_kperp_multiset, -m - lh
     )
@@ -213,7 +218,7 @@ def a1_multiplicity(pd: PrincipalData, m: int, lam: Vector) -> int:
 def minimal_ktype(pd: PrincipalData, lam: Vector) -> int:
     """Smallest m with nonzero multiplicity; the series bottoms out at
     lambda(h) - 2 with multiplicity exactly 1 (see ``_minimal_ktype``)."""
-    n = _minimal_ktype(_nonintegral_lambda_h(pd, lam))
+    n = _minimal_ktype(Fraction(*_nonintegral_lambda_h(pd, lam)))
     if n is None:
         raise InputError("lambda(h) - 2 must be a nonnegative integer")
     return n
@@ -271,13 +276,13 @@ def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
     max_m = parse_nonnegative(max_m, "max_m")
     if max_m > MAX_M:
         raise InputError(f"max_m {max_m} exceeds the bound {MAX_M}")
-    lh = _nonintegral_lambda_h(pd, lam)
-    if abs(lh) > MAX_M:
-        raise InputError(f"lambda(h) = {format_rational(lh)} is outside the bound +-{MAX_M}")
+    num, den = _nonintegral_lambda_h(pd, lam)
+    if abs(num) > MAX_M * den:
+        raise InputError(f"lambda(h) = {format_rational(Fraction(num, den))} is outside the bound +-{MAX_M}")
     # a non-integral lambda(h) makes every target non-integral
     values = [0] * (max_m + 1)
-    if lh.denominator == 1:
-        n = int(lh)
+    if num % den == 0:
+        n = num // den
         table = pd.kperp_table(max(0, max_m - n + 2))
         # m = 0 .. max_m reads table[m - n + 2] less table[-m - n], each 0 at a negative index:
         # zeros then a slice, less a reversed head then zeros
@@ -286,7 +291,7 @@ def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
         if min(values) < 0:
             m = next(m for m, val in enumerate(values) if val < 0)
             raise InternalError(f"negative multiplicity {values[m]} for m={m}")
-    return KTypeSeries(lambda_h=lh, entries=dict(enumerate(values)), truncation=max_m)
+    return KTypeSeries(lambda_h=Fraction(num, den), entries=dict(enumerate(values)), truncation=max_m)
 
 
 def find_nonintegral_weight(pd: PrincipalData, target) -> Vector:

@@ -33,20 +33,23 @@ holds the frozenset of each of the 64 values of each chunk of six root
 indices: it starts from the stored set of the first chunk that the mask
 meets and merges in that of each later one, so no root is hashed again.
 
-A weight enters through ``_weight_row``, once per call: it checks the length
+A weight enters through ``_weight_row``, once per call: a weight of ints and
+Fractions is read as it is, any other through ``exact.vec`` (so rational text
+is taken, and a float or a bool is an input error); it checks the length
 against ``ambient_dim`` and writes the weight as an integer row over one
 positive denominator.  ``_simple_pairings`` pairs that row with the doubled
 simple roots into integer (numerator, denominator) pairs, and the predicates
 and ``weyl_dim`` decide on them by ``%`` and ``//``; a Fraction is built only
-for an error message.  The pairings with the other positive coroots come from
-one kernel, ``_coroot_pairings``, along the chain ``coroot_chain``, built on
-first use from ``coroot_coords`` (the positive coroots over the simple
-coroots): ordered by coroot height, every positive coroot that is not simple
-is an earlier one plus a simple coroot, so its pairing is one integer
-addition.  ``rho_product``, the product of the coroot heights, is the cached
-denominator of the Weyl product.  Public surfaces stay rational
-epsilon-vectors: Fractions for root vectors and weights, "p" or "p/q" text in
-the JSON.
+for an error message; ``_weyl_dim`` is ``weyl_dim`` on such a row, for a
+caller that holds its weight as one (``mathieu.sp_degree``).  The pairings
+with the other positive coroots come from one kernel, ``_coroot_pairings``,
+along the chain ``coroot_chain``, built on first use from ``coroot_coords``
+(the positive coroots over the simple coroots): ordered by coroot height,
+every positive coroot that is not simple is an earlier one plus a simple
+coroot, so its pairing is one integer addition.  ``rho_product``, the
+product of the coroot heights, is the cached denominator of the Weyl product.
+Public surfaces stay rational epsilon-vectors: Fractions for root vectors and
+weights, "p" or "p/q" text in the JSON.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError
-from .exact import Vector, _reduce, dot, parse_integer, vscale
+from .exact import Vector, _reduce, dot, parse_integer, vec, vscale
 
 DEFAULT_MAX_RANK = 8
 # GHC_MAX_RANK may raise the cap this far: C32 and D32, the slowest rank-32 builds, take
@@ -86,6 +89,8 @@ _ROOT_COUNTS = {
 LOW_RANK_ALIASES = {("B", 1): ("A", 1), ("C", 1): ("A", 1), ("B", 2): ("C", 2), ("D", 3): ("A", 3)}
 
 _F = Fraction
+# the entry types of a weight that _weight_row reads as they are (a bool is not an int here)
+_EXACT_TYPES = frozenset((Fraction, int))
 
 
 def bits(mask: int) -> list[int]:
@@ -416,8 +421,11 @@ def build(series: str, rank: int) -> RootSystem:
 
     Root ordering is canonical: positive roots sorted by (height, coords),
     then the negatives in the matching order; this ordering backs the root
-    indices used on all JSON surfaces.
+    indices used on all JSON surfaces.  The rank is read by
+    ``exact.parse_integer``, so a bool or a float is an input error.
     """
+    # read before the cache, whose key 1 would also answer True and 3 answer 3.0
+    rank = parse_integer(rank)
     if root_count(series, rank) is None:
         raise InputError(f"invalid simple type ({series},{rank})")
     cap = max_rank()
@@ -477,7 +485,12 @@ def _construct(series: str, rank: int) -> RootSystem:
 
 def _weight_row(rs: RootSystem, lam: Vector) -> tuple[list[int], int]:
     """lam as an integer row and a positive denominator, lam = row / den: the one
-    entry point of a weight, which also checks its length."""
+    entry point of a weight, which also checks its length.  Entries that are all
+    ints or Fractions are read as they are; any other weight is read by
+    ``exact.vec`` first, so rational text is taken and a float or a bool is an
+    input error."""
+    if not _EXACT_TYPES.issuperset(map(type, lam)):
+        lam = vec(lam)
     if len(lam) != rs.ambient_dim:
         raise InputError("weight dimension does not match the ambient space")
     den = lcm(*(x.denominator for x in lam))
@@ -528,7 +541,13 @@ def weyl_dim(rs: RootSystem, lam: Vector) -> int:
     the positive coroots is read along ``coroot_chain``, one integer addition
     per coroot that is not simple, and divided by the cached ``rho_product``.
     """
-    pairings = _simple_pairings(rs, *_weight_row(rs, lam))
+    return _weyl_dim(rs, *_weight_row(rs, lam))
+
+
+def _weyl_dim(rs: RootSystem, row: Sequence[int], den: int) -> int:
+    """``weyl_dim`` of lam = row / den, for an integer row of the ambient length and
+    a positive den: the entry of a caller that already holds its weight so."""
+    pairings = _simple_pairings(rs, row, den)
     for i, (p, q) in enumerate(pairings):
         if p < 0 or p % q:
             raise InputError(f"weight is not dominant integral: pairing {_F(p, q)} on {rs.simple_roots[i]}")

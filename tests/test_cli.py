@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -361,6 +362,33 @@ def test_every_bench_workload_has_a_pinned_digest():
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         workloads = [w["name"] for w in json.load(f)["workloads"]]
     assert sorted(load_check_cli().BENCH) == sorted(workloads)
+
+
+def ab_inproc(parent, child):
+    """tools/ab_inproc.py on spectra, one round."""
+    tool = os.path.join(ROOT, "tools", "ab_inproc.py")
+    argv = [sys.executable, tool, parent, child, "--workload", "spectra", "--rounds", "1"]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=300)
+
+
+def test_ab_inproc_gates_on_equal_answers(tmp_path):
+    # a copy whose k-type documents say one more truncation fails the gate before any timing;
+    # the tree against itself passes (no timing is asserted)
+    copy = tmp_path / "copy"
+    for part in ("src", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, part), copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+    principal_py = copy / "src" / "ghckit" / "principal.py"
+    text = principal_py.read_text(encoding="utf-8")
+    assert text.count('"truncation": self.truncation,') == 1
+    principal_py.write_text(text.replace('"truncation": self.truncation,', '"truncation": self.truncation + 1,'))
+    changed = ab_inproc(ROOT, str(copy))
+    assert changed.returncode == 1 and changed.stdout == ""
+    assert "264 differences" in changed.stderr and '"truncation":' in changed.stderr
+    same = ab_inproc(ROOT, ROOT)
+    assert same.returncode == 0, same.stderr
+    doc = json.loads(same.stdout)
+    assert (doc["workload"], doc["ops"], doc["rounds"], doc["steps_ratio"]) == ("spectra", 379, 1, None)
+    assert {"median", "q1", "q3"} <= set(doc["ratio"])
 
 
 class TestDeterminism:

@@ -1,9 +1,10 @@
 import hashlib
+import re
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import nullspace as reference_nullspace, solve_linear as reference_solve_linear
 from reference_simplex import outcome, reference_cones_intersect_trivially, reference_lp_feasible
@@ -178,6 +179,37 @@ rationals = st.fractions(
 )
 
 
+def fraction_rule(s: str) -> Fraction:
+    """parse_rational with no fast path: the exponent and "_" rejections, then Fraction."""
+    if re.search(r"[\d.][eE]", s):
+        raise InputError(f"not a rational: {s!r} (exponent notation is not accepted)")
+    if "_" in s:
+        raise InputError(f"not a rational: {s!r} (_ separators are not accepted)")
+    try:
+        return Fraction(s.strip())
+    except (ValueError, ZeroDivisionError) as e:
+        raise InputError(f"not a rational: {s!r}") from e
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except InputError as e:
+        return InputError, str(e)
+
+
+# ASCII and other decimal digits (Arabic-Indic, Devanagari) and superscripts, which are
+# digits but not decimal; the text adds the signs, "/", ".", "e", "_" and ASCII and Unicode spaces
+DIGITS = "0123456789\u0663\u06f7\u0969\u00b2\u00b3"
+rational_text = st.text(st.sampled_from("+-/.eE_ \t\n\u00a0\u2003" + DIGITS), max_size=10)
+plain_text = st.builds(
+    lambda sign, num, den: sign + num + den,
+    st.sampled_from(["", "+", "-", " ", "--"]),
+    st.text(st.sampled_from(DIGITS), max_size=6),
+    st.one_of(st.just(""), st.text(st.sampled_from(DIGITS), max_size=6).map(lambda d: "/" + d)),
+)
+
+
 class TestSerialization:
     @given(rationals)
     def test_round_trip(self, q):
@@ -203,6 +235,39 @@ class TestSerialization:
         # Fraction reads "3_0" as 30 from Python 3.11 on and rejects it before: one answer on all
         with pytest.raises(InputError, match="not a rational"):
             parse_rational(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(plain_text, rational_text))
+    @example("1" * 4301)
+    @example("-7/" + "3" * 4301)
+    @example("+٣/۷")
+    @example("1/0")
+    def test_parse_agrees_with_the_fraction_rule(self, text):
+        # the fast path for plain "p" and "p/q" gives what Fraction gives, or InputError with
+        # the same text; past 4,300 digits int and Fraction both raise from Python 3.11 on
+        assert _parsed(parse_rational, text) == _parsed(fraction_rule, text)
+
+
+class TestVec:
+    def test_keeps_fractions_ints_and_text(self):
+        v = vec([F(1, 2), 3, "-3/4", " 5 "])
+        assert v == (F(1, 2), F(3), F(-3, 4), F(5)) and all(type(c) is Fraction for c in v)
+
+    # "1e9999", not "1e999999999": the latter would cost the old rule a billion-digit integer
+    @pytest.mark.parametrize("entry, match", [
+        ("1e9999", "exponent notation"), ("3_0", "_ separators"), ("x", "not a rational: 'x'$"),
+        (0.1, "not a rational: 0.1$"), (True, "not a rational: True$"), (None, "not a rational: None$"),
+    ])
+    def test_other_entries_are_input_errors(self, entry, match):
+        # vec read "1e9999" as a 10,000-digit integer, "3_0" as 30, 0.1 as
+        # 3602879701896397/36028797018963968 and True as 1, and raised ValueError or TypeError on "x" and None
+        with pytest.raises(InputError, match=match):
+            vec([1, entry])
+
+    def test_one_text_is_no_vector(self):
+        # vec read "101" a character at a time, as (1, 0, 1)
+        with pytest.raises(InputError, match="^a vector is a sequence of entries, not the text '101'$"):
+            vec("101")
 
 
 # entries p/q with |p| <= 3 and q in {1, 2, 3}: small enough that zero

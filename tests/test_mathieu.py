@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ghckit import mathieu
+from ghckit import mathieu, rootsys
 from ghckit.errors import InputError, RegularIntegralCase
 
 F = Fraction
@@ -38,6 +38,17 @@ class TestSpBounded:
     def test_rank_three(self):
         assert mathieu.sp_bounded([F(5, 2), F(3, 2), F(-1, 2)])
         assert not mathieu.sp_bounded([F(5, 2), F(1, 2), F(3, 2)])
+
+    @pytest.mark.parametrize("x, match", [
+        (["1e9999"], "^not a rational: "), (["5/2", "3_0/2"], "^not a rational: "),
+        ([F(5, 2), 0.5], "^not a rational: "), ([True], "^not a rational: "),
+        ("31", "^a vector is a sequence of entries, not the text '31'$"),
+    ])
+    def test_entries_follow_the_text_rule(self, x, match):
+        # each was read before: "1e9999" as a 10,000-digit integer, "3_0" as 30, 0.5 and True as
+        # numbers, and the text "31" a character at a time, as (3, 1)
+        with pytest.raises(InputError, match=match):
+            mathieu.sp_bounded(x)
 
     @given(
         st.tuples(
@@ -159,6 +170,20 @@ class TestSpDegree:
                 for i, j in combinations(range(n), 2):
                     dim *= F(l[i] ** 2 - l[j] ** 2, rho[i] ** 2 - rho[j] ** 2)
                 assert mathieu.sp_degree(x) == dim / 2 ** (n - 1)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        st.integers(0, 3), st.booleans(), st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))))
+    def test_matches_weyl_dim_of_the_shifted_fraction_weight(self, drawn):
+        # the Fraction path the integer row replaced: weyl_dim of x + (1, ..., 1) on D_n, over 2^(n-1)
+        k, negative, steps = drawn
+        x = [H + k]
+        for step in steps:
+            x.append(x[-1] + step)
+        x = x[:0:-1] + [-x[0] if negative else x[0]]
+        n = len(x)
+        dim = rootsys.weyl_dim(rootsys.build("D", n), tuple(c + 1 for c in x))
+        assert dim % 2 ** (n - 1) == 0 and mathieu.sp_degree(x) == dim // 2 ** (n - 1)
 
 
 class TestSlDegree:

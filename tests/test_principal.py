@@ -376,7 +376,8 @@ class TestBounds:
         with pytest.raises(InputError, match="expected an integer"):
             principal.ktype_series(pd, lam, max_m)
 
-    @pytest.mark.parametrize("target", [MAX_M + 1, -MAX_M - 1, F(2 * MAX_M + 1, 2)])
+    # the last two are the edges of |num| > MAX_M den off the integers
+    @pytest.mark.parametrize("target", [MAX_M + 1, -MAX_M - 1, F(2 * MAX_M + 1, 2), MAX_M + F(1, 3), -MAX_M - F(1, 3)])
     def test_lambda_h_above_bound(self, target):
         pd = self.fresh()
         held = pd.kperp_table(8)
@@ -387,7 +388,7 @@ class TestBounds:
 
     def test_lambda_h_at_bound(self):
         pd = self.fresh()
-        for target in (MAX_M, -MAX_M):
+        for target in (MAX_M, -MAX_M, MAX_M - F(1, 3), -MAX_M + F(1, 3)):
             lam = principal.find_nonintegral_weight(pd, target)
             assert principal.ktype_series(pd, lam, 2).lambda_h == target
 
@@ -486,6 +487,28 @@ def test_weight_of_the_wrong_length_is_an_input_error(a2, lam):
     for call in calls:
         with pytest.raises(InputError, match="^weight dimension does not match the ambient space$"):
             call(lam)
+
+
+@pytest.mark.parametrize("lam, match", [
+    ((0.5, 0, -0.5), "^not a rational: 0.5$"), ((True, 0, False), "^not a rational: True$"),
+    ((F(1), None, F(-1)), "^not a rational: None$"), ((F(1), "x", F(-1)), "^not a rational: 'x'$"),
+    ("101", "^a vector is a sequence of entries, not the text '101'$"),
+])
+def test_weight_entry_that_is_not_rational_is_an_input_error(a2, lam, match):
+    # a float or None entry, or a weight given as one text, raised AttributeError, and a bool
+    # was read as an integer; the text "101" must not be read as (1, 0, 1)
+    pd = PrincipalData.build(a2)
+    on_rs = (rootsys.is_integral, rootsys.is_dominant, rootsys.is_regular_integral, rootsys.weyl_dim)
+    calls = [partial(f, a2) for f in on_rs] + [pd.lambda_h, partial(principal.ktype_series, pd, max_m=4)]
+    for call in calls:
+        with pytest.raises(InputError, match=match):
+            call(lam)
+
+
+def test_weight_text_is_read_as_rationals(a2):
+    # the highest root e1 - e3 of A2 heads the adjoint module
+    assert rootsys.weyl_dim(a2, ("1", "0", "-1")) == rootsys.weyl_dim(a2, (1, 0, -1)) == 8
+    assert PrincipalData.build(a2).lambda_h(("1/3", 0, F(-1, 3))) == F(4, 3)
 
 
 def _outcome(fn, *args):

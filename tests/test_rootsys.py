@@ -194,6 +194,22 @@ def test_invalid_types():
             rootsys.build(series, rank)
 
 
+@pytest.mark.parametrize("rank", [True, False, 3.0, 1.0, "x", None])
+def test_rank_is_read_before_the_cache(rank):
+    # the build cache keys True as 1 and 3.0 as 3: once A1 and A3 were built, such a
+    # rank was answered from it, and True came back as the rank of a system
+    rootsys.build("A", 1), rootsys.build("A", 3)
+    with pytest.raises(InputError, match="^expected an integer, got "):
+        rootsys.build("A", rank)
+    assert type(rootsys.build("A", 1).rank) is int and rootsys.build("A", 1).to_json()["rank"] == 1
+
+
+def test_rank_text_is_read_by_the_integer_rule():
+    assert rootsys.build("A", "3") is rootsys.build("A", 3)
+    with pytest.raises(InputError, match="^expected an integer, got '0_3'$"):
+        rootsys.build("A", "0_3")
+
+
 def test_rank_cap(monkeypatch):
     with pytest.raises(InputError):
         rootsys.build("A", 9)
