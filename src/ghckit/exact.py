@@ -27,16 +27,20 @@ runs) and whose row's entering entry is 1 or -1 (every such step of those
 LPs that changes its row) skips the scaling and runs in C, through ``map``:
 a row subtraction for 1, an addition for -1.  The cone queries pass their
 generators through unchanged, so integer generators (as ``fk`` and
-``shadow`` give them) reach the simplex with no Fraction built on the way,
-and a solution or point entry over denominator 1 is built as a one-argument
-Fraction.
+``shadow`` give them) reach the simplex with no Fraction built on the way:
+``_integer_rows`` tells all-int rows by one reduction in C, the type of the
+sum of every cell, and reads them as they are.  A solution or point entry
+over denominator 1 is an integer, taken from a table of shared Fractions
+(``_SMALL``, -8 .. 8, which holds nearly every such entry of a type-A LP)
+or built as a one-argument Fraction past it.
 
 ``cone_witness`` is the one LP behind the two-cone test: it asks for a
 common point whose coordinate k is +1 or -1 and returns it as a
 ``ConeWitness``, whose point it sums in integers over one denominator (the
 lcm of the nonzero coefficients' denominators, 1 on every type-A LP) and
-turns into one Fraction per coordinate.  A coordinate outside the cones'
-dimension, or a sign other than +1 and -1, is an input error.
+turns into one Fraction per coordinate, from the shared table where it can.
+A coordinate outside the cones' dimension, or a sign other than +1 and -1,
+is an input error.
 ``ConeWitness.verify`` checks each side one coordinate at a time, by one
 ``dot`` of the coefficients with that coordinate of the generators.
 ``cones_intersect_trivially`` is the general test, that LP for every
@@ -73,6 +77,9 @@ def vec(coords: Iterable) -> Vector:
 
 
 def _entry(c) -> Fraction:
+    """One rational by ``vec``'s entry rule, which ``principal`` reads its targets by."""
+    if type(c) is Fraction:
+        return c
     if isinstance(c, str):
         return parse_rational(c)
     if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
@@ -159,12 +166,34 @@ def format_vector(v: Vector) -> list[str]:
 # LP feasibility: two-phase simplex, Bland's anti-cycling rule
 
 
+# the Fractions -8 .. 8, shared: the LP's integer basic values and a witness point's
+# coordinates are nearly all small, and a shared Fraction costs a tuple index, not a
+# Fraction construction; _ZERO is also the identity by which cone_witness drops zeros
+_SMALL = tuple(Fraction(i) for i in range(-8, 9))
+_ZERO = _SMALL[8]
+
+
+def _fraction(v) -> Fraction:
+    """The rational v as a Fraction: the shared one from _SMALL for an int in -8 .. 8."""
+    return _SMALL[v + 8] if type(v) is int and -8 <= v <= 8 else Fraction(v)
+
+
 def _integer_rows(equalities: Sequence[tuple[Sequence, object]]) -> list[list[int]]:
     """The rows [coeffs..., rhs] as integers: all-int input is read as it is, and
-    any other rationals are scaled by the lcm of their denominators."""
+    any other rationals are scaled by the lcm of their denominators.
+
+    All-int is one reduction in C: a sum of ints (bools and int subclasses
+    among them) is an int, a Fraction, a float or a Decimal makes the sum
+    something else, text or None raises ``TypeError``, and a float beside an
+    int past its range (``OverflowError``) or a signalling Decimal raises an
+    ``ArithmeticError``; each of those takes the per-cell path, which gives
+    the answer or error that it always gave."""
     rows = [[*coeffs, rhs] for coeffs, rhs in equalities]
-    if set(map(type, chain.from_iterable(rows))) <= {int}:
-        return rows
+    try:
+        if type(sum(map(sum, rows))) is int:
+            return rows
+    except (TypeError, ArithmeticError):
+        pass
     rows = [[c if isinstance(c, (int, Fraction)) else Fraction(c) for c in row] for row in rows]
     scale = lcm(*(c.denominator for row in rows for c in row))
     return [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
@@ -177,9 +206,10 @@ def lp_feasible(
 
     Coefficients are rationals (int, Fraction, or anything Fraction accepts),
     and the result is an exact rational solution as a list of Fractions, or
-    None when infeasible.  All-int input is read directly; any other input is
-    scaled to integer rows first (``_integer_rows``), and both go through the
-    same tableau.
+    None when infeasible.  All-int input is read directly, told from any
+    other by one reduction (``_integer_rows``: the sum of every cell is an
+    int only then); any other input is scaled to integer rows first, and both
+    go through the same tableau.
 
     Inside, the phase-1 tableau (n structural columns, m artificial columns,
     rhs; rows negated where rhs < 0) is the integer rows with 1 on the
@@ -199,7 +229,9 @@ def lp_feasible(
     rows, by ``map`` over ``zip``, before the artificial block is inserted
     into each row in place, and the unit step is one ``map``.  A basic
     value whose row holds 1 at its basic column is an integer and comes out
-    as a one-argument Fraction; any other is the quotient of the two entries.
+    as the shared Fraction of ``_SMALL`` for 0 .. 8 (every nonbasic value is
+    the shared zero) and as a one-argument Fraction above; any other is the
+    quotient of the two entries.
     """
     n = nonneg_vars
     for coeffs, _ in equalities:
@@ -207,7 +239,7 @@ def lp_feasible(
             raise InputError(f"equality has {len(coeffs)} coefficients, expected {n}")
     m = len(equalities)
     if m == 0:
-        return [Fraction(0)] * n
+        return [_ZERO] * n
     rows = _integer_rows(equalities)
     # the equality rows with rhs >= 0
     tab = [ints if ints[-1] >= 0 else list(map(neg, ints)) for ints in rows]
@@ -256,11 +288,11 @@ def lp_feasible(
     # the attained phase-1 objective value is -obj[-1] over a positive denominator
     if obj[-1] != 0:
         return None
-    x = [Fraction(0)] * n
+    x = [_ZERO] * n
     for i, bj in enumerate(basis):
         if bj < n:
             row = tab[i]
-            x[bj] = Fraction(row[-1]) if row[bj] == 1 else Fraction(row[-1], row[bj])
+            x[bj] = _fraction(row[-1]) if row[bj] == 1 else Fraction(row[-1], row[bj])
     return x
 
 
@@ -420,6 +452,11 @@ def cone_witness(
     One feasibility LP: balance rows saying that the a-combination minus the
     b-combination is 0, and one normalisation row fixing coordinate k of the
     a-combination at sign.  The witness is the simplex's basic solution.
+    Both generator lists are checked against the dimension by one set of
+    their lengths (``_check_dim`` names the first that differs).  The point
+    is summed over the nonzero a-coefficients, the zeros dropped by identity
+    with the shared zero that ``lp_feasible`` gives every nonbasic value, and
+    its integer coordinates come from the same shared table.
 
     k and sign are read by ``parse_integer``, so a float or a bool is an input
     error, as are a sign other than 1 and -1 and (when both sides have
@@ -433,8 +470,9 @@ def cone_witness(
     dim = len(gens_a[0])
     if k not in range(dim):
         raise InputError(f"coordinate {k!r} is outside range({dim})")
-    _check_dim(gens_a, dim)
-    _check_dim(gens_b, dim)
+    if {*map(len, gens_a), *map(len, gens_b)} != {dim}:
+        _check_dim(gens_a, dim)
+        _check_dim(gens_b, dim)
     na, nb = len(gens_a), len(gens_b)
     # sum of a-coefficients times gens_a minus b-coefficients times gens_b is 0: column j of
     # the generators, the b-side negated, is balance row j
@@ -447,11 +485,12 @@ def cone_witness(
     cb = tuple(sol[na:])
     # a basic solution has at most dim + 1 nonzero coefficients; their sum is taken in
     # integers over D, the lcm of their denominators, and divided by D once per coordinate
-    terms = [(c, g) for c, g in zip(ca, gens_a) if c]
+    # (a zero that is not the shared one gets through, and adds nothing over denominator 1)
+    terms = [(c, g) for c, g in zip(ca, gens_a) if c is not _ZERO]
     den = lcm(*(c.denominator for c, _ in terms))
     ints = [c.numerator * (den // c.denominator) for c, _ in terms]
     sums = [sum(map(mul, ints, col)) for col in zip(*(g for _, g in terms))]
-    point = tuple(map(Fraction, sums)) if den == 1 else tuple(Fraction(s, den) for s in sums)
+    point = tuple(map(_fraction, sums)) if den == 1 else tuple(Fraction(s, den) for s in sums)
     return ConeWitness(ca, cb, point)
 
 

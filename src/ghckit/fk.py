@@ -166,13 +166,19 @@ def theorem8_finite_type(rs: RootSystem, l: RootSubalgebra) -> FiniteTypeVerdict
     simple_k = _k_simple(rs, k)
     sg = _singular(rs, simple_k, rs.full_mask & ~l.mask)
     sn = _singular(rs, simple_k, l.mask & ~k)
-    table = _type_a_roots(rs)
-    a = [(row, ends) for i, row, ends in table if sg >> i & 1]
-    b = [(row, ends) for i, row, ends in table if sn >> i & 1]
-    pair = _first_feasible_pair([e for _, e in a], [e for _, e in b], rs.ambient_dim)
+    # the rows and ends of each side, in one pass over the table: sg and sn are disjoint
+    rows_a, ends_a, rows_b, ends_b = [], [], [], []
+    for i, row, ends in _type_a_roots(rs):
+        if sg >> i & 1:
+            rows_a.append(row)
+            ends_a.append(ends)
+        elif sn >> i & 1:
+            rows_b.append(row)
+            ends_b.append(ends)
+    pair = _first_feasible_pair(ends_a, ends_b, rs.ambient_dim)
     witness = None
     if pair is not None:
-        witness = cone_witness([r for r, _ in a], [r for r, _ in b], *pair)
+        witness = cone_witness(rows_a, rows_b, *pair)
         if witness is None:
             raise InternalError(f"the cone LP finds no common point at (k, sign) = {pair}, which H reaches")
     return FiniteTypeVerdict(pair is None, witness, SingularWeightData(rs, sg), SingularWeightData(rs, sn))

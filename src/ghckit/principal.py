@@ -31,7 +31,10 @@ The k-type series owns its rules: the bound ``MAX_M`` on max_m and on
 than a memory exhaustion, and the minimal k-type lambda(h) - 2
 (``KTypeSeries.minimal_ktype``).  Its integer arguments, max_m and the m of
 ``a1_multiplicity`` and ``euler_rhs``, are read by ``exact.parse_nonnegative``,
-so a bool, a float or a negative number is an input error.
+so a bool, a float or a negative number is an input error.  The rational
+targets of ``partition_P`` and ``find_nonintegral_weight`` are read by
+``exact.vec``'s entry rule, so there a bool, a float, exponent notation or a
+"_" separator is an input error.
 
 Every partition table, the series' and the independent counts' alike, is
 built by ``_partition_table`` under one rule: its parts are positive and its
@@ -50,7 +53,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import InputError, InternalError
-from .exact import Vector, format_rational, parse_integer, parse_nonnegative
+from .exact import Vector, _entry, format_rational, parse_integer, parse_nonnegative
 from .rootsys import RootSystem, _dot, _integral, _Record, _weight_row, height_distribution
 
 # bound on a k-type series' max_m and |lambda(h)|: the slowest series within
@@ -177,9 +180,10 @@ def partition_P(multiset: dict, target) -> int:
 
     Negative, non-integral or otherwise unreachable targets give 0: no
     monomial of the symmetric algebra has such an h-weight.  A target above
-    TABLE_TOP is an input error.
+    TABLE_TOP is an input error, and so is one that ``exact.vec`` would not
+    take as an entry: a float, a bool, exponent notation or a "_" separator.
     """
-    t = Fraction(target)
+    t = _entry(target)
     n = int(t) if t.denominator == 1 else -1
     return _table_entry(_partition_table(multiset, max(0, n)), n)
 
@@ -299,9 +303,11 @@ def find_nonintegral_weight(pd: PrincipalData, target) -> Vector:
 
     Starts from the multiple of h realizing the target and, if that happens
     to be integral, perturbs along a direction of the root span orthogonal
-    to h by small odd-denominator steps.
+    to h by small odd-denominator steps.  The target is read by ``exact.vec``'s
+    entry rule.
     """
-    rs, h, t = pd.rs, pd.h_row, Fraction(target)
+    # an int (not a bool or a subclass) is read as it is: it is its own numerator, over 1
+    rs, h, t = pd.rs, pd.h_row, target if type(target) is int else _entry(target)
     # base = t h / (h, h) = row / den, with h = h_row / h_den
     row, den = [t.numerator * pd.h_den * x for x in h], t.denominator * _dot(h, h)
     if not _integral(rs, row, den):

@@ -1,6 +1,8 @@
 import hashlib
 import re
+from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import pytest
@@ -428,6 +430,7 @@ class TestTypeAWitnesses:
             infinite += 1
             gens = sorted(verdict.singular_g_mod_l.singular_weights), sorted(verdict.singular_n.singular_weights)
             assert outcome(reference_cones_intersect_trivially(*gens)) == outcome((False, verdict.witness))
+            assert all_fractions(verdict.witness)
         assert infinite == 168
         assert counts == {"unit": 3065, "general": 0}
         assert entries == {"±1": 2144, "0": 921, "other": 0}
@@ -437,8 +440,141 @@ class TestTypeAWitnesses:
         # so its pivots are not 1
         counts, _ = counting_pivots(monkeypatch)
         eqs = [((F(1, 2), F(1, 3)), F(1)), ((F(1), F(2, 3)), F(2))]
-        assert lp_feasible(eqs, 2) == reference_lp_feasible(eqs, 2)
+        sol = lp_feasible(eqs, 2)
+        assert sol == reference_lp_feasible(eqs, 2)
         assert counts["general"] > 0
+        assert all(type(x) is Fraction for x in sol)
+        # the same system as a two-cone question: its columns against the rhs
+        a = [(F(1, 2), F(1)), (F(1, 3), F(2, 3))]
+        assert all_fractions(cone_witness(a, [(F(1), F(2))], 0, 1))
+
+
+def all_fractions(witness: ConeWitness) -> bool:
+    """Whether every coefficient and point entry of the witness is exactly a Fraction."""
+    return all(type(x) is Fraction for x in chain(*witness))
+
+
+class TestSharedFractions:
+    """lp_feasible and cone_witness take small integers from one table of shared
+    Fractions, and drop zero coefficients by identity with its zero."""
+
+    def test_table(self):
+        # the table is built by whichever fractions module runs; its construction differs
+        # from one Python version to the next, so each entry's fields are checked
+        assert [(type(f), type(f.numerator), f.numerator, f.denominator) for f in exact._SMALL] == [
+            (Fraction, int, i, 1) for i in range(-8, 9)]
+        assert exact._ZERO == 0 and exact._ZERO is exact._SMALL[8]
+
+    def test_values_past_the_table(self):
+        for v in (8, 9, 12, 10**30):
+            (x,) = lp_feasible([((1,), v)], 1)
+            assert x == v and type(x) is Fraction
+        w = cone_witness([(1, 12, -9)], [(1, 12, -9)], 0, 1)
+        assert w == ((F(1),), (F(1),), (F(1), F(12), F(-9))) and all_fractions(w)
+        # b-coefficients above the table, and a point over a denominator
+        w = cone_witness([(1, 0)], [(F(1, 20), 0)], 0, 1)
+        assert w == ((F(1),), (F(20),), (F(1), F(0))) and all_fractions(w)
+        w = cone_witness([(2, 1)], [(1, F(1, 2))], 0, 1)
+        assert w == ((F(1, 2),), (F(1),), (F(1), F(1, 2))) and all_fractions(w)
+
+    def test_a_zero_that_is_not_shared_adds_nothing(self, monkeypatch):
+        # a zero basic value from the general step is Fraction(0, p): not the shared zero, so
+        # it reaches the point sum, where it adds nothing over denominator 1
+        a, b = [(1, 0), (0, 1), (1, 1)], [(1, 1)]
+        want = cone_witness(a, b, 0, 1)
+        real = exact.lp_feasible
+        monkeypatch.setattr(exact, "lp_feasible", lambda eqs, n: [F(0, 1) if x == 0 else x for x in real(eqs, n)])
+        w = cone_witness(a, b, 0, 1)
+        assert 0 in w.coefficients_a and not any(c is exact._ZERO for c in w.coefficients_a)
+        assert w == want and w.point == (F(1), F(1)) and all_fractions(w) and w.verify(a, b)
+
+    @pytest.mark.parametrize("a, b, message", [
+        ([(1, 0), (1, 0, 0)], [(1, 1)], "dimension mismatch: expected 2, got 3"),
+        ([(1, 0)], [(1, 1), (1,)], "dimension mismatch: expected 2, got 1"),
+        # both sides wrong: the a-side is named, as it is checked first
+        ([(1, 0), (1, 0, 0, 0)], [(1,)], "dimension mismatch: expected 2, got 4"),
+        ([(1, 0), (1, 0, 0)], [(1, 1), (1,), (1, 1, 1, 1)], "dimension mismatch: expected 2, got 3"),
+    ])
+    def test_dimension_mismatch_messages(self, a, b, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            cone_witness(a, b, 0, 1)
+
+
+class Int(int):
+    """An int subclass: its sums with ints are ints, so the all-int test takes it as one."""
+
+
+def reference_integer_rows(equalities):
+    """``exact._integer_rows`` with its former all-int test, a type pass over every cell."""
+    rows = [[*coeffs, rhs] for coeffs, rhs in equalities]
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    rows = [[c if isinstance(c, (int, Fraction)) else Fraction(c) for c in row] for row in rows]
+    scale = lcm(*(c.denominator for row in rows for c in row))
+    return [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
+
+
+def _result(fn, *args):
+    """fn's value, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError, ArithmeticError) as e:
+        return type(e)
+
+
+BIG = 10**3999 + 1  # 4,000 digits
+CELLS = {
+    "int": st.integers(-3, 3),
+    "bool": st.booleans(),
+    "int subclass": st.integers(-3, 3).map(Int),
+    "Fraction": st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3))),
+    "float": st.integers(-8, 8).map(lambda i: i / 4),
+    "Decimal": st.integers(-30, 30).map(lambda i: Decimal(i) / 10),
+    "text": st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3))).map(str),
+    "None": st.none(),
+    "4,000 digits": st.sampled_from((BIG, -BIG, 3 * BIG, BIG - 2)),
+}
+
+
+@st.composite
+def mixed_systems(draw):
+    """An LP system whose cells mix up to three of the CELLS kinds."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=3, unique=True))
+    cell = st.one_of(*(CELLS[kind] for kind in kinds))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    row = st.tuples(st.lists(cell, min_size=n, max_size=n).map(tuple), cell)
+    return draw(st.lists(row, min_size=m, max_size=m)), n
+
+
+class TestIntegerRows:
+    """_integer_rows takes all-int input by one reduction, against the former type pass."""
+
+    @settings(deadline=None)  # a 4,000-digit LP can outlast the default deadline
+    @given(mixed_systems())
+    @example(([((1, True), Int(2))], 2))
+    @example(([((BIG, -BIG), 3 * BIG), ((1, 2), BIG)], 2))
+    @example(([((F(1, 2), Decimal("0.5")), 1)], 2))
+    @example(([((Decimal("0.5"), 0.5), 1)], 2))
+    @example(([((1, None), 1)], 2))
+    # a float beside an int past the float range: the sum raises OverflowError
+    @example(([((BIG, 0.5), 1)], 2))
+    @example(([((F(BIG), 0.5), 1)], 2))
+    # a signalling NaN raises decimal.InvalidOperation in the sum, ValueError in Fraction
+    @example(([((1, Decimal("sNaN")), 1)], 2))
+    @example(([((1, "x"), 1)], 2))
+    def test_same_rows_and_solution_as_the_type_pass(self, system):
+        eqs, n = system
+        got = _result(exact._integer_rows, eqs)
+        assert got == _result(reference_integer_rows, eqs)
+        if isinstance(got, list):
+            assert all(isinstance(c, int) for row in got for c in row)
+        assert _result(lp_feasible, eqs, n) == _result(reference_lp_feasible, eqs, n)
+
+    def test_all_int_rows_are_read_as_they_are(self):
+        eqs = [((1, -2, BIG), 3), ((0, 0, 1), -1)]
+        rows = exact._integer_rows(eqs)
+        assert rows == [[1, -2, BIG, 3], [0, 0, 1, -1]]
+        assert rows[0][2] is BIG
 
 
 @st.composite

@@ -505,6 +505,28 @@ def test_weight_entry_that_is_not_rational_is_an_input_error(a2, lam, match):
             call(lam)
 
 
+@pytest.mark.parametrize("target, match", [
+    ("x", "^not a rational: 'x'$"), (None, "^not a rational: None$"), (0.5, "^not a rational: 0.5$"),
+    (True, "^not a rational: True$"), (2.0, "^not a rational: 2.0$"),
+    ("3e2", r"^not a rational: '3e2' \(exponent notation is not accepted\)$"),
+    ("1_0", r"^not a rational: '1_0' \(_ separators are not accepted\)$"),
+])
+def test_target_that_is_not_rational_is_an_input_error(a2, target, match):
+    # both read a bare Fraction(target): "x" raised ValueError and None TypeError, 0.5 and True
+    # were taken as 1/2 and 1, and partition_P({1: 1}, t) was 1 for "3e2", 2.0, True and "1_0"
+    pd = PrincipalData.build(a2)
+    for call in (partial(principal.find_nonintegral_weight, pd), partial(partition_P, {1: 1})):
+        with pytest.raises(InputError, match=match):
+            call(target)
+
+
+def test_target_text_and_fractions_are_read_as_rationals(a2):
+    pd = PrincipalData.build(a2)
+    assert principal.find_nonintegral_weight(pd, "7/2") == principal.find_nonintegral_weight(pd, F(7, 2))
+    assert principal.find_nonintegral_weight(pd, " 4 ") == principal.find_nonintegral_weight(pd, 4)
+    assert [partition_P({1: 1}, t) for t in ("3", F(3), 3, "-1", "1/2")] == [1, 1, 1, 0, 0]
+
+
 def test_weight_text_is_read_as_rationals(a2):
     # the highest root e1 - e3 of A2 heads the adjoint module
     assert rootsys.weyl_dim(a2, ("1", "0", "-1")) == rootsys.weyl_dim(a2, (1, 0, -1)) == 8

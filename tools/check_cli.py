@@ -221,7 +221,8 @@ def library(name, env):
 def a5_closures():
     """Theorem 8 on 1,000 seeded closures of A5 against the LP loop on the Fraction singular weights, against the
     Fraction simplex, which shares no code with the integer tableau, and against its witness: the witness must
-    verify, and its point, summed in integers over one denominator, must equal the a-side sum in Fractions."""
+    verify, its point, summed in integers over one denominator, must equal the a-side sum in Fractions, and every
+    entry, many of them the shared small Fractions of ``exact``, must be exactly a Fraction."""
     from reference_simplex import outcome, reference_cones_intersect_trivially
     from ghckit import exact, fk, rootsys, shadow
     from ghckit.rootsys import bits
@@ -244,6 +245,7 @@ def a5_closures():
             point = [sum((c * g[j] for c, g in zip(w.coefficients_a, gens[0])), Fraction(0))
                      for j in range(rs.ambient_dim)]
             assert w.point == tuple(point), bits(mask)
+            assert all(type(x) is Fraction for x in (*w.coefficients_a, *w.coefficients_b, *w.point)), bits(mask)
         infinite += not trivial
     return f"1000 A5 closures, {infinite} of infinite type, as the LP loop and the Fraction simplex decide"
 
