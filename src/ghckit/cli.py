@@ -28,14 +28,15 @@ flags, ``--output``, ``--help`` and any other argv go through argparse.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import sys
-from typing import Callable, NamedTuple, Optional, TextIO
+from collections.abc import Callable
 
 from . import rootsys
 from .errors import InputError, RegularIntegralCase, UnsupportedTypeError
-from .exact import parse_integer, parse_rational
+from .exact import _Record, parse_integer, parse_rational
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -142,13 +143,13 @@ def _cmd_census(rs: rootsys.RootSystem, dedup: bool) -> dict:
 # the command table
 
 
-class Param(NamedTuple):
+class Param(_Record):
     """A command parameter: its request key, the parser of its value and its
     default (REQUIRED: none)."""
 
     key: str
     parse: Callable
-    default: object = None
+    default: object
 
 
 REQUIRED = object()
@@ -161,10 +162,10 @@ COMMANDS: dict[str, tuple[Callable[..., dict], tuple[Param, ...]]] = {
     "shadow": (_cmd_shadow, SYSTEM + (SUBALGEBRA,)),
     "fk-test": (_cmd_fk_test, SYSTEM + (SUBALGEBRA,)),
     "solvable-test": (_cmd_solvable_test, SYSTEM + (SUBALGEBRA,)),
-    "primal-test": (_cmd_primal_test, SYSTEM + (Param("k_roots", _indices, ()), Param("toral", _weights))),
+    "primal-test": (_cmd_primal_test, SYSTEM + (Param("k_roots", _indices, ()), Param("toral", _weights, None))),
     "mathieu": (
         _cmd_mathieu,
-        (Param("x", _weight, REQUIRED), Param("eta", _weight), Param("equiv", _weight)),
+        (Param("x", _weight, REQUIRED), Param("eta", _weight, None), Param("equiv", _weight, None)),
     ),
     "ktype-series": (
         _cmd_ktype_series,
@@ -222,7 +223,7 @@ def run(request: dict) -> tuple[dict, int]:
         return _error(str(e), EXIT_INPUT)
 
 
-def _emit(doc: dict, out: TextIO) -> None:
+def _emit(doc: dict, out: io.TextIOBase) -> None:
     """Write doc as one line to out, through its binary stream when it has one.  An
     unbuffered stream's raw write may take only part of the bytes, as it does once the
     reader of a pipe is gone, and the text layer drops the rest without an error; the
@@ -255,7 +256,7 @@ def _parser():
     return parser
 
 
-def _serve(output: Optional[str], command: str, args: dict) -> int:
+def _serve(output: str | None, command: str, args: dict) -> int:
     """Run a command, or the request in args["file"], and write its document."""
     if command != "request":
         doc, code = run({"command": command, "parameters": args})
@@ -291,7 +292,7 @@ def _serve(output: Optional[str], command: str, args: dict) -> int:
     return code
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     """Serve argv (default sys.argv[1:]); returns the exit code."""
     if argv is None:
         argv = sys.argv[1:]

@@ -12,7 +12,8 @@ reads its k and sign by it.
 Vectors are plain tuples of Fractions, which keeps them hashable and
 immutable, so all operations are pure and safe for concurrent use.  ``vec``
 reads a vector's entries: a Fraction or an int (not a bool) as it is, text by
-``parse_rational``, and anything else, a float among them, as an input error.
+``parse_rational``, and anything else, a float among them, as an input error;
+a vector that is one text or not iterable at all is an input error too.
 Elimination runs on integers, by one fraction-free step, ``_pivot_row``.
 The LP behind the cone queries reads integer input as it is and scales any
 other input by the lcm of its denominators, keeps the tableau as an integer
@@ -46,20 +47,85 @@ is an input error.
 ``cones_intersect_trivially`` is the general test, that LP for every
 (coordinate, sign) pair in turn; ``fk`` picks the one pair to ask for by
 graph reachability and calls ``cone_witness`` once.
+
+``_Record`` is the library's one frozen record, with a generated constructor:
+``ConeWitness`` here and every record of ``rootsys``, ``shadow``, ``fk``,
+``principal``, ``mathieu`` and ``cli`` are built on it.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import add, mul, neg, sub
-from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputError
 
 Vector = tuple[Fraction, ...]
+
+
+# ---------------------------------------------------------------------------
+# the frozen record
+
+
+class _Record:
+    """A frozen record, the one base of every ghckit record, with views built on
+    first use and stored on it.  Its fields are the class annotations, in order
+    (``_fields``).  A subclass that writes no ``__init__`` gets the one a person
+    would write by hand: ``__init_subclass__`` runs one ``exec`` of ``def
+    __init__(self, <fields>):`` with one ``_set(self, "<field>", <field>)`` per
+    field, where ``_set`` is ``object.__setattr__``, which the frozen
+    ``__setattr__`` does not stop (``namedtuple`` builds its ``__new__`` the
+    same way).  So the fields are taken by position or by keyword, and a
+    missing or an extra one is a TypeError.
+    Equality and hashing compare the fields alone, of records of the same
+    class, so a stored view changes neither, and a record equals no tuple (nor
+    has a length, or unpacks); ``_replace`` builds a new record, with no views,
+    from the fields; assigning or deleting an attribute is an AttributeError.
+    That is what ``dataclass(frozen=True)`` gave, without importing
+    ``dataclasses``, which costs every fresh interpreter about 10 ms, most of
+    it in ``inspect``, or ``typing``, which ``NamedTuple`` would bring."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        if "__init__" not in vars(cls):
+            namespace = {"_set": object.__setattr__}
+            body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
+            exec(f"def __init__(self, {', '.join(cls._fields)}):{body}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def _replace(self, **changes):
+        unknown = changes.keys() - self._fields
+        if unknown:
+            raise TypeError(f"{type(self).__qualname__} has no fields {sorted(unknown)}")
+        return type(self)(*(changes.get(f, getattr(self, f)) for f in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +136,15 @@ def vec(coords: Iterable) -> Vector:
     """coords as a Vector: a Fraction entry as it is (so vec on a Vector converts
     nothing), an int (not a bool) as its Fraction, and text by ``parse_rational``;
     any other entry, a float among them, is an input error, and so is coords
-    given as one text, which would otherwise be read a character at a time."""
+    given as one text, which would otherwise be read a character at a time, or
+    as anything that is not iterable, such as a number or None."""
     if isinstance(coords, str):
         raise InputError(f"a vector is a sequence of entries, not the text {coords!r}")
-    return tuple(c if type(c) is Fraction else _entry(c) for c in coords)
+    try:
+        entries = iter(coords)
+    except TypeError:
+        raise InputError(f"a vector is a sequence of entries, not {coords!r}") from None
+    return tuple(c if type(c) is Fraction else _entry(c) for c in entries)
 
 
 def _entry(c) -> Fraction:
@@ -201,7 +272,7 @@ def _integer_rows(equalities: Sequence[tuple[Sequence, object]]) -> list[list[in
 
 def lp_feasible(
     equalities: Sequence[tuple[Sequence[Fraction], Fraction]], nonneg_vars: int
-) -> Optional[list[Fraction]]:
+) -> list[Fraction] | None:
     """Decide feasibility of {x >= 0, coeffs·x = rhs for each equality}.
 
     Coefficients are rationals (int, Fraction, or anything Fraction accepts),
@@ -371,7 +442,7 @@ def nullspace(rows: Sequence[Sequence]) -> list[Vector]:
     return basis
 
 
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
+def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     """Solve rows·x = rhs exactly.  Returns one solution or None if inconsistent.
 
     Free variables are set to 0.  That solution is -v[:-1] for the vector v of
@@ -397,7 +468,7 @@ def _check_dim(vectors: Iterable[Vector], dim: int) -> None:
             raise InputError(f"dimension mismatch: expected {dim}, got {len(v)}")
 
 
-def cone_member(v: Vector, generators: Sequence[Vector]) -> Optional[list[Fraction]]:
+def cone_member(v: Vector, generators: Sequence[Vector]) -> list[Fraction] | None:
     """Nonnegative-combination coefficients expressing v over generators, or None.
 
     The zero vector is always a member (empty combination).
@@ -409,7 +480,7 @@ def cone_member(v: Vector, generators: Sequence[Vector]) -> Optional[list[Fracti
     return lp_feasible(eqs, len(generators))
 
 
-class ConeWitness(NamedTuple):
+class ConeWitness(_Record):
     """Certificate of a nonzero point common to two rational cones."""
 
     coefficients_a: tuple[Fraction, ...]
@@ -444,7 +515,7 @@ class ConeWitness(NamedTuple):
 
 def cone_witness(
     gens_a: Sequence[Vector], gens_b: Sequence[Vector], k: int, sign: int
-) -> Optional[ConeWitness]:
+) -> ConeWitness | None:
     """A point common to cone(gens_a) and cone(gens_b) whose coordinate k is
     sign (+1 or -1), with the coefficients that give it on each side, or None
     when there is no such point.
@@ -496,7 +567,7 @@ def cone_witness(
 
 def cones_intersect_trivially(
     gens_a: Sequence[Vector], gens_b: Sequence[Vector]
-) -> tuple[bool, Optional[ConeWitness]]:
+) -> tuple[bool, ConeWitness | None]:
     """Decide whether cone(gens_a) and cone(gens_b) meet only at 0.
 
     The integer-monoid form of this condition reduces to the rational-cone

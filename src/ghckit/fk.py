@@ -34,20 +34,20 @@ number of roots and number of long roots, checked against
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import permutations
 from operator import or_
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalError, UnsupportedTypeError
-from .exact import ConeWitness, Vector, _reduce, cone_witness
-from .rootsys import LOW_RANK_ALIASES, RootSystem, _dot, _Record, _weight_row, bits, root_count
+from .exact import ConeWitness, Vector, _Record, _reduce, cone_witness
+from .rootsys import LOW_RANK_ALIASES, RootSystem, _dot, _weight_row, bits, root_count
 from .shadow import RootSubalgebra, _require_over, closed_mask, closed_masks
 
 CENSUS_MAX_RANK = 4
 
 
-class LeviDecomposition(NamedTuple):
+class LeviDecomposition(_Record):
     k_roots: frozenset[Vector]
     n_roots: frozenset[Vector]
 
@@ -79,10 +79,6 @@ class SingularWeightData(_Record):
 
     rs: RootSystem
     mask: int
-
-    def __init__(self, rs, mask):
-        object.__setattr__(self, "rs", rs)
-        object.__setattr__(self, "mask", mask)
 
     @cached_property
     def singular_weights(self) -> frozenset[Vector]:
@@ -116,9 +112,9 @@ def singular_weights(
     return SingularWeightData(rs, _singular(rs, _k_simple(rs, k), rs.mask_of(module_weights)))
 
 
-class FiniteTypeVerdict(NamedTuple):
+class FiniteTypeVerdict(_Record):
     finite_type: bool
-    witness: Optional[ConeWitness]
+    witness: ConeWitness | None
     singular_g_mod_l: SingularWeightData
     singular_n: SingularWeightData
 
@@ -200,7 +196,7 @@ def _type_a_roots(rs: RootSystem) -> tuple[tuple[int, tuple[int, ...], tuple[int
 
 def _first_feasible_pair(
     ends_a: Sequence[tuple[int, int]], ends_b: Sequence[tuple[int, int]], dim: int
-) -> Optional[tuple[int, int]]:
+) -> tuple[int, int] | None:
     """The first (k, sign), coordinates in order and +1 before -1, for which the
     cones of the type-A roots e_u - e_v given by their ends (u, v) share a point
     with coordinate k equal to sign; None when they meet only at 0.  The rule is
@@ -332,7 +328,7 @@ def _simple_type(rank: int, roots: int, long_roots: int) -> tuple[str, int]:
 def is_primal(
     rs: RootSystem,
     k_roots: frozenset[Vector] | int,
-    toral_part: Optional[Sequence[Vector]] = None,
+    toral_part: Sequence[Vector] | None = None,
 ) -> bool:
     """Test whether the reductive subalgebra spanned by k_roots root spaces (the
     roots or their mask) and the given toral subspace has centralizer equal to its

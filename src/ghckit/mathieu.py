@@ -18,11 +18,11 @@ of x, and ``_same_length`` states that rule once for every caller.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from collections.abc import Sequence
 
 from . import rootsys
 from .errors import InputError, InternalError, RegularIntegralCase
-from .exact import Vector, format_vector, vec
+from .exact import Vector, _Record, format_vector, vec
 
 
 def cuspidal_exists(components: Sequence[tuple[str, int]]) -> bool:
@@ -53,7 +53,7 @@ def _bounded(xs: Vector) -> bool:
     return len(nums) < 2 or nums[-2] > abs(nums[-1])
 
 
-def _same_length(name: str, xs: Vector, other: Optional[Sequence]) -> None:
+def _same_length(name: str, xs: Vector, other: Sequence | None) -> None:
     """The length rule: a weight read beside x (eta, equiv), when given, has the length of x."""
     if other is not None and len(other) != len(xs):
         raise InputError(f"{name} dimension does not match x")
@@ -93,7 +93,7 @@ def sp_degree(x: Sequence) -> int:
     return d
 
 
-def sl_degree(x: Sequence, full_weight: Optional[Sequence] = None) -> int:
+def sl_degree(x: Sequence, full_weight: Sequence | None = None) -> int:
     """Degree for the special-linear case: the dimension of the companion
     gl(n) module with highest weight x.
 
@@ -120,7 +120,7 @@ def sl_degree(x: Sequence, full_weight: Optional[Sequence] = None) -> int:
     return rootsys.weyl_dim(an1, xs)
 
 
-class CoherentFamilyDescriptor(NamedTuple):
+class CoherentFamilyDescriptor(_Record):
     """sp(2n) coherent family: class representative, degree, companion system."""
 
     rank: int
@@ -130,7 +130,7 @@ class CoherentFamilyDescriptor(NamedTuple):
     @classmethod
     def from_weight(cls, x: Sequence) -> "CoherentFamilyDescriptor":
         xs = vec(x)
-        return cls(rank=len(xs), representative=xs, degree=sp_degree(xs))
+        return cls(len(xs), xs, sp_degree(xs))
 
     def same_family(self, other: "CoherentFamilyDescriptor") -> bool:
         return self.rank == other.rank and sp_equivalent(self.representative, other.representative)
@@ -172,12 +172,13 @@ def degree_constancy_check(
     return True
 
 
-def describe(x: Sequence, eta: Optional[Sequence] = None, equiv: Optional[Sequence] = None) -> dict:
+def describe(x: Sequence, eta: Sequence | None = None, equiv: Sequence | None = None) -> dict:
     """The document of the ``mathieu`` command.  It says whether x is bounded, and
     holds x's coherent-family descriptor if so, or else x as ``class_rep``; with
     eta, whether the fiber over eta is irreducible; with equiv, whether equiv
     heads the family of x.  eta and equiv must have the length of x."""
     xs = vec(x)
+    eta = None if eta is None else vec(eta)
     _same_length("eta", xs, eta)
     # equiv before x's descriptor, so that a wrong equiv length is reported first
     doc: dict = {} if equiv is None else {"equivalent": sp_equivalent(xs, equiv)}

@@ -50,11 +50,10 @@ from functools import cached_property
 from math import lcm
 from operator import sub
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .errors import InputError, InternalError
-from .exact import Vector, _entry, format_rational, parse_integer, parse_nonnegative
-from .rootsys import RootSystem, _dot, _integral, _Record, _weight_row, height_distribution
+from .exact import Vector, _entry, _Record, format_rational, parse_integer, parse_nonnegative
+from .rootsys import RootSystem, _dot, _integral, _weight_row, height_distribution
 
 # bound on a k-type series' max_m and |lambda(h)|: the slowest series within
 # it, E8 with max_m = MAX_M and lambda(h) = -MAX_M, takes about 0.2 s (Python 3.11,
@@ -98,14 +97,6 @@ class PrincipalData(_Record):
     exponents: tuple[int, ...]
     nbar_multiset: MappingProxyType
     nbar_kperp_multiset: MappingProxyType
-
-    def __init__(self, rs, h_row, h_den, exponents, nbar_multiset, nbar_kperp_multiset):
-        object.__setattr__(self, "rs", rs)
-        object.__setattr__(self, "h_row", h_row)
-        object.__setattr__(self, "h_den", h_den)
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "nbar_multiset", nbar_multiset)
-        object.__setattr__(self, "nbar_kperp_multiset", nbar_kperp_multiset)
 
     @classmethod
     def build(cls, rs: RootSystem) -> "PrincipalData":
@@ -254,7 +245,7 @@ def vanishing_degree(pd: PrincipalData) -> int:
     return 2
 
 
-class KTypeSeries(NamedTuple):
+class KTypeSeries(_Record):
     lambda_h: Fraction
     entries: dict
     truncation: int
@@ -295,7 +286,7 @@ def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
         if min(values) < 0:
             m = next(m for m, val in enumerate(values) if val < 0)
             raise InternalError(f"negative multiplicity {values[m]} for m={m}")
-    return KTypeSeries(lambda_h=Fraction(num, den), entries=dict(enumerate(values)), truncation=max_m)
+    return KTypeSeries(Fraction(num, den), dict(enumerate(values)), max_m)
 
 
 def find_nonintegral_weight(pd: PrincipalData, target) -> Vector:

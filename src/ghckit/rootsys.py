@@ -17,10 +17,9 @@ Fraction ``all_roots``, ``positive_roots``, ``simple_roots``,
 ``fundamental_weights`` (by a fraction-free inverse of the Cartan matrix,
 ``exact._reduce``) and the root index behind ``root_index`` are views built
 on first use, for the public Fraction API; equality and hashing compare the
-integer tables.  ``RootSystem`` is a frozen record on ``_Record``, the small base
-that the records of ``shadow``, ``fk`` and ``principal`` with views built on first
-use share; the records with no such view are ``typing.NamedTuple``s, so that no
-module imports ``dataclasses``, and with it ``inspect``.
+integer tables.  ``RootSystem`` is a frozen record on ``exact._Record``, the one
+base of every ghckit record, which writes its constructor; so no module imports
+``dataclasses`` (with ``inspect``) or ``typing``.
 ``RootSystem.sum_partners``, the one table of root sums, lists the pairs
 (j, k) with root i + root j = root k by root index in the canonical order
 (see ``build``) for closed-subset code, where a root subset is a bitmask
@@ -33,9 +32,10 @@ holds the frozenset of each of the 64 values of each chunk of six root
 indices: it starts from the stored set of the first chunk that the mask
 meets and merges in that of each later one, so no root is hashed again.
 
-A weight enters through ``_weight_row``, once per call: a weight of ints and
-Fractions is read as it is, any other through ``exact.vec`` (so rational text
-is taken, and a float or a bool is an input error); it checks the length
+A weight enters through ``_weight_row``, once per call: a tuple or list of ints
+and Fractions is read as it is, any other weight through ``exact.vec`` (so
+rational text is taken, and a float, a bool or a weight that is no sequence is an
+input error); it checks the length
 against ``ambient_dim`` and writes the weight as an integer row over one
 positive denominator.  ``_simple_pairings`` pairs that row with the doubled
 simple roots into integer (numerator, denominator) pairs, and the predicates
@@ -56,14 +56,14 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm, prod
 from operator import add, mul
-from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError
-from .exact import Vector, _reduce, dot, parse_integer, vec, vscale
+from .exact import Vector, _Record, _reduce, dot, parse_integer, vec, vscale
 
 DEFAULT_MAX_RANK = 8
 # GHC_MAX_RANK may raise the cap this far: C32 and D32, the slowest rank-32 builds, take
@@ -155,49 +155,6 @@ def root_count(series: str, rank: int) -> int | None:
     return count(rank) if count else None
 
 
-class _Record:
-    """A frozen record with views built on first use and stored on it.  Its fields
-    are the class annotations, in order (``_fields``), and its constructor takes
-    them in that order and sets each by ``object.__setattr__``.  Equality and
-    hashing compare the fields alone, of records of the same class, so a stored
-    view changes neither; ``_replace`` builds a new record, with no views, from
-    the fields; assigning or deleting an attribute is an AttributeError.  That is
-    what ``dataclass(frozen=True)`` gave, without importing ``dataclasses``, which
-    costs every fresh interpreter about 10 ms, most of it in ``inspect``."""
-
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__annotations__)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
-
-    def _replace(self, **changes):
-        unknown = changes.keys() - self._fields
-        if unknown:
-            raise TypeError(f"{type(self).__qualname__} has no fields {sorted(unknown)}")
-        return type(self)(*(changes.get(f, getattr(self, f)) for f in self._fields))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 class RootSystem(_Record):
     series: str
     rank: int
@@ -206,15 +163,6 @@ class RootSystem(_Record):
     doubled_roots: tuple[tuple[int, ...], ...]  # 2 * all_roots[i] as integers, by root index
     _coords: tuple[tuple[int, ...], ...]  # integer simple-root coordinates of all_roots[i], by root index
     _simple_doubled: tuple[tuple[int, ...], ...]  # 2 * simple_roots[i]
-
-    def __init__(self, series, rank, ambient_dim, cartan_matrix, doubled_roots, _coords, _simple_doubled):
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "cartan_matrix", cartan_matrix)
-        object.__setattr__(self, "doubled_roots", doubled_roots)
-        object.__setattr__(self, "_coords", _coords)
-        object.__setattr__(self, "_simple_doubled", _simple_doubled)
 
     # -- Fraction views, built on first use -------------------------------
 
@@ -485,11 +433,11 @@ def _construct(series: str, rank: int) -> RootSystem:
 
 def _weight_row(rs: RootSystem, lam: Vector) -> tuple[list[int], int]:
     """lam as an integer row and a positive denominator, lam = row / den: the one
-    entry point of a weight, which also checks its length.  Entries that are all
-    ints or Fractions are read as they are; any other weight is read by
-    ``exact.vec`` first, so rational text is taken and a float or a bool is an
-    input error."""
-    if not _EXACT_TYPES.issuperset(map(type, lam)):
+    entry point of a weight, which also checks its length.  A tuple or list of
+    ints and Fractions is read as it is; any other weight is read by
+    ``exact.vec`` first, so rational text is taken, a generator is read once,
+    and a float, a bool or a weight that is no sequence is an input error."""
+    if type(lam) not in (tuple, list) or not _EXACT_TYPES.issuperset(map(type, lam)):
         lam = vec(lam)
     if len(lam) != rs.ambient_dim:
         raise InputError("weight dimension does not match the ambient space")

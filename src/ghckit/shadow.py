@@ -27,14 +27,14 @@ an input error.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .exact import Vector, parse_nonnegative
-from .rootsys import RootSystem, _Record, bits
+from .exact import Vector, _Record, parse_nonnegative
+from .rootsys import RootSystem, bits
 
 # bound on the points support_shape builds, counted as base points times gamma-sums: from one
 # base point, the A4 Cartan (20 generators) passes it at radius 9, after about 0.2 s, and
@@ -131,14 +131,6 @@ class ShadowDecomposition(_Record):
     plus_mask: int
     minus_mask: int
     gamma_mask: int
-
-    def __init__(self, rs, i_mask, f_mask, plus_mask, minus_mask, gamma_mask):
-        object.__setattr__(self, "rs", rs)
-        object.__setattr__(self, "i_mask", i_mask)
-        object.__setattr__(self, "f_mask", f_mask)
-        object.__setattr__(self, "plus_mask", plus_mask)
-        object.__setattr__(self, "minus_mask", minus_mask)
-        object.__setattr__(self, "gamma_mask", gamma_mask)
 
     I = cached_property(lambda self: self.rs.roots_of(self.i_mask))
     F = cached_property(lambda self: self.rs.roots_of(self.f_mask))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import nullspace as reference_nullspace, solve_linear as reference_solve_linear
 from reference_simplex import outcome, reference_cones_intersect_trivially, reference_lp_feasible
-from ghckit import cli, exact, fk
+from ghckit import cli, exact, fk, mathieu, principal, rootsys
 from ghckit.errors import InputError
 from ghckit.exact import (
     ConeWitness,
@@ -272,6 +272,31 @@ class TestVec:
             vec("101")
 
 
+def _a2():
+    return rootsys.build("A", 2)
+
+
+# each raised TypeError, from vec's loop or from _weight_row's scan of the entry types
+@pytest.mark.parametrize("call, shown", [
+    (lambda: rootsys.weyl_dim(_a2(), None), "None"),
+    (lambda: rootsys.is_dominant(_a2(), 1.5), "1.5"),
+    (lambda: principal.ktype_series(principal.PrincipalData.build(_a2()), 0, 3), "0"),
+    (lambda: mathieu.sp_degree(0), "0"),
+    (lambda: mathieu.describe(0), "0"),
+    (lambda: mathieu.describe(["3/2", "1/2"], eta=5), "5"),
+    (lambda: vec(0), "0"),
+], ids=["weyl_dim", "is_dominant", "ktype_series", "sp_degree", "describe", "describe_eta", "vec"])
+def test_a_weight_that_is_no_sequence_is_an_input_error(call, shown):
+    with pytest.raises(InputError, match=f"^a vector is a sequence of entries, not {re.escape(shown)}$"):
+        call()
+
+
+def test_a_generator_weight_is_read_once():
+    # _weight_row's scan of the entry types used to consume the generator, leaving vec nothing
+    assert rootsys.weyl_dim(_a2(), (x for x in (1, 0, -1))) == 8 == rootsys.weyl_dim(_a2(), (1, 0, -1))
+    assert mathieu.describe(["3/2", "1/2"], eta=(c for c in ["1/2", "1"]))["fiber_irreducible"] is False
+
+
 # entries p/q with |p| <= 3 and q in {1, 2, 3}: small enough that zero
 # columns, repeated rows, degenerate vertices and infeasible systems all
 # come up often
@@ -451,7 +476,7 @@ class TestTypeAWitnesses:
 
 def all_fractions(witness: ConeWitness) -> bool:
     """Whether every coefficient and point entry of the witness is exactly a Fraction."""
-    return all(type(x) is Fraction for x in chain(*witness))
+    return all(type(x) is Fraction for x in chain(witness.coefficients_a, witness.coefficients_b, witness.point))
 
 
 class TestSharedFractions:
@@ -470,12 +495,12 @@ class TestSharedFractions:
             (x,) = lp_feasible([((1,), v)], 1)
             assert x == v and type(x) is Fraction
         w = cone_witness([(1, 12, -9)], [(1, 12, -9)], 0, 1)
-        assert w == ((F(1),), (F(1),), (F(1), F(12), F(-9))) and all_fractions(w)
+        assert w == ConeWitness((F(1),), (F(1),), (F(1), F(12), F(-9))) and all_fractions(w)
         # b-coefficients above the table, and a point over a denominator
         w = cone_witness([(1, 0)], [(F(1, 20), 0)], 0, 1)
-        assert w == ((F(1),), (F(20),), (F(1), F(0))) and all_fractions(w)
+        assert w == ConeWitness((F(1),), (F(20),), (F(1), F(0))) and all_fractions(w)
         w = cone_witness([(2, 1)], [(1, F(1, 2))], 0, 1)
-        assert w == ((F(1, 2),), (F(1),), (F(1), F(1, 2))) and all_fractions(w)
+        assert w == ConeWitness((F(1, 2),), (F(1),), (F(1), F(1, 2))) and all_fractions(w)
 
     def test_a_zero_that_is_not_shared_adds_nothing(self, monkeypatch):
         # a zero basic value from the general step is Fraction(0, p): not the shared zero, so

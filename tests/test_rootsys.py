@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import ALL_TYPES, VIEWS, V, neg, solve_linear, sum_table
 from reference_rootsys import reference_construct
-from ghckit import exact, fk, mathieu, principal, rootsys, shadow
+from ghckit import cli, exact, fk, mathieu, principal, rootsys, shadow
 from ghckit.errors import InputError, InternalError
 from ghckit.exact import dot, vadd, vscale, vzero
 
@@ -88,6 +88,7 @@ RECORDS = [
      ["lambda_h", "entries", "truncation"], None, False),
     (mathieu.CoherentFamilyDescriptor, lambda: mathieu.CoherentFamilyDescriptor.from_weight([F(5, 2), F(1, 2)]),
      ["rank", "representative", "degree"], None, True),
+    (cli.Param, lambda: cli.SYSTEM[0], ["key", "parse", "default"], None, True),
 ]
 
 
@@ -98,6 +99,26 @@ def test_record_semantics(cls, make, fields, view, hashable):
     # deleted; and equal records hash equal, where their fields hash
     rec = make()
     assert type(rec) is cls and list(rec._fields) == fields
+    values = [getattr(rec, f) for f in fields]
+    # a record is no tuple: it equals none, has no length and does not unpack
+    assert rec != tuple(values) and tuple(values) != rec
+    with pytest.raises(TypeError):
+        len(rec)
+    with pytest.raises(TypeError):
+        iter(rec)
+    # the constructor takes the fields by position or by keyword (RootSubalgebra's own, which checks
+    # its subset, calls the mask roots), and a missing or an extra argument is a TypeError
+    names = ["rs", "roots"] if cls is shadow.RootSubalgebra else fields
+    assert cls(*values) == rec == cls(**dict(zip(names, values)))
+    for args in (values[:-1], [*values, values[-1]]):
+        with pytest.raises(TypeError):
+            cls(*args)
+    # a record of another class, with the same fields and values, is not equal
+    twin = type("Twin", (exact._Record,), {"__annotations__": dict.fromkeys(fields)})(*values)
+    assert twin._values() == rec._values() and rec != twin and not rec == twin
+    assert repr(rec) == f"{cls.__qualname__}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+    with pytest.raises(TypeError, match=r"has no fields \['nope'\]"):
+        rec._replace(nope=1)
     if view is not None:
         getattr(rec, view)
         assert view in vars(rec)

@@ -162,8 +162,9 @@ def readme(ghckit):
         json.loads(p.stdout)
 
 
-# modules that no request may import: dataclasses, through inspect, costs a fresh interpreter about 10 ms
-COLD = ("dataclasses", "inspect")
+# modules that no request may import: dataclasses, through inspect, costs a fresh interpreter about 10 ms, and
+# typing about 5 ms on the interpreters whose start does not load it
+COLD = ("dataclasses", "inspect", "typing")
 # run as ``python -m ghckit`` runs, after noting the modules loaded at interpreter start; at exit, the ones of COLD
 # that the request imported go to stderr as a JSON list
 COLD_PROBE = f"""
