@@ -8,7 +8,11 @@ no pattern compiled, and any other text by ``Fraction``, to the same value
 or input error.  ``parse_integer`` is also the one rule for the library's
 integer arguments (so a float or a bool is an input error),
 ``parse_nonnegative`` that rule for a count or a bound, and ``cone_witness``
-reads its k and sign by it.
+reads its k and sign by it.  Numbers leave by one rule too: ``format_rational``
+writes a rational as text, and ``within_text_limit`` checks an int that a
+document holds as a number; past the interpreter's limit on integer text
+(``sys.get_int_max_str_digits()``), where ``str`` and ``json`` raise
+ValueError, each is an input error that names the bound.
 Vectors are plain tuples of Fractions, which keeps them hashable and
 immutable, so all operations are pure and safe for concurrent use.  ``vec``
 reads a vector's entries: a Fraction or an int (not a bool) as it is, text by
@@ -56,6 +60,7 @@ graph reachability and calls ``cone_witness`` once.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
@@ -180,10 +185,31 @@ def is_zero(a: Vector) -> bool:
 
 
 def format_rational(q: Fraction) -> str:
-    """Serialize as "p" or "p/q" (lowest terms, positive denominator)."""
+    """Serialize as "p" or "p/q" (lowest terms, positive denominator), by the output
+    rule of ``within_text_limit``."""
     if type(q) is not Fraction:
         q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise _past_text_limit() from None
+
+
+def within_text_limit(n: int) -> int:
+    """n, after the one output rule for numbers: an integer whose decimal text would
+    pass the interpreter's limit on integer text (``sys.get_int_max_str_digits()``, 0
+    for none), which ``str`` and ``json`` enforce by a ValueError, is an input error
+    that names the bound.  For an int that a document holds as a number."""
+    try:
+        str(n)
+    except ValueError:
+        raise _past_text_limit() from None
+    return n
+
+
+def _past_text_limit() -> InputError:
+    return InputError(f"a number to be written has more than {sys.get_int_max_str_digits()} decimal digits, "
+                      "the interpreter's limit on integer text (sys.get_int_max_str_digits())")
 
 
 def parse_rational(s: str) -> Fraction:

@@ -22,9 +22,10 @@ read from the doubled simple roots.
 
 ``census_rows`` is the census of type-A root subalgebras: the Theorem 8
 verdict of every closed subset of A_n for n up to ``CENSUS_MAX_RANK``.  With
-dedup it keeps one subset per Weyl orbit, acting on the roots e_u - e_v by
-permuting their ends (u, v), which ``_type_a_roots`` stores.  That table
-sorts the type-A root rows itself, into the column order of the Theorem 8 LP.
+dedup it keeps one subset per Weyl orbit, the first in its order, and walks
+each orbit on masks under the simple reflections ``RootSystem.reflections``,
+the library's one Weyl action.  ``_type_a_roots`` sorts the type-A root rows
+itself, into the column order of the Theorem 8 LP.
 
 Type recognition splits the simple roots of k into components by ``_reach``
 on the integer ``doubled_roots`` and reads each one's type off its rank,
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from functools import cached_property
-from itertools import permutations
 from operator import or_
 
 from .errors import InputError, InternalError, UnsupportedTypeError
@@ -235,23 +235,25 @@ def census_rows(rs: RootSystem, dedup: bool = False) -> Iterator[dict]:
     """Classify every closed root subset (Cartan implicit) of a type A system of
     rank at most ``CENSUS_MAX_RANK``: one row per subset, by size and then by sorted
     indices, with its Levi split and its Theorem 8 verdict.  With dedup, one row per
-    Weyl orbit: the subset whose sorted indices come first."""
+    Weyl orbit: the subset whose sorted indices come first.  The first subset of an
+    orbit in this order is that one, since W keeps closed subsets closed, and its
+    orbit, walked under ``rs.reflections``, goes into the set of masks to skip."""
     if rs.series != "A":
         raise UnsupportedTypeError("census runs over the special-linear family only")
     if rs.rank > CENSUS_MAX_RANK:
         raise InputError(f"census rank bound is {CENSUS_MAX_RANK}")
-    # each coordinate permutation p (a Weyl group element) as a map of root indices:
-    # e_u - e_v goes to e_p(u) - e_p(v)
-    at = {ends: i for i, _, ends in _type_a_roots(rs)}
-    weyl = permutations(range(rs.ambient_dim)) if dedup else ()
-    perms = [{i: at[p[u], p[v]] for (u, v), i in at.items()} for p in weyl]
-    for idx in sorted((tuple(bits(m)) for m in closed_masks(rs)), key=lambda t: (len(t), t)):
-        if any(tuple(sorted(p[i] for i in idx)) < idx for p in perms):
+    seen = set()
+    for mask in sorted(closed_masks(rs), key=lambda m: (m.bit_count(), bits(m))):
+        if mask in seen:
             continue
-        sub = RootSubalgebra.from_indices(rs, idx)
+        orbit = {mask} if dedup else set()
+        while orbit:
+            seen |= orbit
+            orbit = {sum(1 << s[i] for i in bits(m)) for m in orbit for s in rs.reflections} - seen
+        sub = RootSubalgebra(rs, mask)
         k = reductive_mask(sub)
         yield {
-            "subalgebra": list(idx),
+            "subalgebra": bits(mask),
             "levi": {"k_roots": bits(k), "n_roots": bits(sub.mask & ~k)},
             **theorem8_finite_type(rs, sub).to_json(),
         }

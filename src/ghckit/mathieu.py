@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 from . import rootsys
 from .errors import InputError, InternalError, RegularIntegralCase
-from .exact import Vector, _Record, format_vector, vec
+from .exact import Vector, _Record, format_vector, vec, within_text_limit
 
 
 def cuspidal_exists(components: Sequence[tuple[str, int]]) -> bool:
@@ -138,7 +138,7 @@ class CoherentFamilyDescriptor(_Record):
     def to_json(self) -> dict:
         return {
             "bounded": True,
-            "degree": self.degree,
+            "degree": within_text_limit(self.degree),
             "class_rep": format_vector(self.representative),
             "companion": {"series": "D", "rank": self.rank},
         }

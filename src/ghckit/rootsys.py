@@ -26,7 +26,11 @@ base of every ghckit record, which writes its constructor; so no module imports
 with bit i for ``all_roots[i]`` (``mask_of``, ``roots_of``, ``full_mask``);
 only ``positive_mask`` and ``negated`` know that the positive roots come
 first.  ``sums(a, b)``, the one image of root sums, reads that table for the
-mask of the roots x + y with x in mask a and y in mask b.  ``roots_of``
+mask of the roots x + y with x in mask a and y in mask b.  ``reflections``,
+the one Weyl action, built on first use, holds each simple reflection as the
+tuple of the root indices of its images, read off the simple-root coordinates
+and the Cartan matrix with no Fraction.  ``mask_of`` and ``index_mask`` take
+any iterable but a text, and anything else is an input error.  ``roots_of``
 builds the frozenset view of a mask from a table, built on first use, that
 holds the frozenset of each of the 64 values of each chunk of six root
 indices: it starts from the stored set of the first chunk that the mask
@@ -208,21 +212,23 @@ class RootSystem(_Record):
     def root_index(self, alpha: Vector) -> int:
         try:
             return self._index[alpha]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: alpha cannot be hashed, as a list cannot
             raise InputError(f"{alpha} is not a root of {self.series}{self.rank}") from None
 
     def is_root(self, alpha: Vector) -> bool:
         return alpha in self._index
 
     def mask_of(self, roots: Iterable[Vector]) -> int:
-        """The mask of a set of roots; raises InputError for a vector that is not a root."""
-        return self.index_mask(map(self.root_index, roots))
+        """The mask of a set of roots; raises InputError for a vector that is not a root,
+        or for roots that are not iterable."""
+        return self.index_mask(map(self.root_index, _iterate(roots, "roots")))
 
     def index_mask(self, indices: Iterable) -> int:
         """The mask of root indices given from outside, each read by ``parse_integer``
-        (so neither a float nor a bool is an index); raises InputError for a bad index."""
+        (so neither a float nor a bool is an index); raises InputError for a bad index,
+        or for indices that are not iterable."""
         mask = 0
-        for i in indices:
+        for i in _iterate(indices, "root indices"):
             try:
                 k = parse_integer(i)
             except InputError as e:
@@ -294,6 +300,17 @@ class RootSystem(_Record):
             tuple((j, k) for j, b in enumerate(codes) if (k := index.get(a + b)) is not None) for a in codes
         )
 
+    @cached_property
+    def reflections(self) -> tuple[tuple[int, ...], ...]:
+        """reflections[i][r] is the root index of s_i(all_roots[r]), for the simple
+        reflection s_i: the library's one Weyl action, as permutations of root indices,
+        which the simple reflections generate (Humphreys, Lie algebras, 10.2-10.3).
+        s_i(a) = a - <a, a_i^vee> a_i changes only coordinate i of a = sum_j c_j a_j,
+        by <a, a_i^vee> = sum_j c_j C_ji, read from the integer tables.  Built on first use."""
+        index = {c: r for r, c in enumerate(self._coords)}
+        return tuple(tuple(index[c[:i] + (c[i] - _dot(c, col),) + c[i + 1 :]] for c in self._coords)
+                     for i, col in enumerate(zip(*self.cartan_matrix)))
+
     def sums(self, a: int, b: int) -> int:
         """The mask of the roots x + y with x in mask a and y in mask b, read from the
         ``sum_partners`` rows of a's roots, one row per root of a."""
@@ -357,6 +374,18 @@ class RootSystem(_Record):
             "positive_roots": roots[: len(roots) // 2],
             "cartan_matrix": [list(row) for row in self.cartan_matrix],
         }
+
+
+def _iterate(values, name: str):
+    """An iterator over values given from outside; values that are not iterable, such
+    as a number or None, are an input error, and so are values given as one text,
+    which would otherwise be read a character at a time (as ``exact.vec`` rules)."""
+    if isinstance(values, str):
+        raise InputError(f"{name} must be a collection, not the text {values!r}")
+    try:
+        return iter(values)
+    except TypeError:
+        raise InputError(f"{name} must be a collection, not {values!r}") from None
 
 
 def _format_doubled(a: Sequence[int]) -> list[str]:

@@ -102,8 +102,9 @@ class RootSubalgebra(_Record):
     mask: int
 
     def __init__(self, rs: RootSystem, roots: Iterable[Vector] | int):
-        """roots: the subset's roots (a non-root is an input error), or its mask."""
-        mask = roots if isinstance(roots, int) else rs.mask_of(roots)
+        """roots: the subset's roots (a non-root is an input error), or its mask, an int
+        (not a bool)."""
+        mask = roots if type(roots) is int else rs.mask_of(roots)
         if not 0 <= mask <= rs.full_mask:
             raise InputError(f"root mask {mask} is out of range for {rs.series}{rs.rank}")
         if not closed_mask(rs, mask):
@@ -152,7 +153,10 @@ class ShadowDecomposition(_Record):
 
 
 def _require_over(rs: RootSystem, l: RootSubalgebra) -> None:
-    """InputError unless l is a subalgebra of rs: the same object, or a system of the same type."""
+    """InputError unless l is a ``RootSubalgebra`` of rs: over the same object, or a
+    system of the same type."""
+    if not isinstance(l, RootSubalgebra):
+        raise InputError(f"expected a RootSubalgebra, got {l!r}")
     if l.rs is not rs and (l.rs.series, l.rs.rank) != (rs.series, rs.rank):
         raise InputError(f"the subalgebra belongs to {l.rs.series}{l.rs.rank}, not to {rs.series}{rs.rank}")
 

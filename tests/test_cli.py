@@ -672,23 +672,39 @@ JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS | st.text(), inner, max_size=4),
     max_leaves=10,
 )
+# integers of 2,000 to 4,300 digits: each reads as text, within the interpreter's limit
+# on integer text, and an answer built from them may pass that limit
+HUGE = st.integers(2000, 4300).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1))
+# rational text: small, and a tail of huge numerators over 1, 2 or a huge denominator
+RATIONALS = st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "3/2", "4/3"]) | st.builds(
+    "{}{}/{}".format, st.sampled_from(["", "-"]), HUGE, st.just(1) | st.just(2) | HUGE
+)
 # values that get past the parsers: index lists, weights and weight lists in both forms
 PLAUSIBLE = st.one_of(
     st.lists(st.integers(-2, 14), max_size=4),
     st.text(alphabet="0123456789-/,; ", max_size=12),
-    st.lists(st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "3/2", "4/3"]), max_size=4),
+    st.lists(RATIONALS, max_size=4),
     st.lists(st.lists(st.sampled_from([0, 1, -1, "1/2"]), max_size=4), max_size=3),
 )
 # systems of rank at most 2, so that a census request takes milliseconds
 SYSTEMS = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2)]
 
 
+def answer(request):
+    """run's exit code for request, after writing its document as ``cli._emit`` does,
+    which fails on a number past the interpreter's limit on integer text."""
+    doc, code = run(request)
+    json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return code
+
+
 class TestAnyRequest:
-    """The exit contract: run answers 0, 2 or 3 for any request and raises nothing."""
+    """The exit contract: run answers 0, 2 or 3 for any request, raises nothing, and
+    gives a document that can be written."""
 
     @given(JSON | st.fixed_dictionaries({}, optional={"command": JSON, "parameters": JSON}))
     def test_any_json_value(self, doc):
-        assert run(doc)[1] in (EXIT_OK, EXIT_INPUT, EXIT_UNSUPPORTED)
+        assert answer(doc) in (EXIT_OK, EXIT_INPUT, EXIT_UNSUPPORTED)
 
     @given(st.data())
     def test_real_command_any_parameters(self, data):
@@ -699,7 +715,31 @@ class TestAnyRequest:
                 params["series"], params["rank"] = data.draw(st.sampled_from(SYSTEMS))
             elif param.key != "rank" and data.draw(st.booleans()):
                 params[param.key] = data.draw(JSON | PLAUSIBLE)
-        assert run({"command": command, "parameters": params})[1] in (EXIT_OK, EXIT_INPUT, EXIT_UNSUPPORTED)
+        assert answer({"command": command, "parameters": params}) in (EXIT_OK, EXIT_INPUT, EXIT_UNSUPPORTED)
+
+
+# answers past the interpreter's limit on integer text: a sp(2n) degree of about 8,400
+# digits, and a lambda(h) whose denominator has about 6,000; the mathieu one fails only
+# when cli._emit writes the document, after run returns
+TEXT_LIMIT = [
+    ["mathieu", "--x", "9" * 2200 + "/2,1/2"],
+    ["ktype-series", "--series", "A", "--rank", "2", f"--lambda=1/{10**3000 + 1},0,-1/{10**2999 + 3}"],
+]
+
+
+@pytest.mark.parametrize("argv", TEXT_LIMIT, ids=["mathieu", "ktype-series"])
+def test_an_answer_past_the_integer_text_limit_exits_2(argv, capsys):
+    assert cli.main(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"more than {sys.get_int_max_str_digits()} decimal digits" in json.loads(err)["error"]
+
+
+def test_an_answer_within_the_integer_text_limit_is_written(capsys):
+    # 2,150 nines: a degree of fewer than 4,300 digits
+    assert cli.main(["mathieu", "--x", "9" * 2150 + "/2,1/2"]) == EXIT_OK
+    degree = json.loads(capsys.readouterr().out)["degree"]
+    assert 4000 < len(str(degree)) <= sys.get_int_max_str_digits()
 
 
 # SHA-256 of stdout for ktype-series (lambda(h) a small integer, so the

@@ -584,3 +584,44 @@ def test_sums_are_the_image_of_the_sum_table(key):
                 if table[i][j] >= 0:
                     want |= 1 << table[i][j]
         assert rs.sums(a, b) == want, (a, b)
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_simple_reflections_permute_the_roots(key):
+    # each s_i is an involution that commutes with negation, sends a_i to -a_i, permutes
+    # the other positive roots (Humphreys, Lie algebras, Lemma 10.2B) and the root sums,
+    # and agrees with the Fraction formula a - 2(a, a_i)/(a_i, a_i) a_i, which shares no
+    # code with the view's reading of the integer tables
+    rs = rootsys.build(*key)
+    n = len(rs.all_roots)
+    positive = set(rootsys.bits(rs.positive_mask))
+    sums = {(q, j, k) for q, row in enumerate(rs.sum_partners) for j, k in row}
+    assert len(rs.reflections) == rs.rank
+    for a_i, s in zip(rs.simple_roots, rs.reflections):
+        i = rs.root_index(a_i)
+        assert sorted(s) == list(range(n))
+        assert [s[s[r]] for r in range(n)] == list(range(n))
+        for r in range(n):
+            assert rs.negated(1 << s[r]) == 1 << s[rootsys.bits(rs.negated(1 << r))[0]]
+        assert s[i] == rs.root_index(neg(a_i))
+        assert {s[r] for r in positive - {i}} == positive - {i}
+        assert {(s[q], s[j], s[k]) for q, j, k in sums} == sums
+        for r, a in enumerate(rs.all_roots):
+            c = 2 * dot(a, a_i) / dot(a_i, a_i)
+            assert rs.all_roots[s[r]] == tuple(x - c * y for x, y in zip(a, a_i)), (a_i, a)
+
+
+@pytest.mark.parametrize("key", [k for k in ALL_TYPES if k[1] <= 4])
+def test_simple_reflections_generate_the_weyl_group(key):
+    # W acts faithfully on the roots, and its order is the product of (exponent + 1)
+    rs = rootsys.build(*key)
+    identity = tuple(range(len(rs.all_roots)))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        g = frontier.pop()
+        for s in rs.reflections:
+            h = tuple(s[x] for x in g)
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    assert len(group) == reduce(mul, (e + 1 for e in principal.exponents(rs)))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ALL_TYPES, V, mask_closure, neg, seeded_closures, sum_table
-from ghckit import rootsys, shadow
+from ghckit import fk, rootsys, shadow
 from ghckit.exact import cone_member, vadd, vzero
 from ghckit.errors import InputError
 from ghckit.rootsys import bits
@@ -47,6 +47,32 @@ class TestRootSubalgebra:
         # int() would read both as root 1
         with pytest.raises(InputError, match=f"root index {index!r} is not an integer"):
             RootSubalgebra.from_indices(a2, [index])
+
+
+# a root subset or subalgebra that is no collection, one text, a root that cannot be hashed, or
+# no subalgebra, at each entry point: an input error, not a TypeError or an AttributeError, a
+# bool is no mask, and "12" is not the indices 1 and 2
+MALFORMED = [
+    ("RootSubalgebra-None", lambda rs: RootSubalgebra(rs, None)),
+    ("RootSubalgebra-True", lambda rs: RootSubalgebra(rs, True)),
+    ("RootSubalgebra-False", lambda rs: RootSubalgebra(rs, False)),
+    ("from_indices-5", lambda rs: RootSubalgebra.from_indices(rs, 5)),
+    ("from_indices-text", lambda rs: RootSubalgebra.from_indices(rs, "12")),
+    ("RootSubalgebra-list-root", lambda rs: RootSubalgebra(rs, [[1, -1, 0]])),
+    ("mask_of-5", lambda rs: rs.mask_of(5)),
+    ("index_mask-None", lambda rs: rs.index_mask(None)),
+    ("is_closed-5", lambda rs: shadow.is_closed(rs, 5)),
+    ("shadow-5", lambda rs: shadow.shadow(rs, 5)),
+    ("shadow-roots", lambda rs: shadow.shadow(rs, frozenset(rs.positive_roots))),
+    ("theorem8_finite_type-5", lambda rs: fk.theorem8_finite_type(rs, 5)),
+    ("theorem6_solvable_finite_type-5", lambda rs: fk.theorem6_solvable_finite_type(rs, 5)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in MALFORMED], ids=[name for name, _ in MALFORMED])
+def test_a_malformed_subset_is_an_input_error(a2, call):
+    with pytest.raises(InputError):
+        call(a2)
 
 
 class TestShadow:

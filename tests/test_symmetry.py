@@ -8,7 +8,8 @@ under it is the stability under the choice of Borel that the ``fk`` module
 docstring claims.
 
 Orbits are computed here from permuted vectors only, independently of the
-root tables that ``fk.census_rows`` uses.
+root tables that ``fk.census_rows`` uses, and of its orbit walk under
+``RootSystem.reflections``.
 """
 
 import itertools

@@ -41,6 +41,11 @@ EXIT_2 = [
     # the k-type series' bound, and the rank cap read by the flags' integer rule
     ("ktype-series --series A --rank 2 --lambda 4/3,0,-4/3 --max-m 10001", {}, "exceeds the bound 10000"),
     ("exponents --series A --rank 9", {"GHC_MAX_RANK": "1_0"}, "GHC_MAX_RANK"),
+    # answers past the interpreter's limit on integer text: a degree of about 8,400 digits, which json would refuse
+    # after run returns, and a lambda(h) whose denominator has about 6,000
+    ("mathieu --x " + "9" * 2200 + "/2,1/2", {}, "more than [0-9]+ decimal digits"),
+    (f"ktype-series --series A --rank 2 --lambda=1/{10**3000 + 1},0,-1/{10**2999 + 3}", {},
+     "more than [0-9]+ decimal digits"),
 ]
 
 T, F = '{"finite_type":true}', '{"finite_type":false}'
@@ -83,6 +88,8 @@ DIGESTS = [
     # E8, max_m = MAX_M and lambda(h) = -MAX_M: the largest partition table, to q^20002
     ("ktype-series --series E --rank 8 --lambda=0,-250/31,-500/31,-750/31,-1000/31,-1250/31,-1500/31,-5750/31 "
      "--max-m 10000", "f97c12da910b1ba16665d5c7e2dc8ae2c3356ceebd8f0208824dd3f020842aa3"),
+    # a degree of fewer than 4,300 digits, inside the integer-text limit
+    ("mathieu --x " + "9" * 2150 + "/2,1/2", "73f76029c3a1d705b35f2da177a48b1490403e16c62273ff4c7fdfbae586b92d"),
 ]
 
 # workload: detail.digest of ``perfbench/run.py --workload W --seed 1 --seconds 15``, the SHA-256 over every answer of
@@ -283,8 +290,9 @@ def rank4_shadows():
 def rank32():
     """The classical series at the rank ceiling, where the Cartan inverse runs its longest elimination and coroot
     order differs most from root order: the build equals the reflection closure it replaced, field for field, its
-    JSON, written from the integer rows, equals the Fraction views as format_vector writes them, and
-    <w_i, a_j^vee> = delta_ij, V(0) = 1, V(w_1) standard, V(rho) = 2^|R+|."""
+    JSON, written from the integer rows, equals the Fraction views as format_vector writes them,
+    <w_i, a_j^vee> = delta_ij, V(0) = 1, V(w_1) standard, V(rho) = 2^|R+|, and each simple reflection of
+    ``reflections`` is an involution that sends its simple root to the negative."""
     from reference_rootsys import reference_construct
     from ghckit import rootsys
     from ghckit.exact import format_vector
@@ -303,8 +311,13 @@ def rank32():
         zero = (0,) * rs.ambient_dim
         assert rootsys.weyl_dim(rs, rs.rho()) == 2 ** len(rs.coroot_coords), series
         assert (rootsys.weyl_dim(rs, zero), rootsys.weyl_dim(rs, rs.fundamental_weights[0])) == (1, standard), series
+        roots = range(len(rs.doubled_roots))
+        for a, s in zip(rs.simple_roots, rs.reflections):
+            assert [s[s[r]] for r in roots] == list(roots), (series, a)
+            assert rs.negated(1 << s[rs.root_index(a)]) == 1 << rs.root_index(a), (series, a)
     return ("A32, B32, C32 and D32: the reflection closure's tables, the Fraction views' JSON, "
-            "<w_i, a_j^vee> = delta_ij, V(0) = 1, V(w_1) = 33, 65, 64, 64, V(rho) = 2^|R+|")
+            "<w_i, a_j^vee> = delta_ij, V(0) = 1, V(w_1) = 33, 65, 64, 64, V(rho) = 2^|R+|, "
+            "each simple reflection an involution that negates its simple root")
 
 
 LIBRARY = [("a5_closures", {}), ("rank4_shadows", {}), ("rank32", {"GHC_MAX_RANK": "32"})]
