@@ -35,7 +35,7 @@ import sys
 from collections.abc import Callable
 
 from . import rootsys
-from .errors import InputError, RegularIntegralCase, UnsupportedTypeError
+from .errors import InputError, UnsupportedTypeError
 from .exact import _Record, parse_integer, parse_rational
 
 EXIT_OK = 0
@@ -219,7 +219,7 @@ def run(request: dict) -> tuple[dict, int]:
         return handler(*values), EXIT_OK
     except UnsupportedTypeError as e:
         return _error(str(e), EXIT_UNSUPPORTED)
-    except (InputError, RegularIntegralCase) as e:
+    except InputError as e:
         return _error(str(e), EXIT_INPUT)
 
 

@@ -16,8 +16,21 @@ ValueError, each is an input error that names the bound.
 Vectors are plain tuples of Fractions, which keeps them hashable and
 immutable, so all operations are pure and safe for concurrent use.  ``vec``
 reads a vector's entries: a Fraction or an int (not a bool) as it is, text by
-``parse_rational``, and anything else, a float among them, as an input error;
-a vector that is one text or not iterable at all is an input error too.
+``parse_rational``, and anything else, a float among them, as an input error.
+
+Arguments given from outside meet two more rules, each with one
+implementation here.  The collection rule, ``_iterate``: a number, None or one
+text where a collection belongs is an input error (a text would otherwise be
+read a character at a time).  ``vec``, ``lp_feasible``'s equalities, the root
+subsets of ``rootsys`` and the collections of ``mathieu`` are read by it.  The
+length rule, ``_check_dim``: every vector of a collection, read by the
+collection rule, has one length, given or that of the first, and a vector with
+no length is an input error.  The cone queries, ``fk.is_primal``'s toral part
+and ``shadow.support_shape``'s base points are checked by it.  A cell of a
+linear system is read by ``_cell``, the one place where a cell that is not a
+rational is an input error, and an error message shows a value given from
+outside by ``_shown``, so that no message fails on an int past the limit on
+integer text.
 Elimination runs on integers, by one fraction-free step, ``_pivot_row``.
 The LP behind the cone queries reads integer input as it is and scales any
 other input by the lcm of its denominators, keeps the tableau as an integer
@@ -45,12 +58,14 @@ common point whose coordinate k is +1 or -1 and returns it as a
 lcm of the nonzero coefficients' denominators, 1 on every type-A LP) and
 turns into one Fraction per coordinate, from the shared table where it can.
 A coordinate outside the cones' dimension, or a sign other than +1 and -1,
-is an input error.
+is an input error.  ``cone_witness`` reads its arguments and hands them to
+``_cone_witness``, the LP itself, which ``fk`` calls on the integer rows it
+builds, so that the census does not read its own rows again.
 ``ConeWitness.verify`` checks each side one coordinate at a time, by one
 ``dot`` of the coefficients with that coordinate of the generators.
 ``cones_intersect_trivially`` is the general test, that LP for every
 (coordinate, sign) pair in turn; ``fk`` picks the one pair to ask for by
-graph reachability and calls ``cone_witness`` once.
+graph reachability and calls ``_cone_witness`` once.
 
 ``_Record`` is the library's one frozen record, with a generated constructor:
 ``ConeWitness`` here and every record of ``rootsys``, ``shadow``, ``fk``,
@@ -142,14 +157,32 @@ def vec(coords: Iterable) -> Vector:
     nothing), an int (not a bool) as its Fraction, and text by ``parse_rational``;
     any other entry, a float among them, is an input error, and so is coords
     given as one text, which would otherwise be read a character at a time, or
-    as anything that is not iterable, such as a number or None."""
-    if isinstance(coords, str):
-        raise InputError(f"a vector is a sequence of entries, not the text {coords!r}")
+    as anything that is not iterable, such as a number or None (``_iterate``)."""
+    return tuple(c if type(c) is Fraction else _entry(c) for c in _iterate(coords, "a vector is a sequence of entries"))
+
+
+def _iterate(values, what: str):
+    """The collection rule: an iterator over values given from outside where a
+    collection belongs.  Values that are not iterable, such as a number or None,
+    are an input error, and so are values given as one text, which would
+    otherwise be read a character at a time; the message is what, then the
+    values."""
+    if isinstance(values, str):
+        raise InputError(f"{what}, not the text {values!r}")
     try:
-        entries = iter(coords)
+        return iter(values)
     except TypeError:
-        raise InputError(f"a vector is a sequence of entries, not {coords!r}") from None
-    return tuple(c if type(c) is Fraction else _entry(c) for c in entries)
+        raise InputError(f"{what}, not {_shown(values)}") from None
+
+
+def _shown(value, text=repr) -> str:
+    """text(value), repr by default, for an error message; a value whose text would
+    hold an int past the interpreter's limit on integer text, where ``str`` and
+    ``repr`` raise ValueError, is shown by its type, so no message fails to build."""
+    try:
+        return text(value)
+    except ValueError:
+        return f"<{type(value).__name__} past the limit on integer text>"
 
 
 def _entry(c) -> Fraction:
@@ -160,7 +193,7 @@ def _entry(c) -> Fraction:
         return parse_rational(c)
     if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
         return Fraction(c)
-    raise InputError(f"not a rational: {c!r}")
+    raise InputError(f"not a rational: {_shown(c)}")
 
 
 def vzero(dim: int) -> Vector:
@@ -244,14 +277,14 @@ def parse_integer(value) -> int:
             return int(value)
         except ValueError:
             pass
-    raise InputError(f"expected an integer, got {value!r}")
+    raise InputError(f"expected an integer, got {_shown(value)}")
 
 
 def parse_nonnegative(value, name: str) -> int:
     """``parse_integer``, then the rule that the integer is not negative."""
     n = parse_integer(value)
     if n < 0:
-        raise InputError(f"{name} must be a nonnegative integer, got {n}")
+        raise InputError(f"{name} must be a nonnegative integer, got {_shown(n)}")
     return n
 
 
@@ -275,25 +308,42 @@ def _fraction(v) -> Fraction:
     return _SMALL[v + 8] if type(v) is int and -8 <= v <= 8 else Fraction(v)
 
 
-def _integer_rows(equalities: Sequence[tuple[Sequence, object]]) -> list[list[int]]:
+def _integer_rows(equalities: Iterable[tuple[Sequence, object]]) -> list[list[int]]:
     """The rows [coeffs..., rhs] as integers: all-int input is read as it is, and
-    any other rationals are scaled by the lcm of their denominators.
+    any other rationals are scaled by the lcm of their denominators.  An
+    equation that is not a pair of a sequence and a number is an input error.
 
     All-int is one reduction in C: a sum of ints (bools and int subclasses
     among them) is an int, a Fraction, a float or a Decimal makes the sum
     something else, text or None raises ``TypeError``, and a float beside an
     int past its range (``OverflowError``) or a signalling Decimal raises an
-    ``ArithmeticError``; each of those takes the per-cell path, which gives
-    the answer or error that it always gave."""
-    rows = [[*coeffs, rhs] for coeffs, rhs in equalities]
+    ``ArithmeticError``; each of those takes the per-cell path, ``_cell``."""
+    try:
+        rows = [[*coeffs, rhs] for coeffs, rhs in equalities]
+    except (TypeError, ValueError):
+        raise InputError("an equation is a pair (coefficients, rhs) of a sequence and a number") from None
     try:
         if type(sum(map(sum, rows))) is int:
             return rows
     except (TypeError, ArithmeticError):
         pass
-    rows = [[c if isinstance(c, (int, Fraction)) else Fraction(c) for c in row] for row in rows]
+    rows = [list(map(_cell, row)) for row in rows]
     scale = lcm(*(c.denominator for row in rows for c in row))
     return [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
+
+
+def _cell(c) -> int | Fraction:
+    """One cell of a linear system: an int (a bool among them) or a Fraction as it
+    is, text by ``parse_rational`` (so "1e999999999" is not expanded into a
+    billion-digit integer), anything else as ``Fraction`` reads it.  The one place
+    where a cell that is not a rational (None, a list, "x", a float nan or inf) is
+    an input error."""
+    if isinstance(c, str):
+        return parse_rational(c)
+    try:
+        return c if isinstance(c, (int, Fraction)) else Fraction(c)
+    except (TypeError, ValueError, ArithmeticError):
+        raise InputError(f"not a rational: {_shown(c)}") from None
 
 
 def lp_feasible(
@@ -303,10 +353,13 @@ def lp_feasible(
 
     Coefficients are rationals (int, Fraction, or anything Fraction accepts),
     and the result is an exact rational solution as a list of Fractions, or
-    None when infeasible.  All-int input is read directly, told from any
-    other by one reduction (``_integer_rows``: the sum of every cell is an
-    int only then); any other input is scaled to integer rows first, and both
-    go through the same tableau.
+    None when infeasible.  The equalities are a collection (``_iterate``) of
+    pairs (coefficients, rhs), and nonneg_vars is a count
+    (``parse_nonnegative``, so a bool or a text is an input error).  All-int
+    input is read directly, told from any other by one reduction
+    (``_integer_rows``: the sum of every cell is an int only then); any other
+    input is scaled to integer rows first, and both go through the same
+    tableau, whose rows are then checked against nonneg_vars.
 
     Inside, the phase-1 tableau (n structural columns, m artificial columns,
     rhs; rows negated where rhs < 0) is the integer rows with 1 on the
@@ -330,14 +383,17 @@ def lp_feasible(
     the shared zero) and as a one-argument Fraction above; any other is the
     quotient of the two entries.
     """
-    n = nonneg_vars
-    for coeffs, _ in equalities:
-        if len(coeffs) != n:
-            raise InputError(f"equality has {len(coeffs)} coefficients, expected {n}")
-    m = len(equalities)
+    n = parse_nonnegative(nonneg_vars, "nonneg_vars")
+    rows = _integer_rows(_iterate(equalities, "equalities must be a collection"))
+    for ints in rows:
+        if len(ints) != n + 1:
+            raise InputError(f"equality has {len(ints) - 1} coefficients, expected {n}")
+    m = len(rows)
     if m == 0:
-        return [_ZERO] * n
-    rows = _integer_rows(equalities)
+        try:
+            return [_ZERO] * n
+        except (OverflowError, MemoryError):  # with no equation, nothing bounds n but memory
+            raise InputError(f"nonneg_vars {_shown(n)} is more than a list can hold") from None
     # the equality rows with rhs >= 0
     tab = [ints if ints[-1] >= 0 else list(map(neg, ints)) for ints in rows]
     # phase-1 objective: minimize the sum of artificials.  Its reduced-cost
@@ -488,18 +544,30 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | No
 # cone queries
 
 
-def _check_dim(vectors: Iterable[Vector], dim: int) -> None:
-    for v in vectors:
-        if len(v) != dim:
-            raise InputError(f"dimension mismatch: expected {dim}, got {len(v)}")
+def _check_dim(vectors: Iterable, dim: int | None, message="dimension mismatch: expected {dim}, got {got}") -> list:
+    """The length rule: the collection vectors, read once by ``_iterate``, as a
+    list, after checking that every vector has the length dim, or, for dim None,
+    the length of the first.  A vector of another length is an input error,
+    with message formatted by dim and got, the length found, and so is a vector
+    with no length."""
+    vectors = list(_iterate(vectors, "vectors must be a collection"))
+    try:
+        for v in vectors:
+            if dim is not None and len(v) != dim:
+                raise InputError(message.format(dim=dim, got=len(v)))
+            dim = len(v)
+    except TypeError:
+        raise InputError(f"a vector is a sequence of entries, not {_shown(v)}") from None
+    return vectors
 
 
 def cone_member(v: Vector, generators: Sequence[Vector]) -> list[Fraction] | None:
     """Nonnegative-combination coefficients expressing v over generators, or None.
 
-    The zero vector is always a member (empty combination).
+    The zero vector is always a member (empty combination).  v and the
+    generators are checked by one length rule, ``_check_dim``, v first.
     """
-    _check_dim(generators, len(v))
+    v, *generators = _check_dim(chain((v,), _iterate(generators, "generators must be a collection")), None)
     if not generators:
         return [] if is_zero(v) else None
     eqs = [(tuple(g[i] for g in generators), v[i]) for i in range(len(v))]
@@ -544,32 +612,42 @@ def cone_witness(
 ) -> ConeWitness | None:
     """A point common to cone(gens_a) and cone(gens_b) whose coordinate k is
     sign (+1 or -1), with the coefficients that give it on each side, or None
-    when there is no such point.
+    when there is no such point (also when a side has no generators).
 
-    One feasibility LP: balance rows saying that the a-combination minus the
-    b-combination is 0, and one normalisation row fixing coordinate k of the
-    a-combination at sign.  The witness is the simplex's basic solution.
-    Both generator lists are checked against the dimension by one set of
-    their lengths (``_check_dim`` names the first that differs).  The point
-    is summed over the nonzero a-coefficients, the zeros dropped by identity
-    with the shared zero that ``lp_feasible`` gives every nonbasic value, and
-    its integer coordinates come from the same shared table.
-
-    k and sign are read by ``parse_integer``, so a float or a bool is an input
-    error, as are a sign other than 1 and -1 and (when both sides have
-    generators) a k outside range(dim).
+    Both generator lists, each a collection (``_iterate``), are checked by one
+    length rule, ``_check_dim``, which names the first vector whose length
+    differs from that of the first a-generator, and every cell is read by the
+    one cell rule, ``_cell``.  k and sign are read by ``parse_integer``, so a
+    float or a bool is an input error, as are a sign other than 1 and -1 and
+    (when both sides have generators) a k outside range(dim).  The LP is
+    ``_cone_witness``.
     """
     k, sign = parse_integer(k), parse_integer(sign)
     if sign not in (1, -1):
-        raise InputError(f"sign must be 1 or -1, got {sign!r}")
+        raise InputError(f"sign must be 1 or -1, got {_shown(sign)}")
+    gens_a, gens_b = (list(_iterate(gens, "generators must be a collection")) for gens in (gens_a, gens_b))
+    _check_dim(chain(gens_a, gens_b), None)
     if not gens_a or not gens_b:
         return None
     dim = len(gens_a[0])
     if k not in range(dim):
-        raise InputError(f"coordinate {k!r} is outside range({dim})")
-    if {*map(len, gens_a), *map(len, gens_b)} != {dim}:
-        _check_dim(gens_a, dim)
-        _check_dim(gens_b, dim)
+        raise InputError(f"coordinate {_shown(k)} is outside range({dim})")
+    return _cone_witness([list(map(_cell, g)) for g in gens_a], [list(map(_cell, g)) for g in gens_b], k, sign)
+
+
+def _cone_witness(gens_a: Sequence[Sequence], gens_b: Sequence[Sequence], k: int, sign: int) -> ConeWitness | None:
+    """``cone_witness`` on generators already read: two nonempty lists of rows of
+    one length, of ints and Fractions, with k in range and sign 1 or -1.  The
+    entry of a caller that builds its rows so, as ``fk.theorem8_finite_type``
+    does on the census hot path.
+
+    One feasibility LP: balance rows saying that the a-combination minus the
+    b-combination is 0, and one normalisation row fixing coordinate k of the
+    a-combination at sign.  The witness is the simplex's basic solution.  The
+    point is summed over the nonzero a-coefficients, the zeros dropped by
+    identity with the shared zero that ``lp_feasible`` gives every nonbasic
+    value, and its integer coordinates come from the same shared table.
+    """
     na, nb = len(gens_a), len(gens_b)
     # sum of a-coefficients times gens_a minus b-coefficients times gens_b is 0: column j of
     # the generators, the b-side negated, is balance row j

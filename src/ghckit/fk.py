@@ -4,10 +4,11 @@ The central test for type A works through singular weights: for a root
 subalgebra l = k + n, the cones generated by the singular weights of g/l and
 of n must meet only at zero.  The weights are type-A roots e_u - e_v, so
 ``theorem8_finite_type`` decides this by reachability on a graph over the
-epsilon-coordinates, and runs one LP (``exact.cone_witness``), for the
-witness, only when the cones do meet.  The solvable case has an independent
-characterization through parabolic nilradicals, which the test suite plays
-against the cone test exhaustively on small systems.
+epsilon-coordinates, and runs one LP, for the witness, only when the cones
+do meet: ``exact._cone_witness``, the LP of ``exact.cone_witness``, on the
+integer rows it builds, which need no reading.  The solvable case has an
+independent characterization through parabolic nilradicals, which the test
+suite plays against the cone test exhaustively on small systems.
 
 The Borel fixed for singular-vector weights is the standard positive system
 of the realization; the others are its Weyl conjugates, so the verdict is
@@ -40,7 +41,7 @@ from functools import cached_property
 from operator import or_
 
 from .errors import InputError, InternalError, UnsupportedTypeError
-from .exact import ConeWitness, Vector, _Record, _reduce, cone_witness
+from .exact import ConeWitness, Vector, _check_dim, _cone_witness, _Record, _reduce
 from .rootsys import LOW_RANK_ALIASES, RootSystem, _dot, _weight_row, bits, root_count
 from .shadow import RootSubalgebra, _require_over, closed_mask, closed_masks
 
@@ -174,7 +175,7 @@ def theorem8_finite_type(rs: RootSystem, l: RootSubalgebra) -> FiniteTypeVerdict
     pair = _first_feasible_pair(ends_a, ends_b, rs.ambient_dim)
     witness = None
     if pair is not None:
-        witness = cone_witness(rows_a, rows_b, *pair)
+        witness = _cone_witness(rows_a, rows_b, *pair)
         if witness is None:
             raise InternalError(f"the cone LP finds no common point at (k, sign) = {pair}, which H reaches")
     return FiniteTypeVerdict(pair is None, witness, SingularWeightData(rs, sg), SingularWeightData(rs, sn))
@@ -335,10 +336,11 @@ def is_primal(
     """Test whether the reductive subalgebra spanned by k_roots root spaces (the
     roots or their mask) and the given toral subspace has centralizer equal to its
     center.  The toral vectors must lie in the Cartan subalgebra h, the span of
-    the roots; the default toral part (None) is h itself."""
+    the roots; the default toral part (None) is h itself.  A toral part given is
+    a collection of vectors checked by the length rule, ``exact._check_dim``."""
     k = _symmetric_closed(rs, k_roots, "k_roots")
-    if toral_part is not None and any(len(v) != rs.ambient_dim for v in toral_part):
-        raise InputError(f"toral vectors must have dimension {rs.ambient_dim}")
+    if toral_part is not None:
+        toral_part = _check_dim(toral_part, rs.ambient_dim, "toral vectors must have dimension {dim}")
     # each toral vector times its own denominator: integer rows with the same span; h is
     # spanned by the doubled simple roots
     rows = list(rs._simple_doubled) if toral_part is None else [_weight_row(rs, t)[0] for t in toral_part]
@@ -352,8 +354,8 @@ def is_primal(
     if rank(rs._simple_doubled) != rs.rank:
         raise InputError("toral vectors must lie in the span of the roots")
     # the simple roots of k span its roots, and their coroots, positive multiples of the
-    # (doubled) roots, span its coroots
-    if rank([rs.doubled_roots[i] for i in bits(_k_simple(rs, k))]) != rank(()):
+    # (doubled) roots, span its coroots; the rank of the toral rows alone is taken once
+    if rank([rs.doubled_roots[i] for i in bits(_k_simple(rs, k))]) != (toral_rank := rank(())):
         raise InputError("toral part must contain the coroots of k_roots")
     # C(k) = Z(k) needs the torus centralizing k inside the toral part.  The Cartan
     # subspace h is the orthogonal sum of span(coroots of k) and that torus, and the
@@ -361,7 +363,7 @@ def is_primal(
     # h is, that is iff the toral rows, which lie in h, span a space of its dimension.
     # Then nothing outside k + t centralizes it: a root g, in h, pairs nonzero with some
     # toral row, as (g, g) != 0, so C(k + t) lies in C(h) = h, which lies in k + t
-    return rank(()) == rs.rank
+    return toral_rank == rs.rank
 
 
 def prop3_covered(series: str, rank: int) -> bool:

@@ -13,7 +13,9 @@ given as one text is an input error.
 
 ``describe`` builds the document of the ``mathieu`` command.  A weight read
 beside x (``eta``, or the ``equiv`` of ``sp_equivalent``) must have the length
-of x, and ``_same_length`` states that rule once for every caller.
+of x, by the library's one length rule, ``exact._check_dim``.  The components
+of ``cuspidal_exists`` and the sample points of ``degree_constancy_check`` are
+collections, read by ``exact._iterate``.
 """
 
 from __future__ import annotations
@@ -22,14 +24,19 @@ from collections.abc import Sequence
 
 from . import rootsys
 from .errors import InputError, InternalError, RegularIntegralCase
-from .exact import Vector, _Record, format_vector, vec, within_text_limit
+from .exact import Vector, _check_dim, _iterate, _Record, _shown, format_vector, vec, within_text_limit
 
 
 def cuspidal_exists(components: Sequence[tuple[str, int]]) -> bool:
-    """True iff every simple component is of type A or C (after normalizing
-    low-rank coincidences such as B2 = C2)."""
+    """True iff every simple component, a pair (series, rank), is of type A or C
+    (after normalizing low-rank coincidences such as B2 = C2).  A component that
+    is not such a pair is an input error."""
     aliases = rootsys.LOW_RANK_ALIASES
-    return all(aliases.get((s, r), (s, r))[0] in ("A", "C") for s, r in components)
+    components = _iterate(components, "components must be a collection")
+    try:
+        return all(aliases.get((s, r), (s, r))[0] in ("A", "C") for s, r in components)
+    except (TypeError, ValueError):  # a component that is no pair, or holds a value that cannot be hashed
+        raise InputError("a simple component is a pair (series, rank), such as ('A', 2)") from None
 
 
 def sp_bounded(x: Sequence) -> bool:
@@ -53,18 +60,12 @@ def _bounded(xs: Vector) -> bool:
     return len(nums) < 2 or nums[-2] > abs(nums[-1])
 
 
-def _same_length(name: str, xs: Vector, other: Sequence | None) -> None:
-    """The length rule: a weight read beside x (eta, equiv), when given, has the length of x."""
-    if other is not None and len(other) != len(xs):
-        raise InputError(f"{name} dimension does not match x")
-
-
 def sp_equivalent(x: Sequence, y: Sequence) -> bool:
     """Two bounded weights head the same coherent family iff they agree
     except possibly for the sign of the last entry.  A y whose length is not
     x's is an ``InputError``, as is a weight that fails the bounded test."""
     xs, ys = vec(x), vec(y)
-    _same_length("equiv", xs, ys)
+    _check_dim((xs, ys), None, "equiv dimension does not match x")
     if not (_bounded(xs) and _bounded(ys)):
         raise InputError("both weights must satisfy the bounded-multiplicity test")
     return xs[:-1] == ys[:-1] and (xs[-1] == ys[-1] or xs[-1] == -ys[-1])
@@ -151,7 +152,7 @@ class CoherentFamilyDescriptor(_Record):
             raise InputError("a descriptor document needs a class_rep list of strings and an int degree")
         d = cls.from_weight(rep)
         if d.degree != degree:
-            raise InputError(f"stored degree {degree} disagrees with recomputed {d.degree}")
+            raise InputError(f"stored degree {_shown(degree)} disagrees with recomputed {_shown(d.degree)}")
         return d
 
 
@@ -161,10 +162,11 @@ def degree_constancy_check(
     """Guard for serialization round-trips: the stored degree must match a
     recomputation at the representative and at every sampled class member.  A
     sample point that is not bounded, or whose length is not the
-    representative's, is an ``InputError`` (from ``sp_equivalent``)."""
+    representative's, is an ``InputError`` (from ``sp_equivalent``), and so are
+    sample points that are not a collection."""
     if sp_degree(descriptor.representative) != descriptor.degree:
         return False
-    for p in sample_points:
+    for p in _iterate(sample_points, "sample points must be a collection"):
         if not sp_equivalent(descriptor.representative, p):
             return False
         if sp_degree(p) != descriptor.degree:
@@ -178,8 +180,9 @@ def describe(x: Sequence, eta: Sequence | None = None, equiv: Sequence | None = 
     eta, whether the fiber over eta is irreducible; with equiv, whether equiv
     heads the family of x.  eta and equiv must have the length of x."""
     xs = vec(x)
-    eta = None if eta is None else vec(eta)
-    _same_length("eta", xs, eta)
+    if eta is not None:
+        eta = vec(eta)
+        _check_dim((xs, eta), None, "eta dimension does not match x")
     # equiv before x's descriptor, so that a wrong equiv length is reported first
     doc: dict = {} if equiv is None else {"equivalent": sp_equivalent(xs, equiv)}
     doc["bounded"] = _bounded(xs)

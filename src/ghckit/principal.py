@@ -37,7 +37,8 @@ targets of ``partition_P`` and ``find_nonintegral_weight`` are read by
 "_" separator is an input error.
 
 Every partition table, the series' and the independent counts' alike, is
-built by ``_partition_table`` under one rule: its parts are positive and its
+built by ``_partition_table`` under one rule: its multiset is a mapping
+(``collections.abc.Mapping``), its parts are positive and its
 multiplicities nonnegative, each read by ``exact.parse_integer``, and it
 reaches no further than ``TABLE_TOP`` = q^(2 MAX_M + 2), the largest table a
 series within ``MAX_M`` reads, so a large target or m is an input error too.
@@ -45,6 +46,7 @@ series within ``MAX_M`` reads, so a large target or m is an input error too.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -52,7 +54,7 @@ from operator import sub
 from types import MappingProxyType
 
 from .errors import InputError, InternalError
-from .exact import Vector, _entry, _Record, format_rational, parse_integer, parse_nonnegative
+from .exact import Vector, _entry, _Record, _shown, format_rational, parse_integer, parse_nonnegative
 from .rootsys import RootSystem, _dot, _integral, _weight_row, height_distribution
 
 # bound on a k-type series' max_m and |lambda(h)|: the slowest series within
@@ -143,15 +145,17 @@ class PrincipalData(_Record):
         return table
 
 
-def _partition_table(multiset: dict, top: int) -> list[int]:
-    """Coefficients of q^0 .. q^top in prod (1 - q^part)^(-mult), for integer parts
-    that are positive and multiplicities that are nonnegative, with top at most
-    TABLE_TOP."""
+def _partition_table(multiset: Mapping, top: int) -> list[int]:
+    """Coefficients of q^0 .. q^top in prod (1 - q^part)^(-mult), for a multiset
+    that is a mapping, of integer parts that are positive to multiplicities that
+    are nonnegative, with top at most TABLE_TOP."""
+    if not isinstance(multiset, Mapping):
+        raise InputError(f"a multiset is a mapping of parts to multiplicities, not {_shown(multiset)}")
     if top > TABLE_TOP:
-        raise InputError(f"a partition table to q^{top} exceeds the bound q^{TABLE_TOP}")
+        raise InputError(f"a partition table to q^{_shown(top)} exceeds the bound q^{TABLE_TOP}")
     items = sorted((parse_integer(part), parse_nonnegative(mult, "a multiplicity")) for part, mult in multiset.items())
     if items and items[0][0] <= 0:
-        raise InputError(f"parts must be positive, got {items[0][0]}")
+        raise InputError(f"parts must be positive, got {_shown(items[0][0])}")
     dp = [0] * (top + 1)
     dp[0] = 1
     for part, mult in items:
@@ -270,7 +274,7 @@ def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
     max_m and |lambda(h)| are bounded by MAX_M."""
     max_m = parse_nonnegative(max_m, "max_m")
     if max_m > MAX_M:
-        raise InputError(f"max_m {max_m} exceeds the bound {MAX_M}")
+        raise InputError(f"max_m {_shown(max_m)} exceeds the bound {MAX_M}")
     num, den = _nonintegral_lambda_h(pd, lam)
     if abs(num) > MAX_M * den:
         raise InputError(f"lambda(h) = {format_rational(Fraction(num, den))} is outside the bound +-{MAX_M}")

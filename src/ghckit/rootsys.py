@@ -29,12 +29,12 @@ first.  ``sums(a, b)``, the one image of root sums, reads that table for the
 mask of the roots x + y with x in mask a and y in mask b.  ``reflections``,
 the one Weyl action, built on first use, holds each simple reflection as the
 tuple of the root indices of its images, read off the simple-root coordinates
-and the Cartan matrix with no Fraction.  ``mask_of`` and ``index_mask`` take
-any iterable but a text, and anything else is an input error.  ``roots_of``
-builds the frozenset view of a mask from a table, built on first use, that
-holds the frozenset of each of the 64 values of each chunk of six root
-indices: it starts from the stored set of the first chunk that the mask
-meets and merges in that of each later one, so no root is hashed again.
+and the Cartan matrix with no Fraction.  A mask given from outside has one
+range check, ``_root_mask``.  ``roots_of`` builds the frozenset view of a mask
+from a table, built on first use, that holds the frozenset of each of the 64
+values of each chunk of six root indices: it starts from the stored set of the
+first chunk that the mask meets and merges in that of each later one, so no
+root is hashed again.
 
 A weight enters through ``_weight_row``, once per call: a tuple or list of ints
 and Fractions is read as it is, any other weight through ``exact.vec`` (so
@@ -67,7 +67,7 @@ from math import lcm, prod
 from operator import add, mul
 
 from .errors import InputError, InternalError
-from .exact import Vector, _Record, _reduce, dot, parse_integer, vec, vscale
+from .exact import Vector, _iterate, _Record, _reduce, _shown, dot, parse_integer, vec, vscale
 
 DEFAULT_MAX_RANK = 8
 # GHC_MAX_RANK may raise the cap this far: C32 and D32, the slowest rank-32 builds, take
@@ -213,7 +213,7 @@ class RootSystem(_Record):
         try:
             return self._index[alpha]
         except (KeyError, TypeError):  # TypeError: alpha cannot be hashed, as a list cannot
-            raise InputError(f"{alpha} is not a root of {self.series}{self.rank}") from None
+            raise InputError(f"{_shown(alpha, str)} is not a root of {self.series}{self.rank}") from None
 
     def is_root(self, alpha: Vector) -> bool:
         return alpha in self._index
@@ -221,27 +221,27 @@ class RootSystem(_Record):
     def mask_of(self, roots: Iterable[Vector]) -> int:
         """The mask of a set of roots; raises InputError for a vector that is not a root,
         or for roots that are not iterable."""
-        return self.index_mask(map(self.root_index, _iterate(roots, "roots")))
+        return self.index_mask(map(self.root_index, _iterate(roots, "roots must be a collection")))
 
     def index_mask(self, indices: Iterable) -> int:
         """The mask of root indices given from outside, each read by ``parse_integer``
         (so neither a float nor a bool is an index); raises InputError for a bad index,
         or for indices that are not iterable."""
         mask = 0
-        for i in _iterate(indices, "root indices"):
+        for i in _iterate(indices, "root indices must be a collection"):
             try:
-                k = parse_integer(i)
+                # an int (not a bool or a subclass) is its own index, with no call
+                k = i if type(i) is int else parse_integer(i)
             except InputError as e:
-                raise InputError(f"root index {i!r} is not an integer") from e
+                raise InputError(f"root index {_shown(i)} is not an integer") from e
             if not 0 <= k < len(self.doubled_roots):
-                raise InputError(f"root index {i} out of range")
+                raise InputError(f"root index {_shown(i, str)} out of range")
             mask |= 1 << k
         return mask
 
     def roots_of(self, mask: int) -> frozenset[Vector]:
         """The frozenset of the roots of a mask from 0 to ``full_mask``."""
-        if not 0 <= mask <= self.full_mask:
-            raise InputError(f"root mask {mask} is out of range for {self.series}{self.rank}")
+        self._root_mask(mask)
         # a set merge reuses the hash stored with each entry, so no Fraction is hashed;
         # the first chunk the mask meets gives its stored set as it is
         roots = frozenset()
@@ -250,6 +250,14 @@ class RootSystem(_Record):
                 roots = roots | t[mask & 63] if roots else t[mask & 63]
             mask >>= 6
         return roots
+
+    def _root_mask(self, mask: int) -> int:
+        """mask, when it is the mask of a set of roots, from 0 to ``full_mask``; else an
+        input error: the one range check of a mask given from outside, for ``roots_of``
+        and ``shadow.RootSubalgebra``."""
+        if not 0 <= mask <= self.full_mask:
+            raise InputError(f"root mask {_shown(mask)} is out of range for {self.series}{self.rank}")
+        return mask
 
     @cached_property
     def _chunk_sets(self) -> tuple[tuple[frozenset[Vector], ...], ...]:
@@ -376,18 +384,6 @@ class RootSystem(_Record):
         }
 
 
-def _iterate(values, name: str):
-    """An iterator over values given from outside; values that are not iterable, such
-    as a number or None, are an input error, and so are values given as one text,
-    which would otherwise be read a character at a time (as ``exact.vec`` rules)."""
-    if isinstance(values, str):
-        raise InputError(f"{name} must be a collection, not the text {values!r}")
-    try:
-        return iter(values)
-    except TypeError:
-        raise InputError(f"{name} must be a collection, not {values!r}") from None
-
-
 def _format_doubled(a: Sequence[int]) -> list[str]:
     return [f"{x}/2" if x % 2 else str(x // 2) for x in a]
 
@@ -404,10 +400,10 @@ def build(series: str, rank: int) -> RootSystem:
     # read before the cache, whose key 1 would also answer True and 3 answer 3.0
     rank = parse_integer(rank)
     if root_count(series, rank) is None:
-        raise InputError(f"invalid simple type ({series},{rank})")
+        raise InputError(f"invalid simple type ({_shown(series, str)},{_shown(rank)})")
     cap = max_rank()
     if rank > cap:
-        raise InputError(f"rank {rank} exceeds the configured bound {cap}")
+        raise InputError(f"rank {_shown(rank)} exceeds the configured bound {cap}")
     return _construct(series, rank)
 
 
@@ -527,7 +523,8 @@ def _weyl_dim(rs: RootSystem, row: Sequence[int], den: int) -> int:
     pairings = _simple_pairings(rs, row, den)
     for i, (p, q) in enumerate(pairings):
         if p < 0 or p % q:
-            raise InputError(f"weight is not dominant integral: pairing {_F(p, q)} on {rs.simple_roots[i]}")
+            pairing = _shown(_F(p, q), str)
+            raise InputError(f"weight is not dominant integral: pairing {pairing} on {rs.simple_roots[i]}")
     num, den = prod(_coroot_pairings(rs, [p // q + 1 for p, q in pairings])), rs.rho_product
     dim, rem = divmod(num, den)
     if rem or dim <= 0:

@@ -33,7 +33,7 @@ from functools import cached_property
 from operator import add
 
 from .errors import InputError
-from .exact import Vector, _Record, parse_nonnegative
+from .exact import Vector, _check_dim, _Record, _shown, parse_nonnegative, vec
 from .rootsys import RootSystem, bits
 
 # bound on the points support_shape builds, counted as base points times gamma-sums: from one
@@ -104,9 +104,7 @@ class RootSubalgebra(_Record):
     def __init__(self, rs: RootSystem, roots: Iterable[Vector] | int):
         """roots: the subset's roots (a non-root is an input error), or its mask, an int
         (not a bool)."""
-        mask = roots if type(roots) is int else rs.mask_of(roots)
-        if not 0 <= mask <= rs.full_mask:
-            raise InputError(f"root mask {mask} is out of range for {rs.series}{rs.rank}")
+        mask = rs._root_mask(roots) if type(roots) is int else rs.mask_of(roots)
         if not closed_mask(rs, mask):
             raise InputError("root subset is not closed under addition")
         object.__setattr__(self, "rs", rs)
@@ -156,7 +154,7 @@ def _require_over(rs: RootSystem, l: RootSubalgebra) -> None:
     """InputError unless l is a ``RootSubalgebra`` of rs: over the same object, or a
     system of the same type."""
     if not isinstance(l, RootSubalgebra):
-        raise InputError(f"expected a RootSubalgebra, got {l!r}")
+        raise InputError(f"expected a RootSubalgebra, got {_shown(l)}")
     if l.rs is not rs and (l.rs.series, l.rs.rank) != (rs.series, rs.rank):
         raise InputError(f"the subalgebra belongs to {l.rs.series}{l.rs.rank}, not to {rs.series}{rs.rank}")
 
@@ -231,11 +229,11 @@ def support_shape(
     """Truncated support: base points shifted by Gamma-sums of total
     coefficient at most truncation_radius, an integer read by
     ``exact.parse_nonnegative`` (a bool, a float or a negative number is an
-    input error)."""
+    input error).  The base points are checked by the length rule,
+    ``exact._check_dim``, and each is read by ``exact.vec``."""
     truncation_radius = parse_nonnegative(truncation_radius, "truncation radius")
     rs = sd.rs
-    if any(len(b) != rs.ambient_dim for b in base_points):
-        raise InputError(f"base points must have dimension {rs.ambient_dim}")
+    base_points = [vec(b) for b in _check_dim(base_points, rs.ambient_dim, "base points must have dimension {dim}")]
     # the shifts are doubled, so that they are integer tuples: roots lie in Z/2
     gamma = [rs.doubled_roots[i] for i in bits(sd.gamma_mask)]
     zero = (0,) * rs.ambient_dim

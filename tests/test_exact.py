@@ -22,7 +22,7 @@ from ghckit.exact import (
     parse_rational,
     vec,
 )
-from ghckit.shadow import RootSubalgebra, closed_subsets
+from ghckit.shadow import RootSubalgebra, closed_subsets, shadow, support_shape
 
 F = Fraction
 
@@ -588,12 +588,17 @@ class TestIntegerRows:
     @example(([((1, Decimal("sNaN")), 1)], 2))
     @example(([((1, "x"), 1)], 2))
     def test_same_rows_and_solution_as_the_type_pass(self, system):
+        # a cell that Fraction does not read (None, "x", a signalling NaN) raised the type pass's
+        # TypeError or ValueError, and is an input error, from exact._cell, and nothing else
+        def expected(result):
+            return InputError if isinstance(result, type) else result
+
         eqs, n = system
         got = _result(exact._integer_rows, eqs)
-        assert got == _result(reference_integer_rows, eqs)
+        assert got == expected(_result(reference_integer_rows, eqs))
         if isinstance(got, list):
             assert all(isinstance(c, int) for row in got for c in row)
-        assert _result(lp_feasible, eqs, n) == _result(reference_lp_feasible, eqs, n)
+        assert _result(lp_feasible, eqs, n) == expected(_result(reference_lp_feasible, eqs, n))
 
     def test_all_int_rows_are_read_as_they_are(self):
         eqs = [((1, -2, BIG), 3), ((0, 0, 1), -1)]
@@ -633,3 +638,83 @@ class TestIntegerGenerators:
         scale = lcm(*(c.denominator for coeffs, rhs in eqs for c in (*coeffs, rhs)))
         ints = [(tuple(int(c * scale) for c in coeffs), int(rhs * scale)) for coeffs, rhs in eqs]
         assert lp_feasible(ints, n) == reference_lp_feasible(ints, n) == reference_lp_feasible(eqs, n)
+
+
+HUGE = 10**4999  # 5,000 digits: its text passes the interpreter's limit on integer text
+DESCRIPTOR = mathieu.CoherentFamilyDescriptor.from_weight(["5/2", "1/2"])
+
+# each raised TypeError, AttributeError or ValueError, or (a bool count) returned: a
+# collection that is a number, an equality, vector or component that is no pair or has no
+# length, a cell that is no rational, a multiset that is no mapping and an int past the
+# limit on integer text in a message are each an input error
+MALFORMED_ARGUMENTS = [
+    ("is_primal-toral-5", lambda a2: fk.is_primal(a2, 0, toral_part=5)),
+    ("is_primal-toral-[5]", lambda a2: fk.is_primal(a2, 0, toral_part=[5])),
+    ("cuspidal_exists-5", lambda a2: mathieu.cuspidal_exists(5)),
+    ("cuspidal_exists-[5]", lambda a2: mathieu.cuspidal_exists([5])),
+    ("cuspidal_exists-unhashable", lambda a2: mathieu.cuspidal_exists([[["A"], 2]])),
+    ("degree_constancy_check-5", lambda a2: mathieu.degree_constancy_check(DESCRIPTOR, 5)),
+    ("lp_feasible-5", lambda a2: lp_feasible(5, 1)),
+    ("lp_feasible-[5]", lambda a2: lp_feasible([5], 1)),
+    ("lp_feasible-text-cell", lambda a2: lp_feasible([(("a",), 1)], 1)),
+    # Fraction read "1e3" as 1000, and would expand "1e999999999" into a billion digits
+    ("lp_feasible-exponent-text", lambda a2: lp_feasible([(("1e3",), 1)], 1)),
+    ("lp_feasible-bool-count", lambda a2: lp_feasible([((1,), 1)], True)),
+    # with no equation the answer is n zeros, which no list holds for these n
+    ("lp_feasible-huge-count", lambda a2: lp_feasible([], HUGE)),
+    ("lp_feasible-count-past-maxsize", lambda a2: lp_feasible([], 2**64)),
+    ("cone_member-5", lambda a2: cone_member(5, [(1,)])),
+    ("cone_member-text-cell", lambda a2: cone_member(("a",), [(1,)])),
+    ("nullspace-text-cell", lambda a2: exact.nullspace([["a"]])),
+    ("cone_witness-[5]", lambda a2: cone_witness([5], [5], 0, 1)),
+    ("cone_witness-text-cell", lambda a2: cone_witness([(1,)], [("a",)], 0, 1)),
+    ("partition_P-5", lambda a2: principal.partition_P(5, 3)),
+    ("RootSubalgebra-huge-mask", lambda a2: RootSubalgebra(a2, HUGE)),
+    ("roots_of-huge-mask", lambda a2: a2.roots_of(HUGE)),
+    ("index_mask-huge-index", lambda a2: a2.index_mask([HUGE])),
+    ("build-huge-rank", lambda a2: rootsys.build("A", HUGE)),
+    ("build-huge-series", lambda a2: rootsys.build(HUGE, 2)),
+    ("weyl_dim-huge-pairing", lambda a2: rootsys.weyl_dim(a2, (-HUGE, 0, HUGE))),
+    ("partition_P-huge-target", lambda a2: principal.partition_P({1: 1}, HUGE)),
+    ("vec-huge", lambda a2: vec(HUGE)),
+    ("support_shape-text-entry", lambda a2: support_shape(shadow(a2, RootSubalgebra(a2, [])), [("x", 0, 0)], 1)),
+    ("support_shape-5", lambda a2: support_shape(shadow(a2, RootSubalgebra(a2, [])), 5, 1)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in MALFORMED_ARGUMENTS], ids=[name for name, _ in MALFORMED_ARGUMENTS])
+def test_a_malformed_argument_is_an_input_error(call):
+    with pytest.raises(InputError) as info:
+        call(rootsys.build("A", 2))
+    # a message never shows the 5,000 digits, which str would refuse to write
+    assert "0" * 100 not in str(info.value)
+
+
+def test_nonneg_vars_is_read_by_the_integer_rule():
+    # "1" was compared with len(coeffs) as a text: "equality has 1 coefficients, expected 1"
+    assert lp_feasible([((1,), 1)], "1") == [F(1)]
+    with pytest.raises(InputError, match="^nonneg_vars must be a nonnegative integer, got -1$"):
+        lp_feasible([], -1)
+
+
+def test_a_cone_witness_reads_text_cells_by_the_cell_rule():
+    # the b-side text was negated, a TypeError, and the a-side text multiplied into the point
+    assert cone_witness([("1", "0")], [(1, "0")], 0, 1) == cone_witness([(1, 0)], [(1, 0)], 0, 1)
+
+
+# the collection rule names the argument and what was given, where a pair or length check
+# further on would raise an input error that names neither
+@pytest.mark.parametrize("call, what, shown", [
+    (lambda a2: lp_feasible(5, 1), "equalities", "5"),
+    (lambda a2: lp_feasible("ab", 1), "equalities", "the text 'ab'"),
+    (lambda a2: mathieu.cuspidal_exists(5), "components", "5"),
+    (lambda a2: mathieu.cuspidal_exists("A2"), "components", "the text 'A2'"),
+    (lambda a2: mathieu.degree_constancy_check(DESCRIPTOR, None), "sample points", "None"),
+    (lambda a2: fk.is_primal(a2, 0, toral_part=5), "vectors", "5"),
+    (lambda a2: cone_member((1,), 5), "generators", "5"),
+    (lambda a2: cone_witness([(1,)], "1", 0, 1), "generators", "the text '1'"),
+], ids=["lp_feasible", "lp_feasible-text", "cuspidal_exists", "cuspidal_exists-text", "degree_constancy_check",
+        "is_primal", "cone_member", "cone_witness-text"])
+def test_the_collection_rule_names_the_argument(call, what, shown):
+    with pytest.raises(InputError, match=f"^{what} must be a collection, not {re.escape(shown)}$"):
+        call(rootsys.build("A", 2))
