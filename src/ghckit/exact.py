@@ -23,14 +23,16 @@ implementation here.  The collection rule, ``_iterate``: a number, None or one
 text where a collection belongs is an input error (a text would otherwise be
 read a character at a time).  ``vec``, ``lp_feasible``'s equalities, the root
 subsets of ``rootsys`` and the collections of ``mathieu`` are read by it.  The
-length rule, ``_check_dim``: every vector of a collection, read by the
+length rule, ``_check_dim``: every vector of a collection, itself read by the
 collection rule, has one length, given or that of the first, and a vector with
-no length is an input error.  The cone queries, ``fk.is_primal``'s toral part
-and ``shadow.support_shape``'s base points are checked by it.  A cell of a
-linear system is read by ``_cell``, the one place where a cell that is not a
-rational is an input error, and an error message shows a value given from
-outside by ``_shown``, so that no message fails on an int past the limit on
-integer text.
+no length is an input error.  The cone queries, the rows of ``nullspace`` and
+``solve_linear`` (and ``solve_linear``'s rhs, one entry per row),
+``fk.is_primal``'s toral part and ``shadow.support_shape``'s base points are
+checked by it; ``lp_feasible`` checks its rows for one text inline.  A cell of
+a linear system is read by ``_cell``, which is ``vec``'s entry rule except that
+a bool is an int, so a float or a Decimal is an input error there as in a
+weight; and an error message shows a value given from outside by ``_shown``,
+so that no message fails on an int past the limit on integer text.
 Elimination runs on integers, by one fraction-free step, ``_pivot_row``.
 The LP behind the cone queries reads integer input as it is and scales any
 other input by the lcm of its denominators, keeps the tableau as an integer
@@ -58,14 +60,17 @@ common point whose coordinate k is +1 or -1 and returns it as a
 lcm of the nonzero coefficients' denominators, 1 on every type-A LP) and
 turns into one Fraction per coordinate, from the shared table where it can.
 A coordinate outside the cones' dimension, or a sign other than +1 and -1,
-is an input error.  ``cone_witness`` reads its arguments and hands them to
-``_cone_witness``, the LP itself, which ``fk`` calls on the integer rows it
-builds, so that the census does not read its own rows again.
+is an input error.  ``cone_witness`` reads its generators by ``_read_cones``
+(the collection rule, one length across both lists, cells by ``_cell``) and
+hands the rows to ``_cone_witness``, the LP itself, which ``fk`` calls on the
+integer rows it builds, so that the census does not read its own rows again.
 ``ConeWitness.verify`` checks each side one coordinate at a time, by one
 ``dot`` of the coefficients with that coordinate of the generators.
-``cones_intersect_trivially`` is the general test, that LP for every
-(coordinate, sign) pair in turn; ``fk`` picks the one pair to ask for by
-graph reachability and calls ``_cone_witness`` once.
+``cones_intersect_trivially`` is the general test: it reads its generators
+once, by ``_read_cones``, and runs that LP for every (coordinate, sign) pair in
+turn; ``fk`` picks the one pair to ask for by graph reachability and calls
+``_cone_witness`` once.  ``cone_member`` with no generators is an LP with no
+columns, feasible exactly when v is 0.
 
 ``_Record`` is the library's one frozen record, with a generated constructor:
 ``ConeWitness`` here and every record of ``rootsys``, ``shadow``, ``fk``,
@@ -311,15 +316,21 @@ def _fraction(v) -> Fraction:
 def _integer_rows(equalities: Iterable[tuple[Sequence, object]]) -> list[list[int]]:
     """The rows [coeffs..., rhs] as integers: all-int input is read as it is, and
     any other rationals are scaled by the lcm of their denominators.  An
-    equation that is not a pair of a sequence and a number is an input error.
+    equation that is not a pair of a sequence and a number is an input error,
+    and so are coefficients given as one text, which would otherwise be read a
+    character at a time (the collection rule, inline: a helper call per row
+    costs the census path).
 
     All-int is one reduction in C: a sum of ints (bools and int subclasses
     among them) is an int, a Fraction, a float or a Decimal makes the sum
     something else, text or None raises ``TypeError``, and a float beside an
     int past its range (``OverflowError``) or a signalling Decimal raises an
-    ``ArithmeticError``; each of those takes the per-cell path, ``_cell``."""
+    ``ArithmeticError``; each of those takes the per-cell path, ``_cell``,
+    where a cell that is not an int, a Fraction or rational text is an input
+    error."""
     try:
-        rows = [[*coeffs, rhs] for coeffs, rhs in equalities]
+        # *None raises the TypeError of a row that is no sequence
+        rows = [[*(None if isinstance(coeffs, str) else coeffs), rhs] for coeffs, rhs in equalities]
     except (TypeError, ValueError):
         raise InputError("an equation is a pair (coefficients, rhs) of a sequence and a number") from None
     try:
@@ -333,17 +344,14 @@ def _integer_rows(equalities: Iterable[tuple[Sequence, object]]) -> list[list[in
 
 
 def _cell(c) -> int | Fraction:
-    """One cell of a linear system: an int (a bool among them) or a Fraction as it
-    is, text by ``parse_rational`` (so "1e999999999" is not expanded into a
-    billion-digit integer), anything else as ``Fraction`` reads it.  The one place
-    where a cell that is not a rational (None, a list, "x", a float nan or inf) is
-    an input error."""
-    if isinstance(c, str):
-        return parse_rational(c)
-    try:
-        return c if isinstance(c, (int, Fraction)) else Fraction(c)
-    except (TypeError, ValueError, ArithmeticError):
-        raise InputError(f"not a rational: {_shown(c)}") from None
+    """One cell of a linear system, by ``vec``'s entry rule (``_entry``), except that
+    an int, a bool among them, is taken as it is.  So a Fraction is taken as it
+    is, text is read by ``parse_rational`` (so "1e999999999" is not expanded into
+    a billion-digit integer), and anything else, a float or a Decimal among
+    them, is an input error.  A bool stays an int because the all-int test of
+    ``_integer_rows``, a sum in C, takes it as one; telling it apart would take a
+    type pass over every cell."""
+    return c if isinstance(c, int) else _entry(c)
 
 
 def lp_feasible(
@@ -351,10 +359,11 @@ def lp_feasible(
 ) -> list[Fraction] | None:
     """Decide feasibility of {x >= 0, coeffs·x = rhs for each equality}.
 
-    Coefficients are rationals (int, Fraction, or anything Fraction accepts),
-    and the result is an exact rational solution as a list of Fractions, or
-    None when infeasible.  The equalities are a collection (``_iterate``) of
-    pairs (coefficients, rhs), and nonneg_vars is a count
+    Coefficients are rationals, each read by the cell rule ``_cell`` (an int,
+    a Fraction or rational text), and the result is an exact rational
+    solution as a list of Fractions, or None when infeasible.  The equalities
+    are a collection (``_iterate``) of pairs (coefficients, rhs), the
+    coefficients a sequence and not one text, and nonneg_vars is a count
     (``parse_nonnegative``, so a bool or a text is an input error).  All-int
     input is read directly, told from any other by one reduction
     (``_integer_rows``: the sum of every cell is an int only then); any other
@@ -505,9 +514,11 @@ def _reduce(rows: list[list[int]], ncols: int) -> tuple[list[tuple[int, int]], i
 def nullspace(rows: Sequence[Sequence]) -> list[Vector]:
     """Basis of {x : row·x = 0 for every row}, one vector per free column.
 
-    The rows are scaled to integers (``_integer_rows``) and reduced by
+    The rows are read by the length rule, ``_check_dim``, and their cells by
+    ``_cell``; they are scaled to integers (``_integer_rows``) and reduced by
     ``_reduce``.
     """
+    rows = _check_dim(rows, None)
     if not rows:
         raise InputError("nullspace needs at least one row to fix the dimension")
     n = len(rows[0])
@@ -530,8 +541,11 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | No
     Free variables are set to 0.  That solution is -v[:-1] for the vector v of
     ``nullspace`` of the augmented rows [row | rhs] that belongs to the rhs
     column, the last; that column is free, so v exists, iff the system is
-    consistent.
+    consistent.  The rows are read by the length rule, ``_check_dim``, and rhs,
+    one entry per row, by the same rule.
     """
+    rows = _check_dim(rows, None)
+    _check_dim((rhs,), len(rows), "rhs has {got} entries for {dim} rows")
     if not rows:
         return []
     basis = nullspace([(*row, b) for row, b in zip(rows, rhs)])
@@ -546,13 +560,14 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | No
 
 def _check_dim(vectors: Iterable, dim: int | None, message="dimension mismatch: expected {dim}, got {got}") -> list:
     """The length rule: the collection vectors, read once by ``_iterate``, as a
-    list, after checking that every vector has the length dim, or, for dim None,
-    the length of the first.  A vector of another length is an input error,
-    with message formatted by dim and got, the length found, and so is a vector
-    with no length."""
+    list, after checking that every vector, itself a collection by that rule,
+    has the length dim, or, for dim None, the length of the first.  A vector of
+    another length is an input error, with message formatted by dim and got,
+    the length found, and so is a vector with no length or given as one text."""
     vectors = list(_iterate(vectors, "vectors must be a collection"))
     try:
         for v in vectors:
+            _iterate(v, "a vector is a sequence of entries")
             if dim is not None and len(v) != dim:
                 raise InputError(message.format(dim=dim, got=len(v)))
             dim = len(v)
@@ -565,11 +580,12 @@ def cone_member(v: Vector, generators: Sequence[Vector]) -> list[Fraction] | Non
     """Nonnegative-combination coefficients expressing v over generators, or None.
 
     The zero vector is always a member (empty combination).  v and the
-    generators are checked by one length rule, ``_check_dim``, v first.
+    generators are checked by one length rule, ``_check_dim``, v first, and
+    every cell is read by ``lp_feasible``'s cell rule.  With no generators the
+    LP has no columns, and it is feasible, with the empty combination,
+    exactly when v is 0.
     """
     v, *generators = _check_dim(chain((v,), _iterate(generators, "generators must be a collection")), None)
-    if not generators:
-        return [] if is_zero(v) else None
     eqs = [(tuple(g[i] for g in generators), v[i]) for i in range(len(v))]
     return lp_feasible(eqs, len(generators))
 
@@ -614,25 +630,32 @@ def cone_witness(
     sign (+1 or -1), with the coefficients that give it on each side, or None
     when there is no such point (also when a side has no generators).
 
-    Both generator lists, each a collection (``_iterate``), are checked by one
-    length rule, ``_check_dim``, which names the first vector whose length
-    differs from that of the first a-generator, and every cell is read by the
-    one cell rule, ``_cell``.  k and sign are read by ``parse_integer``, so a
-    float or a bool is an input error, as are a sign other than 1 and -1 and
-    (when both sides have generators) a k outside range(dim).  The LP is
-    ``_cone_witness``.
+    Both generator lists are read by ``_read_cones``.  k and sign are read by
+    ``parse_integer``, so a float or a bool is an input error, as are a sign
+    other than 1 and -1 and (when both sides have generators) a k outside
+    range(dim).  The LP is ``_cone_witness``.
     """
     k, sign = parse_integer(k), parse_integer(sign)
     if sign not in (1, -1):
         raise InputError(f"sign must be 1 or -1, got {_shown(sign)}")
-    gens_a, gens_b = (list(_iterate(gens, "generators must be a collection")) for gens in (gens_a, gens_b))
-    _check_dim(chain(gens_a, gens_b), None)
+    gens_a, gens_b = _read_cones(gens_a, gens_b)
     if not gens_a or not gens_b:
         return None
     dim = len(gens_a[0])
     if k not in range(dim):
         raise InputError(f"coordinate {_shown(k)} is outside range({dim})")
-    return _cone_witness([list(map(_cell, g)) for g in gens_a], [list(map(_cell, g)) for g in gens_b], k, sign)
+    return _cone_witness(gens_a, gens_b, k, sign)
+
+
+def _read_cones(gens_a, gens_b) -> tuple[list[list], list[list]]:
+    """The two generator lists of a two-cone query, read once: each a collection
+    (``_iterate``), both checked by one length rule, ``_check_dim``, which names
+    the first vector whose length differs from that of the first a-generator,
+    and every cell read by the cell rule, ``_cell``, into rows of ints and
+    Fractions."""
+    gens_a, gens_b = (list(_iterate(gens, "generators must be a collection")) for gens in (gens_a, gens_b))
+    _check_dim(chain(gens_a, gens_b), None)
+    return [list(map(_cell, g)) for g in gens_a], [list(map(_cell, g)) for g in gens_b]
 
 
 def _cone_witness(gens_a: Sequence[Sequence], gens_b: Sequence[Sequence], k: int, sign: int) -> ConeWitness | None:
@@ -681,14 +704,17 @@ def cones_intersect_trivially(
 
     A nonzero common point has a nonzero coordinate, and cones are invariant
     under positive scaling, so we may normalize that coordinate to +-1.  We
-    therefore run ``cone_witness`` for each (coordinate, sign) pair in turn
-    instead of normalizing the coefficient sum; the latter can be satisfied
-    by a combination summing to the zero point when gens_a positively spans
-    a line, which would yield a wrong verdict.
+    therefore run ``cone_witness``'s LP, ``_cone_witness``, for each
+    (coordinate, sign) pair in turn instead of normalizing the coefficient
+    sum; the latter can be satisfied by a combination summing to the zero
+    point when gens_a positively spans a line, which would yield a wrong
+    verdict.  The generators are read once, by ``_read_cones``, and a side
+    with no generators meets the other only at 0, with no LP.
     """
-    for k in range(len(gens_a[0]) if gens_a else 0):
+    gens_a, gens_b = _read_cones(gens_a, gens_b)
+    for k in range(len(gens_a[0]) if gens_a and gens_b else 0):
         for sign in (1, -1):
-            witness = cone_witness(gens_a, gens_b, k, sign)
+            witness = _cone_witness(gens_a, gens_b, k, sign)
             if witness is not None:
                 return False, witness
     return True, None

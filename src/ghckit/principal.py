@@ -42,6 +42,12 @@ built by ``_partition_table`` under one rule: its multiset is a mapping
 multiplicities nonnegative, each read by ``exact.parse_integer``, and it
 reaches no further than ``TABLE_TOP`` = q^(2 MAX_M + 2), the largest table a
 series within ``MAX_M`` reads, so a large target or m is an input error too.
+Its work, one DP pass per unit of multiplicity, sum of mult (top + 1 - part)
+cells, is bounded before the first pass by ``MAX_DP_CELLS``: one pass of
+TABLE_TOP + 1 cells per positive root of C32, the most positive roots a type
+within ``rootsys.MAX_RANK_CEILING`` has, so the largest table any series or
+Euler check needs (B32's or C32's ``nbar_multiset`` to q^TABLE_TOP, 20,438,368
+cells, about 1.7 s) is built and a multiset past the bound is an input error.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from types import MappingProxyType
 
 from .errors import InputError, InternalError
 from .exact import Vector, _entry, _Record, _shown, format_rational, parse_integer, parse_nonnegative
-from .rootsys import RootSystem, _dot, _integral, _weight_row, height_distribution
+from .rootsys import MAX_RANK_CEILING, RootSystem, _dot, _integral, _weight_row, height_distribution, root_count
 
 # bound on a k-type series' max_m and |lambda(h)|: the slowest series within
 # it, E8 with max_m = MAX_M and lambda(h) = -MAX_M, takes about 0.2 s (Python 3.11,
@@ -64,6 +70,11 @@ MAX_M = 10_000
 # bound on the top of a partition table: q^(2 MAX_M + 2), the largest that a k-type
 # series within MAX_M reads (max_m - lambda(h) + 2)
 TABLE_TOP = 2 * MAX_M + 2
+# bound on the DP cells of a partition table, one pass of at most TABLE_TOP + 1 cells per
+# positive root of C32, the most of any type within MAX_RANK_CEILING: 20,483,072, just past
+# the 20,438,368 of C32's nbar_multiset to q^TABLE_TOP, which takes about 1.7 s (Python
+# 3.11, one core of a 2-core x86-64 VM)
+MAX_DP_CELLS = root_count("C", MAX_RANK_CEILING) // 2 * (TABLE_TOP + 1)
 
 
 def principal_h(rs: RootSystem) -> Vector:
@@ -148,7 +159,8 @@ class PrincipalData(_Record):
 def _partition_table(multiset: Mapping, top: int) -> list[int]:
     """Coefficients of q^0 .. q^top in prod (1 - q^part)^(-mult), for a multiset
     that is a mapping, of integer parts that are positive to multiplicities that
-    are nonnegative, with top at most TABLE_TOP."""
+    are nonnegative, with top at most TABLE_TOP and at most MAX_DP_CELLS cells
+    to fill, sum of mult (top + 1 - part), one pass per unit of multiplicity."""
     if not isinstance(multiset, Mapping):
         raise InputError(f"a multiset is a mapping of parts to multiplicities, not {_shown(multiset)}")
     if top > TABLE_TOP:
@@ -156,10 +168,14 @@ def _partition_table(multiset: Mapping, top: int) -> list[int]:
     items = sorted((parse_integer(part), parse_nonnegative(mult, "a multiplicity")) for part, mult in multiset.items())
     if items and items[0][0] <= 0:
         raise InputError(f"parts must be positive, got {_shown(items[0][0])}")
+    cells = sum(mult * max(0, top + 1 - part) for part, mult in items)
+    if cells > MAX_DP_CELLS:
+        raise InputError(f"a partition table of {_shown(cells)} cells exceeds the bound of {MAX_DP_CELLS} cells")
     dp = [0] * (top + 1)
     dp[0] = 1
     for part, mult in items:
-        for _ in range(mult):
+        # a part past the top fills no cell, so it takes no pass, however many times it is taken
+        for _ in range(mult if part <= top else 0):
             for i in range(part, top + 1):
                 dp[i] += dp[i - part]
     return dp

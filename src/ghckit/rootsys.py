@@ -216,7 +216,12 @@ class RootSystem(_Record):
             raise InputError(f"{_shown(alpha, str)} is not a root of {self.series}{self.rank}") from None
 
     def is_root(self, alpha: Vector) -> bool:
-        return alpha in self._index
+        """Whether alpha is a root, by ``root_index``'s lookup: a vector that cannot be
+        hashed, as a list cannot, is no root."""
+        try:
+            return alpha in self._index
+        except TypeError:
+            return False
 
     def mask_of(self, roots: Iterable[Vector]) -> int:
         """The mask of a set of roots; raises InputError for a vector that is not a root,

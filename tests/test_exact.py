@@ -18,6 +18,7 @@ from ghckit.exact import (
     cone_witness,
     cones_intersect_trivially,
     format_rational,
+    format_vector,
     lp_feasible,
     parse_rational,
     vec,
@@ -53,6 +54,13 @@ class TestConeMember:
 
     def test_nonzero_not_in_empty_cone(self):
         assert cone_member(vec([1, 0]), []) is None
+
+    # with no generators the LP has no columns and decides: feasible exactly when v is 0,
+    # with its cells read by the cell rule, as they are with generators
+    @pytest.mark.parametrize("v, want", [(("0",), []), ((0, "0/5"), []), ((1, 0), None)])
+    def test_the_lp_decides_the_empty_cone(self, v, want):
+        assert cone_member(v, []) == want
+        assert cone_member(v, [(0,) * len(v)]) == (None if want is None else [F(0)])
 
     def test_positive_quadrant(self):
         assert cone_member(vec([1, 1]), [vec([1, 0]), vec([0, 1])]) == [F(1), F(1)]
@@ -572,7 +580,9 @@ def mixed_systems(draw):
 
 
 class TestIntegerRows:
-    """_integer_rows takes all-int input by one reduction, against the former type pass."""
+    """_integer_rows takes all-int input by one reduction, against the former type pass.
+    The type pass read a float or a Decimal cell through Fraction; the cell rule, as
+    vec's entry rule, takes neither, so a system with one is an input error."""
 
     @settings(deadline=None)  # a 4,000-digit LP can outlast the default deadline
     @given(mixed_systems())
@@ -589,11 +599,13 @@ class TestIntegerRows:
     @example(([((1, "x"), 1)], 2))
     def test_same_rows_and_solution_as_the_type_pass(self, system):
         # a cell that Fraction does not read (None, "x", a signalling NaN) raised the type pass's
-        # TypeError or ValueError, and is an input error, from exact._cell, and nothing else
+        # TypeError or ValueError, and is an input error, from exact._cell, and nothing else; so
+        # is a float or a Decimal cell, which the type pass read through Fraction
         def expected(result):
-            return InputError if isinstance(result, type) else result
+            return InputError if isinstance(result, type) or inexact else result
 
         eqs, n = system
+        inexact = any(isinstance(c, (float, Decimal)) for coeffs, rhs in eqs for c in (*coeffs, rhs))
         got = _result(exact._integer_rows, eqs)
         assert got == expected(_result(reference_integer_rows, eqs))
         if isinstance(got, list):
@@ -619,9 +631,20 @@ class TestIntegerGenerators:
     def test_same_verdict_and_witness_as_fractions(self, pair):
         ints_a, ints_b = pair
         fracs_a, fracs_b = [list(map(vec, gens)) for gens in pair]
+        texts_a, texts_b = [[format_vector(g) for g in gens] for gens in (fracs_a, fracs_b)]
         got = outcome(cones_intersect_trivially(ints_a, ints_b))
         assert got == outcome(cones_intersect_trivially(fracs_a, fracs_b))
+        assert got == outcome(cones_intersect_trivially(texts_a, texts_b))
         assert got == outcome(reference_cones_intersect_trivially(fracs_a, fracs_b))
+
+    def test_the_generators_are_read_once(self, monkeypatch):
+        # the generators may be one-shot iterators; each (k, sign) pair runs the LP on the rows
+        # read once, not the public cone_witness, which would read both lists again
+        a, b = [(1, 0), (0, 1)], [("1", "1")]
+        want = outcome(cones_intersect_trivially(a, b))
+        monkeypatch.setattr(exact, "cone_witness", None)
+        assert outcome(cones_intersect_trivially(iter(a), (g for g in b))) == want
+        assert want[0] is False
 
     def test_integer_witness_verifies_on_fractions(self):
         a, b = [(1, 0), (0, 1)], [(1, 1)]
@@ -669,6 +692,8 @@ MALFORMED_ARGUMENTS = [
     ("cone_witness-[5]", lambda a2: cone_witness([5], [5], 0, 1)),
     ("cone_witness-text-cell", lambda a2: cone_witness([(1,)], [("a",)], 0, 1)),
     ("partition_P-5", lambda a2: principal.partition_P(5, 3)),
+    # 40,000,000 DP cells, one pass per unit of multiplicity: about 2.6 s to count
+    ("partition_P-past-the-work-bound", lambda a2: principal.partition_P({1: 2 * 10**6}, 20)),
     ("RootSubalgebra-huge-mask", lambda a2: RootSubalgebra(a2, HUGE)),
     ("roots_of-huge-mask", lambda a2: a2.roots_of(HUGE)),
     ("index_mask-huge-index", lambda a2: a2.index_mask([HUGE])),
@@ -679,6 +704,37 @@ MALFORMED_ARGUMENTS = [
     ("vec-huge", lambda a2: vec(HUGE)),
     ("support_shape-text-entry", lambda a2: support_shape(shadow(a2, RootSubalgebra(a2, [])), [("x", 0, 0)], 1)),
     ("support_shape-5", lambda a2: support_shape(shadow(a2, RootSubalgebra(a2, [])), 5, 1)),
+    # a float or a Decimal cell was read through Fraction
+    ("lp_feasible-float-cell", lambda a2: lp_feasible([((0.5,), 1)], 1)),
+    ("lp_feasible-Decimal-cell", lambda a2: lp_feasible([((1,), Decimal("0.5"))], 1)),
+    ("cone_member-float-cell", lambda a2: cone_member((0.5,), [(1,)])),
+    ("cone_member-Decimal-cell", lambda a2: cone_member((1,), [(Decimal(1),)])),
+    ("cone_witness-float-cell", lambda a2: cone_witness([(0.5,)], [(1,)], 0, 1)),
+    ("cone_witness-Decimal-cell", lambda a2: cone_witness([(1,)], [(Decimal("0.5"),)], 0, 1)),
+    ("cones_intersect_trivially-float-cell", lambda a2: cones_intersect_trivially([(1,)], [(0.5,)])),
+    ("cones_intersect_trivially-Decimal-cell", lambda a2: cones_intersect_trivially([(Decimal(1),)], [(1,)])),
+    ("nullspace-float-cell", lambda a2: exact.nullspace([[0.5]])),
+    ("nullspace-Decimal-cell", lambda a2: exact.nullspace([[1, Decimal("0.5")]])),
+    ("solve_linear-float-cell", lambda a2: exact.solve_linear([[1]], [0.5])),
+    ("solve_linear-Decimal-cell", lambda a2: exact.solve_linear([[Decimal(2)]], [1])),
+    # with no generators, v was tested by is_zero, so "x" was no member
+    ("cone_member-text-cell-no-generators", lambda a2: cone_member(("x",), [])),
+    # a row given as one text was read a character at a time
+    ("lp_feasible-text-row", lambda a2: lp_feasible([("12", 3)], 2)),
+    ("cone_member-text-vector", lambda a2: cone_member("1", [(1,)])),
+    ("cone_member-text-generator", lambda a2: cone_member((1, 0), ["10"])),
+    ("cone_witness-text-row", lambda a2: cone_witness(["10"], ["10"], 0, 1)),
+    ("nullspace-text-row", lambda a2: exact.nullspace(["12"])),
+    ("solve_linear-text-row", lambda a2: exact.solve_linear(["12"], [1])),
+    ("solve_linear-text-rhs", lambda a2: exact.solve_linear([[1]], "1")),
+    # rows of two lengths, a number where rows belong, and a rhs entry count that differs
+    ("nullspace-rows-of-two-lengths", lambda a2: exact.nullspace([[1, 2], [1]])),
+    ("nullspace-5", lambda a2: exact.nullspace(5)),
+    ("solve_linear-rhs-too-short", lambda a2: exact.solve_linear([[1], [2]], [1])),
+    ("solve_linear-rhs-too-long", lambda a2: exact.solve_linear([[1]], [1, 5])),
+    ("solve_linear-5", lambda a2: exact.solve_linear(5, 5)),
+    ("cones_intersect_trivially-[5]", lambda a2: cones_intersect_trivially([5], [(1,)])),
+    ("cones_intersect_trivially-5", lambda a2: cones_intersect_trivially(5, [(1,)])),
 ]
 
 

@@ -83,6 +83,10 @@ ENTRY_POINTS = {
     "lp_feasible": (exact.lp_feasible, 2),
     "cone_member": (exact.cone_member, 2),
     "cone_witness": (exact.cone_witness, 4),
+    "cones_intersect_trivially": (exact.cones_intersect_trivially, 2),
+    "nullspace": (exact.nullspace, 1),
+    "solve_linear": (exact.solve_linear, 2),
+    "is_root": (A2.is_root, 1),
 }
 
 

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from ghckit import principal, rootsys
 from ghckit.errors import InputError, InternalError
 from ghckit.exact import dot, vadd, vscale, vzero
 from ghckit.principal import (
+    MAX_DP_CELLS,
     MAX_M,
     TABLE_TOP,
     PrincipalData,
@@ -202,6 +204,32 @@ class TestPartitionP:
         for f in (euler_rhs, a1_multiplicity):
             with pytest.raises(InputError, match="exceeds the bound"):
                 f(pd, m + 1, lam)
+
+    def test_work_is_bounded_before_the_first_pass(self):
+        # one DP pass per unit of multiplicity: {1: 2 * 10**6} to q^20 is 40,000,000 cells,
+        # which took about 2.6 s to count, and {1: 10**9} would have run for about 20 minutes
+        assert MAX_DP_CELLS == 1024 * (TABLE_TOP + 1) == 20_483_072
+        for ms, target in (({1: 2 * 10**6}, 20), ({1: 10**9}, 20), ({2: MAX_DP_CELLS + 1}, 2)):
+            with pytest.raises(InputError, match=f"cells exceeds the bound of {MAX_DP_CELLS} cells$"):
+                partition_P(ms, target)
+        # 2,000 kinds of part 1: a multiset of 10 of them, C(2009, 10); a part past the top
+        # fills no cell and takes no pass, however many times it is taken
+        assert partition_P({1: 2000}, 10) == partition_P({1: 2000, 50: 10**12}, 10) == comb(2009, 10)
+
+    def test_the_largest_series_table_is_within_the_work_bound(self, monkeypatch):
+        # B32's and C32's nbar_multiset to q^TABLE_TOP, the largest table any series or Euler
+        # check within MAX_M and MAX_RANK_CEILING reads, its cells counted without building it; the
+        # heights of C_n's positive roots e_i - e_j, e_i + e_j (i < j) and 2e_i, over the simple
+        # roots e_1 - e_2, ..., e_(n-1) - e_n, 2e_n, are j - i, 2n + 1 - i - j and 2n + 1 - 2i
+        monkeypatch.setenv("GHC_MAX_RANK", "32")
+        n = 32
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        heights = [j - i for i, j in pairs] + [2 * n + 1 - i - j for i, j in pairs] + [2 * n + 1 - 2 * i for i in range(1, n + 1)]
+        nbar = Counter(2 * h for h in heights)
+        for series in "BC":
+            assert PrincipalData.build(rootsys.build(series, n)).nbar_multiset == nbar
+        cells = sum(m * (TABLE_TOP + 1 - part) for part, m in nbar.items())
+        assert cells == 20_438_368 <= MAX_DP_CELLS
 
     def test_brute_force_small(self):
         # direct enumeration over the count vectors, independent of the DP

@@ -540,6 +540,16 @@ def test_roots_of_rejects_a_mask_out_of_range(a2, mask):
         a2.roots_of(mask)
 
 
+@pytest.mark.parametrize("alpha", [[1, -1, 0], (V(1, -1, 0), [0]), {}])
+def test_a_vector_that_cannot_be_hashed_is_no_root(a2, alpha):
+    # is_root raised the TypeError of the lookup; root_index turns the same lookup into an
+    # input error
+    assert a2.is_root(alpha) is False
+    with pytest.raises(InputError, match="is not a root of A2$"):
+        a2.root_index(alpha)
+    assert a2.is_root(V(1, -1, 0)) is True
+
+
 def test_bits_match_the_bitwise_definition():
     def naive(mask):
         return [i for i in range(mask.bit_length()) if mask >> i & 1]

@@ -227,10 +227,11 @@ def library(name, env):
 
 
 def a5_closures():
-    """Theorem 8 on 1,000 seeded closures of A5 against the LP loop on the Fraction singular weights, against the
-    Fraction simplex, which shares no code with the integer tableau, and against its witness: the witness must
-    verify, its point, summed in integers over one denominator, must equal the a-side sum in Fractions, and every
-    entry, many of them the shared small Fractions of ``exact``, must be exactly a Fraction."""
+    """Theorem 8 on 1,000 seeded closures of A5 against the LP loop on the Fraction singular weights, and on the
+    same weights written as text rows, against the Fraction simplex, which shares no code with the integer tableau,
+    and against its witness: the witness must verify, its point, summed in integers over one denominator, must equal
+    the a-side sum in Fractions, and every entry, many of them the shared small Fractions of ``exact``, must be
+    exactly a Fraction."""
     from reference_simplex import outcome, reference_cones_intersect_trivially
     from ghckit import exact, fk, rootsys, shadow
     from ghckit.rootsys import bits
@@ -247,6 +248,8 @@ def a5_closures():
         assert verdict.to_json() == {"finite_type": trivial, "witness": witness and witness.to_json()}, bits(mask)
         want = outcome(reference_cones_intersect_trivially(*gens))
         assert outcome((verdict.finite_type, verdict.witness)) == want, bits(mask)
+        texts = [[exact.format_vector(g) for g in side] for side in gens]
+        assert outcome(exact.cones_intersect_trivially(*texts)) == want, bits(mask)
         if not trivial:
             w = verdict.witness
             assert w.verify(*gens), bits(mask)
@@ -292,9 +295,12 @@ def rank32():
     order differs most from root order: the build equals the reflection closure it replaced, field for field, its
     JSON, written from the integer rows, equals the Fraction views as format_vector writes them,
     <w_i, a_j^vee> = delta_ij, V(0) = 1, V(w_1) standard, V(rho) = 2^|R+|, and each simple reflection of
-    ``reflections`` is an involution that sends its simple root to the negative."""
+    ``reflections`` is an involution that sends its simple root to the negative.  Then the largest partition table
+    the work bound admits, C32's nbar_multiset to q^TABLE_TOP (20,438,368 cells, about 1.7 s), is built, and a
+    multiset just past the bound is rejected before any pass."""
     from reference_rootsys import reference_construct
-    from ghckit import rootsys
+    from ghckit import principal, rootsys
+    from ghckit.errors import InputError
     from ghckit.exact import format_vector
 
     for series, standard in zip("ABCD", (33, 65, 64, 64)):
@@ -315,9 +321,27 @@ def rank32():
         for a, s in zip(rs.simple_roots, rs.reflections):
             assert [s[s[r]] for r in roots] == list(roots), (series, a)
             assert rs.negated(1 << s[rs.root_index(a)]) == 1 << rs.root_index(a), (series, a)
+    nbar, top = principal.PrincipalData.build(rootsys.build("C", 32)).nbar_multiset, principal.TABLE_TOP
+    cells = sum(m * (top + 1 - part) for part, m in nbar.items())
+    assert cells == 20_438_368 <= principal.MAX_DP_CELLS, cells
+    table = principal._partition_table(nbar, top)
+    # every part is even, so every odd coefficient is 0; q^2 counts the 32 simple roots, and q^4 a pair
+    # of them, C(33, 2), or one of the 31 roots of height 2
+    assert (len(table), table[:5], any(table[1::2])) == (top + 1, [1, 0, 32, 0, 528 + 31], False), table[:5]
+    # three more parts 2 are 60,003 more cells, past the bound; a pass of the 20.5 million would take seconds
+    past = {**nbar, 2: nbar[2] + 3}
+    start = time.perf_counter()
+    try:
+        principal._partition_table(past, top)
+    except InputError as e:
+        assert "exceeds the bound of 20483072 cells" in str(e), e
+    else:
+        raise AssertionError("a multiset past the work bound was counted")
+    assert time.perf_counter() - start < 0.5, time.perf_counter() - start
     return ("A32, B32, C32 and D32: the reflection closure's tables, the Fraction views' JSON, "
             "<w_i, a_j^vee> = delta_ij, V(0) = 1, V(w_1) = 33, 65, 64, 64, V(rho) = 2^|R+|, "
-            "each simple reflection an involution that negates its simple root")
+            "each simple reflection an involution that negates its simple root; "
+            "C32's nbar table to q^20002 built, one past the work bound rejected")
 
 
 LIBRARY = [("a5_closures", {}), ("rank4_shadows", {}), ("rank32", {"GHC_MAX_RANK": "32"})]
