@@ -25,8 +25,9 @@ read a character at a time).  ``vec``, ``lp_feasible``'s equalities, the root
 subsets of ``rootsys`` and the collections of ``mathieu`` are read by it.  The
 length rule, ``_check_dim``: every vector of a collection, itself read by the
 collection rule, has one length, given or that of the first, and a vector with
-no length is an input error.  The cone queries, the rows of ``nullspace`` and
-``solve_linear`` (and ``solve_linear``'s rhs, one entry per row),
+no length, or a set or a mapping, which has no order to read entries by, is an
+input error.  The cone queries, the rows of ``nullspace`` and ``solve_linear``
+(and ``solve_linear``'s rhs, one entry per row),
 ``fk.is_primal``'s toral part and ``shadow.support_shape``'s base points are
 checked by it; ``lp_feasible`` checks its rows for one text inline.  A cell of
 a linear system is read by ``_cell``, which is ``vec``'s entry rule except that
@@ -81,7 +82,7 @@ from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence, Set
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -563,11 +564,14 @@ def _check_dim(vectors: Iterable, dim: int | None, message="dimension mismatch: 
     list, after checking that every vector, itself a collection by that rule,
     has the length dim, or, for dim None, the length of the first.  A vector of
     another length is an input error, with message formatted by dim and got,
-    the length found, and so is a vector with no length or given as one text."""
+    the length found, and so is a vector with no length or given as one text,
+    and a set or a mapping, whose entries have no order to be read by."""
     vectors = list(_iterate(vectors, "vectors must be a collection"))
     try:
         for v in vectors:
             _iterate(v, "a vector is a sequence of entries")
+            if isinstance(v, (Set, Mapping)):
+                raise InputError(f"a vector is a sequence of entries, not {_shown(v)}")
             if dim is not None and len(v) != dim:
                 raise InputError(message.format(dim=dim, got=len(v)))
             dim = len(v)

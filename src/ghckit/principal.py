@@ -11,7 +11,9 @@ two restricted partition counts.
 result on it, with read-only multisets and h stored once, as an integer row
 over one denominator (``h_row``, ``h_den``); the Fraction ``h_element`` is a
 view built on first use.  K-type series read one partition table per
-PrincipalData, grown by ``kperp_table``.  ``partition_P``,
+PrincipalData, grown by ``kperp_table``: for lambda(h) >= 1 a series is a slice
+of it, and only for lambda(h) <= 0 does it subtract a second slice and check
+the result for a negative entry (see ``ktype_series``).  ``partition_P``,
 ``a1_multiplicity`` and ``euler_rhs`` build their own tables on purpose: they
 are the independent counts that the series is checked against.
 
@@ -287,7 +289,14 @@ class KTypeSeries(_Record):
 def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
     """a1_multiplicity for m = 0 .. max_m, read from pd's k-perp partition
     table, which reaches the largest target, max_m - lambda(h) + 2; both
-    max_m and |lambda(h)| are bounded by MAX_M."""
+    max_m and |lambda(h)| are bounded by MAX_M.
+
+    For an integral lambda(h) = n >= 1 the target -m - n is negative for every
+    m, so the series is zeros then a slice of the table, taken as it is, with
+    no subtraction and no check: a table of partition counts holds no negative
+    entry, and only a table planted with one would pass unseen.  For n <= 0 the
+    reversed head of the table is subtracted, and a negative entry is an
+    InternalError."""
     max_m = parse_nonnegative(max_m, "max_m")
     if max_m > MAX_M:
         raise InputError(f"max_m {_shown(max_m)} exceeds the bound {MAX_M}")
@@ -300,12 +309,14 @@ def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
         n = num // den
         table = pd.kperp_table(max(0, max_m - n + 2))
         # m = 0 .. max_m reads table[m - n + 2] less table[-m - n], each 0 at a negative index:
-        # zeros then a slice, less a reversed head then zeros
-        values = list(map(sub, [0] * min(max(0, n - 2), max_m + 1) + table[max(0, 2 - n) : max(0, max_m - n + 3)],
-                          table[max(0, -n - max_m) : max(0, 1 - n)][::-1] + [0] * (max_m + 1)))
-        if min(values) < 0:
-            m = next(m for m, val in enumerate(values) if val < 0)
-            raise InternalError(f"negative multiplicity {values[m]} for m={m}")
+        # zeros then a slice, less a reversed head then zeros; for n >= 1 every -m - n is
+        # negative, so the series is the zeros and the slice as they are
+        values = [0] * min(max(0, n - 2), max_m + 1) + table[max(0, 2 - n) : max(0, max_m - n + 3)]
+        if n <= 0:
+            values = list(map(sub, values, table[max(0, -n - max_m) : 1 - n][::-1] + [0] * (max_m + 1)))
+            if min(values) < 0:
+                m = next(m for m, val in enumerate(values) if val < 0)
+                raise InternalError(f"negative multiplicity {values[m]} for m={m}")
     return KTypeSeries(Fraction(num, den), dict(enumerate(values)), max_m)
 
 

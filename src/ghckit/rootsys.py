@@ -42,7 +42,11 @@ rational text is taken, and a float, a bool or a weight that is no sequence is a
 input error); it checks the length
 against ``ambient_dim`` and writes the weight as an integer row over one
 positive denominator.  ``_simple_pairings`` pairs that row with the doubled
-simple roots into integer (numerator, denominator) pairs, and the predicates
+simple roots into integer (numerator, denominator) pairs, reading each simple
+root on its nonzero entries alone, at most two on A, B, C and D: the cached
+view ``_simple_support`` holds them as (position, 4 * entry), so a pairing
+takes no multiplication by zero and no length check, and its caller hands it a
+row of the ambient length (``_weight_row`` checks it).  The predicates
 and ``weyl_dim`` decide on them by ``%`` and ``//``; a Fraction is built only
 for an error message; ``_weyl_dim`` is ``weyl_dim`` on such a row, for a
 caller that holds its weight as one (``mathieu.sp_degree``).  The pairings
@@ -371,6 +375,12 @@ class RootSystem(_Record):
         """|2a|^2 for each simple root a."""
         return tuple(_dot(a, a) for a in self._simple_doubled)
 
+    @cached_property
+    def _simple_support(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each doubled simple root 2a, its nonzero entries as (position, 4 * entry):
+        at most two on A, B, C and D.  Built on first use."""
+        return tuple(tuple((j, 4 * x) for j, x in enumerate(a) if x) for a in self._simple_doubled)
+
     def rho(self) -> Vector:
         # the doubled positive roots sum to 4 rho
         return tuple(_F(sum(x), 4) for x in zip(*self.doubled_roots[: len(self.doubled_roots) // 2]))
@@ -477,8 +487,17 @@ def _weight_row(rs: RootSystem, lam: Vector) -> tuple[list[int], int]:
 
 def _simple_pairings(rs: RootSystem, row: Sequence[int], den: int) -> list[tuple[int, int]]:
     """<lam, a^vee> = 4(row, 2a) / (den |2a|^2) for each simple root a, as an
-    integer (numerator, positive denominator) pair, for lam = row / den."""
-    return [(4 * _dot(row, a), den * n) for a, n in zip(rs._simple_doubled, rs._simple_norms)]
+    integer (numerator, positive denominator) pair, for lam = row / den and a row
+    of the ambient length.  The numerator is read on the nonzero entries of 2a
+    alone (``_simple_support``), by a plain loop, which took about half the time
+    of a comprehension per simple root on Python 3.10-3.13."""
+    out = []
+    for pairs, n in zip(rs._simple_support, rs._simple_norms):
+        p = 0
+        for j, c in pairs:
+            p += row[j] * c
+        out.append((p, den * n))
+    return out
 
 
 def _integral(rs: RootSystem, row: Sequence[int], den: int) -> bool:

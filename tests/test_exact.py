@@ -735,6 +735,14 @@ MALFORMED_ARGUMENTS = [
     ("solve_linear-5", lambda a2: exact.solve_linear(5, 5)),
     ("cones_intersect_trivially-[5]", lambda a2: cones_intersect_trivially([5], [(1,)])),
     ("cones_intersect_trivially-5", lambda a2: cones_intersect_trivially(5, [(1,)])),
+    # a set or a mapping as a vector: indexed by position, a TypeError or a KeyError, or read
+    # in silence, a dict by its keys and a set in its iteration order
+    ("cone_member-set-generator", lambda a2: cone_member((1,), [{1}])),
+    ("cone_member-set-vector", lambda a2: cone_member({1}, [(1,)])),
+    ("cone_member-dict-generator", lambda a2: cone_member((1,), [{1: 2}])),
+    ("cones_intersect_trivially-dict-generator", lambda a2: cones_intersect_trivially([{1: 0, 0: 1}], [(1, 0)])),
+    ("solve_linear-dict-row", lambda a2: exact.solve_linear([{1: 5}], [1])),
+    ("nullspace-set-row", lambda a2: exact.nullspace([{1, 2}])),
 ]
 
 

@@ -1,7 +1,8 @@
 """The library's one input boundary: every public entry point, given any argument
-built from ints, bools, floats, text, None, Fractions, a 5,000-digit int and lists
-of these, returns or raises a GhckitError, never a TypeError, an AttributeError or
-the ValueError of an int past the interpreter's limit on integer text.
+built from ints, bools, floats, text, None, Fractions, a 5,000-digit int, lists of
+these and frozensets and dicts of the scalars among them, returns or raises a
+GhckitError, never a TypeError, an AttributeError, a KeyError or the ValueError of
+an int past the interpreter's limit on integer text.
 
 The record arguments (the root system, the principal data, the shadow
 decomposition and the coherent-family descriptor) are held valid; every other
@@ -37,6 +38,10 @@ def resolve(value):
     """value with each stand-in replaced by its int."""
     if isinstance(value, Huge):
         return value.sign * HUGE
+    if isinstance(value, frozenset):
+        return frozenset(map(resolve, value))
+    if isinstance(value, dict):
+        return {resolve(k): resolve(v) for k, v in value.items()}
     return [resolve(v) for v in value] if isinstance(value, list) else value
 
 
@@ -51,8 +56,14 @@ SCALARS = st.one_of(
     st.sampled_from([Huge(1), Huge(-1)]),
 )
 # scalars, and lists of them nested up to three deep, so that a pair, a vector of
-# rationals or a list of vectors is drawn as well as a list of numbers
-VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+# rationals or a list of vectors is drawn as well as a list of numbers; and frozensets
+# and dicts of scalars, which have a length but no order, at every depth
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.frozensets(SCALARS, max_size=4)
+    | st.dictionaries(SCALARS, SCALARS, max_size=4),
+    max_leaves=12,
+)
 
 ENTRY_POINTS = {
     "build": (rootsys.build, 2),

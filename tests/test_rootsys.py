@@ -437,6 +437,26 @@ def test_weight_tables_match_reference(key):
 
 
 @pytest.mark.parametrize("key", ALL_TYPES)
+def test_simple_pairings_match_the_fraction_pairing(key):
+    """The integer pairings, read on the nonzero entries of each simple root alone, equal
+    2(lam, a)/(a, a) in Fractions for every simple root a, on the zero weight, the
+    all-halves weight and seeded weights of zeros, negatives, half-integers and mixed
+    denominators; an A, B, C or D simple root has at most two nonzero entries."""
+    rs = rootsys.build(*key)
+    rng = random.Random(f"simple pairings {key}")
+    dim = rs.ambient_dim
+    weights = [(F(0),) * dim, (F(1, 2),) * dim]
+    weights += [tuple(F(rng.choice((0, rng.randint(-9, 9))), rng.choice((1, 2, 3, 4, 6))) for _ in range(dim))
+                for _ in range(30)]
+    for lam in weights:
+        row, den = rootsys._weight_row(rs, lam)
+        pairings = [F(p, q) for p, q in rootsys._simple_pairings(rs, row, den)]
+        assert pairings == [rs.pairing(lam, a) for a in rs.simple_roots], lam
+    if key[0] in "ABCD":
+        assert max(map(len, rs._simple_support)) <= 2
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
 def test_coroot_chain_covers_the_positive_coroots(key):
     """Each chain entry is an earlier positive coroot plus one simple coroot, by their
     coordinates over the simple coroots, and the chain reaches every positive coroot

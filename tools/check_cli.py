@@ -294,10 +294,11 @@ def rank32():
     """The classical series at the rank ceiling, where the Cartan inverse runs its longest elimination and coroot
     order differs most from root order: the build equals the reflection closure it replaced, field for field, its
     JSON, written from the integer rows, equals the Fraction views as format_vector writes them,
-    <w_i, a_j^vee> = delta_ij, V(0) = 1, V(w_1) standard, V(rho) = 2^|R+|, and each simple reflection of
-    ``reflections`` is an involution that sends its simple root to the negative.  Then the largest partition table
-    the work bound admits, C32's nbar_multiset to q^TABLE_TOP (20,438,368 cells, about 1.7 s), is built, and a
-    multiset just past the bound is rejected before any pass."""
+    <w_i, a_j^vee> = delta_ij, V(0) = 1, V(w_1) standard, V(rho) = 2^|R+|, each simple reflection of
+    ``reflections`` is an involution that sends its simple root to the negative, and on 50 seeded integer rows
+    the simple-root pairings, read on the nonzero entries of each simple root, equal the dense ``_dot`` pairings.
+    Then the largest partition table the work bound admits, C32's nbar_multiset to q^TABLE_TOP (20,438,368 cells,
+    about 1.7 s), is built, and a multiset just past the bound is rejected before any pass."""
     from reference_rootsys import reference_construct
     from ghckit import principal, rootsys
     from ghckit.errors import InputError
@@ -321,6 +322,11 @@ def rank32():
         for a, s in zip(rs.simple_roots, rs.reflections):
             assert [s[s[r]] for r in roots] == list(roots), (series, a)
             assert rs.negated(1 << s[rs.root_index(a)]) == 1 << rs.root_index(a), (series, a)
+        rng = random.Random(f"pairings {series}32")
+        for _ in range(50):
+            row, den = [rng.choice((0, rng.randint(-9, 9))) for _ in range(rs.ambient_dim)], rng.randint(1, 6)
+            dense = [(4 * rootsys._dot(row, a), den * n) for a, n in zip(rs._simple_doubled, rs._simple_norms)]
+            assert rootsys._simple_pairings(rs, row, den) == dense, (series, row, den)
     nbar, top = principal.PrincipalData.build(rootsys.build("C", 32)).nbar_multiset, principal.TABLE_TOP
     cells = sum(m * (top + 1 - part) for part, m in nbar.items())
     assert cells == 20_438_368 <= principal.MAX_DP_CELLS, cells
@@ -340,7 +346,7 @@ def rank32():
     assert time.perf_counter() - start < 0.5, time.perf_counter() - start
     return ("A32, B32, C32 and D32: the reflection closure's tables, the Fraction views' JSON, "
             "<w_i, a_j^vee> = delta_ij, V(0) = 1, V(w_1) = 33, 65, 64, 64, V(rho) = 2^|R+|, "
-            "each simple reflection an involution that negates its simple root; "
+            "each simple reflection an involution that negates its simple root, sparse pairings as dense; "
             "C32's nbar table to q^20002 built, one past the work bound rejected")
 
 
