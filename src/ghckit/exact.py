@@ -35,36 +35,36 @@ a bool is an int, so a float or a Decimal is an input error there as in a
 weight; and an error message shows a value given from outside by ``_shown``,
 so that no message fails on an int past the limit on integer text.
 Elimination runs on integers, by one fraction-free step, ``_pivot_row``.
-The LP behind the cone queries reads integer input as it is and scales any
-other input by the lcm of its denominators, keeps the tableau as an integer
-matrix whose rows share one denominator, pivots it with
-that step under Bland's rule, and turns back to Fractions only for the
-solution.  ``_reduce`` is Gauss-Jordan by the same step: ``nullspace`` (and
-``solve_linear`` through it) scale their rows to integers the same way and
-reduce them with it, ``rootsys`` inverts the Cartan matrix with it, and
-``fk`` compares the ranks of integer toral rows with it.  A step whose pivot
-and previous pivot are both 1 (every step of the type-A LPs that ``fk``
-runs) and whose row's entering entry is 1 or -1 (every such step of those
-LPs that changes its row) skips the scaling and runs in C, through ``map``:
-a row subtraction for 1, an addition for -1.  The cone queries pass their
-generators through unchanged, so integer generators (as ``fk`` and
-``shadow`` give them) reach the simplex with no Fraction built on the way:
-``_integer_rows`` tells all-int rows by one reduction in C, the type of the
-sum of every cell, and reads them as they are.  A solution or point entry
+The LP behind the cone queries, ``_simplex``, takes integer rows (any other
+input is scaled by the lcm of its denominators, ``_scaled``, first), keeps
+the tableau as an integer matrix whose rows share one denominator, pivots it
+with that step under Bland's rule, and turns back to Fractions only for the
+solution; ``lp_feasible`` reads its input.  ``_reduce`` is Gauss-Jordan by
+the same step: ``nullspace`` (and ``solve_linear`` through it) scale their
+rows to integers the same way and reduce them with it, ``rootsys`` inverts
+the Cartan matrix with it, and ``fk`` compares the ranks of integer toral
+rows with it.  A step whose pivot and previous pivot are both 1 (every step
+of the type-A LPs that ``fk`` runs) and whose row's entering entry is 1 or
+-1 (every such step of those LPs that changes its row) skips the scaling and
+runs in C, through ``map``: a row subtraction for 1, an addition for -1.  Integer generators (as ``fk``
+and ``shadow`` give them) reach the simplex with no Fraction built on the
+way: ``_integer_rows`` tells all-int rows by one reduction in C, the type of
+the sum of every cell, and reads them as they are.  A solution or point entry
 over denominator 1 is an integer, taken from a table of shared Fractions
 (``_SMALL``, -8 .. 8, which holds nearly every such entry of a type-A LP)
 or built as a one-argument Fraction past it.
 
 ``cone_witness`` is the one LP behind the two-cone test: it asks for a
 common point whose coordinate k is +1 or -1 and returns it as a
-``ConeWitness``, whose point it sums in integers over one denominator (the
-lcm of the nonzero coefficients' denominators, 1 on every type-A LP) and
-turns into one Fraction per coordinate, from the shared table where it can.
-A coordinate outside the cones' dimension, or a sign other than +1 and -1,
-is an input error.  ``cone_witness`` reads its generators by ``_read_cones``
-(the collection rule, one length across both lists, cells by ``_cell``) and
-hands the rows to ``_cone_witness``, the LP itself, which ``fk`` calls on the
-integer rows it builds, so that the census does not read its own rows again.
+``ConeWitness``, whose point it sums in integers over the basic a-columns
+and one denominator (the lcm of their coefficients' denominators, 1 on every
+type-A LP) and turns into one Fraction per coordinate, from the shared table
+where it can.  A coordinate outside the cones' dimension, or a sign other
+than +1 and -1, is an input error.  ``cone_witness`` reads its generators by
+``_read_cones`` (the collection rule, one length across both lists, cells by
+``_cell``, scaled to integers) and hands them to ``_cone_witness``, which
+builds the LP's rows as integer lists and hands them to ``_simplex`` with no
+reading; ``fk`` calls it on the integer rows it builds.
 ``ConeWitness.verify`` checks each side one coordinate at a time, by one
 ``dot`` of the coefficients with that coordinate of the generators.
 ``cones_intersect_trivially`` is the general test: it reads its generators
@@ -86,7 +86,7 @@ from collections.abc import Iterable, Mapping, Sequence, Set
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 
 from .errors import InputError
 
@@ -163,7 +163,10 @@ def vec(coords: Iterable) -> Vector:
     nothing), an int (not a bool) as its Fraction, and text by ``parse_rational``;
     any other entry, a float among them, is an input error, and so is coords
     given as one text, which would otherwise be read a character at a time, or
-    as anything that is not iterable, such as a number or None (``_iterate``)."""
+    as anything that is not iterable, such as a number or None (``_iterate``),
+    or as a set or a mapping, which has no order (``_check_dim``'s test)."""
+    if type(coords) is not tuple and type(coords) is not list and isinstance(coords, (Set, Mapping)):
+        raise InputError(f"a vector is a sequence of entries, not {_shown(coords)}")
     return tuple(c if type(c) is Fraction else _entry(c) for c in _iterate(coords, "a vector is a sequence of entries"))
 
 
@@ -304,7 +307,7 @@ def format_vector(v: Vector) -> list[str]:
 
 # the Fractions -8 .. 8, shared: the LP's integer basic values and a witness point's
 # coordinates are nearly all small, and a shared Fraction costs a tuple index, not a
-# Fraction construction; _ZERO is also the identity by which cone_witness drops zeros
+# Fraction construction; _ZERO is every nonbasic value
 _SMALL = tuple(Fraction(i) for i in range(-8, 9))
 _ZERO = _SMALL[8]
 
@@ -339,9 +342,14 @@ def _integer_rows(equalities: Iterable[tuple[Sequence, object]]) -> list[list[in
             return rows
     except (TypeError, ArithmeticError):
         pass
-    rows = [list(map(_cell, row)) for row in rows]
+    return _scaled([list(map(_cell, row)) for row in rows])[1]
+
+
+def _scaled(rows: list[list]) -> tuple[int, list[list[int]]]:
+    """The lcm of the denominators of rows of ints and Fractions, and the rows
+    times it, as integers: the one scaling rule of the linear entries."""
     scale = lcm(*(c.denominator for row in rows for c in row))
-    return [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
+    return scale, [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
 
 
 def _cell(c) -> int | Fraction:
@@ -368,12 +376,30 @@ def lp_feasible(
     (``parse_nonnegative``, so a bool or a text is an input error).  All-int
     input is read directly, told from any other by one reduction
     (``_integer_rows``: the sum of every cell is an int only then); any other
-    input is scaled to integer rows first, and both go through the same
-    tableau, whose rows are then checked against nonneg_vars.
+    input is scaled to integer rows first; ``_simplex`` solves them.
+    """
+    n = parse_nonnegative(nonneg_vars, "nonneg_vars")
+    rows = _integer_rows(_iterate(equalities, "equalities must be a collection"))
+    for ints in rows:
+        if len(ints) != n + 1:
+            raise InputError(f"equality has {len(ints) - 1} coefficients, expected {n}")
+    if not rows:
+        try:
+            return [_ZERO] * n
+        except (OverflowError, MemoryError):  # with no equation, nothing bounds n but memory
+            raise InputError(f"nonneg_vars {_shown(n)} is more than a list can hold") from None
+    sol = _simplex(rows, n)
+    return None if sol is None else sol[0]
 
-    Inside, the phase-1 tableau (n structural columns, m artificial columns,
-    rhs; rows negated where rhs < 0) is the integer rows with 1 on the
-    artificial diagonal, pivoted fraction-free
+
+def _simplex(rows: list[list[int]], n: int) -> tuple[list[Fraction], list[int]] | None:
+    """``lp_feasible`` on integer rows [coeffs..., rhs] already read, at least one,
+    of n coefficients each, which it changes: the solution and the final basis
+    (each row's basic column), or None when infeasible.
+
+    The phase-1 tableau (n structural columns, m artificial columns, rhs; rows
+    negated where rhs < 0) is the integer rows with 1 on the artificial
+    diagonal, pivoted fraction-free
     (Edmonds 1967; Bareiss 1968): a pivot p at (r, s) keeps row r and sets
     a_ij <- (p·a_ij - a_is·a_rj) // d for every other row, then d <- p, where
     d is the previous pivot (initially 1).  The division is exact, since
@@ -393,17 +419,7 @@ def lp_feasible(
     the shared zero) and as a one-argument Fraction above; any other is the
     quotient of the two entries.
     """
-    n = parse_nonnegative(nonneg_vars, "nonneg_vars")
-    rows = _integer_rows(_iterate(equalities, "equalities must be a collection"))
-    for ints in rows:
-        if len(ints) != n + 1:
-            raise InputError(f"equality has {len(ints) - 1} coefficients, expected {n}")
     m = len(rows)
-    if m == 0:
-        try:
-            return [_ZERO] * n
-        except (OverflowError, MemoryError):  # with no equation, nothing bounds n but memory
-            raise InputError(f"nonneg_vars {_shown(n)} is more than a list can hold") from None
     # the equality rows with rhs >= 0
     tab = [ints if ints[-1] >= 0 else list(map(neg, ints)) for ints in rows]
     # phase-1 objective: minimize the sum of artificials.  Its reduced-cost
@@ -456,7 +472,7 @@ def lp_feasible(
         if bj < n:
             row = tab[i]
             x[bj] = _fraction(row[-1]) if row[bj] == 1 else Fraction(row[-1], row[bj])
-    return x
+    return x, basis
 
 
 def _pivot_row(row: list[int], prow: list[int], p: int, d: int, enter: int) -> list[int]:
@@ -642,58 +658,59 @@ def cone_witness(
     k, sign = parse_integer(k), parse_integer(sign)
     if sign not in (1, -1):
         raise InputError(f"sign must be 1 or -1, got {_shown(sign)}")
-    gens_a, gens_b = _read_cones(gens_a, gens_b)
+    gens_a, gens_b, scale = _read_cones(gens_a, gens_b)
     if not gens_a or not gens_b:
         return None
     dim = len(gens_a[0])
     if k not in range(dim):
         raise InputError(f"coordinate {_shown(k)} is outside range({dim})")
-    return _cone_witness(gens_a, gens_b, k, sign)
+    return _cone_witness(gens_a, gens_b, k, sign, scale)
 
 
-def _read_cones(gens_a, gens_b) -> tuple[list[list], list[list]]:
+def _read_cones(gens_a, gens_b) -> tuple[list[list[int]], list[list[int]], int]:
     """The two generator lists of a two-cone query, read once: each a collection
     (``_iterate``), both checked by one length rule, ``_check_dim``, which names
     the first vector whose length differs from that of the first a-generator,
-    and every cell read by the cell rule, ``_cell``, into rows of ints and
-    Fractions."""
+    and every cell read by the cell rule, ``_cell``; scaled to integer rows by
+    ``_scaled``, and returned with the scale."""
     gens_a, gens_b = (list(_iterate(gens, "generators must be a collection")) for gens in (gens_a, gens_b))
     _check_dim(chain(gens_a, gens_b), None)
-    return [list(map(_cell, g)) for g in gens_a], [list(map(_cell, g)) for g in gens_b]
+    scale, gens = _scaled([list(map(_cell, g)) for g in chain(gens_a, gens_b)])
+    return gens[:len(gens_a)], gens[len(gens_a):], scale
 
 
-def _cone_witness(gens_a: Sequence[Sequence], gens_b: Sequence[Sequence], k: int, sign: int) -> ConeWitness | None:
-    """``cone_witness`` on generators already read: two nonempty lists of rows of
-    one length, of ints and Fractions, with k in range and sign 1 or -1.  The
-    entry of a caller that builds its rows so, as ``fk.theorem8_finite_type``
-    does on the census hot path.
+def _cone_witness(gens_a: Sequence[Sequence[int]], gens_b: Sequence[Sequence[int]], k: int, sign: int,
+                  scale: int = 1) -> ConeWitness | None:
+    """``cone_witness`` on the generators times scale, as integers: two nonempty
+    lists of integer rows of one length, with k in range and sign 1 or -1, as
+    ``fk.theorem8_finite_type`` builds them (scale 1).
 
-    One feasibility LP: balance rows saying that the a-combination minus the
-    b-combination is 0, and one normalisation row fixing coordinate k of the
-    a-combination at sign.  The witness is the simplex's basic solution.  The
-    point is summed over the nonzero a-coefficients, the zeros dropped by
-    identity with the shared zero that ``lp_feasible`` gives every nonbasic
-    value, and its integer coordinates come from the same shared table.
+    One feasibility LP, handed to ``_simplex`` as integer rows: balance rows
+    saying that the a-combination minus the b-combination is 0, and one
+    normalisation row fixing coordinate k of the a-combination at sign times
+    scale.  The witness is the simplex's basic solution.
     """
     na, nb = len(gens_a), len(gens_b)
     # sum of a-coefficients times gens_a minus b-coefficients times gens_b is 0: column j of
     # the generators, the b-side negated, is balance row j
-    cols = list(zip(*gens_a, *(map(neg, g) for g in gens_b)))
-    rows = [(col, 0) for col in cols] + [(cols[k][:na] + (0,) * nb, sign)]
-    sol = lp_feasible(rows, na + nb)
+    rows = [[*col, 0] for col in zip(*gens_a, *(map(neg, g) for g in gens_b))]
+    rows.append(rows[k][:na] + [0] * nb + [sign * scale])
+    sol = _simplex(rows, na + nb)
     if sol is None:
         return None
-    ca = tuple(sol[:na])
-    cb = tuple(sol[na:])
-    # a basic solution has at most dim + 1 nonzero coefficients; their sum is taken in
-    # integers over D, the lcm of their denominators, and divided by D once per coordinate
-    # (a zero that is not the shared one gets through, and adds nothing over denominator 1)
-    terms = [(c, g) for c, g in zip(ca, gens_a) if c is not _ZERO]
-    den = lcm(*(c.denominator for c, _ in terms))
-    ints = [c.numerator * (den // c.denominator) for c, _ in terms]
-    sums = [sum(map(mul, ints, col)) for col in zip(*(g for _, g in terms))]
+    x, basis = sol
+    # every nonzero coefficient is basic: the point is summed over the basic a-columns in
+    # integers over D, the lcm of their denominators, and divided by D times scale; on a
+    # type-A LP, D is 1 and each coefficient 1, so its generator is added as it is
+    cols = [j for j in basis if j < na]
+    den = lcm(*(x[j].denominator for j in cols))
+    sums = [0] * len(gens_a[0])
+    for j in cols:
+        c = x[j].numerator if den == 1 else x[j].numerator * (den // x[j].denominator)
+        sums = list(map(add, sums, gens_a[j] if c == 1 else [c * v for v in gens_a[j]]))
+    den *= scale
     point = tuple(map(_fraction, sums)) if den == 1 else tuple(Fraction(s, den) for s in sums)
-    return ConeWitness(ca, cb, point)
+    return ConeWitness(tuple(x[:na]), tuple(x[na:]), point)
 
 
 def cones_intersect_trivially(
@@ -715,10 +732,10 @@ def cones_intersect_trivially(
     verdict.  The generators are read once, by ``_read_cones``, and a side
     with no generators meets the other only at 0, with no LP.
     """
-    gens_a, gens_b = _read_cones(gens_a, gens_b)
+    gens_a, gens_b, scale = _read_cones(gens_a, gens_b)
     for k in range(len(gens_a[0]) if gens_a and gens_b else 0):
         for sign in (1, -1):
-            witness = _cone_witness(gens_a, gens_b, k, sign)
+            witness = _cone_witness(gens_a, gens_b, k, sign, scale)
             if witness is not None:
                 return False, witness
     return True, None

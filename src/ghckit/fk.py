@@ -5,10 +5,11 @@ subalgebra l = k + n, the cones generated by the singular weights of g/l and
 of n must meet only at zero.  The weights are type-A roots e_u - e_v, so
 ``theorem8_finite_type`` decides this by reachability on a graph over the
 epsilon-coordinates, and runs one LP, for the witness, only when the cones
-do meet: ``exact._cone_witness``, the LP of ``exact.cone_witness``, on the
-integer rows it builds, which need no reading.  The solvable case has an
-independent characterization through parabolic nilradicals, which the test
-suite plays against the cone test exhaustively on small systems.
+do meet: ``exact._cone_witness`` on the integer rows it builds, which hands
+them to the pivot loop, ``exact._simplex``, with no reading.  The solvable
+case has an independent characterization through parabolic nilradicals,
+which the test suite plays against the cone test exhaustively on small
+systems.
 
 The Borel fixed for singular-vector weights is the standard positive system
 of the realization; the others are its Weyl conjugates, so the verdict is
@@ -214,19 +215,22 @@ def _first_feasible_pair(
         # +1: from the y of a = e_k - e_y to the z of b = e_k - e_z;
         # -1: from the z of b = e_z - e_k to the x of a = e_x - e_k
         for sign, start, goal in ((1, out_a[k], in_b[k]), (-1, out_b[k], in_a[k])):
-            if start and goal and _reach(succ, start, 1 << k) & goal:
+            if start and goal and _reach(succ, start, 1 << k, goal) & goal:
                 return k, sign
     return None
 
 
-def _reach(succ: Sequence[int] | Mapping[int, int], start: int, avoid: int) -> int:
+def _reach(succ: Sequence[int] | Mapping[int, int], start: int, avoid: int, stop: int = 0) -> int:
     """The mask of the nodes reachable from the nodes of start (start included)
-    along the successor masks succ, indexed by node, through no node of avoid."""
+    along the successor masks succ, indexed by node, through no node of avoid,
+    or those seen by the first breadth-first step that reaches a node of stop."""
     seen = frontier = start
-    while frontier:
+    while frontier and not seen & stop:
         step = 0
-        for u in bits(frontier):
-            step |= succ[u]
+        while frontier:
+            low = frontier & -frontier
+            step |= succ[low.bit_length() - 1]
+            frontier ^= low
         frontier = step & ~seen & ~avoid
         seen |= frontier
     return seen

@@ -8,7 +8,7 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import nullspace as reference_nullspace, solve_linear as reference_solve_linear
+from conftest import nullspace as reference_nullspace, seeded_closures, solve_linear as reference_solve_linear
 from reference_simplex import outcome, reference_cones_intersect_trivially, reference_lp_feasible
 from ghckit import cli, exact, fk, mathieu, principal, rootsys
 from ghckit.errors import InputError
@@ -23,7 +23,7 @@ from ghckit.exact import (
     parse_rational,
     vec,
 )
-from ghckit.shadow import RootSubalgebra, closed_subsets, shadow, support_shape
+from ghckit.shadow import RootSubalgebra, closed_masks, closed_subsets, shadow, support_shape
 
 F = Fraction
 
@@ -482,6 +482,69 @@ class TestTypeAWitnesses:
         assert all_fractions(cone_witness(a, [(F(1), F(2))], 0, 1))
 
 
+def reference_witness(gens_a, gens_b, k, sign):
+    """``cone_witness``'s LP as it ran through the public entry: ``lp_feasible`` on the
+    balance rows and the normalisation row, and the point summed in integers over the
+    a-coefficients that are not the shared zero, over the lcm of their denominators."""
+    na, nb = len(gens_a), len(gens_b)
+    cols = list(zip(*gens_a, *([-x for x in g] for g in gens_b)))
+    sol = lp_feasible([(col, 0) for col in cols] + [(cols[k][:na] + (0,) * nb, sign)], na + nb)
+    if sol is None:
+        return None
+    ca, cb = tuple(sol[:na]), tuple(sol[na:])
+    terms = [(c, g) for c, g in zip(ca, gens_a) if c is not exact._ZERO]
+    den = lcm(*(c.denominator for c, _ in terms))
+    ints = [c.numerator * (den // c.denominator) for c, _ in terms]
+    sums = [sum(i * x for i, x in zip(ints, col)) for col in zip(*(g for _, g in terms))]
+    return ConeWitness(ca, cb, tuple(Fraction(s, den) for s in sums))
+
+
+class TestDirectRoute:
+    """The census hands its integer rows straight to the pivot loop, ``exact._simplex``;
+    its witness must be the public entry's, ``lp_feasible`` on the same rows."""
+
+    def witnesses(self, rs, masks, monkeypatch):
+        """(args, witness) of every LP that theorem8_finite_type runs on the masks."""
+        calls = []
+        direct = exact._cone_witness
+
+        def recorded(*args):
+            calls.append((args, direct(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(fk, "_cone_witness", recorded)
+        for m in masks:
+            verdict = fk.theorem8_finite_type(rs, RootSubalgebra(rs, m))
+            if not verdict.finite_type:
+                assert verdict.witness is calls[-1][1]
+        return calls
+
+    # every closed subset of A3, and the seeded closures of A4; the infinite-type verdicts
+    @pytest.mark.parametrize("rank, infinite", [(3, 168), (4, 30)])
+    def test_the_census_witness_is_the_public_one(self, rank, infinite, monkeypatch):
+        rs = rootsys.build("A", rank)
+        masks = closed_masks(rs) if rank == 3 else seeded_closures(rs)
+        calls = self.witnesses(rs, masks, monkeypatch)
+        assert len(calls) == infinite
+        for args, witness in calls:
+            want = reference_witness(*args)
+            assert witness == want and witness.to_json() == want.to_json() and all_fractions(witness), args
+
+    @pytest.mark.parametrize("a, b, k, sign", [
+        # Fraction generators: the rows are scaled by 6 before the LP
+        ([(F(1, 2), F(1, 3)), (F(1), F(2, 3))], [(F(1), F(2, 3))], 0, 1),
+        ([(F(1, 2), F(-1, 3), 0), (0, F(1, 3), -1)], [(F(1, 2), 0, -1)], 2, -1),
+        # a point over a denominator above 1
+        ([(2, 1)], [(1, F(1, 2))], 0, 1),
+        ([(F(3, 2), F(1, 2)), (0, 1)], [(3, 1), (0, F(1, 4))], 0, 1),
+    ])
+    def test_the_scaling_branch_agrees(self, a, b, k, sign):
+        want = reference_witness(a, b, k, sign)
+        got = cone_witness(a, b, k, sign)
+        assert want is not None and got == want and got.to_json() == want.to_json() and all_fractions(got)
+        assert got.verify(a, b)
+
+
 def all_fractions(witness: ConeWitness) -> bool:
     """Whether every coefficient and point entry of the witness is exactly a Fraction."""
     return all(type(x) is Fraction for x in chain(witness.coefficients_a, witness.coefficients_b, witness.point))
@@ -511,12 +574,18 @@ class TestSharedFractions:
         assert w == ConeWitness((F(1, 2),), (F(1),), (F(1), F(1, 2))) and all_fractions(w)
 
     def test_a_zero_that_is_not_shared_adds_nothing(self, monkeypatch):
-        # a zero basic value from the general step is Fraction(0, p): not the shared zero, so
-        # it reaches the point sum, where it adds nothing over denominator 1
+        # a zero value from the general step is Fraction(0, p), not the shared zero; the
+        # point is summed over the basic a-columns, whatever their values, so the witness
+        # does not depend on which zero the LP gives
         a, b = [(1, 0), (0, 1), (1, 1)], [(1, 1)]
         want = cone_witness(a, b, 0, 1)
-        real = exact.lp_feasible
-        monkeypatch.setattr(exact, "lp_feasible", lambda eqs, n: [F(0, 1) if x == 0 else x for x in real(eqs, n)])
+        real = exact._simplex
+
+        def unshared(rows, n):
+            x, basis = real(rows, n)
+            return [F(0, 1) if v == 0 else v for v in x], basis
+
+        monkeypatch.setattr(exact, "_simplex", unshared)
         w = cone_witness(a, b, 0, 1)
         assert 0 in w.coefficients_a and not any(c is exact._ZERO for c in w.coefficients_a)
         assert w == want and w.point == (F(1), F(1)) and all_fractions(w) and w.verify(a, b)
@@ -743,6 +812,11 @@ MALFORMED_ARGUMENTS = [
     ("cones_intersect_trivially-dict-generator", lambda a2: cones_intersect_trivially([{1: 0, 0: 1}], [(1, 0)])),
     ("solve_linear-dict-row", lambda a2: exact.solve_linear([{1: 5}], [1])),
     ("nullspace-set-row", lambda a2: exact.nullspace([{1, 2}])),
+    # a weight read by vec: a dict was read by its keys (27 for this one) and a set in its
+    # iteration order
+    ("weyl_dim-dict", lambda a2: rootsys.weyl_dim(a2, {2: "a", 0: "b", -2: "c"})),
+    ("sp_bounded-dict", lambda a2: mathieu.sp_bounded({"3/2": 0, "1/2": 1})),
+    ("vec-frozenset", lambda a2: vec(frozenset({1, 2}))),
 ]
 
 

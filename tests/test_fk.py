@@ -166,13 +166,13 @@ class TestReachability:
 
     def test_one_lp_per_infinite_type_verdict_and_none_per_finite_type(self, a3, monkeypatch):
         calls = []
-        lp_feasible = exact.lp_feasible
+        simplex = exact._simplex
 
         def counted(*args):
             calls.append(args)
-            return lp_feasible(*args)
+            return simplex(*args)
 
-        monkeypatch.setattr(exact, "lp_feasible", counted)
+        monkeypatch.setattr(exact, "_simplex", counted)
         verdicts = {True: 0, False: 0}
         for m in shadow.closed_masks(a3):
             calls.clear()
@@ -182,7 +182,7 @@ class TestReachability:
         assert verdicts == {True: 187, False: 168}
 
     def test_lp_disagreeing_with_the_graph_is_an_internal_error(self, a2, monkeypatch):
-        monkeypatch.setattr(exact, "lp_feasible", lambda *args: None)
+        monkeypatch.setattr(exact, "_simplex", lambda *args: None)
         with pytest.raises(InternalError):
             fk.theorem8_finite_type(a2, make(a2, [A1]))
 
