@@ -1,15 +1,15 @@
 """Executable predicates and degree formulas for bounded-multiplicity
 highest weight modules: complete for sp(2n), partial for sl(n+1).
 
-The sp(2n) degree goes through the companion D_n system: the weight is
-shifted by (1, ..., 1) and fed to the Weyl dimension formula, then divided
-by 2^(n-1).  A bounded weight has every entry over the denominator 2, so
-the shifted weight is the integer row of the numerators plus 2, over 2,
-which goes to the row-level ``rootsys._weyl_dim`` with no Fraction built.
-Divisibility is asserted at runtime; a failure would signal a realization
-bug, not bad input.  A weight is a sequence read by ``exact.vec``: its
-entries are Fractions, ints or rational text, and nothing else; a weight
-given as one text is an input error.
+The sp(2n) degree is the dimension of the companion D_n module of highest
+weight x + (1, ..., 1), divided by 2^(n-1).  ``_numerators`` reads a weight
+once, in one loop.  A bounded entry is c_i/2, so the doubled x + 1 + rho is
+L_i = c_i + 2(n - i), and the degree is the D_n Weyl product
+prod (L_i^2 - L_j^2) over the pairs i < j, over ``rho_product``, 4 per pair
+and 2^(n-1), all in integers.  Divisibility is asserted at runtime; a failure
+would signal a realization bug, not bad input.  A weight is a sequence read by
+``exact.vec``: its entries are Fractions, ints or rational text, and nothing
+else; a weight given as one text is an input error.
 
 ``describe`` builds the document of the ``mathieu`` command.  A weight read
 beside x (``eta``, or the ``equiv`` of ``sp_equivalent``) must have the length
@@ -21,6 +21,9 @@ collections, read by ``exact._iterate``.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import combinations, starmap
+from math import prod
+from operator import sub
 
 from . import rootsys
 from .errors import InputError, InternalError, RegularIntegralCase
@@ -43,21 +46,23 @@ def sp_bounded(x: Sequence) -> bool:
     """Bounded-multiplicity test for an infinite dimensional sp(2n) highest
     weight module: all entries in Z + 1/2, strictly decreasing down to the
     absolute value of the last."""
-    return _bounded(vec(x))
+    return _numerators(vec(x)) is not None
 
 
-def _bounded(xs: Vector) -> bool:
-    """``sp_bounded`` on a weight already read by ``vec``."""
+def _numerators(xs: Vector) -> list[int] | None:
+    """The numerators of a weight already read by ``vec`` that passes the bounded
+    test, or None if it fails it.  In lowest terms, Z + 1/2 is exactly the
+    denominator 2, and then the numerators compare as the entries do; every entry
+    but the last is positive, so each must exceed the size of the next."""
     if not xs:
         raise InputError("weight must have at least one entry")
-    # in lowest terms, Z + 1/2 is exactly the denominator 2, and then the numerators
-    # compare as the entries do
-    if any(c.denominator != 2 for c in xs):
-        return False
-    nums = [c.numerator for c in xs]
-    if any(a <= b for a, b in zip(nums, nums[1:-1])):
-        return False
-    return len(nums) < 2 or nums[-2] > abs(nums[-1])
+    nums = []
+    for c in xs:
+        p, q = c.as_integer_ratio()
+        if q != 2 or nums and nums[-1] <= abs(p):
+            return None
+        nums.append(p)
+    return nums
 
 
 def sp_equivalent(x: Sequence, y: Sequence) -> bool:
@@ -66,9 +71,9 @@ def sp_equivalent(x: Sequence, y: Sequence) -> bool:
     x's is an ``InputError``, as is a weight that fails the bounded test."""
     xs, ys = vec(x), vec(y)
     _check_dim((xs, ys), None, "equiv dimension does not match x")
-    if not (_bounded(xs) and _bounded(ys)):
+    if (a := _numerators(xs)) is None or (b := _numerators(ys)) is None:
         raise InputError("both weights must satisfy the bounded-multiplicity test")
-    return xs[:-1] == ys[:-1] and (xs[-1] == ys[-1] or xs[-1] == -ys[-1])
+    return a[:-1] == b[:-1] and abs(a[-1]) == abs(b[-1])
 
 
 def sp_fiber_irreducible(eta: Sequence) -> bool:
@@ -79,18 +84,25 @@ def sp_fiber_irreducible(eta: Sequence) -> bool:
 
 def sp_degree(x: Sequence) -> int:
     """Degree of the coherent family headed by x, via the companion D_n."""
-    xs = vec(x)
-    if not _bounded(xs):
+    return _degree(vec(x))
+
+
+def _degree(xs: Vector) -> int:
+    """``sp_degree`` on a weight already read by ``vec``."""
+    nums = _numerators(xs)
+    if nums is None:
         raise InputError("weight fails the bounded-multiplicity test")
-    n = len(xs)
+    n = len(nums)
     if n < 2:
         raise InputError("need rank >= 2 for the companion system")
+    # the rank cap, and the denominator of the Weyl product
     dn = rootsys.build("D", n)
-    # every entry is c/2 with c odd, so x + (1, ..., 1) is the integer row of c + 2 over 2
-    dim = rootsys._weyl_dim(dn, [c.numerator + 2 for c in xs], 2)
-    d, rem = divmod(dim, 2 ** (n - 1))
+    # L_i = c_i + 2(n - i) is x + 1 + rho doubled, and a pair i < j gives (L_i^2 - L_j^2) / 4
+    squares = [(c + k) ** 2 for c, k in zip(nums, range(2 * n, 0, -2))]
+    num, den = prod(starmap(sub, combinations(squares, 2))), dn.rho_product << (n * n - 1)
+    d, rem = divmod(num, den)
     if rem:
-        raise InternalError(f"dimension {dim} not divisible by 2^{n - 1}")
+        raise InternalError(f"D{n} Weyl product {_shown(num, str)} is not divisible by {den}")
     return d
 
 
@@ -131,7 +143,7 @@ class CoherentFamilyDescriptor(_Record):
     @classmethod
     def from_weight(cls, x: Sequence) -> "CoherentFamilyDescriptor":
         xs = vec(x)
-        return cls(len(xs), xs, sp_degree(xs))
+        return cls(len(xs), xs, _degree(xs))
 
     def same_family(self, other: "CoherentFamilyDescriptor") -> bool:
         return self.rank == other.rank and sp_equivalent(self.representative, other.representative)
@@ -150,6 +162,12 @@ class CoherentFamilyDescriptor(_Record):
         # type(degree) is int, since isinstance(True, int) holds; a float is no degree either
         if not isinstance(rep, list) or not all(isinstance(c, str) for c in rep) or type(degree) is not int:
             raise InputError("a descriptor document needs a class_rep list of strings and an int degree")
+        # bounded and companion may be left out; given, they say what to_json writes: 1 is not true, and
+        # rank 2.0 is not 2
+        n = len(rep)
+        bounded, companion = doc.get("bounded", True), doc.get("companion", {"series": "D", "rank": n})
+        if bounded is not True or companion != {"series": "D", "rank": n} or type(companion["rank"]) is not int:
+            raise InputError(f"a descriptor document of rank {n} says bounded true and companion D{n}")
         d = cls.from_weight(rep)
         if d.degree != degree:
             raise InputError(f"stored degree {_shown(degree)} disagrees with recomputed {_shown(d.degree)}")
@@ -185,7 +203,7 @@ def describe(x: Sequence, eta: Sequence | None = None, equiv: Sequence | None = 
         _check_dim((xs, eta), None, "eta dimension does not match x")
     # equiv before x's descriptor, so that a wrong equiv length is reported first
     doc: dict = {} if equiv is None else {"equivalent": sp_equivalent(xs, equiv)}
-    doc["bounded"] = _bounded(xs)
+    doc["bounded"] = _numerators(xs) is not None
     if doc["bounded"]:
         doc.update(CoherentFamilyDescriptor.from_weight(xs).to_json())
     else:

@@ -47,15 +47,14 @@ root on its nonzero entries alone, at most two on A, B, C and D: the cached
 view ``_simple_support`` holds them as (position, 4 * entry), so a pairing
 takes no multiplication by zero and no length check, and its caller hands it a
 row of the ambient length (``_weight_row`` checks it).  The predicates
-and ``weyl_dim`` decide on them by ``%`` and ``//``; a Fraction is built only
-for an error message; ``_weyl_dim`` is ``weyl_dim`` on such a row, for a
-caller that holds its weight as one (``mathieu.sp_degree``).  The pairings
-with the other positive coroots come from one kernel, ``_coroot_pairings``,
-along the chain ``coroot_chain``, built on first use from ``coroot_coords``
-(the positive coroots over the simple coroots): ordered by coroot height,
-every positive coroot that is not simple is an earlier one plus a simple
-coroot, so its pairing is one integer addition.  ``rho_product``, the
-product of the coroot heights, is the cached denominator of the Weyl product.
+and ``weyl_dim``, the one general Weyl product, decide on them by ``%`` and
+``//``; a Fraction is built only for an error message.  The pairings with the
+other positive coroots come from one kernel, ``_coroot_pairings``, along the
+chain ``coroot_chain``, built on first use from ``coroot_coords`` (the positive
+coroots over the simple coroots): ordered by coroot height, every positive
+coroot that is not simple is an earlier one plus a simple coroot, so its
+pairing is one integer addition.  ``rho_product``, the product of the coroot
+heights, is the cached denominator of the Weyl product.
 Public surfaces stay rational epsilon-vectors: Fractions for root vectors and
 weights, "p" or "p/q" text in the JSON.
 """
@@ -538,13 +537,7 @@ def weyl_dim(rs: RootSystem, lam: Vector) -> int:
     the positive coroots is read along ``coroot_chain``, one integer addition
     per coroot that is not simple, and divided by the cached ``rho_product``.
     """
-    return _weyl_dim(rs, *_weight_row(rs, lam))
-
-
-def _weyl_dim(rs: RootSystem, row: Sequence[int], den: int) -> int:
-    """``weyl_dim`` of lam = row / den, for an integer row of the ambient length and
-    a positive den: the entry of a caller that already holds its weight so."""
-    pairings = _simple_pairings(rs, row, den)
+    pairings = _simple_pairings(rs, *_weight_row(rs, lam))
     for i, (p, q) in enumerate(pairings):
         if p < 0 or p % q:
             pairing = _shown(_F(p, q), str)

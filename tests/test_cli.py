@@ -389,6 +389,11 @@ def test_ab_inproc_gates_on_equal_answers(tmp_path):
     doc = json.loads(same.stdout)
     assert (doc["workload"], doc["ops"], doc["rounds"], doc["steps_ratio"]) == ("spectra", 379, 1, None)
     assert {"median", "q1", "q3"} <= set(doc["ratio"])
+    # the tail: each tree's p50 and p95 of the per-op medians, and the child's over the parent's
+    tail = {f"{tree}_op_{q}_ms" for tree in ("parent", "child") for q in ("p50", "p95")}
+    assert tail <= set(doc) and all(doc[k] > 0 for k in tail)
+    assert doc["parent_op_p50_ms"] <= doc["parent_op_p95_ms"] and doc["child_op_p50_ms"] <= doc["child_op_p95_ms"]
+    assert doc["op_p50_ratio"] > 0 and doc["op_p95_ratio"] > 0
 
 
 class TestDeterminism:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ghckit import mathieu, rootsys
-from ghckit.errors import InputError, RegularIntegralCase
+from ghckit.errors import InputError, InternalError, RegularIntegralCase
 
 F = Fraction
 H = F(1, 2)
@@ -185,6 +185,40 @@ class TestSpDegree:
         dim = rootsys.weyl_dim(rootsys.build("D", n), tuple(c + 1 for c in x))
         assert dim % 2 ** (n - 1) == 0 and mathieu.sp_degree(x) == dim // 2 ** (n - 1)
 
+    @pytest.mark.parametrize("digits", [30, 2000])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_wide_entries_match_weyl_dim(self, n, digits):
+        # numerators of about 30 and 2,000 digits, both signs of the last entry: the integer D_n
+        # product against weyl_dim of x + (1, ..., 1) on D_n, over 2^(n-1)
+        rng = random.Random(f"{n}/{digits}")
+        top = 10 ** (digits - 1)
+        nums = [2 * rng.randrange(top, 10 * top) + 1]
+        for _ in range(n - 1):
+            nums.append(nums[-1] + 2 * rng.randrange(1, 10 * top))
+        for last in (nums[0], -nums[0]):
+            x = [F(c, 2) for c in nums[:0:-1]] + [F(last, 2)]
+            dim = rootsys.weyl_dim(rootsys.build("D", n), tuple(c + 1 for c in x))
+            assert dim % 2 ** (n - 1) == 0 and mathieu.sp_degree(x) == dim // 2 ** (n - 1)
+
+    def test_remainder_is_an_internal_error(self, monkeypatch):
+        # a D2 whose rho_product were 3, not 1: for (3/2, 1/2), L = (7, 3), and 7^2 - 3^2 = 40 is not
+        # divisible by 3 << 3
+        class D2:
+            rho_product = 3
+        monkeypatch.setattr(rootsys, "build", lambda series, rank: D2)
+        with pytest.raises(InternalError, match="^D2 Weyl product 40 is not divisible by 24$"):
+            mathieu.sp_degree([F(3, 2), F(1, 2)])
+
+    def test_companion_rank_cap(self, monkeypatch):
+        # a bounded weight of 9 entries needs D9, past the default cap of 8 on every path to the degree
+        x = [F(c, 2) for c in range(19, 2, -2)]
+        for call in (mathieu.sp_degree, mathieu.CoherentFamilyDescriptor.from_weight, mathieu.describe):
+            with pytest.raises(InputError, match="^rank 9 exceeds the configured bound 8$"):
+                call(x)
+        monkeypatch.setenv("GHC_MAX_RANK", "9")
+        assert mathieu.sp_degree(x) == 3421083801854815377584625
+        assert mathieu.describe(x)["degree"] == 3421083801854815377584625
+
 
 class TestSlDegree:
     def test_trivial_module(self):
@@ -244,14 +278,30 @@ class TestDescriptor:
             {"class_rep": ["3/2", "1/2"], "degree": 5.9},
             {"class_rep": ["3/2", "1/2"], "degree": 5.0},
             {"class_rep": ["3/2", "1/2"], "degree": True},
+            {"class_rep": ["5/2", "1/2"], "degree": 9, "companion": {"series": "D", "rank": 7}},
+            {"class_rep": ["5/2", "1/2"], "degree": 9, "companion": {"series": "C", "rank": 2}},
+            {"class_rep": ["5/2", "1/2"], "degree": 9, "companion": {"series": "D", "rank": 2.0}},
+            {"class_rep": ["5/2", "1/2"], "degree": 9, "companion": {"series": "D", "rank": 2, "x": 0}},
+            {"class_rep": ["5/2", "1/2"], "degree": 9, "companion": "x"},
+            {"class_rep": ["5/2", "1/2"], "degree": 9, "companion": None},
+            {"class_rep": ["5/2", "1/2"], "degree": 9, "bounded": False},
+            {"class_rep": ["5/2", "1/2"], "degree": 9, "bounded": 1},
+            {"class_rep": ["5/2", "1/2"], "degree": 9, "bounded": None},
         ],
     )
     def test_malformed_document_rejected(self, doc):
         # every malformed document is an InputError, not a KeyError, TypeError or plain
         # ValueError; a float or bool degree is not read as an int (int(5.9) is the right
-        # degree 5, and a bool is an int to isinstance)
+        # degree 5, and a bool is an int to isinstance); a bounded or companion key, when
+        # given, must say what to_json writes, so 1 is not true and rank 2.0 is not 2
         with pytest.raises(InputError):
             mathieu.CoherentFamilyDescriptor.from_json(doc)
+
+    def test_document_without_bounded_or_companion_is_read(self):
+        doc = {"class_rep": ["5/2", "1/2"], "degree": 9}
+        assert mathieu.CoherentFamilyDescriptor.from_json(doc).to_json() == {
+            "bounded": True, "degree": 9, "class_rep": ["5/2", "1/2"], "companion": {"series": "D", "rank": 2},
+        }
 
     def test_same_family(self):
         d1 = mathieu.CoherentFamilyDescriptor.from_weight([F(3, 2), F(1, 2)])

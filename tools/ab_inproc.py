@@ -17,7 +17,10 @@ round, the tree that goes first alternating from step to step and from op to op.
 
 Printed, as one JSON line: the child's time over the parent's, per round, as the median and
 quartiles over the rounds, for the steps and ops together (``ratio``), the ops alone and the steps
-alone (null for a workload with no steps).  Below 1, the child is faster.  This is warm library
+alone (null for a workload with no steps).  The tail as well: each op's median time over the
+rounds, and of these, per tree, the p50 and p95 by ``perfbench/worker.py``'s definitions
+(``parent_op_p95_ms`` and so on) and the child's over the parent's (``op_p50_ratio``,
+``op_p95_ratio``).  Below 1, the child is faster.  This is warm library
 time per op in one process, not the benchmark's end-to-end metrics, which ``run.py`` measures.
 """
 
@@ -110,6 +113,14 @@ def spread(values: list[float]) -> dict:
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
+def tail_ms(op_s: list[list[float]]) -> dict:
+    """p50 and p95 in ms of the ops' median times over the rounds, as ``perfbench/worker.py`` takes
+    ``op_p50_ms`` and ``op_p95_ms`` from its per-op medians."""
+    ms = sorted(statistics.median(t) * 1000 for t in op_s)
+    p95 = statistics.quantiles(ms, n=20, method="inclusive")[18] if len(ms) > 1 else ms[0]
+    return {"p50": statistics.median(ms), "p95": p95}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent")
@@ -132,6 +143,7 @@ def main(argv=None) -> int:
     has_steps = type(parent.wl).steps is not parent.workloads.Workload.steps
     ratios: dict[str, list[float]] = {"ratio": [], "ops_ratio": [], "steps_ratio": []}
     totals = {"parent": [], "child": []}
+    op_s = {t: [[] for _ in ops] for t in (parent, child)}
     for r in range(args.rounds):
         gc.collect()
         steps = {parent: 0.0, child: 0.0}
@@ -143,7 +155,8 @@ def main(argv=None) -> int:
         random.Random(f"ab/{args.seed}/{r}").shuffle(order)
         for k, i in enumerate(order):
             for t in (parent, child) if (r + k) % 2 else (child, parent):
-                spent[t] += t.time_op(ops[i])
+                op_s[t][i].append(t.time_op(ops[i]))
+                spent[t] += op_s[t][i][-1]
         ratios["ops_ratio"].append(spent[child] / spent[parent])
         if has_steps:
             ratios["steps_ratio"].append(steps[child] / steps[parent])
@@ -151,6 +164,7 @@ def main(argv=None) -> int:
         totals["parent"].append(spent[parent] + steps[parent])
         totals["child"].append(spent[child] + steps[child])
 
+    tail = {name: tail_ms(op_s[t]) for name, t in (("parent", parent), ("child", child))}
     print(json.dumps({
         "workload": args.workload,
         "seed": args.seed,
@@ -161,6 +175,8 @@ def main(argv=None) -> int:
         **{k: spread(v) if v else None for k, v in ratios.items()},
         "parent_round_s": round(statistics.median(totals["parent"]), 5),
         "child_round_s": round(statistics.median(totals["child"]), 5),
+        **{f"{name}_op_{q}_ms": round(tail[name][q], 5) for name in tail for q in ("p50", "p95")},
+        **{f"op_{q}_ratio": round(tail["child"][q] / tail["parent"][q], 4) for q in ("p50", "p95")},
         "python": sys.version.split()[0],
     }, sort_keys=True))
     return 0

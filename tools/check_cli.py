@@ -41,6 +41,8 @@ EXIT_2 = [
     # the k-type series' bound, and the rank cap read by the flags' integer rule
     ("ktype-series --series A --rank 2 --lambda 4/3,0,-4/3 --max-m 10001", {}, "exceeds the bound 10000"),
     ("exponents --series A --rank 9", {"GHC_MAX_RANK": "1_0"}, "GHC_MAX_RANK"),
+    # a bounded weight of 9 entries: its companion D9 is past the default rank cap
+    ("mathieu --x " + ",".join(f"{c}/2" for c in range(19, 2, -2)), {}, "exceeds the configured bound"),
     # answers past the interpreter's limit on integer text: a degree of about 8,400 digits, which json would refuse
     # after run returns, and a lambda(h) whose denominator has about 6,000
     ("mathieu --x " + "9" * 2200 + "/2,1/2", {}, "more than [0-9]+ decimal digits"),
