@@ -50,8 +50,15 @@ CENSUS_MAX_RANK = 4
 
 
 class LeviDecomposition(_Record):
-    k_roots: frozenset[Vector]
-    n_roots: frozenset[Vector]
+    """Stores the masks of the reductive part k and the nilradical part n over
+    ``rs.all_roots``; ``k_roots`` and ``n_roots`` are their frozensets, built on first use."""
+
+    rs: RootSystem
+    k_mask: int
+    n_mask: int
+
+    k_roots = cached_property(lambda self: self.rs.roots_of(self.k_mask))
+    n_roots = cached_property(lambda self: self.rs.roots_of(self.n_mask))
 
 
 def reductive_mask(l: RootSubalgebra) -> int:
@@ -63,7 +70,7 @@ def levi_decompose(l: RootSubalgebra) -> LeviDecomposition:
     """Split a closed root subset into its reductive part (the symmetric
     roots) and the nilradical part (the rest)."""
     k = reductive_mask(l)
-    return LeviDecomposition(k_roots=l.rs.roots_of(k), n_roots=l.rs.roots_of(l.mask & ~k))
+    return LeviDecomposition(l.rs, k, l.mask & ~k)
 
 
 def _symmetric_closed(rs: RootSystem, roots: frozenset[Vector] | int, name: str) -> int:
@@ -115,10 +122,14 @@ def singular_weights(
 
 
 class FiniteTypeVerdict(_Record):
-    finite_type: bool
+    """Stores the witness, None for finite type, and the singular weights of both
+    sides; ``finite_type`` is a view, whether the witness is None."""
+
     witness: ConeWitness | None
     singular_g_mod_l: SingularWeightData
     singular_n: SingularWeightData
+
+    finite_type = property(lambda self: self.witness is None)
 
     def to_json(self) -> dict:
         return {
@@ -179,7 +190,7 @@ def theorem8_finite_type(rs: RootSystem, l: RootSubalgebra) -> FiniteTypeVerdict
         witness = _cone_witness(rows_a, rows_b, *pair)
         if witness is None:
             raise InternalError(f"the cone LP finds no common point at (k, sign) = {pair}, which H reaches")
-    return FiniteTypeVerdict(pair is None, witness, SingularWeightData(rs, sg), SingularWeightData(rs, sn))
+    return FiniteTypeVerdict(witness, SingularWeightData(rs, sg), SingularWeightData(rs, sn))
 
 
 def _type_a_roots(rs: RootSystem) -> tuple[tuple[int, tuple[int, ...], tuple[int, int]], ...]:
@@ -256,10 +267,10 @@ def census_rows(rs: RootSystem, dedup: bool = False) -> Iterator[dict]:
             seen |= orbit
             orbit = {sum(1 << s[i] for i in bits(m)) for m in orbit for s in rs.reflections} - seen
         sub = RootSubalgebra(rs, mask)
-        k = reductive_mask(sub)
+        levi = levi_decompose(sub)
         yield {
             "subalgebra": bits(mask),
-            "levi": {"k_roots": bits(k), "n_roots": bits(sub.mask & ~k)},
+            "levi": {"k_roots": bits(levi.k_mask), "n_roots": bits(levi.n_mask)},
             **theorem8_finite_type(rs, sub).to_json(),
         }
 

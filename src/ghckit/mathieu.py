@@ -134,16 +134,18 @@ def sl_degree(x: Sequence, full_weight: Sequence | None = None) -> int:
 
 
 class CoherentFamilyDescriptor(_Record):
-    """sp(2n) coherent family: class representative, degree, companion system."""
+    """sp(2n) coherent family: stores the class representative and the degree;
+    ``rank``, the n of the companion D_n, is a view, the representative's length."""
 
-    rank: int
     representative: Vector
     degree: int
+
+    rank = property(lambda self: len(self.representative))
 
     @classmethod
     def from_weight(cls, x: Sequence) -> "CoherentFamilyDescriptor":
         xs = vec(x)
-        return cls(len(xs), xs, _degree(xs))
+        return cls(xs, _degree(xs))
 
     def same_family(self, other: "CoherentFamilyDescriptor") -> bool:
         return self.rank == other.rank and sp_equivalent(self.representative, other.representative)

@@ -268,9 +268,13 @@ def vanishing_degree(pd: PrincipalData) -> int:
 
 
 class KTypeSeries(_Record):
+    """Stores lambda(h) and the multiplicities for m = 0 .. truncation; ``truncation``
+    and ``minimal_ktype`` are views."""
+
     lambda_h: Fraction
     entries: dict
-    truncation: int
+
+    truncation = property(lambda self: len(self.entries) - 1)
 
     @property
     def minimal_ktype(self) -> int | None:
@@ -317,7 +321,7 @@ def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
             if min(values) < 0:
                 m = next(m for m, val in enumerate(values) if val < 0)
                 raise InternalError(f"negative multiplicity {values[m]} for m={m}")
-    return KTypeSeries(Fraction(num, den), dict(enumerate(values)), max_m)
+    return KTypeSeries(Fraction(num, den), dict(enumerate(values)))
 
 
 def find_nonintegral_weight(pd: PrincipalData, target) -> Vector:

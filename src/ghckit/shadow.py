@@ -16,13 +16,14 @@ closes each include branch, a small closed set plus one root, by walking the
 partners of the roots that join, on the table's rows as bits, built once per
 call, until the first excluded root (``_close`` is the same walk on index
 pairs, run to the end).  ``closed_mask`` reads each pair of members once,
-from the later one's partners.  A decomposition holds the masks of its
-parts, and its JSON reads their bits; frozensets of Fraction
-epsilon-vectors are views built only for results: ``RootSubalgebra.roots``,
-the parts of a decomposition, ``parabolic_pm``, ``fernando_fk`` and
-``closed_subsets``.  A support shape grows only from newly reached points,
-in doubled integer coordinates, up to ``MAX_SUPPORT_POINTS`` points; more is
-an input error.
+from the later one's partners.  A decomposition stores Gamma's mask and one
+fact per root, whether it lies in the cone (the cone mask, Gamma-bar); the
+four class masks are views of the cone mask and its negation, and its JSON
+reads their bits.  Frozensets of Fraction epsilon-vectors are views built
+only for results: ``RootSubalgebra.roots``, the parts of a decomposition,
+``parabolic_pm``, ``fernando_fk`` and ``closed_subsets``.  A support shape
+grows only from newly reached points, in doubled integer coordinates, up to
+``MAX_SUPPORT_POINTS`` points; more is an input error.
 """
 
 from __future__ import annotations
@@ -120,25 +121,28 @@ class RootSubalgebra(_Record):
 
 
 class ShadowDecomposition(_Record):
-    """The four classes of roots and the generators of Gamma, as masks over
-    ``rs.all_roots``; ``I``, ``F``, ``plus``, ``minus`` and ``gamma_generators``
-    are their frozensets of vectors, built on first use."""
+    """Stores Gamma's mask and the cone mask, Gamma-bar, over ``rs.all_roots``; the
+    class masks are views of the cone mask and its negation, and ``I``, ``F``,
+    ``plus``, ``minus`` and ``gamma_generators`` their frozensets, built on first use."""
 
     rs: RootSystem
-    i_mask: int
-    f_mask: int
-    plus_mask: int
-    minus_mask: int
     gamma_mask: int
+    cone_mask: int
 
+    # a root is in I if it and its negative are in the cone, in F if neither is, in plus
+    # if only its negative is and in minus if only it is
+    i_mask = property(lambda self: self.cone_mask & self.rs.negated(self.cone_mask))
+    f_mask = property(lambda self: self.rs.full_mask & ~(self.cone_mask | self.rs.negated(self.cone_mask)))
+    plus_mask = property(lambda self: self.rs.negated(self.cone_mask) & ~self.cone_mask)
+    minus_mask = property(lambda self: self.cone_mask & ~self.rs.negated(self.cone_mask))
     I = cached_property(lambda self: self.rs.roots_of(self.i_mask))
     F = cached_property(lambda self: self.rs.roots_of(self.f_mask))
     plus = cached_property(lambda self: self.rs.roots_of(self.plus_mask))
     minus = cached_property(lambda self: self.rs.roots_of(self.minus_mask))
     gamma_generators = cached_property(lambda self: self.rs.roots_of(self.gamma_mask))
     # the masks of p_M (I + F + plus) and of the Fernando-Kac subalgebra (F + plus)
-    pm_mask = property(lambda self: self.i_mask | self.f_mask | self.plus_mask)
-    fernando_fk_mask = property(lambda self: self.f_mask | self.plus_mask)
+    pm_mask = property(lambda self: self.rs.full_mask & ~self.minus_mask)
+    fernando_fk_mask = property(lambda self: self.rs.full_mask & ~self.cone_mask)
 
     def to_json(self) -> dict:
         return {
@@ -160,7 +164,8 @@ def _require_over(rs: RootSystem, l: RootSubalgebra) -> None:
 
 
 def shadow(rs: RootSystem, fk: RootSubalgebra) -> ShadowDecomposition:
-    """Four-way classification of every root against the cone over Gamma.
+    """Four-way classification of every root against the cone over Gamma, stored
+    as the cone mask, the roots in that cone.
 
     Gamma is the complement of the closed subset S, and the roots in its cone
     are Gamma-bar, the closure of Gamma under root sums, which comes from
@@ -198,16 +203,7 @@ def shadow(rs: RootSystem, fk: RootSubalgebra) -> ShadowDecomposition:
     """
     _require_over(rs, fk)
     gamma_mask = rs.full_mask & ~fk.mask
-    inside = _close_from_outside(rs, gamma_mask)
-    neg = rs.negated(inside)  # the roots whose negatives are in the cone
-    return ShadowDecomposition(
-        rs,
-        i_mask=inside & neg,
-        f_mask=rs.full_mask & ~(inside | neg),
-        plus_mask=neg & ~inside,
-        minus_mask=inside & ~neg,
-        gamma_mask=gamma_mask,
-    )
+    return ShadowDecomposition(rs, gamma_mask, _close_from_outside(rs, gamma_mask))
 
 
 def parabolic_pm(sd: ShadowDecomposition) -> frozenset[Vector]:

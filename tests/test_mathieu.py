@@ -320,6 +320,19 @@ class TestDescriptor:
         assert mathieu.sp_degree([F(7, 2), F(5, 2)]) == d2.degree
         assert not mathieu.degree_constancy_check(d2, [[F(7, 2), F(5, 2)]])
 
+    def test_rank_is_the_representative_length(self):
+        # the rank is the representative's length, not a field: a stored rank could disagree with
+        # the representative, pass the check and make to_json write a companion that from_json
+        # rejects, such as D5 for a rank-2 weight
+        d = mathieu.CoherentFamilyDescriptor((F(3, 2), F(1, 2)), 5)
+        assert d.rank == 2 and d == mathieu.CoherentFamilyDescriptor.from_weight([F(3, 2), F(1, 2)])
+        assert d.to_json()["companion"] == {"series": "D", "rank": 2}
+        assert mathieu.CoherentFamilyDescriptor.from_json(d.to_json()) == d
+        assert mathieu.degree_constancy_check(d, [])
+        assert not mathieu.degree_constancy_check(mathieu.CoherentFamilyDescriptor((F(3, 2), F(1, 2)), 7), [])
+        with pytest.raises(TypeError):
+            mathieu.CoherentFamilyDescriptor(5, (F(3, 2), F(1, 2)), 5)
+
     @pytest.mark.parametrize("point", [[F(3, 2)], [F(5, 2), F(3, 2), F(1, 2)]])
     def test_degree_constancy_sample_of_another_length(self, point):
         d = mathieu.CoherentFamilyDescriptor.from_weight([F(3, 2), F(1, 2)])

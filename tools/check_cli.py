@@ -282,7 +282,8 @@ def a5_closures():
 
 def rank4_shadows():
     """Shadow on every closed subset of D4, B4 and C4 against one cone_member LP per root outside the additive
-    closure of Gamma, which shadow takes alone, binding no LP; and the SHA-256 of the B4 and C4 closed_masks order."""
+    closure of Gamma, which shadow takes alone, binding no LP: its cone mask, the one fact it stores, and the four
+    class masks read from it; and the SHA-256 of the B4 and C4 closed_masks order."""
     from ghckit import exact, rootsys, shadow
     from ghckit.rootsys import bits
 
@@ -305,6 +306,7 @@ def rank4_shadows():
             neg = rs.negated(inside)
             sd = shadow.shadow(rs, shadow.RootSubalgebra(rs, mask))
             want = inside & neg, full & ~(inside | neg), neg & ~inside, inside & ~neg
+            assert sd.cone_mask == inside, (series, rank, bits(mask))
             assert (sd.i_mask, sd.f_mask, sd.plus_mask, sd.minus_mask) == want, (series, rank, bits(mask))
     return "every closed subset of D4, B4 and C4 as the LP decides"
 
