@@ -13,9 +13,11 @@ over one denominator (``h_row``, ``h_den``); the Fraction ``h_element`` is a
 view built on first use.  K-type series read one partition table per
 PrincipalData, grown by ``kperp_table``: for lambda(h) >= 1 a series is a slice
 of it, and only for lambda(h) <= 0 does it subtract a second slice and check
-the result for a negative entry (see ``ktype_series``).  ``partition_P``,
-``a1_multiplicity`` and ``euler_rhs`` build their own tables on purpose: they
-are the independent counts that the series is checked against.
+the result for a negative entry (see ``ktype_series``).  A ``KTypeSeries``
+stores lambda(h) and its multiplicities for m = 0 .. max_m as a tuple, which
+``to_json`` writes in order; the dict ``entries`` and ``truncation`` are views.
+``partition_P``, ``a1_multiplicity`` and ``euler_rhs`` build their own tables
+on purpose: they are the independent counts that the series is checked against.
 
 A weight enters as the (integer row, denominator) pair of
 ``rootsys._weight_row``, which also checks its length, so ``lambda_h`` is one
@@ -248,7 +250,9 @@ def euler_rhs(pd: PrincipalData, m: int, lam: Vector) -> int:
     {0}) tensored with the (m+1)-dimensional type (t-weights m, m-2, ..,
     -m), counted against the full nilradical partition function shifted by
     lambda(h).  All terms are read from one partition table up to the
-    largest target, m + 2 - lambda(h).
+    largest target, m + 2 - lambda(h).  Below w = lambda(h) - 2 all three
+    targets are negative, so the sum starts at the first w there, and it is no
+    longer than the table, which ``TABLE_TOP`` bounds, however large m is.
     """
     m = parse_nonnegative(m, "m")
     lh = pd.lambda_h(lam)
@@ -258,7 +262,7 @@ def euler_rhs(pd: PrincipalData, m: int, lam: Vector) -> int:
     table = _partition_table(pd.nbar_multiset, max(0, m + 2 - n))
     return sum(
         2 * _table_entry(table, w - n) - _table_entry(table, w + 2 - n) - _table_entry(table, w - 2 - n)
-        for w in range(-m, m + 1, 2)
+        for w in range(max(-m, n - 2 + (m - n) % 2), m + 1, 2)
     )
 
 
@@ -268,13 +272,20 @@ def vanishing_degree(pd: PrincipalData) -> int:
 
 
 class KTypeSeries(_Record):
-    """Stores lambda(h) and the multiplicities for m = 0 .. truncation; ``truncation``
-    and ``minimal_ktype`` are views."""
+    """Stores lambda(h) and ``multiplicities``, a tuple of the multiplicities for
+    m = 0 .. truncation, so the record is hashable; ``truncation``,
+    ``minimal_ktype`` and ``entries``, the dict {m: multiplicity} built on first
+    read, are views."""
 
     lambda_h: Fraction
-    entries: dict
+    multiplicities: tuple[int, ...]
 
-    truncation = property(lambda self: len(self.entries) - 1)
+    truncation = property(lambda self: len(self.multiplicities) - 1)
+
+    @cached_property
+    def entries(self) -> dict:
+        """{m: multiplicity} for m = 0 .. truncation."""
+        return dict(enumerate(self.multiplicities))
 
     @property
     def minimal_ktype(self) -> int | None:
@@ -285,7 +296,7 @@ class KTypeSeries(_Record):
     def to_json(self) -> dict:
         return {
             "lambda_h": format_rational(self.lambda_h),
-            "series": {str(m): mult for m, mult in sorted(self.entries.items())},
+            "series": {str(m): mult for m, mult in enumerate(self.multiplicities)},
             "truncation": self.truncation,
         }
 
@@ -321,7 +332,7 @@ def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
             if min(values) < 0:
                 m = next(m for m, val in enumerate(values) if val < 0)
                 raise InternalError(f"negative multiplicity {values[m]} for m={m}")
-    return KTypeSeries(Fraction(num, den), dict(enumerate(values)))
+    return KTypeSeries(Fraction(num, den), tuple(values))
 
 
 def find_nonintegral_weight(pd: PrincipalData, target) -> Vector:

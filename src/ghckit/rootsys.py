@@ -48,13 +48,15 @@ view ``_simple_support`` holds them as (position, 4 * entry), so a pairing
 takes no multiplication by zero and no length check, and its caller hands it a
 row of the ambient length (``_weight_row`` checks it).  The predicates
 and ``weyl_dim``, the one general Weyl product, decide on them by ``%`` and
-``//``; a Fraction is built only for an error message.  The pairings with the
-other positive coroots come from one kernel, ``_coroot_pairings``, along the
-chain ``coroot_chain``, built on first use from ``coroot_coords`` (the positive
-coroots over the simple coroots): ordered by coroot height, every positive
-coroot that is not simple is an earlier one plus a simple coroot, so its
-pairing is one integer addition.  ``rho_product``, the product of the coroot
-heights, is the cached denominator of the Weyl product.
+``//``; a Fraction is built only for an error message.  ``_integral`` sums the
+same numerators itself and stops at the first simple coroot that fails, so a
+non-integral weight, the k-type series' input, pays for no full pairing list.
+The pairings with the other positive coroots come from one kernel,
+``_coroot_pairings``, along the chain ``coroot_chain``, built on first use from
+``coroot_coords`` (the positive coroots over the simple coroots): ordered by
+coroot height, every positive coroot that is not simple is an earlier one plus
+a simple coroot, so its pairing is one integer addition.  ``rho_product``, the
+product of the coroot heights, is the cached denominator of the Weyl product.
 Public surfaces stay rational epsilon-vectors: Fractions for root vectors and
 weights, "p" or "p/q" text in the JSON.
 """
@@ -500,8 +502,16 @@ def _simple_pairings(rs: RootSystem, row: Sequence[int], den: int) -> list[tuple
 
 
 def _integral(rs: RootSystem, row: Sequence[int], den: int) -> bool:
-    """Whether lam = row / den pairs with every coroot in the integers."""
-    return all(p % q == 0 for p, q in _simple_pairings(rs, row, den))
+    """Whether lam = row / den pairs with every coroot in the integers: the numerators
+    of ``_simple_pairings``, one simple coroot at a time, stopping at the first that
+    fails, with no list of pairings built."""
+    for pairs, n in zip(rs._simple_support, rs._simple_norms):
+        p = 0
+        for j, c in pairs:
+            p += row[j] * c
+        if p % (den * n):
+            return False
+    return True
 
 
 def is_integral(rs: RootSystem, lam: Vector) -> bool:

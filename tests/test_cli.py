@@ -394,6 +394,8 @@ def test_ab_inproc_gates_on_equal_answers(tmp_path):
     assert tail <= set(doc) and all(doc[k] > 0 for k in tail)
     assert doc["parent_op_p50_ms"] <= doc["parent_op_p95_ms"] and doc["child_op_p50_ms"] <= doc["child_op_p95_ms"]
     assert doc["op_p50_ratio"] > 0 and doc["op_p95_ratio"] > 0
+    # each op kind apart: the child's sum of per-op medians over the parent's
+    assert set(doc["kind_ratio"]) == {"ktype", "mathieu"} and all(v > 0 for v in doc["kind_ratio"].values())
 
 
 class TestDeterminism:

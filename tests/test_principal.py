@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -314,6 +315,30 @@ class TestEuler:
         with pytest.raises(InputError, match="expected an integer"):
             euler_rhs(pd, m, lam)
 
+    def test_lambda_h_near_m_answers_at_once(self, a2):
+        # lambda = (m/4, 0, -m/4) has lambda(h) = m: every w below m - 2 reads three negative
+        # targets, so the sum starts there, and its table reaches q^2 however large m is
+        pd = PrincipalData.build(a2)
+        m = 10**40
+        start = time.perf_counter()
+        assert euler_rhs(pd, m, (F(m, 4), F(0), F(-m, 4))) == -1
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("key", [key for key in RANK2_TYPES if key[1] <= 4])
+    def test_matches_the_full_range_sum(self, key):
+        # the alternating sum over every w = -m, -m + 2, .., m, negative targets included
+        pd = _pd(*key)
+        table = _partition_table(pd.nbar_multiset, 24 + 2 + 12)
+
+        def P(t):
+            return table[t] if t >= 0 else 0
+
+        for n in range(-12, 13):
+            lam = principal.find_nonintegral_weight(pd, n)
+            for m in range(25):
+                want = sum(2 * P(w - n) - P(w + 2 - n) - P(w - 2 - n) for w in range(-m, m + 1, 2))
+                assert euler_rhs(pd, m, lam) == want, (n, m)
+
     def test_matches_direct_formula(self):
         for key in RANK23:
             pd = _pd(*key)
@@ -375,6 +400,20 @@ def test_ktype_series_matches_a1_multiplicity(key):
         lam = principal.find_nonintegral_weight(pd, target)
         series = principal.ktype_series(pd, lam, 10)
         assert series.entries == {m: a1_multiplicity(pd, m, lam) for m in range(11)}
+
+
+@pytest.mark.parametrize("target", [12, -12])
+def test_series_views_follow_the_stored_multiplicities(target):
+    # on E8, lambda(h) = 12 takes the slice branch and -12 the subtraction branch: the views
+    # follow from the stored tuple, and the JSON series is the sorted dict it replaced, in order
+    pd = _pd("E", 8)
+    series = principal.ktype_series(pd, principal.find_nonintegral_weight(pd, target), 40)
+    assert type(series.multiplicities) is tuple and any(series.multiplicities)
+    assert series.entries == dict(enumerate(series.multiplicities))
+    assert series.truncation == len(series.multiplicities) - 1 == 40
+    want = {str(m): v for m, v in sorted(series.entries.items())}
+    doc = series.to_json()["series"]
+    assert doc == want and list(doc) == list(want)
 
 
 def test_ktype_series_integral_lambda_rejected(a2):

@@ -85,7 +85,7 @@ RECORDS = [
     (fk.FiniteTypeVerdict, _infinite_a2, ["witness", "singular_g_mod_l", "singular_n"], None, True),
     (principal.KTypeSeries, lambda: principal.ktype_series(pd := principal.PrincipalData.build(_b3()),
                                                            principal.find_nonintegral_weight(pd, 4), 3),
-     ["lambda_h", "entries"], None, False),
+     ["lambda_h", "multiplicities"], "entries", True),
     (mathieu.CoherentFamilyDescriptor, lambda: mathieu.CoherentFamilyDescriptor.from_weight([F(5, 2), F(1, 2)]),
      ["representative", "degree"], None, True),
     (cli.Param, lambda: cli.SYSTEM[0], ["key", "parse", "default"], None, True),
@@ -456,6 +456,28 @@ def test_simple_pairings_match_the_fraction_pairing(key):
         assert pairings == [rs.pairing(lam, a) for a in rs.simple_roots], lam
     if key[0] in "ABCD":
         assert max(map(len, rs._simple_support)) <= 2
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_integral_decides_as_the_full_pairing_list(key):
+    """``_integral``, which stops at the first simple coroot that fails, decides as every
+    pairing of ``_simple_pairings`` does: on seeded integer rows over denominators 1-6, on
+    an integral weight, and, for each simple root in turn, the last one included, on a
+    weight that is integral on every simple coroot but that one's."""
+    rs = rootsys.build(*key)
+    rng = random.Random(f"integral {key}")
+    rows = [([rng.choice((0, rng.randint(-9, 9))) for _ in range(rs.ambient_dim)], rng.randint(1, 6))
+            for _ in range(40)]
+    w = rs.fundamental_weights
+    integral = [rng.randint(-3, 3) for _ in w]
+    rows.append(rootsys._weight_row(rs, reduce(vadd, map(vscale, integral, w))))
+    for i in range(rs.rank):
+        coeffs = integral[:i] + [F(rng.choice((1, -1)), rng.randint(2, 6))] + integral[i + 1 :]
+        rows.append(rootsys._weight_row(rs, reduce(vadd, map(vscale, coeffs, w))))
+    for row, den in rows:
+        want = all(p % q == 0 for p, q in rootsys._simple_pairings(rs, row, den))
+        assert rootsys._integral(rs, row, den) == want, (row, den)
+    assert [rootsys._integral(rs, *r) for r in rows[-rs.rank - 1 :]] == [True] + [False] * rs.rank
 
 
 @pytest.mark.parametrize("key", ALL_TYPES)

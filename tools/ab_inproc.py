@@ -20,7 +20,9 @@ quartiles over the rounds, for the steps and ops together (``ratio``), the ops a
 alone (null for a workload with no steps).  The tail as well: each op's median time over the
 rounds, and of these, per tree, the p50 and p95 by ``perfbench/worker.py``'s definitions
 (``parent_op_p95_ms`` and so on) and the child's over the parent's (``op_p50_ratio``,
-``op_p95_ratio``).  Below 1, the child is faster.  This is warm library
+``op_p95_ratio``).  Per op kind (the workload's ``kind``, such as ``ktype`` and ``mathieu`` on
+``spectra``), the child's sum of per-op medians over the parent's (``kind_ratio``), so a change
+to one kind of op reads apart from the others.  Below 1, the child is faster.  This is warm library
 time per op in one process, not the benchmark's end-to-end metrics, which ``run.py`` measures.
 """
 
@@ -121,6 +123,16 @@ def tail_ms(op_s: list[list[float]]) -> dict:
     return {"p50": statistics.median(ms), "p95": p95}
 
 
+def kind_ratio(wl, ops: list, parent_s: list[list[float]], child_s: list[list[float]]) -> dict:
+    """For each op kind, the child's sum of per-op median times over the parent's."""
+    sums: dict[str, list[float]] = {}
+    for op, p, c in zip(ops, parent_s, child_s):
+        pair = sums.setdefault(wl.kind(op), [0.0, 0.0])
+        pair[0] += statistics.median(p)
+        pair[1] += statistics.median(c)
+    return {k: round(c / p, 4) for k, (p, c) in sorted(sums.items())}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent")
@@ -177,6 +189,7 @@ def main(argv=None) -> int:
         "child_round_s": round(statistics.median(totals["child"]), 5),
         **{f"{name}_op_{q}_ms": round(tail[name][q], 5) for name in tail for q in ("p50", "p95")},
         **{f"op_{q}_ratio": round(tail["child"][q] / tail["parent"][q], 4) for q in ("p50", "p95")},
+        "kind_ratio": kind_ratio(parent.wl, ops, op_s[parent], op_s[child]),
         "python": sys.version.split()[0],
     }, sort_keys=True))
     return 0

@@ -311,6 +311,30 @@ def rank4_shadows():
     return "every closed subset of D4, B4 and C4 as the LP decides"
 
 
+def ktype_sweep():
+    """The k-type series of every type of rank >= 2 at the weight of ``find_nonintegral_weight`` for each target
+    -12..12 and max_m 0, 1, 7 and 40, 3,300 series, where the bench draws lambda(h) in 2..12 only: so the
+    subtraction branch of lambda(h) <= 0 runs too.  Each series' ``entries`` is the dict of its stored
+    multiplicities, and the SHA-256 of its to_json documents, each written compact on its own line, is pinned."""
+    from ghckit import principal, rootsys
+
+    types = [(s, n) for s in "ABCD" for n in range(2, 9)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    stream = hashlib.sha256()
+    count = 0
+    for key in types:
+        pd = principal.PrincipalData.build(rootsys.build(*key))
+        for target in range(-12, 13):
+            lam = principal.find_nonintegral_weight(pd, target)
+            for max_m in (0, 1, 7, 40):
+                series = principal.ktype_series(pd, lam, max_m)
+                assert series.entries == dict(enumerate(series.multiplicities)), (key, target, max_m)
+                stream.update(json.dumps(series.to_json(), separators=(",", ":")).encode() + b"\n")
+                count += 1
+    digest = stream.hexdigest()
+    assert (count, digest) == (3300, "0b0f40dd7370be7b579d8f4eb53d00ba6f5e665ac1f36334f4625842278e8c6b"), digest
+    return f"{count} series on {len(types)} types, lambda(h) -12..12, as pinned"
+
+
 def rank32():
     """The classical series at the rank ceiling, where the Cartan inverse runs its longest elimination and coroot
     order differs most from root order: the build equals the reflection closure it replaced, field for field, its
@@ -371,7 +395,7 @@ def rank32():
             "C32's nbar table to q^20002 built, one past the work bound rejected")
 
 
-LIBRARY = [("a5_closures", {}), ("rank4_shadows", {}), ("rank32", {"GHC_MAX_RANK": "32"})]
+LIBRARY = [("a5_closures", {}), ("rank4_shadows", {}), ("ktype_sweep", {}), ("rank32", {"GHC_MAX_RANK": "32"})]
 
 
 def main(ghckit):
