@@ -28,7 +28,8 @@ den) with den positive; ``ktype_series`` bounds it and reads its table index
 on those integers (|num| > MAX_M den, num % den, num // den) and builds the
 one Fraction of ``KTypeSeries.lambda_h`` at the end.
 ``find_nonintegral_weight`` steps over integer rows and builds its Fraction
-weight once, at the end.
+weight once, at the end, as a ``rootsys._ReadWeight`` that keeps its row for
+``_weight_row``; the length and integrality checks still run.
 
 The k-type series owns its rules: the bound ``MAX_M`` on max_m and on
 |lambda(h)|, which keeps the partition table an explicit input error rather
@@ -65,7 +66,8 @@ from types import MappingProxyType
 
 from .errors import InputError, InternalError
 from .exact import Vector, _entry, _Record, _shown, format_rational, parse_integer, parse_nonnegative
-from .rootsys import MAX_RANK_CEILING, RootSystem, _dot, _integral, _weight_row, height_distribution, root_count
+from .rootsys import (MAX_RANK_CEILING, RootSystem, _dot, _integral, _read_weight, _weight_row, height_distribution,
+                      root_count)
 
 # bound on a k-type series' max_m and |lambda(h)|: the slowest series within
 # it, E8 with max_m = MAX_M and lambda(h) = -MAX_M, takes about 0.2 s (Python 3.11,
@@ -318,21 +320,22 @@ def ktype_series(pd: PrincipalData, lam: Vector, max_m: int) -> KTypeSeries:
     num, den = _nonintegral_lambda_h(pd, lam)
     if abs(num) > MAX_M * den:
         raise InputError(f"lambda(h) = {format_rational(Fraction(num, den))} is outside the bound +-{MAX_M}")
-    # a non-integral lambda(h) makes every target non-integral
-    values = [0] * (max_m + 1)
-    if num % den == 0:
+    if num % den:
+        # a non-integral lambda(h) makes every target non-integral
+        values = (0,) * (max_m + 1)
+    else:
         n = num // den
         table = pd.kperp_table(max(0, max_m - n + 2))
         # m = 0 .. max_m reads table[m - n + 2] less table[-m - n], each 0 at a negative index:
         # zeros then a slice, less a reversed head then zeros; for n >= 1 every -m - n is
         # negative, so the series is the zeros and the slice as they are
-        values = [0] * min(max(0, n - 2), max_m + 1) + table[max(0, 2 - n) : max(0, max_m - n + 3)]
+        values = (0,) * min(max(0, n - 2), max_m + 1) + tuple(table[max(0, 2 - n) : max(0, max_m - n + 3)])
         if n <= 0:
-            values = list(map(sub, values, table[max(0, -n - max_m) : 1 - n][::-1] + [0] * (max_m + 1)))
+            values = tuple(map(sub, values, table[max(0, -n - max_m) : 1 - n][::-1] + [0] * (max_m + 1)))
             if min(values) < 0:
                 m = next(m for m, val in enumerate(values) if val < 0)
                 raise InternalError(f"negative multiplicity {values[m]} for m={m}")
-    return KTypeSeries(Fraction(num, den), tuple(values))
+    return KTypeSeries(Fraction(num, den), values)
 
 
 def find_nonintegral_weight(pd: PrincipalData, target) -> Vector:
@@ -348,7 +351,7 @@ def find_nonintegral_weight(pd: PrincipalData, target) -> Vector:
     # base = t h / (h, h) = row / den, with h = h_row / h_den
     row, den = [t.numerator * pd.h_den * x for x in h], t.denominator * _dot(h, h)
     if not _integral(rs, row, den):
-        return tuple(Fraction(x, den) for x in row)
+        return _read_weight(row, den)
     # directions inside the simple-root span, orthogonal to h: h pairs to 2 with every
     # simple root, so a_j - a_0 for j >= 1; with the doubled roots b_j = 2 a_j,
     # base + (a_j - a_0) / k = (2k row + den (b_j - b_0)) / (2k den)
@@ -356,5 +359,5 @@ def find_nonintegral_weight(pd: PrincipalData, target) -> Vector:
         for k in (3, 5, 7, 11, 13):
             lam = [2 * k * x + den * (y - z) for x, y, z in zip(row, b, rs._simple_doubled[0])]
             if not _integral(rs, lam, 2 * k * den):
-                return tuple(Fraction(x, 2 * k * den) for x in lam)
+                return _read_weight(lam, 2 * k * den)
     raise InternalError("could not find a non-integral weight with the requested h-value")

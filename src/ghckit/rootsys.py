@@ -36,7 +36,8 @@ values of each chunk of six root indices: it starts from the stored set of the
 first chunk that the mask meets and merges in that of each later one, so no
 root is hashed again.
 
-A weight enters through ``_weight_row``, once per call: a tuple or list of ints
+A weight enters through ``_weight_row``, once per call: a ``_ReadWeight``
+(``_read_weight``) gives the integer row it was built from, a tuple or list of ints
 and Fractions is read as it is, any other weight through ``exact.vec`` (so
 rational text is taken, and a float, a bool or a weight that is no sequence is an
 input error); it checks the length
@@ -472,18 +473,43 @@ def _construct(series: str, rank: int) -> RootSystem:
 # weight predicates
 
 
-def _weight_row(rs: RootSystem, lam: Vector) -> tuple[list[int], int]:
+class _ReadWeight(tuple):
+    """A weight's Fractions that keep the integer row (a tuple) and the positive
+    denominator they were built from, lam = row / den, for ``_weight_row`` to return.
+    It compares, hashes and prints as its plain tuple; a slice, a sum, a copy or a
+    pickle of it is a plain tuple, so nothing derived from it carries the row."""
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}")
+
+
+def _read_weight(row: Sequence[int], den: int) -> _ReadWeight:
+    """The weight row / den, for an integer row and a positive den, not necessarily the least."""
+    lam = _ReadWeight([_F(x, den) for x in row])
+    vars(lam).update(row=tuple(row), den=den)
+    return lam
+
+
+def _weight_row(rs: RootSystem, lam: Vector) -> tuple[Sequence[int], int]:
     """lam as an integer row and a positive denominator, lam = row / den: the one
-    entry point of a weight, which also checks its length.  A tuple or list of
-    ints and Fractions is read as it is; any other weight is read by
-    ``exact.vec`` first, so rational text is taken, a generator is read once,
-    and a float, a bool or a weight that is no sequence is an input error."""
-    if type(lam) not in (tuple, list) or not _EXACT_TYPES.issuperset(map(type, lam)):
-        lam = vec(lam)
-    if len(lam) != rs.ambient_dim:
+    entry point of a weight, which also checks its length.  A ``_ReadWeight`` gives
+    its kept pair; a tuple or list of ints and Fractions is read as it is; any
+    other weight is read by ``exact.vec`` first, so rational text is taken, a
+    generator is read once, and a float, a bool or a weight that is no sequence
+    is an input error."""
+    if type(lam) is _ReadWeight:
+        row, den = lam.row, lam.den
+    else:
+        if type(lam) not in (tuple, list) or not _EXACT_TYPES.issuperset(map(type, lam)):
+            lam = vec(lam)
+        den = lcm(*(x.denominator for x in lam))
+        row = [x.numerator * (den // x.denominator) for x in lam]
+    if len(row) != rs.ambient_dim:
         raise InputError("weight dimension does not match the ambient space")
-    den = lcm(*(x.denominator for x in lam))
-    return [x.numerator * (den // x.denominator) for x in lam], den
+    return row, den
 
 
 def _simple_pairings(rs: RootSystem, row: Sequence[int], den: int) -> list[tuple[int, int]]:

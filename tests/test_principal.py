@@ -1,3 +1,6 @@
+import copy
+import json
+import pickle
 import random
 import time
 from collections import Counter
@@ -13,7 +16,7 @@ from test_rootsys import reference_is_regular_integral, reference_weyl_dim
 
 from ghckit import principal, rootsys
 from ghckit.errors import InputError, InternalError
-from ghckit.exact import dot, vadd, vscale, vzero
+from ghckit.exact import dot, format_vector, vadd, vec, vscale, vzero
 from ghckit.principal import (
     MAX_DP_CELLS,
     MAX_M,
@@ -628,3 +631,70 @@ def test_integer_weight_path_matches_fraction_pairings(data):
     assert rootsys.is_dominant(rs, lam) == all(p >= 0 for p in pairings)
     assert rootsys.is_regular_integral(rs, lam) == reference_is_regular_integral(rs, lam)
     assert _outcome(rootsys.weyl_dim, rs, lam) == _outcome(reference_weyl_dim, rs, lam)
+
+
+# find_nonintegral_weight's weight keeps the integer row it was built from (rootsys._ReadWeight)
+KEPT_WEIGHTS = [("C", 3, F(35, 2)), ("A", 2, 4), ("E", 8, 7), ("G", 2, F(7, 2)), ("D", 5, -3)]
+
+
+@pytest.mark.parametrize("series, rank, target", KEPT_WEIGHTS)
+def test_kept_weight_behaves_as_its_plain_tuple(series, rank, target):
+    lam = principal.find_nonintegral_weight(_pd(series, rank), target)
+    plain = tuple(lam)
+    assert type(lam) is rootsys._ReadWeight and type(plain) is tuple
+    assert lam == plain and plain == lam and hash(lam) == hash(plain) and repr(lam) == repr(plain)
+    assert json.dumps(lam, default=str) == json.dumps(plain, default=str)
+    assert format_vector(lam) == format_vector(plain)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(lam, protocol))
+        assert type(back) is tuple and back == plain, protocol
+    derived = [copy.copy(lam), copy.deepcopy(lam), lam[:], vec(lam), lam + (), () + lam, lam[1:]]
+    assert [type(d) for d in derived] == [tuple] * 7 and derived == [plain] * 6 + [plain[1:]]
+    assert type(lam.row) is tuple
+    with pytest.raises(AttributeError):
+        lam.row = (0,) * len(lam)
+    with pytest.raises(AttributeError):
+        lam.den = 1
+
+
+@pytest.mark.parametrize("key", RANK2_TYPES)
+def test_kept_row_reads_as_the_generic_row(key):
+    # the kept pair need not be in lowest terms (70 for C3 at 35/2, where the least
+    # denominator is 2), but it is the same weight as the generic read of its tuple
+    pd = _pd(*key)
+    for target in [*range(-12, 13), F(7, 2)]:
+        lam = principal.find_nonintegral_weight(pd, target)
+        row, den = rootsys._weight_row(pd.rs, lam)
+        assert (row, den) == (lam.row, lam.den) and type(row) is tuple and den > 0, target
+        generic_row, generic_den = rootsys._weight_row(pd.rs, tuple(lam))
+        assert [F(x, den) for x in row] == [F(x, generic_den) for x in generic_row] == list(lam), target
+
+
+def test_kept_weight_on_another_system_is_read_again():
+    # (5/2, 3/2, 1/2) is non-integral on C3, whose coroot of 2e3 is e3, and integral on B3
+    lam = principal.find_nonintegral_weight(_pd("C", 3), F(35, 2))
+    assert lam == (F(5, 2), F(3, 2), F(1, 2)) and lam.den == 70
+    assert rootsys.is_integral(rootsys.build("B", 3), lam)
+    with pytest.raises(InputError, match="^lambda must be non-integral$"):
+        principal.ktype_series(_pd("B", 3), lam, 12)
+    with pytest.raises(InputError, match="^weight dimension does not match the ambient space$"):
+        principal.ktype_series(_pd("A", 3), lam, 12)
+
+
+@pytest.mark.parametrize("rank", range(4, 9))
+def test_swapped_classical_weights_answer_as_their_tuples(rank):
+    # a weight found on B_n, C_n or D_n handed to another of the three, which has the same
+    # ambient dimension: every answer is the one its plain tuple gets, read generically.  At
+    # the target (h, h) / 2, C_n's weight is h / 2 = (n - 1/2, .., 1/2), integral on B_n and D_n
+    refused = 0
+    for found, other in [(s, t) for s in "BCD" for t in "BCD" if s != t]:
+        pd, found_pd = _pd(other, rank), _pd(found, rank)
+        reads = (lambda w: principal.ktype_series(pd, w, 12), partial(principal.minimal_ktype, pd), pd.lambda_h,
+                 partial(rootsys.is_integral, pd.rs), partial(rootsys.is_dominant, pd.rs),
+                 partial(rootsys.is_regular_integral, pd.rs))
+        for target in [*range(-12, 13), F(7, 2), dot(found_pd.h_element, found_pd.h_element) / 2]:
+            lam = principal.find_nonintegral_weight(found_pd, target)
+            answers = [_outcome(read, lam) for read in reads]
+            assert answers == [_outcome(read, tuple(lam)) for read in reads], (found, other, target)
+            refused += answers[0] == (InputError, "lambda must be non-integral")
+    assert refused == 2  # C_n's h / 2, on B_n and on D_n

@@ -315,7 +315,8 @@ def ktype_sweep():
     """The k-type series of every type of rank >= 2 at the weight of ``find_nonintegral_weight`` for each target
     -12..12 and max_m 0, 1, 7 and 40, 3,300 series, where the bench draws lambda(h) in 2..12 only: so the
     subtraction branch of lambda(h) <= 0 runs too.  Each series' ``entries`` is the dict of its stored
-    multiplicities, and the SHA-256 of its to_json documents, each written compact on its own line, is pinned."""
+    multiplicities, and it equals the series of the weight's plain tuple, which takes the generic read and not
+    the kept row; the SHA-256 of its to_json documents, each written compact on its own line, is pinned."""
     from ghckit import principal, rootsys
 
     types = [(s, n) for s in "ABCD" for n in range(2, 9)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
@@ -328,6 +329,7 @@ def ktype_sweep():
             for max_m in (0, 1, 7, 40):
                 series = principal.ktype_series(pd, lam, max_m)
                 assert series.entries == dict(enumerate(series.multiplicities)), (key, target, max_m)
+                assert principal.ktype_series(pd, tuple(lam), max_m) == series, (key, target, max_m)
                 stream.update(json.dumps(series.to_json(), separators=(",", ":")).encode() + b"\n")
                 count += 1
     digest = stream.hexdigest()
