@@ -394,12 +394,14 @@ def lp_feasible(
 
 def _simplex(rows: list[list[int]], n: int) -> tuple[list[Fraction], list[int]] | None:
     """``lp_feasible`` on integer rows [coeffs..., rhs] already read, at least one,
-    of n coefficients each, which it changes: the solution and the final basis
-    (each row's basic column), or None when infeasible.
+    of n coefficients each, which it leaves unchanged: the solution and the final
+    basis (each row's basic column), or None when infeasible.
 
-    The phase-1 tableau (n structural columns, m artificial columns, rhs; rows
-    negated where rhs < 0) is the integer rows with 1 on the artificial
-    diagonal, pivoted fraction-free
+    The phase-1 tableau is the integer rows, negated where rhs < 0, with n
+    structural columns and the rhs only: the m artificial columns of the
+    textbook tableau, the unit block, are never stored, and row i's artificial
+    is known only by its basis label n + i, which Bland's tie-break reads.  It
+    is pivoted fraction-free
     (Edmonds 1967; Bareiss 1968): a pivot p at (r, s) keeps row r and sets
     a_ij <- (p·a_ij - a_is·a_rj) // d for every other row, then d <- p, where
     d is the previous pivot (initially 1).  The division is exact, since
@@ -410,34 +412,41 @@ def _simplex(rows: list[list[int]], n: int) -> tuple[list[Fraction], list[int]] 
     Pivoting uses Bland's rule, with the ratio test done by
     cross-multiplication and ties broken by the smaller basis index, so the
     run always terminates and takes the same pivots as the same simplex run
-    over Fractions.  The per-cell work runs
-    in C: the phase-1 objective is the negated column sums of the equality
-    rows, by ``map`` over ``zip``, before the artificial block is inserted
-    into each row in place, and the unit step is one ``map``.  A basic
-    value whose row holds 1 at its basic column is an integer and comes out
-    as the shared Fraction of ``_SMALL`` for 0 .. 8 (every nonbasic value is
-    the shared zero) and as a one-argument Fraction above; any other is the
-    quotient of the two entries.
+    over Fractions.  The loop runs while the phase-1 objective z (-obj[-1]
+    over d) is nonzero, and its answers are those of the full tableau, which
+    ``tests/reference_simplex.py`` keeps (Farkas' lemma; Schrijver 1986, ch. 7):
+    1. no structural or rhs entry of a row or of obj ever reads an artificial
+       column, so both runs take the same pivots until an artificial column
+       would enter;
+    2. Bland's rule scans the structural columns first, so an artificial
+       column enters only when every structural reduced cost is >= 0: then
+       y = c_B·B^-1 has y·A <= 0 and z = y·b, and a feasible x >= 0 would give
+       z = y·A·x <= 0, so z = 0.  If z > 0, the LP is infeasible, and None is
+       already settled;
+    3. once z = 0, every later pivot is degenerate, since z >= 0 cannot fall,
+       so x no longer changes, and stopping there returns the same x.  A basic
+       column at 0 adds nothing to ``_cone_witness``'s point or lcm.
+    The per-cell work runs in C: the phase-1 objective is the negated column
+    sums of the equality rows, by ``map`` over ``zip``, and the unit step is
+    one ``map``; a step makes a new row, so the input rows are not changed.
+    A basic value whose row holds 1 at its basic column is an integer and
+    comes out as the shared Fraction of ``_SMALL`` for 0 .. 8 (every nonbasic
+    value is the shared zero) and as a one-argument Fraction above; any other
+    is the quotient of the two entries.
     """
     m = len(rows)
     # the equality rows with rhs >= 0
     tab = [ints if ints[-1] >= 0 else list(map(neg, ints)) for ints in rows]
     # phase-1 objective: minimize the sum of artificials.  Its reduced-cost
     # row (over the same denominator as an untouched row) is the negated
-    # column sum on structural columns and the rhs, and 0 on artificials.
+    # column sum on structural columns and the rhs.
     obj = list(map(neg, map(sum, zip(*tab))))
-    obj[n:n] = [0] * m
-    # tableau rows: n structural columns, m artificial columns, rhs
-    for i, ints in enumerate(tab):
-        art = [0] * m
-        art[i] = 1
-        ints[n:n] = art
     basis = [n + i for i in range(m)]
 
     d = 1
-    while True:
-        # Bland's rule: the first column with a negative reduced cost enters; none left, done
-        for enter in range(n + m):
+    while obj[-1]:
+        # Bland's rule: the first structural column with a negative reduced cost enters; none left, done
+        for enter in range(n):
             if obj[enter] < 0:
                 break
         else:

@@ -251,7 +251,7 @@ class RootSystem(_Record):
         return mask
 
     def roots_of(self, mask: int) -> frozenset[Vector]:
-        """The frozenset of the roots of a mask from 0 to ``full_mask``."""
+        """The frozenset of the roots of a mask, an int (not a bool) from 0 to ``full_mask``."""
         self._root_mask(mask)
         # a set merge reuses the hash stored with each entry, so no Fraction is hashed;
         # the first chunk the mask meets gives its stored set as it is
@@ -263,9 +263,11 @@ class RootSystem(_Record):
         return roots
 
     def _root_mask(self, mask: int) -> int:
-        """mask, when it is the mask of a set of roots, from 0 to ``full_mask``; else an
-        input error: the one range check of a mask given from outside, for ``roots_of``
-        and ``shadow.RootSubalgebra``."""
+        """mask, when it is the mask of a set of roots, an int (not a bool or a subclass)
+        from 0 to ``full_mask``; else an input error: the one check of a mask given from
+        outside, for ``roots_of`` and ``shadow.RootSubalgebra``."""
+        if type(mask) is not int:
+            raise InputError(f"root mask {_shown(mask)} is not an int")
         if not 0 <= mask <= self.full_mask:
             raise InputError(f"root mask {_shown(mask)} is out of range for {self.series}{self.rank}")
         return mask

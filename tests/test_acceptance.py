@@ -162,11 +162,11 @@ def test_criterion_09_partition_oracle():
         for key in [("A", 2), ("A", 3), ("C", 2), ("C", 3), ("G", 2)]:
             pd = principal.PrincipalData.build(rootsys.build(*key))
             for ms in (pd.nbar_multiset, pd.nbar_kperp_multiset):
-                poly = sympy.Integer(1)
+                # the product of Polys, which multiply their dense coefficient lists
+                poly = sympy.Poly(1, q)
                 for part, mult in ms.items():
-                    factor = sum(q ** (part * k) for k in range(0, 40 // part + 1))
-                    poly = sympy.expand(poly * factor ** mult)
-                poly = sympy.Poly(poly, q)
+                    factor = sympy.Poly.from_dict({(part * k,): 1 for k in range(0, 40 // part + 1)}, q)
+                    poly *= factor ** mult
                 for target in range(0, 41):
                     assert principal.partition_P(ms, target) == poly.coeff_monomial(q ** target)
 

@@ -387,10 +387,30 @@ class TestLpAgainstReference:
             ([((F(2, 3), F(-1, 2), F(1)), F(-1, 3)), ((F(1, 3), F(1), F(-3, 2)), F(1, 2))], 3),
             # infeasible over x >= 0
             ([((F(1, 2), F(1, 3)), F(-1))], 2),
+            # the full tableau pivots on after its objective reaches 0, then enters an
+            # artificial column; the structural one stops at 0 with the same x, (0, 2)
+            ([((-2, 1), 2), ((1, -1), -2), ((2, 1), 2)], 2),
+            # the full tableau enters an artificial column at objective 0
+            ([((0, 1, -2, -1), 0), ((-2, 2, 1, -1), 1), ((-1, -2, 1, 2), 0)], 4),
+            # the full tableau enters an artificial column at objective 3: infeasible by Farkas
+            ([((-2, -1), -2), ((-2, 0), 1), ((-2, -2), -2)], 2),
         ],
     )
     def test_fixed_cases(self, eqs, n):
         assert lp_feasible(eqs, n) == reference_lp_feasible(eqs, n)
+
+    @pytest.mark.parametrize("rows, n", [
+        ([[-2, 1, 2], [1, -1, -2], [2, 1, 2]], 2),
+        ([[-2, -1, -2], [-2, 0, 1], [-2, -2, -2]], 2),
+        ([[1, -1, 0, 0], [0, 1, -1, 0], [1, 1, 1, 0]], 3),
+        ([[1, 1, 0, 1, 0], [1, 0, 1, 0, 1]], 4),
+    ])
+    def test_simplex_leaves_its_rows_unchanged(self, rows, n):
+        # no artificial block is spliced in, and every step makes a new row, so the rows
+        # handed in, negated rhs and all, are as they were
+        before = [list(row) for row in rows]
+        exact._simplex(rows, n)
+        assert rows == before
 
     def test_accepts_ints_and_strings(self):
         sol = lp_feasible([((1, "1/2"), "3/2"), ((1, -1), 0)], 2)

@@ -98,6 +98,7 @@ ENTRY_POINTS = {
     "nullspace": (exact.nullspace, 1),
     "solve_linear": (exact.solve_linear, 2),
     "is_root": (A2.is_root, 1),
+    "roots_of": (A2.roots_of, 1),
 }
 
 

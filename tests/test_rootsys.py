@@ -584,6 +584,16 @@ def test_roots_of_rejects_a_mask_out_of_range(a2, mask):
         a2.roots_of(mask)
 
 
+@pytest.mark.parametrize("mask", [None, "x", [], 1.5, Fraction(3), True, False])
+def test_roots_of_rejects_a_mask_that_is_not_an_int(a2, mask):
+    # None, text and a list failed the range comparison with a TypeError, a float and a
+    # Fraction passed it and failed at the first chunk, and a bool answered as its int
+    with pytest.raises(InputError, match=r"^root mask .* is not an int$"):
+        a2.roots_of(mask)
+    assert a2.roots_of(0) == frozenset()
+    assert a2.roots_of(a2.full_mask) == frozenset(a2.all_roots)
+
+
 @pytest.mark.parametrize("alpha", [[1, -1, 0], (V(1, -1, 0), [0]), {}])
 def test_a_vector_that_cannot_be_hashed_is_no_root(a2, alpha):
     # is_root raised the TypeError of the lookup; root_index turns the same lookup into an

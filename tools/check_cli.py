@@ -280,6 +280,32 @@ def a5_closures():
             f"in {counts['_simplex']} LPs and {counts['_pivot_row']} row steps")
 
 
+def lp_sweep():
+    """10,000 seeded LPs of 1-5 rows and 1-6 columns, entries -3..3, through ``lp_feasible`` against the Fraction
+    simplex, which keeps its artificial block: each answer must be the reference's, every solution entry exactly
+    a Fraction, and the SHA-256 of the answers, each written as its entries or ``None`` on its own line, and the
+    count of infeasible LPs are pinned."""
+    from reference_simplex import reference_lp_feasible
+    from ghckit.exact import lp_feasible
+
+    rng = random.Random(1)
+    stream = hashlib.sha256()
+    infeasible = 0
+    for _ in range(10000):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        eqs = [([rng.randint(-3, 3) for _ in range(n)], rng.randint(-3, 3)) for _ in range(m)]
+        x = lp_feasible(eqs, n)
+        assert x == reference_lp_feasible(eqs, n), eqs
+        if x is None:
+            infeasible += 1
+        else:
+            assert all(type(v) is Fraction for v in x), eqs
+        stream.update(("None" if x is None else ",".join(map(str, x))).encode() + b"\n")
+    digest = stream.hexdigest()
+    assert (infeasible, digest) == (6531, "3ddf284f76b89d49e150c2b192680a47e5119898b77d9b587917983916be5995"), digest
+    return f"10000 LPs, {infeasible} infeasible, as the Fraction simplex decides"
+
+
 def rank4_shadows():
     """Shadow on every closed subset of D4, B4 and C4 against one cone_member LP per root outside the additive
     closure of Gamma, which shadow takes alone, binding no LP: its cone mask, the one fact it stores, and the four
@@ -397,7 +423,8 @@ def rank32():
             "C32's nbar table to q^20002 built, one past the work bound rejected")
 
 
-LIBRARY = [("a5_closures", {}), ("rank4_shadows", {}), ("ktype_sweep", {}), ("rank32", {"GHC_MAX_RANK": "32"})]
+LIBRARY = [("a5_closures", {}), ("lp_sweep", {}), ("rank4_shadows", {}), ("ktype_sweep", {}),
+           ("rank32", {"GHC_MAX_RANK": "32"})]
 
 
 def main(ghckit):
