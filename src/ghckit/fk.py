@@ -27,7 +27,8 @@ verdict of every closed subset of A_n for n up to ``CENSUS_MAX_RANK``.  With
 dedup it keeps one subset per Weyl orbit, the first in its order, and walks
 each orbit on masks under the simple reflections ``RootSystem.reflections``,
 the library's one Weyl action.  ``_type_a_roots`` sorts the type-A root rows
-itself, into the column order of the Theorem 8 LP.
+itself, into the column order of the Theorem 8 LP; ``theorem8_finite_type``
+reads both sides' LP rows and the node masks of its graph H in one pass over it.
 
 Type recognition splits the simple roots of k into components by ``_reach``
 on the integer ``doubled_roots`` and reads each one's type off its rank,
@@ -175,16 +176,21 @@ def theorem8_finite_type(rs: RootSystem, l: RootSubalgebra) -> FiniteTypeVerdict
     simple_k = _k_simple(rs, k)
     sg = _singular(rs, simple_k, rs.full_mask & ~l.mask)
     sn = _singular(rs, simple_k, l.mask & ~k)
-    # the rows and ends of each side, in one pass over the table: sg and sn are disjoint
-    rows_a, ends_a, rows_b, ends_b = [], [], [], []
-    for i, row, ends in _type_a_roots(rs):
+    # the LP rows of each side and H's node masks, in one pass over the table: sg and sn
+    # are disjoint; an a-root e_u - e_v is the edge u -> v of H, a b-root the edge v -> u
+    rows_a, rows_b = [], []
+    dim = rs.ambient_dim
+    out_a, in_a, out_b, in_b = [0] * dim, [0] * dim, [0] * dim, [0] * dim
+    for i, row, (u, v) in _type_a_roots(rs):
         if sg >> i & 1:
             rows_a.append(row)
-            ends_a.append(ends)
+            out_a[u] |= 1 << v
+            in_a[v] |= 1 << u
         elif sn >> i & 1:
             rows_b.append(row)
-            ends_b.append(ends)
-    pair = _first_feasible_pair(ends_a, ends_b, rs.ambient_dim)
+            out_b[v] |= 1 << u
+            in_b[u] |= 1 << v
+    pair = _first_feasible_pair(out_a, in_a, out_b, in_b)
     witness = None
     if pair is not None:
         witness = _cone_witness(rows_a, rows_b, *pair)
@@ -208,26 +214,24 @@ def _type_a_roots(rs: RootSystem) -> tuple[tuple[int, tuple[int, ...], tuple[int
 
 
 def _first_feasible_pair(
-    ends_a: Sequence[tuple[int, int]], ends_b: Sequence[tuple[int, int]], dim: int
+    out_a: Sequence[int], in_a: Sequence[int], out_b: Sequence[int], in_b: Sequence[int]
 ) -> tuple[int, int] | None:
     """The first (k, sign), coordinates in order and +1 before -1, for which the
-    cones of the type-A roots e_u - e_v given by their ends (u, v) share a point
-    with coordinate k equal to sign; None when they meet only at 0.  The rule is
-    the reachability one of ``theorem8_finite_type``, on bitmasks of nodes."""
-    out_a, in_a, out_b, in_b = ([0] * dim for _ in range(4))
-    for u, v in ends_a:  # the edge u -> v
-        out_a[u] |= 1 << v
-        in_a[v] |= 1 << u
-    for u, v in ends_b:  # the edge v -> u
-        out_b[v] |= 1 << u
-        in_b[u] |= 1 << v
+    cones of the type-A roots e_u - e_v of the two sides share a point with
+    coordinate k equal to sign; None when they meet only at 0.  The rule is the
+    reachability one of ``theorem8_finite_type``, on bitmasks of nodes: the sides
+    come as H's node masks, out_a[u] and in_a[v] holding v and u for each a-root
+    e_u - e_v, and out_b[v] and in_b[u] holding u and v for each b-root."""
     succ = list(map(or_, out_a, out_b))  # the edges of H, as successor masks
-    for k in range(dim):
-        # +1: from the y of a = e_k - e_y to the z of b = e_k - e_z;
+    for k in range(len(succ)):
+        # +1: from the y of a = e_k - e_y to the z of b = e_k - e_z
+        start, goal = out_a[k], in_b[k]
+        if start and goal and _reach(succ, start, 1 << k, goal) & goal:
+            return k, 1
         # -1: from the z of b = e_z - e_k to the x of a = e_x - e_k
-        for sign, start, goal in ((1, out_a[k], in_b[k]), (-1, out_b[k], in_a[k])):
-            if start and goal and _reach(succ, start, 1 << k, goal) & goal:
-                return k, sign
+        start, goal = out_b[k], in_a[k]
+        if start and goal and _reach(succ, start, 1 << k, goal) & goal:
+            return k, -1
     return None
 
 

@@ -265,7 +265,7 @@ class RootSystem(_Record):
     def _root_mask(self, mask: int) -> int:
         """mask, when it is the mask of a set of roots, an int (not a bool or a subclass)
         from 0 to ``full_mask``; else an input error: the one check of a mask given from
-        outside, for ``roots_of`` and ``shadow.RootSubalgebra``."""
+        outside, for ``roots_of``, ``sums`` and ``shadow.closed_mask``."""
         if type(mask) is not int:
             raise InputError(f"root mask {_shown(mask)} is not an int")
         if not 0 <= mask <= self.full_mask:
@@ -334,12 +334,19 @@ class RootSystem(_Record):
 
     def sums(self, a: int, b: int) -> int:
         """The mask of the roots x + y with x in mask a and y in mask b, read from the
-        ``sum_partners`` rows of a's roots, one row per root of a."""
+        ``sum_partners`` rows of a's roots, one row per root of a.  The walk visits
+        only a's set bits, lowest first, by the lowest-set-bit step; both masks are
+        read by ``_root_mask``, since a negative a would never run out of bits."""
+        partners = self.sum_partners
         out = 0
-        for i in bits(a):
-            for j, k in self.sum_partners[i]:
+        rest = self._root_mask(a)
+        self._root_mask(b)
+        while rest:
+            low = rest & -rest
+            for j, k in partners[low.bit_length() - 1]:
                 if b >> j & 1:
                     out |= 1 << k
+            rest ^= low
         return out
 
     @cached_property

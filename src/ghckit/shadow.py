@@ -16,10 +16,13 @@ closes each include branch, a small closed set plus one root, by walking the
 partners of the roots that join, on the table's rows as bits, built once per
 call, until the first excluded root (``_close`` is the same walk on index
 pairs, run to the end).  ``closed_mask`` reads each pair of members once,
-from the later one's partners.  A decomposition stores Gamma's mask and one
-fact per root, whether it lies in the cone (the cone mask, Gamma-bar); the
-four class masks are views of the cone mask and its negation, and its JSON
-reads their bits.  Frozensets of Fraction epsilon-vectors are views built
+from the later one's partners.  ``closed_mask``, ``_close_from_outside`` and
+``RootSystem.sums`` walk only the set bits of their mask, lowest first, and
+build no ``bits()`` list; ``closed_mask`` and ``sums`` read their masks by
+``RootSystem._root_mask``, the one mask rule, as a negative int has no last
+bit.  A decomposition stores Gamma's mask and one fact per root, whether it
+lies in the cone (the cone mask, Gamma-bar); the four class masks are views
+of the cone mask and its negation, and its JSON reads their bits.  Frozensets of Fraction epsilon-vectors are views built
 only for results: ``RootSubalgebra.roots``, the parts of a decomposition,
 ``parabolic_pm``, ``fernando_fk`` and ``closed_subsets``.  A support shape
 grows only from newly reached points, in doubled integer coordinates, up to
@@ -44,16 +47,21 @@ MAX_SUPPORT_POINTS = 20_000
 
 
 def closed_mask(rs: RootSystem, mask: int) -> bool:
-    """True iff every sum of two roots of the mask that is a root is in the mask.
-    Each unordered pair is read once: from each member q, the partners j < q,
-    which ``sum_partners[q]`` lists first."""
+    """True iff every sum of two roots of the mask that is a root is in the mask, an
+    int read by ``RootSystem._root_mask``.  Each unordered pair is read once: from each
+    member q, the partners j < q, which ``sum_partners[q]`` lists first.  The walk
+    visits only the members, lowest first, by the step ``low = rest & -rest``."""
     partners = rs.sum_partners
-    for q in bits(mask):
+    rest = rs._root_mask(mask)
+    while rest:
+        low = rest & -rest
+        q = low.bit_length() - 1
         for j, k in partners[q]:
             if j > q:
                 break
             if mask >> j & 1 and not mask >> k & 1:
                 return False
+        rest ^= low
     return True
 
 
@@ -74,17 +82,20 @@ def _close(rs: RootSystem, mask: int, queue: list[int]) -> int:
 def _close_from_outside(rs: RootSystem, mask: int) -> int:
     """The closure of mask under sums that are roots, found by testing the roots
     outside it: k joins when k = m + (-j) for some (j, m) in ``sum_partners[k]``
-    with m and -j in mask.  Each round costs the partners of the roots outside,
-    so it suits a mask that holds most of the roots, as Gamma does."""
+    with m and -j in mask.  Each round walks the set bits of the roots outside and
+    costs their partners, so it suits a mask that holds most of the roots, as Gamma does."""
     partners = rs.sum_partners
     while True:
         neg = rs.negated(mask)
         grown = mask
-        for k in bits(rs.full_mask & ~mask):
-            for j, m in partners[k]:
+        rest = rs.full_mask & ~mask
+        while rest:
+            low = rest & -rest
+            for j, m in partners[low.bit_length() - 1]:
                 if neg >> j & 1 and mask >> m & 1:
-                    grown |= 1 << k
+                    grown |= low
                     break
+            rest ^= low
         if grown == mask:
             return mask
         mask = grown
@@ -105,7 +116,8 @@ class RootSubalgebra(_Record):
     def __init__(self, rs: RootSystem, roots: Iterable[Vector] | int):
         """roots: the subset's roots (a non-root is an input error), or its mask, an int
         (not a bool)."""
-        mask = rs._root_mask(roots) if type(roots) is int else rs.mask_of(roots)
+        # closed_mask reads an int mask by RootSystem._root_mask
+        mask = roots if type(roots) is int else rs.mask_of(roots)
         if not closed_mask(rs, mask):
             raise InputError("root subset is not closed under addition")
         object.__setattr__(self, "rs", rs)

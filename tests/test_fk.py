@@ -162,7 +162,15 @@ class TestReachability:
             ((k, sign) for k in range(dim) for sign in (1, -1) if exact.cone_witness(rows_a, rows_b, k, sign)),
             None,
         )
-        assert fk._first_feasible_pair(ends_a, ends_b, dim) == lp
+        # H's node masks: an a-root e_u - e_v is the edge u -> v, a b-root the edge v -> u
+        out_a, in_a, out_b, in_b = ([0] * dim for _ in range(4))
+        for u, v in ends_a:
+            out_a[u] |= 1 << v
+            in_a[v] |= 1 << u
+        for u, v in ends_b:
+            out_b[v] |= 1 << u
+            in_b[u] |= 1 << v
+        assert fk._first_feasible_pair(out_a, in_a, out_b, in_b) == lp
 
     def test_one_lp_per_infinite_type_verdict_and_none_per_finite_type(self, a3, monkeypatch):
         calls = []

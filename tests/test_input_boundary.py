@@ -8,13 +8,15 @@ The record arguments (the root system, the principal data, the shadow
 decomposition and the coherent-family descriptor) are held valid; every other
 argument is drawn."""
 
+import signal
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghckit import exact, fk, mathieu, principal, rootsys, shadow
-from ghckit.errors import GhckitError
+from ghckit.errors import GhckitError, InputError
 
 A2 = rootsys.build("A", 2)
 PD = principal.PrincipalData.build(A2)
@@ -99,6 +101,8 @@ ENTRY_POINTS = {
     "solve_linear": (exact.solve_linear, 2),
     "is_root": (A2.is_root, 1),
     "roots_of": (A2.roots_of, 1),
+    "closed_mask": (lambda mask: shadow.closed_mask(A2, mask), 1),
+    "sums": (A2.sums, 2),
 }
 
 
@@ -111,6 +115,27 @@ def test_every_entry_point_returns_or_raises_a_ghckit_error(name, data):
         fn(*args)
     except GhckitError:
         pass
+
+
+B3 = rootsys.build("B", 3)
+
+
+@pytest.mark.parametrize("mask", [-1, True, B3.full_mask + 1, Fraction(1)], ids=repr)
+def test_a_bad_mask_is_an_input_error_before_any_walk(mask):
+    # closed_mask and sums walk the set bits of a mask, of which a negative int never runs
+    # out, so each rejects a bad mask before its walk; the alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise AssertionError(f"the walk of mask {mask!r} did not stop")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        for call in (lambda: shadow.closed_mask(B3, mask), lambda: B3.sums(mask, 1), lambda: B3.sums(1, mask)):
+            with pytest.raises(InputError, match="^root mask "):
+                call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_the_5000_digit_int_is_past_the_limit_on_integer_text():

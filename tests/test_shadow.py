@@ -442,9 +442,12 @@ def reference_closed(rs, mask):
 
 
 class TestClosedMask:
-    @pytest.mark.parametrize("key", [("B", 3), ("C", 3), ("D", 4), ("F", 4)], ids=_type_id)
+    @pytest.mark.parametrize(
+        "key", [("B", 3), ("C", 3), ("D", 4), ("F", 4), ("E", 6), ("B", 8), ("E", 8)], ids=_type_id
+    )
     def test_matches_pairwise_sums(self, key):
-        # every pair of members against the reference sum table, on masks closed or not
+        # every pair of members against the reference sum table, on masks closed or not;
+        # E6, B8 and E8 give the member walk masks of 72, 128 and 240 bits
         rs = rootsys.build(*key)
         n = len(rs.all_roots)
         rng = random.Random(3)
